@@ -4,9 +4,9 @@ and an optimization driver for external SAT solvers."""
 
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
 from .encode import (CardConstraint, EncodeOptions, EncodedConstraint,
-                     choose_direct, encode_atmost, encode_baseline, encode_card,
-                     normalize_card, strengthen)
-from .network import Network, cnf_cost
+                     choose_direct, cnf_cost, encode_atmost, encode_baseline,
+                     encode_card, normalize_card, strengthen)
+from .network import Network
 from .pb import (MixedRadixBase, PbConstraint, PbProblem, encode_pb, find_base,
                  normalize_pb, parse_opb, simplify_rhs, to_digits, value_of)
 from .sat import (Assignment, Propagator, UpResult, check_arc_consistency,

@@ -371,14 +371,24 @@ def even_split4(n: int) -> tuple[int, int, int, int]:
     return parts  # sums to n
 
 
-def _emit_mw_sel(net: Network, wires: list[int], k: int,
-                 col_sizes: Sequence[int], mixer=None) -> list[int]:
+def _mw_split(sizes: Sequence[int], k: int) -> list[tuple[int, int]]:
+    """(length, selected) of each column one four-wise level recurses into."""
+    return [(s, min(s, k // (i + 1))) for i, s in enumerate(sizes)]
+
+
+def _emit_mw_sel(net: Network, wires: list[int], k: int, sub=None,
+                 col_sizes: Sequence[int] | None = None) -> list[int]:
+    """Four-column selection level over col_sizes (default: even_split4).
+
+    sub(net, wires, k) builds each column's sub-selection; by default the
+    column recurses into this construction with an even split.
+    """
     n = len(wires)
     if k == 0 or n <= 1:
         return list(wires)
     if k == 1:
         return list(net.add_selector(tuple(wires), 1))
-    sizes = [s for s in col_sizes]
+    sizes = list(even_split4(n) if col_sizes is None else col_sizes)
     if len(sizes) != 4 or sum(sizes) != n or any(sizes[i] < sizes[i + 1] for i in range(3)) \
             or sizes[0] >= n or sizes[-1] < 0:
         raise ValueError(f"invalid column profile {sizes} for n={n}")
@@ -393,20 +403,12 @@ def _emit_mw_sel(net: Network, wires: list[int], k: int,
             outs = _sortm(net, [cols[i][row] for i in members])
             for i, wire in zip(members, outs):
                 cols[i][row] = wire
-    sel_cols: list[list[int]] = []
-    for i in range(4):
-        li = min(sizes[i], k // (i + 1))
-        if not cols[i] or li == 0:
-            sel_cols.append(list(cols[i]))
-        elif mixer is not None and len(cols[i]) >= 2 and mixer.use_direct(len(cols[i]), li):
-            outs = list(net.add_selector(tuple(cols[i]), li))
-            sel_cols.append(outs + [net.const_wire(0)] * (len(cols[i]) - li))
-        else:
-            sel_cols.append(_emit_mw_sel(net, cols[i], li, even_split4(len(cols[i])), mixer))
+    sub = sub or _emit_mw_sel
+    split = _mw_split(sizes, k)
+    sel_cols = [sub(net, col, li) for col, (_, li) in zip(cols, split)]
     c = min(sizes[0], k)
     merge_cols, leftovers, pad = [], [], 0
-    for i in range(4):
-        li = min(sizes[i], k // (i + 1))
+    for i, (_, li) in enumerate(split):
         ki = min(c, k // (i + 1))
         merge_cols.append(sel_cols[i][:li] + [net.const_wire(0)] * (ki - li))
         leftovers.extend(sel_cols[i][li:])
@@ -422,7 +424,7 @@ def mw_sel(n: int, k: int, col_sizes: Sequence[int]) -> Network:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     net = Network(n)
-    net.set_outputs(_emit_mw_sel(net, net.input_wires(), k, col_sizes))
+    net.set_outputs(_emit_mw_sel(net, net.input_wires(), k, col_sizes=col_sizes))
     return net
 
 
@@ -533,29 +535,28 @@ def _oe4_columns(n: int, k: int) -> tuple[int, int, int, int]:
     return n - n2 - n3 - n4, n2, n3, n4
 
 
-def _emit_oe4_sel(net: Network, wires: list[int], k: int, mixer=None) -> list[int]:
+def _oe4_split(n: int, k: int) -> list[tuple[int, int]]:
+    """(length, selected) of each column one four-way odd-even level recurses into."""
+    return [(s, min(k, s)) for s in _oe4_columns(n, k)]
+
+
+def _emit_oe4_sel(net: Network, wires: list[int], k: int, sub=None) -> list[int]:
+    """One four-way odd-even selection level.  sub(net, wires, k) builds each
+    column's sub-selection; by default the column recurses into this
+    construction."""
     n = len(wires)
     if k == 0 or n <= 1:
         return list(wires)
     if k == 1:
         return list(net.add_selector(tuple(wires), 1))
-    sizes = _oe4_columns(n, k)
-    cols, at = [], 0
-    for s in sizes:
-        cols.append(wires[at:at + s])
-        at += s
+    sub = sub or _emit_oe4_sel
     ys: list[list[int]] = []
     ks: list[int] = []
-    for col in cols:
-        ki = min(k, len(col))
+    at = 0
+    for s, ki in _oe4_split(n, k):
+        ys.append(sub(net, wires[at:at + s], ki))
         ks.append(ki)
-        if not col:
-            ys.append([])
-        elif mixer is not None and len(col) >= 2 and ki >= 1 \
-                and mixer.use_direct(len(col), ki):
-            ys.append(list(net.add_selector(tuple(col), ki)))
-        else:
-            ys.append(_emit_oe4_sel(net, col, ki, mixer))
+        at += s
     res = _emit_oe4_merge(net, [y[:ki] for y, ki in zip(ys, ks)], k)
     leftovers = [wire for y, ki in zip(ys, ks) for wire in y[ki:]]
     return res + leftovers
@@ -574,26 +575,27 @@ def oe4_sel(n: int, k: int) -> Network:
 # m-column odd-even selection (m = 2 baseline and m = 4 delegate)
 # ---------------------------------------------------------------------------
 
-def _emit_oe2_sel(net: Network, wires: list[int], k: int, mixer=None) -> list[int]:
+def _oe2_split(n: int, k: int) -> list[tuple[int, int]]:
+    """(length, selected) of the two halves one odd-even level recurses into."""
+    h = (n + 1) // 2
+    return [(h, min(k, h)), (n - h, min(k, n - h))]
+
+
+def _emit_oe2_sel(net: Network, wires: list[int], k: int, sub=None) -> list[int]:
+    """One two-column odd-even selection level.  sub(net, wires, k) builds
+    each half's sub-selection; by default the half recurses into this
+    construction."""
     n = len(wires)
     if k == 0 or n <= 1:
         return list(wires)
     if k == 1:
         return list(net.add_selector(tuple(wires), 1))
-    h = (n + 1) // 2
-    halves = [wires[:h], wires[h:]]
-    sel: list[list[int]] = []
-    ks: list[int] = []
-    for part in halves:
-        ki = min(k, len(part))
-        ks.append(ki)
-        if mixer is not None and len(part) >= 2 and ki >= 1 \
-                and mixer.use_direct(len(part), ki):
-            sel.append(list(net.add_selector(tuple(part), ki)))
-        else:
-            sel.append(_emit_oe2_sel(net, part, ki, mixer))
-    merged = _emit_oe_merge(net, sel[0][:ks[0]], sel[1][:ks[1]])
-    return merged + sel[0][ks[0]:] + sel[1][ks[1]:]
+    sub = sub or _emit_oe2_sel
+    (h, k0), (_, k1) = _oe2_split(n, k)
+    sel0 = sub(net, wires[:h], k0)
+    sel1 = sub(net, wires[h:], k1)
+    merged = _emit_oe_merge(net, sel0[:k0], sel1[:k1])
+    return merged + sel0[k0:] + sel1[k1:]
 
 
 def m_oe_sel(n: int, k: int, m: int) -> Network:

@@ -21,8 +21,7 @@ from . import build
 from .cnf import CnfFormula
 from .cnfp import CnfpSyntaxError, encode_cnfp, parse_cnfp, queens_cnfp, write_cnfp
 from .docs import formula_ledger
-from .encode import METHODS, NETWORK_METHODS, EncodeOptions
-from .network import cnf_cost
+from .encode import METHODS, NETWORK_METHODS, EncodeOptions, cnf_cost
 from .pb import PbSyntaxError, parse_opb
 from .sat import dpll_sat
 from .solve import MinimizeConfig, minimize, solve_decision

@@ -11,6 +11,7 @@ emitted by the same walker with polarity="atleast".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -294,87 +295,32 @@ def dry_run_cost(net: Network, needed_prefix: int | None = None,
     return formula.next_var - before, formula.num_clauses
 
 
-# ---------------------------------------------------------------------------
-# direct-network mixing
-# ---------------------------------------------------------------------------
+def cnf_cost(net: Network, needed_prefix: int | None = None) -> tuple[int, int]:
+    """Exact (variables, clauses) the at-most encoder would emit for this network.
 
-def _direct_cost(n: int, m: int, cap: int | None = None) -> tuple[int, int] | None:
-    """Cost of a single m-selector of order n; None when the clause count
-    already exceeds cap."""
-    clauses = 0
-    for p in range(1, m + 1):
-        clauses += math.comb(n, p)
-        if cap is not None and clauses > cap:
-            return None
-    return m, clauses
-
-
-class DirectMixer:
-    """Chooses, per (n, m) sub-problem, between a single direct selector and
-    the method's recursive construction by minimizing lam*V + C.  Decisions
-    are memoized, so repeated queries agree."""
-
-    def __init__(self, method: str, lam: int):
-        if method not in NETWORK_METHODS:
-            raise ValueError(f"mixing applies to network methods, not {method!r}")
-        self.method = method
-        self.lam = lam
-        self._memo: dict[tuple[int, int], bool] = {}
-
-    def _recursive_network(self, n: int, m: int) -> Network:
-        net = Network(n)
-        wires = net.input_wires()
-        if self.method == "oe4":
-            out = build._emit_oe4_sel(net, wires, m, mixer=self)
-        elif self.method == "oe2":
-            out = build._emit_oe2_sel(net, wires, m, mixer=self)
-        elif self.method == "fourwise":
-            out = build._emit_mw_sel(net, wires, m, build.even_split4(n), mixer=self)
-        else:
-            return _padded_pow2_network(self.method, n, m)
-        net.set_outputs(out)
-        return net
-
-    def recursive_cost(self, n: int, m: int) -> tuple[int, int]:
-        return dry_run_cost(self._recursive_network(n, m))
-
-    def use_direct(self, n: int, m: int) -> bool:
-        key = (n, m)
-        if key not in self._memo:
-            if n <= 1 or m < 1:
-                self._memo[key] = False
-            else:
-                rv, rc = self.recursive_cost(n, m)
-                cap = self.lam * rv + rc
-                direct = _direct_cost(n, m, cap=cap)
-                self._memo[key] = direct is not None and \
-                    self.lam * direct[0] + direct[1] <= cap
-        return self._memo[key]
-
-
-_MIXERS: dict[tuple[str, int], DirectMixer] = {}
-
-
-def _mixer_for(opts: EncodeOptions) -> DirectMixer | None:
-    if not opts.direct_mixing or opts.method not in NETWORK_METHODS:
-        return None
-    key = (opts.method, opts.lam)
-    if key not in _MIXERS:
-        _MIXERS[key] = DirectMixer(*key)
-    return _MIXERS[key]
-
-
-def choose_direct(n: int, m: int, opts: EncodeOptions) -> bool:
-    """True when a single direct selector beats the method's recursive
-    construction for (n, m) under the lam*V + C measure."""
-    mixer = _mixer_for(opts) or DirectMixer(
-        opts.method if opts.method in NETWORK_METHODS else "oe4", opts.lam)
-    return mixer.use_direct(n, m)
+    Computed by a dry-run emission (including constant simplification) with
+    free input literals and no output assertion.  With needed_prefix, gate
+    outputs that do not feed the first needed_prefix network outputs are
+    skipped, matching the truncated accounting used for mergers embedded in a
+    larger selection network.
+    """
+    return dry_run_cost(net, needed_prefix=needed_prefix)
 
 
 # ---------------------------------------------------------------------------
 # selection-network construction per method
 # ---------------------------------------------------------------------------
+
+# Level builder and column split of the constructions that recurse on
+# sub-selections; mixing may replace any of their sub-selections.
+_LEVELS = {
+    "oe4": (build._emit_oe4_sel, build._oe4_split),
+    "oe2": (build._emit_oe2_sel, build._oe2_split),
+    "fourwise": (build._emit_mw_sel,
+                 lambda n, k: build._mw_split(build.even_split4(n), k)),
+}
+MIXED_METHODS = tuple(_LEVELS)
+
 
 def _next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length()
@@ -418,31 +364,139 @@ def _padded_pow2_network(method: str, n: int, m: int) -> Network:
     return net
 
 
+def method_network(method: str, n: int, m: int,
+                   mixer: DirectMixer | None = None) -> Network:
+    """The method's own construction for (n, m).  With a mixer, each of its
+    sub-selections may be a direct selector; the whole never is."""
+    if method not in _LEVELS:
+        return _padded_pow2_network(method, n, m)
+    net = Network(n)
+    sub = mixer.sub if mixer is not None else None
+    net.set_outputs(_LEVELS[method][0](net, net.input_wires(), m, sub))
+    return net
+
+
 def build_selection_network(method: str, n: int, m: int,
                             mixer: DirectMixer | None = None) -> Network:
     """Network whose output prefix of length m is the sorted m largest inputs."""
     if method not in NETWORK_METHODS:
         raise ValueError(f"{method!r} is not a network method")
-    if mixer is not None and n >= 2 and mixer.use_direct(n, m):
+    if mixer is not None and mixer.use_direct(n, m):
         return build.direct_selector(n, m)
-    if method == "oe4":
+    return method_network(method, n, m, mixer)
+
+
+# ---------------------------------------------------------------------------
+# direct-network mixing
+# ---------------------------------------------------------------------------
+
+def _direct_cost(n: int, m: int, cap: int | None = None) -> tuple[int, int] | None:
+    """Cost of a single m-selector of order n; None when the clause count
+    already exceeds cap."""
+    clauses = 0
+    for p in range(1, m + 1):
+        clauses += math.comb(n, p)
+        if cap is not None and clauses > cap:
+            return None
+    return m, clauses
+
+
+def _free_wires(net: Network, wires: list[int], k: int) -> list[int]:
+    return list(wires)
+
+
+# (method, m, level shape) -> (V, C) of that level's own gates
+_LEVEL_COSTS: dict[tuple, tuple[int, int]] = {}
+
+
+def _level_cost(method: str, n: int, m: int,
+                children: list[tuple[int, int]]) -> tuple[int, int]:
+    """(V, C) of the gates one level adds besides its sub-selections: the
+    odd-even mergers, or the four-wise row sorters, merger and zero padding.
+    Priced by dry-running the level with every sub-selection replaced by its
+    free input wires, once per level shape."""
+    # Odd-even levels only merge each column's selected prefix, so their gates
+    # follow from the selected counts; four-wise levels also sort rows across
+    # the full column lengths.
+    shape = tuple(children) if method == "fourwise" else tuple(k for _, k in children)
+    key = (method, m, shape)
+    if key not in _LEVEL_COSTS:
         net = Network(n)
-        net.set_outputs(build._emit_oe4_sel(net, net.input_wires(), m, mixer=mixer))
-        return net
-    if method == "oe2":
-        net = Network(n)
-        net.set_outputs(build._emit_oe2_sel(net, net.input_wires(), m, mixer=mixer))
-        return net
-    if method == "fourwise":
-        if n == 1:
-            net = Network(1)
-            net.set_outputs(net.input_wires())
-            return net
-        net = Network(n)
-        net.set_outputs(build._emit_mw_sel(net, net.input_wires(), m,
-                                           build.even_split4(n), mixer=mixer))
-        return net
-    return _padded_pow2_network(method, n, m)
+        _LEVELS[method][0](net, net.input_wires(), m, _free_wires)
+        _LEVEL_COSTS[key] = dry_run_cost(net)
+    return _LEVEL_COSTS[key]
+
+
+@functools.cache
+def recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
+    """(V, C) of method_network(method, n, m) mixed under lam: the level's own
+    gates plus, per sub-selection, a direct selector or its own recursive
+    cost, whichever mixing picks.  The padded power-of-two methods mix only
+    the whole constraint, so their cost is one dry run."""
+    if method not in NETWORK_METHODS:
+        raise ValueError(f"{method!r} is not a network method")
+    if method not in _LEVELS:
+        return dry_run_cost(_padded_pow2_network(method, n, m))
+    if n <= 1 or m == 0:
+        return 0, 0
+    if m == 1:  # every level builder emits one (n, 1)-selector
+        return _direct_cost(n, 1)
+    children = _LEVELS[method][1](n, m)
+    v, c = _level_cost(method, n, m, children)
+    for cn, cm in children:
+        cv, cc = (_direct_cost(cn, cm) if _use_direct(method, lam, cn, cm)
+                  else recursive_cost(method, lam, cn, cm))
+        v += cv
+        c += cc
+    return v, c
+
+
+@functools.cache
+def _use_direct(method: str, lam: int, n: int, m: int) -> bool:
+    if n <= 1 or m < 1:
+        return False
+    rv, rc = recursive_cost(method, lam, n, m)
+    cap = lam * rv + rc
+    direct = _direct_cost(n, m, cap=cap)
+    return direct is not None and lam * direct[0] + direct[1] <= cap
+
+
+@dataclass(frozen=True)
+class DirectMixer:
+    """Mixing policy of one network method: a (n, m) sub-selection becomes a
+    single direct selector when that costs no more than the method's own
+    construction under lam*V + C (always priced in at-most polarity)."""
+
+    method: str
+    lam: int
+
+    def __post_init__(self):
+        if self.method not in NETWORK_METHODS:
+            raise ValueError(f"mixing applies to network methods, not {self.method!r}")
+
+    def use_direct(self, n: int, m: int) -> bool:
+        return _use_direct(self.method, self.lam, n, m)
+
+    def sub(self, net: Network, wires: list[int], k: int) -> list[int]:
+        """Child hook of the level builders: one mixed sub-selection, as a
+        full-length sequence."""
+        if self.use_direct(len(wires), k):
+            outs = list(net.add_selector(tuple(wires), k))
+            return outs + [net.const_wire(0)] * (len(wires) - k)
+        return _LEVELS[self.method][0](net, wires, k, self.sub)
+
+
+def _mixer_for(opts: EncodeOptions) -> DirectMixer | None:
+    if not opts.direct_mixing or opts.method not in NETWORK_METHODS:
+        return None
+    return DirectMixer(opts.method, opts.lam)
+
+
+def choose_direct(n: int, m: int, opts: EncodeOptions) -> bool:
+    """True when a single direct selector beats the method's recursive
+    construction for (n, m) under the lam*V + C measure.  Raises ValueError
+    for methods that are not selection networks."""
+    return DirectMixer(opts.method, opts.lam).use_direct(n, m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
+from . import build
+from .cnf import CnfFormula
+from .encode import cnf_cost, encode_baseline
+
 
 def _is_pow2(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
@@ -195,9 +199,6 @@ class FormulaInfo:
 
 
 def _registry() -> list[FormulaInfo]:
-    from . import build
-    from .network import cnf_cost
-
     def chk_oe_sort():
         return all(build.oe_sort(n).num_gates == oe_sort_size(n) for n in (2, 4, 8, 16, 32))
 
@@ -270,8 +271,6 @@ def _registry() -> list[FormulaInfo]:
         return ok
 
     def chk_seq():
-        from .cnf import CnfFormula
-        from .encode import encode_baseline
         ok = True
         for n in range(2, 7):
             for k in range(1, n):
@@ -282,8 +281,6 @@ def _registry() -> list[FormulaInfo]:
         return ok
 
     def chk_binom():
-        from .cnf import CnfFormula
-        from .encode import encode_baseline
         ok = True
         for n in range(2, 8):
             for k in range(0, n):

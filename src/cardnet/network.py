@@ -181,16 +181,3 @@ class Network:
     def num_gates(self) -> int:
         return len(self.gates)
 
-
-def cnf_cost(net: Network, needed_prefix: int | None = None) -> tuple[int, int]:
-    """Exact (variables, clauses) the at-most encoder would emit for this network.
-
-    Computed by a dry-run emission (including constant simplification) with
-    free input literals and no output assertion.  With needed_prefix, gate
-    outputs that do not feed the first needed_prefix network outputs are
-    skipped, matching the truncated accounting used for mergers embedded in a
-    larger selection network.
-    """
-    from .encode import dry_run_cost
-
-    return dry_run_cost(net, needed_prefix=needed_prefix)

@@ -20,7 +20,8 @@ from typing import Sequence
 
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
-from .encode import EncodeOptions, EncodedConstraint, emit_network, encode_atmost
+from .encode import (EncodeOptions, EncodedConstraint, _mixer_for, build_selection_network,
+                     emit_network, encode_atmost)
 
 MAX_COEFF_MAGNITUDE = 2 ** 62  # 63-bit magnitudes; larger coefficients are rejected
 PRIMES_UNDER_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -305,8 +306,6 @@ def _select_sorted(formula: CnfFormula, lits: list[Lit], t: int,
                    opts: EncodeOptions) -> list[Lit]:
     """Top-t sorted outputs of the position's selection network, emitted in
     the zero-propagating polarity."""
-    from .encode import _mixer_for, build_selection_network
-
     n = len(lits)
     t = min(t, n)
     if n == 0 or t == 0:

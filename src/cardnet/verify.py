@@ -4,7 +4,8 @@ These are compact mirrors of the test suite: the zero-one selection checks
 run every construction exhaustively over all 0-1 inputs at desk scale, the
 arc-consistency and equisatisfiability suites drive the propagation
 harnesses, and the sizes suite evaluates every registered closed form
-against freshly built networks.
+against freshly built networks and checks the mixing cost recurrence against
+dry runs of the networks it prices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from itertools import combinations
 
 from . import build
 from .cnf import CnfFormula
-from .encode import (EncodeOptions, NETWORK_METHODS, encode_atmost)
+from .encode import (MIXED_METHODS, NETWORK_METHODS, DirectMixer, EncodeOptions,
+                     dry_run_cost, encode_atmost, method_network, recursive_cost)
 from .formulas import registry
 from .network import Network
 from .sat import check_arc_consistency, dpll_sat
@@ -164,6 +166,20 @@ def run_equisat(limit: int = 5, log=print) -> bool:
     return ok
 
 
+def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
+    """Sub-problems up to order limit where the mixing cost recurrence differs
+    from a dry run of the network built with the same mixing decisions."""
+    fails = []
+    for method in MIXED_METHODS:
+        mixer = DirectMixer(method, lam)
+        for n in range(2, limit + 1):
+            for m in range(1, n + 1):
+                net = method_network(method, n, m, mixer)
+                if recursive_cost(method, lam, n, m) != dry_run_cost(net):
+                    fails.append(f"{method} n={n} m={m}")
+    return fails
+
+
 def run_sizes(log=print) -> dict[str, bool]:
     results: dict[str, bool] = {}
     for name, info in registry().items():
@@ -172,6 +188,11 @@ def run_sizes(log=print) -> dict[str, bool]:
         passed = bool(info.check())
         results[name] = passed
         log(f"  {'PASS' if passed else 'FAIL'} {name}")
+    fails = mixing_cost_failures()
+    results["mixing_cost_recurrence"] = not fails
+    for fail in fails:
+        log(f"  FAIL mixing cost recurrence {fail}")
+    log(f"  {'FAIL' if fails else 'PASS'} mixing_cost_recurrence")
     log(f"sizes suite: {'PASS' if all(results.values()) else 'FAIL'}")
     return results
 

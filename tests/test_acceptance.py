@@ -12,13 +12,13 @@ from itertools import combinations, product
 
 from cardnet import build
 from cardnet.cnf import CnfFormula, neg
-from cardnet.encode import (EncodeOptions, NETWORK_METHODS, emit_network,
+from cardnet.encode import (EncodeOptions, NETWORK_METHODS, cnf_cost, emit_network,
                             encode_atmost)
 from cardnet.formulas import (bit_sel_size, fourw_merge_vars, fourw_sorter_counts,
                               oe2_merge_clauses, oe2_merge_vars, oe4_merge_clauses_bound,
                               oe4_merge_vars_bound, oe_sort_size, pw_merge_size,
                               pw_variant_gap)
-from cardnet.network import Network, cnf_cost
+from cardnet.network import Network
 from cardnet.pb import (MixedRadixBase, PbConstraint, base_cost, find_base,
                         normalize_pb, encode_pb, simplify_rhs, to_digits)
 from cardnet.sat import Propagator, check_arc_consistency, check_forward_prop, dpll_sat

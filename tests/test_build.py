@@ -9,7 +9,7 @@ import pytest
 from cardnet import build
 from cardnet.formulas import (bit_sel_size, oe_merge_size, oe_sort_size,
                               pw_merge_size, pw_sel_size, pw_variant_gap)
-from cardnet.network import cnf_cost
+from cardnet.encode import cnf_cost
 from cardnet.seqs import is_top_k_sorted
 from cardnet.verify import selection_failures
 

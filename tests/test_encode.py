@@ -1,11 +1,14 @@
 """Clause-emission contracts, normalization, mixing, and baseline encoders."""
 
+import hashlib
+
 import pytest
 
 from cardnet.cnf import FALSE, TRUE, CnfFormula
-from cardnet.encode import (CardConstraint, DirectMixer, EncodeOptions,
-                            choose_direct, emit_network, encode_atmost,
-                            encode_baseline, encode_card, normalize_card, strengthen)
+from cardnet.encode import (MIXED_METHODS, CardConstraint, DirectMixer, EncodeOptions,
+                            choose_direct, dry_run_cost, emit_network, encode_atmost,
+                            encode_baseline, encode_card, method_network,
+                            normalize_card, recursive_cost, strengthen)
 from cardnet.network import Network
 from cardnet.sat import dpll_sat
 
@@ -131,10 +134,53 @@ def test_choose_direct_examples():
     assert choose_direct(9, 3, opts) == choose_direct(9, 3, opts)
 
 
+def test_choose_direct_rejects_non_network_methods():
+    for method in ("sequential", "totalizer", "binomial"):
+        with pytest.raises(ValueError):
+            choose_direct(9, 3, EncodeOptions(method=method))
+
+
 def test_direct_cost_comparison():
-    mixer = DirectMixer("oe4", 5)
-    rv, rc = mixer.recursive_cost(4, 1)
+    rv, rc = recursive_cost("oe4", 5, 4, 1)
     assert 5 * 1 + 4 <= 5 * rv + rc
+
+
+# (direct count, sha256 of the decision bits over 2 <= n <= 64, 1 <= m <= n in
+# row-major order), recorded from the pricing that rebuilt and dry-ran the
+# whole recursive network for every sub-problem
+SEED_DECISIONS = {
+    ("oe4", 1): (78, "a82338f63fe8d8110177c1892e54f26da2b9bfb76cbdf3c74343cc4143a61fe6"),
+    ("oe4", 5): (95, "ea40ac15ff2ad57498288928ea8147d566090627591eb27c02763a52eb2f1cb0"),
+    ("oe4", 20): (151, "64e7c48f70e33f03d2c12d8f41a87d4cebe303b1279c09eab2ea26b727c1be75"),
+    ("oe2", 1): (77, "6b1e3806d42d3bacf98d0be4351e47e322427bd337e02f4d5b680ac3082409c3"),
+    ("oe2", 5): (93, "af79fb12d74031713a414d4276f58c7b48f0eaee261f920617986dc6c611dad2"),
+    ("oe2", 20): (122, "2ac024f38dbcf2acada99ddd4eebb13d0e32fd1316296909c96c7ee6236b420d"),
+    ("fourwise", 1): (79, "7f12b7fe907e29513cdfd553ff9e04598607b9623a60fe1eee216d5ab7bbb72e"),
+    ("fourwise", 5): (99, "7e9bcafceb6ac9a1b091981aacca99ccb4762dccf87d9bb472c102889fa0c115"),
+    ("fourwise", 20): (149, "a1339b0aa99a584088761b1087b41208ec3304d601f30b86b8cc28fa1229bad6"),
+}
+LARGE_POINTS = ((256, 33), (300, 17), (129, 128), (200, 3))
+
+
+@pytest.mark.parametrize("method", MIXED_METHODS)
+def test_mixing_decisions_match_seed(method):
+    for lam in (1, 5, 20):
+        mixer = DirectMixer(method, lam)
+        bits = "".join("1" if mixer.use_direct(n, m) else "0"
+                       for n in range(2, 65) for m in range(1, n + 1))
+        digest = hashlib.sha256(bits.encode()).hexdigest()
+        assert (bits.count("1"), digest) == SEED_DECISIONS[method, lam]
+        assert not any(mixer.use_direct(n, m) for n, m in LARGE_POINTS)
+
+
+@pytest.mark.parametrize("lam", (1, 5, 20))
+@pytest.mark.parametrize("method", MIXED_METHODS)
+def test_recursive_cost_matches_dry_run(method, lam):
+    mixer = DirectMixer(method, lam)
+    points = [(n, m) for n in range(2, 65) for m in range(1, n + 1)]
+    for n, m in points + list(LARGE_POINTS[:2]):
+        net = method_network(method, n, m, mixer)
+        assert recursive_cost(method, lam, n, m) == dry_run_cost(net), (n, m)
 
 
 def test_mixing_preserves_equisatisfiability():

@@ -5,7 +5,8 @@ import pytest
 
 from cardnet import build
 from cardnet.formulas import closed_form, registry
-from cardnet.network import Network, cnf_cost
+from cardnet.encode import cnf_cost
+from cardnet.network import Network
 
 
 def test_selector_eval_examples():
