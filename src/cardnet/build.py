@@ -272,6 +272,21 @@ def pw_sel(n: int, k: int, variant: str = "classic") -> Network:
 
 
 # ---------------------------------------------------------------------------
+# sub-selection hooks of the recursive level builders
+# ---------------------------------------------------------------------------
+
+def _sub_select(net: Network, wires: list[int], k: int, sub, level) -> list[int]:
+    """One column's sub-selection inside a level builder.
+
+    sub(net, wires, k) may build it: a direct selector, or just the free
+    wires when a level is priced on its own.  When sub is None or returns
+    None, the column recurses into level(net, wires, k, sub).
+    """
+    sel = sub(net, wires, k) if sub is not None else None
+    return level(net, wires, k, sub) if sel is None else sel
+
+
+# ---------------------------------------------------------------------------
 # four-wise selection (column split + slope-sorting merger)
 # ---------------------------------------------------------------------------
 
@@ -380,8 +395,8 @@ def _emit_mw_sel(net: Network, wires: list[int], k: int, sub=None,
                  col_sizes: Sequence[int] | None = None) -> list[int]:
     """Four-column selection level over col_sizes (default: even_split4).
 
-    sub(net, wires, k) builds each column's sub-selection; by default the
-    column recurses into this construction with an even split.
+    Each column's sub-selection goes through _sub_select: sub may build it,
+    otherwise the column recurses into this construction with an even split.
     """
     n = len(wires)
     if k == 0 or n <= 1:
@@ -403,9 +418,9 @@ def _emit_mw_sel(net: Network, wires: list[int], k: int, sub=None,
             outs = _sortm(net, [cols[i][row] for i in members])
             for i, wire in zip(members, outs):
                 cols[i][row] = wire
-    sub = sub or _emit_mw_sel
     split = _mw_split(sizes, k)
-    sel_cols = [sub(net, col, li) for col, (_, li) in zip(cols, split)]
+    sel_cols = [_sub_select(net, col, li, sub, _emit_mw_sel)
+                for col, (_, li) in zip(cols, split)]
     c = min(sizes[0], k)
     merge_cols, leftovers, pad = [], [], 0
     for i, (_, li) in enumerate(split):
@@ -442,24 +457,16 @@ def _emit_oe4_combine(net: Network, xs: list[int], ys: list[int]) -> list[int]:
     s = len(xs) + len(ys)
     t_wire = net.const_wire(1)
     f_wire = net.const_wire(0)
-
-    def get_x(i: int) -> int:
-        return xs[i] if 0 <= i < len(xs) else f_wire
-
-    def get_y(i: int) -> int:
-        if i < 0:
-            return t_wire
-        return ys[i] if i < len(ys) else f_wire
-
+    # out-of-range neighbours as padding: TRUE below the ys (y_{-2}, y_{-1}),
+    # FALSE past either end; pair m reads y_{m-2..m} and x_{m..m+2}
+    ypad = [t_wire, t_wire] + ys + [f_wire] * (len(xs) + 3)
+    xpad = xs + [f_wire] * 3
     out: list[int] = []
     for m in range((s + 1) // 2):
-        want_x = 2 * m + 1 <= s
         want_y = 2 * m + 2 <= s
-        ox, oy = net.add_combine(get_y(m - 2), get_y(m - 1), get_y(m),
-                                 get_x(m), get_x(m + 1), get_x(m + 2),
-                                 want_x, want_y)
-        if ox is not None:
-            out.append(ox)
+        ox, oy = net.add_combine(ypad[m], ypad[m + 1], ypad[m + 2],
+                                 xpad[m], xpad[m + 1], xpad[m + 2], True, want_y)
+        out.append(ox)
         if oy is not None:
             out.append(oy)
     return out
@@ -477,17 +484,18 @@ def oe4_combine(len_x: int, len_y: int, k: int) -> Network:
 
 def _emit_oe4_merge(net: Network, cols: list[list[int]], k: int) -> list[int]:
     cols = [list(c) for c in cols] + [[]] * (4 - len(cols))
-    if any(len(cols[i]) < len(cols[i + 1]) for i in range(3)):
+    lens = [len(c) for c in cols]
+    if lens != sorted(lens, reverse=True):
         raise ValueError("merger columns must have non-increasing lengths")
     w = cols[0]
-    if not cols[1]:
+    if not lens[1]:
         return list(w)
-    s = sum(len(c) for c in cols)
-    if len(w) == 1:
+    s = sum(lens)
+    if lens[0] == 1:
         flat = [wire for c in cols for wire in c]
         return list(net.add_selector(tuple(flat), min(k, s)))
-    sa = sum((len(c) + 1) // 2 for c in cols)
-    sb = sum(len(c) // 2 for c in cols)
+    sb = sum(ln // 2 for ln in lens)
+    sa = s - sb
     ka = min(sa, k // 2 + 2)
     kb = min(sb, k // 2)
     a = _emit_oe4_merge(net, [odd(c) for c in cols], ka)
@@ -541,25 +549,42 @@ def _oe4_split(n: int, k: int) -> list[tuple[int, int]]:
 
 
 def _emit_oe4_sel(net: Network, wires: list[int], k: int, sub=None) -> list[int]:
-    """One four-way odd-even selection level.  sub(net, wires, k) builds each
-    column's sub-selection; by default the column recurses into this
-    construction."""
-    n = len(wires)
-    if k == 0 or n <= 1:
-        return list(wires)
-    if k == 1:
-        return list(net.add_selector(tuple(wires), 1))
-    sub = sub or _emit_oe4_sel
-    ys: list[list[int]] = []
-    ks: list[int] = []
-    at = 0
-    for s, ki in _oe4_split(n, k):
-        ys.append(sub(net, wires[at:at + s], ki))
-        ks.append(ki)
-        at += s
-    res = _emit_oe4_merge(net, [y[:ki] for y, ki in zip(ys, ks)], k)
-    leftovers = [wire for y, ki in zip(ys, ks) for wire in y[ki:]]
-    return res + leftovers
+    """Four-way odd-even selection.  Each column's sub-selection goes through
+    _sub_select: sub may build it, otherwise the column recurses into this
+    construction.
+
+    A level's first column is the input of the next level, and at small k
+    there are about n/3 such levels, so that chain runs as a loop: down to
+    the first column that is a base case or that sub builds, then back up,
+    each level adding its other columns and its merger.  Gates come out in
+    the order of the plain recursion.
+    """
+    levels: list[tuple[list[int], int, list[tuple[int, int]]]] = []
+    while True:
+        n = len(wires)
+        if k == 0 or n <= 1:
+            res = list(wires)
+            break
+        if k == 1:
+            res = list(net.add_selector(tuple(wires), 1))
+            break
+        split = _oe4_split(n, k)
+        levels.append((wires, k, split))
+        s0, k0 = split[0]
+        res = sub(net, wires[:s0], k0) if sub is not None else None
+        if res is not None:
+            break
+        wires, k = wires[:s0], k0
+    for wires, k, split in reversed(levels):
+        ys = [res]
+        at = split[0][0]
+        for s, ki in split[1:]:
+            ys.append(_sub_select(net, wires[at:at + s], ki, sub, _emit_oe4_sel))
+            at += s
+        ks = [ki for _, ki in split]
+        res = _emit_oe4_merge(net, [y[:ki] for y, ki in zip(ys, ks)], k)
+        res += [wire for y, ki in zip(ys, ks) for wire in y[ki:]]
+    return res
 
 
 def oe4_sel(n: int, k: int) -> Network:
@@ -582,18 +607,17 @@ def _oe2_split(n: int, k: int) -> list[tuple[int, int]]:
 
 
 def _emit_oe2_sel(net: Network, wires: list[int], k: int, sub=None) -> list[int]:
-    """One two-column odd-even selection level.  sub(net, wires, k) builds
-    each half's sub-selection; by default the half recurses into this
-    construction."""
+    """One two-column odd-even selection level.  Each half's sub-selection
+    goes through _sub_select: sub may build it, otherwise the half recurses
+    into this construction."""
     n = len(wires)
     if k == 0 or n <= 1:
         return list(wires)
     if k == 1:
         return list(net.add_selector(tuple(wires), 1))
-    sub = sub or _emit_oe2_sel
     (h, k0), (_, k1) = _oe2_split(n, k)
-    sel0 = sub(net, wires[:h], k0)
-    sel1 = sub(net, wires[h:], k1)
+    sel0 = _sub_select(net, wires[:h], k0, sub, _emit_oe2_sel)
+    sel1 = _sub_select(net, wires[h:], k1, sub, _emit_oe2_sel)
     merged = _emit_oe_merge(net, sel0[:k0], sel1[:k1])
     return merged + sel0[k0:] + sel1[k1:]
 

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import build
-from .cnf import CnfFormula
+from .cnf import CnfFormula, parse_dimacs
 from .cnfp import CnfpSyntaxError, encode_cnfp, parse_cnfp, queens_cnfp, write_cnfp
 from .docs import formula_ledger
 from .encode import METHODS, NETWORK_METHODS, EncodeOptions, cnf_cost
@@ -238,9 +238,6 @@ def _cmd_stats(args) -> int:
 
 def _cmd_verify(args) -> int:
     ok = run_suite(args.suite)
-    if args.suite in ("sizes", "all"):
-        Path("docs").mkdir(exist_ok=True)
-        Path("docs/formula-ledger.md").write_text(formula_ledger())
     if not ok:
         return _fail(EXIT_VERIFY, f"suite {args.suite} failed")
     return EXIT_OK
@@ -260,27 +257,15 @@ def _cmd_demo(args) -> int:
 
 def _cmd_dpll(args) -> int:
     try:
-        text = Path(args.input).read_text()
+        num_vars, clauses = parse_dimacs(Path(args.input).read_text())
     except OSError as exc:
         return _fail(EXIT_PARSE, f"cannot read {args.input}: {exc}")
+    except ValueError as exc:
+        return _fail(EXIT_PARSE, f"{args.input}: {exc}")
     formula = CnfFormula()
-    max_var = 0
-    clauses = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith(("c", "%", "p")):
-            continue
-        lits = [int(t) for t in line.split()]
-        if lits and lits[-1] == 0:
-            lits.pop()
-        if lits:
-            clauses.append(lits)
-            max_var = max(max_var, max(abs(l) for l in lits))
-        else:
-            formula.trivially_unsat = True
-    formula.fresh_vars(max_var)
+    formula.fresh_vars(num_vars)
     for clause in clauses:
-        formula.add_clause(clause)
+        formula.add_clause(clause)  # an empty clause line makes it unsatisfiable
     status, model = dpll_sat(formula)
     if status == "UNSAT":
         print("s UNSATISFIABLE")

@@ -1,15 +1,22 @@
-"""CNF assembly: literals with first-class constants, clause simplification, DIMACS output.
+"""CNF assembly: literals with first-class constants, clause simplification,
+DIMACS output and input.
 
 Literals are signed DIMACS-style integers (variable index >= 1, sign = polarity).
 The two constants TRUE and FALSE are separate sentinel objects so that constant
 inputs (padding, injected carries) flow through every encoder uniformly and get
 eliminated at clause-add time.
+
+Clauses enter a formula in one of two ways: `add_clause` simplifies each one,
+and `add_clauses` appends whole clause families that an emitter has shown need
+no simplification, by checking once per gate with `distinct_vars`.  Both honour
+the guard literal of a `guarded` scope.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 class _Const:
@@ -48,18 +55,32 @@ def lit_var(lit: Lit) -> int:
     return abs(lit)
 
 
+# clauses per string join in write_dimacs: bounds the transient line strings
+DIMACS_CHUNK = 4096
+
+
+class _LineFormats(dict):
+    """DIMACS clause line format per clause length, made on first use."""
+
+    def __missing__(self, length: int) -> str:
+        fmt = self[length] = "%d " * length + "0\n"
+        return fmt
+
+
 @dataclass
 class CnfFormula:
     """A growing clause list with a fresh-variable counter.
 
     Variable 0 is never used (DIMACS sign encoding).  `trivially_unsat` is set
     as soon as clause simplification ever produces the empty clause; the empty
-    clause itself is not stored.
+    clause itself is not stored.  Inside a `guarded(lit)` scope every added
+    clause gets lit disjoined.
     """
 
     next_var: int = 1
     clauses: list[tuple[int, ...]] = field(default_factory=list)
     trivially_unsat: bool = False
+    _guard: Lit | None = field(default=None, init=False, repr=False, compare=False)
 
     def fresh_var(self) -> int:
         v = self.next_var
@@ -77,14 +98,58 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
+    @contextmanager
+    def guarded(self, lit: Lit) -> Iterator[None]:
+        """Disjoin lit into every clause added inside the scope, so making
+        lit true switches all of them off.  A FALSE guard changes nothing; a
+        TRUE one drops every clause (fresh variables are still allocated)."""
+        if self._guard is not None:
+            raise ValueError("guarded scopes do not nest")
+        if not is_const(lit) and not (isinstance(lit, int) and 0 < abs(lit) < self.next_var):
+            raise ValueError(f"guard {lit!r} is not an allocated literal")
+        self._guard = None if lit is FALSE else lit
+        try:
+            yield
+        finally:
+            self._guard = None
+
+    def distinct_vars(self, lits: Sequence[Lit]) -> bool:
+        """True when lits are ints over distinct allocated variables, none of
+        them the guard's.  Clauses built from such literals and fresh
+        variables, with no variable twice, need no simplification and may go
+        through add_clauses."""
+        try:
+            used = set(map(int.__abs__, lits))
+        except TypeError:  # not every literal is an int
+            return False
+        if len(used) != len(lits) or 0 in used:
+            return False
+        if used and max(used) >= self.next_var:
+            return False
+        guard = self._guard
+        return guard is None or (guard is not TRUE and abs(guard) not in used)
+
+    def add_clauses(self, clauses: Iterable[tuple[int, ...]]) -> None:
+        """Append clauses that need no simplification (see distinct_vars),
+        as given and in order, each with the guard literal if one is set."""
+        guard = self._guard
+        if guard is None:
+            self.clauses.extend(clauses)
+        elif guard is not TRUE:
+            suffix = (guard,)
+            self.clauses.extend(clause + suffix for clause in clauses)
+
     def add_clause(self, lits: Iterable[Lit]) -> None:
         """Add a clause after constant/duplicate/tautology simplification.
 
         FALSE literals are dropped, a TRUE literal satisfies the clause (it is
         not stored), duplicates collapse, and a clause with both polarities of
         a variable is a tautology and dropped.  A clause that simplifies to
-        the empty clause marks the formula trivially unsatisfiable.
+        the empty clause marks the formula trivially unsatisfiable.  The guard
+        literal, if set, is the clause's last literal.
         """
+        if self._guard is not None:
+            lits = [*lits, self._guard]
         seen: set[int] = set()
         out: list[int] = []
         for lit in lits:
@@ -115,7 +180,45 @@ class CnfFormula:
         """
         if self.trivially_unsat:
             return "p cnf 1 2\n1 0\n-1 0\n"
-        lines = [f"p cnf {self.num_vars} {self.num_clauses}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(l) for l in clause) + " 0")
-        return "\n".join(lines) + "\n"
+        clauses = self.clauses
+        formats = _LineFormats()
+        chunks = [f"p cnf {self.num_vars} {self.num_clauses}\n"]
+        for at in range(0, len(clauses), DIMACS_CHUNK):
+            chunks.append("".join([formats[len(clause)] % clause
+                                   for clause in clauses[at:at + DIMACS_CHUNK]]))
+        return "".join(chunks)
+
+
+def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
+    """Read DIMACS CNF text into (num_vars, clauses).
+
+    Lines starting with `c` or `%` are comments.  Every other line holds
+    clauses terminated by 0; a clause still open at the end of its line ends
+    there, and a line holding only 0 is the empty clause.  num_vars is the
+    larger of the header count and the largest variable used.  A malformed
+    token or header raises ValueError.
+    """
+    num_vars = 0
+    clauses: list[tuple[int, ...]] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line[0] in "c%":
+            continue
+        if line[0] == "p":
+            parts = line.split()
+            if len(parts) < 3 or parts[1] != "cnf":
+                raise ValueError(f"malformed DIMACS header {line!r}")
+            num_vars = max(num_vars, int(parts[2]))
+            continue
+        lits = [int(tok) for tok in line.split()]
+        num_vars = max(num_vars, max(map(abs, lits)))
+        if lits[-1] == 0:
+            lits.pop()
+        start = 0
+        if 0 in lits:
+            for at, lit in enumerate(lits):
+                if lit == 0:
+                    clauses.append(tuple(lits[start:at]))
+                    start = at + 1
+        clauses.append(tuple(lits[start:]))
+    return num_vars, clauses

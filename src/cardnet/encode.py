@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import build
-from .cnf import FALSE, TRUE, CnfFormula, Lit, is_const, neg
+from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
 from .network import CombinePair, Network, Selector
 
 METHODS = ("oe4", "oe2", "pairwise_classic", "pairwise_bitonic",
@@ -137,8 +137,11 @@ def normalize_card(c: CardConstraint) -> NormalizedCard:
 
 def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], m: int,
                       polarity: str) -> list[Lit]:
-    trues = sum(1 for l in in_lits if l is TRUE)
-    free = [l for l in in_lits if not is_const(l)]
+    trues = in_lits.count(TRUE)
+    free = [l for l in in_lits if l is not TRUE and l is not FALSE]
+    negs = [-l for l in free] if polarity == "atmost" else []
+    # over distinct variables no clause of the family needs simplification
+    bulk = formula.distinct_vars(free)
     outs: list[Lit] = []
     for p in range(1, m + 1):
         if p <= trues:
@@ -149,17 +152,22 @@ def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], m: int,
             y = formula.fresh_var()
             need = p - trues
             if polarity == "atmost":
-                for subset in combinations(free, need):
-                    formula.add_clause([neg(l) for l in subset] + [y])
+                tail = (y,)
+                family = [s + tail for s in combinations(negs, need)]
             else:
-                for subset in combinations(free, len(free) - need + 1):
-                    formula.add_clause([-y, *subset])
+                head = (-y,)
+                family = [head + s for s in combinations(free, len(free) - need + 1)]
+            if bulk:
+                formula.add_clauses(family)
+            else:
+                for clause in family:
+                    formula.add_clause(clause)
             outs.append(y)
     return outs
 
 
 def emit_selector_clauses(formula: CnfFormula, gate: Selector,
-                          wire_lits: dict[int, Lit], polarity: str = "atmost") -> None:
+                          wire_lits: list[Lit], polarity: str = "atmost") -> None:
     """Emit one selector's clause family, mapping its output wires to fresh
     variables (constant-forced outputs fold instead of allocating)."""
     in_lits = [wire_lits[w] for w in gate.inputs]
@@ -168,76 +176,83 @@ def emit_selector_clauses(formula: CnfFormula, gate: Selector,
         wire_lits[w] = lit
 
 
+def _cv(l: Lit) -> bool | None:
+    """Constant view of a literal: True, False, or None when free."""
+    if l is TRUE:
+        return True
+    if l is FALSE:
+        return False
+    return None
+
+
+def _conj(a: Lit, b: Lit) -> bool | None:
+    if a is FALSE or b is FALSE:
+        return False
+    if a is TRUE and b is TRUE:
+        return True
+    return None
+
+
+def _det_or(*disjuncts: bool | None) -> bool | None:
+    # three-valued or over (lit-or-const) conjunction pairs
+    if any(d is True for d in disjuncts):
+        return True
+    if all(d is False for d in disjuncts):
+        return False
+    return None
+
+
 def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2,
                      want_x: bool, want_y: bool, polarity: str) -> tuple[Lit | None, Lit | None]:
-    def det_or(*disjuncts):
-        # three-valued or over (lit-or-const) conjunction pairs
-        if any(d is True for d in disjuncts):
-            return True
-        if all(d is False for d in disjuncts):
-            return False
-        return None
-
-    def cv(l):  # constant view
-        if l is TRUE:
-            return True
-        if l is FALSE:
-            return False
-        return None
-
-    def conj(a, b):
-        if cv(a) is False or cv(b) is False:
-            return False
-        if cv(a) is True and cv(b) is True:
-            return True
-        return None
-
+    atmost = polarity == "atmost"
+    free = [l for l in (ym2, ym1, yy, xx, xp1, xp2) if l is not TRUE and l is not FALSE]
+    consts = len(free) < 6  # only then can an output be forced
     out_x: Lit | None = None
     out_y: Lit | None = None
+    clauses: list[tuple[Lit, ...]] = []
 
     if want_y:
-        det = det_or(cv(yy), cv(xp2), conj(ym1, xp1))
-        if det is True and (polarity == "atmost"
-                            or (cv(ym1) is True or cv(xp2) is True)
-                            and (cv(yy) is True or cv(xp1) is True)):
+        det = _det_or(_cv(yy), _cv(xp2), _conj(ym1, xp1)) if consts else None
+        if det is True and (atmost
+                            or (ym1 is TRUE or xp2 is TRUE)
+                            and (yy is TRUE or xp1 is TRUE)):
             out_y = TRUE
         elif det is False:
             out_y = FALSE
         else:
-            y = formula.fresh_var()
-            if polarity == "atmost":
-                formula.add_clause([neg(yy), y])
-                formula.add_clause([neg(xp2), y])
-                formula.add_clause([neg(ym1), neg(xp1), y])
-            else:
-                formula.add_clause([-y, ym1, xp2])
-                formula.add_clause([-y, yy, xp1])
-            out_y = y
+            out_y = y = formula.fresh_var()
+            clauses += ([(-yy, y), (-xp2, y), (-ym1, -xp1, y)] if atmost
+                        else [(-y, ym1, xp2), (-y, yy, xp1)])
 
     if want_x:
-        det = det_or(conj(ym1, xx), conj(ym2, xp1))
-        if det is True and (polarity == "atmost"
-                            or cv(xx) is True and cv(ym2) is True
-                            and (cv(ym1) is True or cv(xp1) is True)):
+        det = _det_or(_conj(ym1, xx), _conj(ym2, xp1)) if consts else None
+        if det is True and (atmost
+                            or xx is TRUE and ym2 is TRUE
+                            and (ym1 is TRUE or xp1 is TRUE)):
             out_x = TRUE
         elif det is False:
             out_x = FALSE
         else:
-            x = formula.fresh_var()
-            if polarity == "atmost":
-                formula.add_clause([neg(ym1), neg(xx), x])
-                formula.add_clause([neg(ym2), neg(xp1), x])
-            else:
-                formula.add_clause([-x, xx])
-                formula.add_clause([-x, ym2])
-                formula.add_clause([-x, ym1, xp1])
-            out_x = x
+            out_x = x = formula.fresh_var()
+            clauses += ([(-ym1, -xx, x), (-ym2, -xp1, x)] if atmost
+                        else [(-x, xx), (-x, ym2), (-x, ym1, xp1)])
 
+    if formula.distinct_vars(free):
+        # every clause holds a fresh output, so over distinct variables none
+        # can repeat a variable, be a tautology or become empty: only the
+        # constants fold (TRUE satisfies a clause, FALSE drops out)
+        if consts:
+            clauses = [tuple(l for l in c if l is not FALSE) for c in clauses
+                       if TRUE not in c]
+        formula.add_clauses(clauses)
+    else:
+        for clause in clauses:
+            formula.add_clause(clause)
     return out_x, out_y
 
 
 def emit_combine_clauses(formula: CnfFormula, gate: CombinePair,
-                         wire_lits: dict[int, Lit], polarity: str = "atmost") -> None:
+                         wire_lits: list[Lit], polarity: str = "atmost") -> None:
     """Emit the fused clause set of one combine pair (at most 5 clauses and 2
     variables; boundary constants simplify both away)."""
     out_x, out_y = _combine_outputs(
@@ -266,18 +281,14 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
         for gate in reversed(net.gates):
             if any(w in live for w in gate.outputs):
                 live.update(gate.inputs)
-    wire_lits: dict[int, Lit] = {}
-    for w, src in enumerate(net.sources):
-        if src[0] == "input":
-            wire_lits[w] = input_lits[src[1]]
-        elif src[0] == "const":
-            wire_lits[w] = TRUE if src[1] else FALSE
+    # wire id -> literal; inputs come first, gate outputs are filled in order
+    wire_lits: list[Lit] = list(input_lits) + [FALSE] * (len(net.sources) - net.num_inputs)
+    for w, bit in net.const_sources():
+        wire_lits[w] = TRUE if bit else FALSE
     for gate in net.gates:
         if live is not None and not any(w in live for w in gate.outputs):
-            for w in gate.outputs:
-                wire_lits[w] = FALSE  # dead wire, never consumed
-            continue
-        if isinstance(gate, Selector):
+            continue  # dead wires stay FALSE, never consumed
+        if type(gate) is Selector:
             emit_selector_clauses(formula, gate, wire_lits, polarity)
         else:
             emit_combine_clauses(formula, gate, wire_lits, polarity)
@@ -427,7 +438,10 @@ def _level_cost(method: str, n: int, m: int,
     return _LEVEL_COSTS[key]
 
 
-@functools.cache
+# (method, lam, n, m) -> recursive_cost
+_COSTS: dict[tuple[str, int, int, int], tuple[int, int]] = {}
+
+
 def recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
     """(V, C) of method_network(method, n, m) mixed under lam: the level's own
     gates plus, per sub-selection, a direct selector or its own recursive
@@ -435,6 +449,24 @@ def recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
     the whole constraint, so their cost is one dry run."""
     if method not in NETWORK_METHODS:
         raise ValueError(f"{method!r} is not a network method")
+    key = (method, lam, n, m)
+    if key in _COSTS:
+        return _COSTS[key]
+    # A level's first sub-selection is the next level's input: at small m an
+    # oe4 chain is about n/3 levels deep, so price the chain bottom-up and
+    # every level finds its first child already priced.
+    chain = [(n, m)]
+    while method in _LEVELS and chain[-1][0] > 1 and chain[-1][1] > 1:
+        child = _LEVELS[method][1](*chain[-1])[0]
+        if (method, lam, *child) in _COSTS:
+            break
+        chain.append(child)
+    for cn, cm in reversed(chain):
+        _COSTS[(method, lam, cn, cm)] = _level_recursive_cost(method, lam, cn, cm)
+    return _COSTS[key]
+
+
+def _level_recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
     if method not in _LEVELS:
         return dry_run_cost(_padded_pow2_network(method, n, m))
     if n <= 1 or m == 0:
@@ -477,13 +509,13 @@ class DirectMixer:
     def use_direct(self, n: int, m: int) -> bool:
         return _use_direct(self.method, self.lam, n, m)
 
-    def sub(self, net: Network, wires: list[int], k: int) -> list[int]:
-        """Child hook of the level builders: one mixed sub-selection, as a
-        full-length sequence."""
+    def sub(self, net: Network, wires: list[int], k: int) -> list[int] | None:
+        """Child hook of the level builders: a direct sub-selection as a
+        full-length sequence, or None to keep the method's own construction."""
         if self.use_direct(len(wires), k):
             outs = list(net.add_selector(tuple(wires), k))
             return outs + [net.const_wire(0)] * (len(wires) - k)
-        return _LEVELS[self.method][0](net, wires, k, self.sub)
+        return None
 
 
 def _mixer_for(opts: EncodeOptions) -> DirectMixer | None:

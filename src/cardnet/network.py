@@ -10,7 +10,8 @@ combine step of the four-way odd-even merger:
     x''_i = (y_{i-1} & x_i) | (y_{i-2} & x_{i+1})
 
 Networks are immutable once built (builders append gates, then freeze the
-designated output list); evaluation and cost queries are pure.
+designated output list); evaluation and cost queries are pure.  Gates are
+slotted records that nothing mutates after construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Selector:
     """Outputs the m largest of its inputs in non-increasing order."""
 
@@ -35,7 +36,7 @@ class Selector:
         return len(self.outputs)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CombinePair:
     """One fused output pair of a combine step.
 
@@ -95,23 +96,25 @@ class Network:
             self._const_wire[bit] = len(self.sources) - 1
         return self._const_wire[bit]
 
+    def const_sources(self) -> list[tuple[int, int]]:
+        """(wire, bit) of each constant wire."""
+        return [(w, bit) for bit, w in self._const_wire.items()]
+
     def _new_wires(self, count: int, gate_idx: int) -> tuple[int, ...]:
         base = len(self.sources)
-        for pos in range(count):
-            self.sources.append(("gate", gate_idx, pos))
+        self.sources.extend([("gate", gate_idx, pos) for pos in range(count)])
         return tuple(range(base, base + count))
 
     def _check_defined(self, wires: Sequence[int]) -> None:
-        for w in wires:
-            if not 0 <= w < len(self.sources):
-                raise ValueError(f"undefined wire {w}")
+        if wires and not (0 <= min(wires) and max(wires) < len(self.sources)):
+            bad = next(w for w in wires if not 0 <= w < len(self.sources))
+            raise ValueError(f"undefined wire {bad}")
 
     def add_selector(self, inputs: Sequence[int], m: int) -> tuple[int, ...]:
         if not 1 <= m <= len(inputs):
             raise ValueError(f"selector needs 1 <= m <= n, got m={m}, n={len(inputs)}")
         self._check_defined(inputs)
-        gate_idx = len(self.gates)
-        outs = self._new_wires(m, gate_idx)
+        outs = self._new_wires(m, len(self.gates))
         self.gates.append(Selector(tuple(inputs), outs))
         return outs
 
@@ -123,9 +126,11 @@ class Network:
         gate_idx = len(self.gates)
         out_x = out_y = None
         if want_x:
-            (out_x,) = self._new_wires(1, gate_idx)
+            out_x = len(self.sources)
+            self.sources.append(("gate", gate_idx, 0))
         if want_y:
-            (out_y,) = self._new_wires(1, gate_idx)
+            out_y = len(self.sources)
+            self.sources.append(("gate", gate_idx, int(want_x)))
         self.gates.append(CombinePair(ym2, ym1, yy, xx, xp1, xp2, out_x, out_y))
         return out_x, out_y
 

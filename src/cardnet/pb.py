@@ -15,6 +15,7 @@ at-most scheme.
 from __future__ import annotations
 
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -421,47 +422,13 @@ def encode_goal_bound(formula: CnfFormula, objective: Sequence[tuple[int, Lit]],
         elif a < 0:
             offset += a
             pos_terms.append((-a, neg(l)))
-    target = formula if flag is None else _GuardedFormula(formula, neg(flag))
     limit = bound - 1 - offset  # bound on the all-positive part
     total = sum(a for a, _ in pos_terms)
-    if limit < 0:
-        target.add_clause([])
-        return
-    if limit >= total:
-        return
-    atleast = PbConstraint(tuple((a, neg(l)) for a, l in pos_terms), ">=", total - limit)
-    for norm in normalize_pb(atleast):
-        encode_pb(target, norm, opts=opts)
-
-
-class _GuardedFormula:
-    """Formula proxy that disjoins a guard literal into every clause."""
-
-    def __init__(self, formula: CnfFormula, guard: Lit):
-        self._formula = formula
-        self._guard = guard
-
-    def add_clause(self, lits) -> None:
-        self._formula.add_clause(list(lits) + [self._guard])
-
-    def fresh_var(self) -> int:
-        return self._formula.fresh_var()
-
-    def fresh_vars(self, count: int) -> list[int]:
-        return self._formula.fresh_vars(count)
-
-    @property
-    def next_var(self) -> int:
-        return self._formula.next_var
-
-    @property
-    def num_clauses(self) -> int:
-        return self._formula.num_clauses
-
-    @property
-    def clauses(self):
-        return self._formula.clauses
-
-    @property
-    def trivially_unsat(self) -> bool:
-        return self._formula.trivially_unsat
+    with nullcontext() if flag is None else formula.guarded(neg(flag)):
+        if limit < 0:
+            formula.add_clause([])
+        elif limit < total:
+            atleast = PbConstraint(tuple((a, neg(l)) for a, l in pos_terms), ">=",
+                                   total - limit)
+            for norm in normalize_pb(atleast):
+                encode_pb(formula, norm, opts=opts)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .cnf import TRUE, CnfFormula, Lit, is_const
+from .cnf import TRUE, CnfFormula, Lit, is_const, parse_dimacs
 from .encode import EncodeOptions, encode_atmost
 from .pb import PbConstraint, PbProblem, encode_goal_bound, encode_pb, normalize_pb
 
@@ -64,25 +64,6 @@ def next_binary_bound(upper: int, lower: int, q: int) -> int:
     return (upper * (q - 1) + lower) // q
 
 
-def _parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
-    num_vars = 0
-    clauses: list[tuple[int, ...]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith(("c", "%")):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            num_vars = int(parts[2])
-            continue
-        lits = [int(tok) for tok in line.split()]
-        if lits and lits[-1] == 0:
-            lits.pop()
-        if lits:
-            clauses.append(tuple(lits))
-    return num_vars, clauses
-
-
 def _model_satisfies(clauses: Sequence[tuple[int, ...]], model: dict[int, bool]) -> bool:
     for clause in clauses:
         if not any(model.get(abs(l), False) if l > 0 else not model.get(abs(l), False)
@@ -98,7 +79,7 @@ def run_external_solver(cnf_text: str, extra_units: Sequence[Lit],
     Expects SAT-competition `s`/`v` output lines; a claimed model is
     revalidated against the CNF and a failing one downgrades to UNKNOWN.
     """
-    num_vars, clauses = _parse_dimacs(cnf_text)
+    num_vars, clauses = parse_dimacs(cnf_text)
     for lit in extra_units:
         if is_const(lit):
             continue

@@ -2,12 +2,14 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cardnet.cli import run_cli, stats_report, _parse_grid
 from cardnet.cnf import CnfFormula
 from cardnet.cnfp import encode_cnfp, parse_cnfp, queens_cnfp, write_cnfp, CnfpSyntaxError
+from cardnet.docs import formula_ledger
 from cardnet.encode import EncodeOptions
 from cardnet.sat import dpll_sat
 
@@ -130,6 +132,31 @@ def test_cli_dpll_subcommand(tmp_path):
     assert any(line.startswith("v ") for line in proc.stdout.splitlines())
 
 
+def _run_dpll(tmp_path, text):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    return subprocess.run([sys.executable, "-m", "cardnet.cli", "dpll", str(cnf)],
+                          capture_output=True, text=True)
+
+
+def test_cli_dpll_empty_clause_line_is_unsat(tmp_path):
+    proc = _run_dpll(tmp_path, "p cnf 2 2\n1 2 0\n0\n")
+    assert proc.returncode == 20
+    assert "s UNSATISFIABLE" in proc.stdout
+
+
+def test_cli_dpll_model_covers_header_vars(tmp_path):
+    proc = _run_dpll(tmp_path, "p cnf 4 1\n-2 0\n")
+    assert proc.returncode == 10
+    assert "v -1 -2 -3 -4 0" in proc.stdout.splitlines()
+
+
+def test_cli_dpll_malformed_token_is_parse_error(tmp_path):
+    proc = _run_dpll(tmp_path, "p cnf 2 1\n1 y 0\n")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_parse_grid():
     grid = _parse_grid("n=64..256,k=4..16")
     assert grid == {"n": [64, 128, 256], "k": [4, 8, 16]}
@@ -165,7 +192,12 @@ def test_stats_pairwise_gate_gap():
 def test_cli_verify_sizes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["verify", "--suite", "sizes"]) == 0
-    assert (tmp_path / "docs" / "formula-ledger.md").exists()
+    assert list(tmp_path.iterdir()) == []  # verifying writes no files
+
+
+def test_tracked_ledger_is_current():
+    tracked = Path(__file__).resolve().parent.parent / "docs" / "formula-ledger.md"
+    assert tracked.read_text() == formula_ledger()
 
 
 def test_cli_ledger(tmp_path):

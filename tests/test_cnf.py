@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from cardnet.cnf import FALSE, TRUE, CnfFormula, neg
+from cardnet.cnf import DIMACS_CHUNK, FALSE, TRUE, CnfFormula, neg
+from cardnet.cnf import parse_dimacs as read_dimacs
 
 from conftest import parse_dimacs
 
@@ -123,3 +124,120 @@ def test_simplification_soundness_exhaustive():
             simr = (not f.trivially_unsat
                     and all(any(lit_val(l) for l in clause) for clause in f.clauses))
             assert raw_value == simr
+
+
+# -- guard scope and the bulk path ------------------------------------------------
+
+def test_guarded_scope_disjoins_the_guard():
+    f = CnfFormula()
+    x1, x2, g = f.fresh_vars(3)
+    with f.guarded(-g):
+        f.add_clause([x1, x2])
+        f.add_clause([x1, FALSE])
+        f.add_clause([])           # the empty clause becomes the guard alone
+        f.add_clause([x1, g])      # a tautology with the guard
+        f.add_clauses([(x1, -x2), (x2,)])
+    f.add_clause([x2])
+    assert f.clauses == [(1, 2, -3), (1, -3), (-3,), (1, -2, -3), (2, -3), (2,)]
+    assert not f.trivially_unsat
+
+
+def test_guarded_scope_constant_guards():
+    f = CnfFormula()
+    x1, x2 = f.fresh_vars(2)
+    with f.guarded(FALSE):         # disjoining FALSE changes nothing
+        f.add_clause([x1])
+        f.add_clauses([(x1, x2)])
+    with f.guarded(TRUE):          # every clause is satisfied
+        f.add_clause([x2])
+        f.add_clauses([(x2,)])
+        assert not f.distinct_vars([x1, x2])
+    assert f.clauses == [(1,), (1, 2)]
+
+
+def test_guarded_scope_rejects_bad_guards_and_nesting():
+    f = CnfFormula()
+    g = f.fresh_var()
+    for bad in (0, 2, -2, "x"):
+        with pytest.raises(ValueError):
+            with f.guarded(bad):
+                pass
+    with f.guarded(g):
+        with pytest.raises(ValueError):
+            with f.guarded(-g):
+                pass
+    f.add_clause([g])
+    assert f.clauses == [(1,)]     # the scope ended, also after the error
+
+
+def test_distinct_vars_preconditions():
+    f = CnfFormula()
+    f.fresh_vars(5)
+    assert f.distinct_vars([])
+    assert f.distinct_vars([1, -2, 5])
+    assert not f.distinct_vars([1, 1])        # repeated literal
+    assert not f.distinct_vars([3, -3])       # complementary pair
+    assert not f.distinct_vars([1, 0])
+    assert not f.distinct_vars([1, 6])        # unallocated
+    assert not f.distinct_vars([1, -6])
+    assert not f.distinct_vars([1, TRUE])
+    assert not f.distinct_vars([1, FALSE])
+    assert not f.distinct_vars([1, 2.0])
+    with f.guarded(4):
+        assert f.distinct_vars([1, 2])
+        assert not f.distinct_vars([1, -4])   # the guard's variable
+
+
+def test_add_clauses_appends_as_given():
+    f = CnfFormula()
+    f.fresh_vars(3)
+    f.add_clause([1])
+    f.add_clauses(iter([(2, -3), (-1, 3)]))
+    f.add_clauses([])
+    assert f.clauses == [(1,), (2, -3), (-1, 3)]
+
+
+# -- DIMACS reader ----------------------------------------------------------------
+
+def test_parse_dimacs_round_trip_empty_formula():
+    assert read_dimacs(CnfFormula().write_dimacs()) == (0, [])
+    f = CnfFormula()
+    f.fresh_vars(3)
+    assert read_dimacs(f.write_dimacs()) == (3, [])
+
+
+def test_parse_dimacs_round_trip_trivially_unsat():
+    f = CnfFormula()
+    f.fresh_vars(4)
+    f.add_clause([FALSE])
+    assert read_dimacs(f.write_dimacs()) == (1, [(1,), (-1,)])
+
+
+def test_parse_dimacs_round_trip_several_chunks():
+    rng = random.Random(3)
+    f = CnfFormula()
+    f.fresh_vars(300)
+    while f.num_clauses <= 2 * DIMACS_CHUNK:
+        f.add_clause([rng.choice((1, -1)) * rng.randint(1, 300)
+                      for _ in range(rng.randint(1, 5))])
+    text = f.write_dimacs()
+    assert read_dimacs(text) == (300, f.clauses)
+    # the chunked writer is line-for-line the plain one
+    lines = [f"p cnf {f.num_vars} {f.num_clauses}"]
+    lines += [" ".join(map(str, c)) + " 0" for c in f.clauses]
+    assert text == "\n".join(lines) + "\n"
+
+
+def test_parse_dimacs_lines_and_counts():
+    text = "c comment\n%\np cnf 3 4\n\n1 -2 0\n  2 3  \n-1 0 3 0\n0\n"
+    assert read_dimacs(text) == (3, [(1, -2), (2, 3), (-1,), (3,), ()])
+    # num_vars covers variables past the header count
+    assert read_dimacs("p cnf 2 1\n1 -7 0\n")[0] == 7
+    assert read_dimacs("1 2 0\n") == (2, [(1, 2)])
+
+
+@pytest.mark.parametrize("text", ["p cnf 2 1\n1 x 0\n", "p cnf 2 1\n1 2.0 0\n",
+                                  "p cnf two 1\n1 0\n", "p cnf\n1 0\n", "p dnf 2 1\n1 0\n"])
+def test_parse_dimacs_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        read_dimacs(text)

@@ -1,6 +1,7 @@
 """Clause-emission contracts, normalization, mixing, and baseline encoders."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -10,7 +11,8 @@ from cardnet.encode import (MIXED_METHODS, CardConstraint, DirectMixer, EncodeOp
                             encode_baseline, encode_card, method_network,
                             normalize_card, recursive_cost, strengthen)
 from cardnet.network import Network
-from cardnet.sat import dpll_sat
+from cardnet.pb import PbConstraint, encode_pb, normalize_pb
+from cardnet.sat import Assignment, Propagator, dpll_sat
 
 
 def test_normalize_card_examples():
@@ -269,3 +271,60 @@ def test_duplicate_literals_allowed():
     # x1 alone counts twice, so x1 must be false
     assert dpll_sat(f, [x1])[0] == "UNSAT"
     assert dpll_sat(f, [-x1, x2])[0] == "SAT"
+
+
+# -- bulk clause families ---------------------------------------------------------
+
+def _encode_lines(lines, opts, pb_terms):
+    f = CnfFormula()
+    f.fresh_vars(12)
+    for lits, rel, k in lines:
+        encode_card(f, CardConstraint(tuple(lits), rel, k), opts)
+    for terms, k in pb_terms:
+        for norm in normalize_pb(PbConstraint(tuple(terms), ">=", k)):
+            encode_pb(f, norm, opts=opts)
+    return f
+
+
+@pytest.mark.parametrize("method", ("oe4", "oe2", "fourwise", "pairwise_classic", "bitonic_sel"))
+def test_bulk_emission_matches_per_clause_emission(method, monkeypatch):
+    # the same clauses in the same order, and the same variable numbering, as
+    # when every clause goes through add_clause; inputs with repeats,
+    # complementary pairs and constants fall back clause by clause
+    rng = random.Random(17)
+    lines, pb_terms = [], []
+    for _ in range(12):
+        pool = list(range(1, 13)) + [-v for v in range(1, 13)]
+        n = rng.randint(2, 11)
+        lits = rng.sample(pool, n) if rng.random() < 0.5 else [
+            rng.choice(pool + [TRUE, FALSE]) for _ in range(n)]
+        lines.append((lits, rng.choice(("<=", ">=", "=")), rng.randint(0, n)))
+        pb_terms.append(([(rng.randint(1, 9), rng.choice(pool)) for _ in range(n)],
+                         rng.randint(1, 20)))
+    for opts in (EncodeOptions(method=method), EncodeOptions(method=method, direct_mixing=False)):
+        bulk = _encode_lines(lines, opts, pb_terms)
+        with monkeypatch.context() as m:
+            m.setattr(CnfFormula, "distinct_vars", lambda self, lits: False)
+            plain = _encode_lines(lines, opts, pb_terms)
+        assert bulk.clauses == plain.clauses
+        assert (bulk.next_var, bulk.trivially_unsat) == (plain.next_var, plain.trivially_unsat)
+
+
+@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize("mixing", (True, False))
+def test_oe4_long_column_chain(k, mixing):
+    # about n/3 oe4 levels; builder and mixing cost run them as loops, so
+    # this needs no raised recursion limit
+    n = 5000
+    f = CnfFormula()
+    lits = f.fresh_vars(n)
+    enc = encode_atmost(f, lits, k, EncodeOptions(method="oe4", direct_mixing=mixing))
+    assert len(enc.output_lits) == k + 1
+    if mixing:
+        assert not choose_direct(n, k + 1, EncodeOptions(method="oe4"))
+        assert (f.num_vars - n, f.num_clauses - 1) == recursive_cost("oe4", 5, n, k + 1)
+    prop = Propagator(f)
+    for count in (k, k + 1):
+        fixing = [l if i < count else -l for i, l in enumerate(lits)]
+        status = prop.propagate(Assignment(), fixing).status
+        assert status == ("fixpoint" if count <= k else "conflict")

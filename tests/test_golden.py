@@ -4,7 +4,9 @@ Every refactor of network construction, direct mixing or clause emission
 must keep these hashes.  They were recorded from the code before the cost
 recurrence replaced dry-run pricing of mixing decisions; a changed hash means
 the encoder now writes different bytes, which is a behaviour change and never
-a reason to re-record.
+a reason to re-record.  The flagged goal-bound cases (`goal-*`) were recorded
+from the code before clause families were emitted in bulk; they pin the guard
+literal that `encode_goal_bound` disjoins into every clause it adds.
 """
 
 import hashlib
@@ -13,8 +15,9 @@ import pytest
 
 from cardnet.cnf import CnfFormula
 from cardnet.cnfp import encode_cnfp, queens_cnfp
-from cardnet.encode import NETWORK_METHODS, CardConstraint, EncodeOptions, encode_atmost
-from cardnet.pb import parse_opb
+from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions,
+                            encode_atmost)
+from cardnet.pb import encode_goal_bound, parse_opb
 from cardnet.solve import encode_problem
 
 SIZES = ((5, 2), (8, 3), (13, 4), (16, 7), (24, 5), (37, 9), (64, 12), (100, 17))
@@ -34,6 +37,15 @@ OPB_FILES = {
              + "".join(f"+{c} y{i} " for i, c in enumerate(
                  (2, 9, 4, 4, 1, 6, 8, 3, 5, 7, 2, 6), start=1))
              + "<= 25 ;\n",
+}
+
+# objective coefficients and bound of the flagged goal-bound cases; goal-w and
+# goal-wide need the PB pipeline, so they run for the network methods only
+GOAL_OBJECTIVES = {
+    "goal-w": ((3, 5, -2, 7, 4, 6, 1, -4, 9, 2, 8, 5), 14),
+    "goal-u": ((1,) * 12, 5),
+    "goal-neg": ((2, 3, 4), -1),
+    "goal-wide": ((1, 2, 3, 1, 2, 3, 5, 1, 2, 3, 1, 2, 3, 5, 1, 2, 3, 1, 2, 3), 17),
 }
 
 
@@ -62,6 +74,17 @@ def _opb_case(name, method):
     return _sha(encode_problem(parse_opb(OPB_FILES[name]), EncodeOptions(method=method)).formula)
 
 
+def _goal_case(name, method):
+    # goal-wide runs with mixing off so the full networks carry the guard
+    coeffs, bound = GOAL_OBJECTIVES[name]
+    f = CnfFormula()
+    xs = f.fresh_vars(len(coeffs))
+    flag = f.fresh_var()
+    encode_goal_bound(f, list(zip(coeffs, xs)), bound, flag,
+                      EncodeOptions(method=method, direct_mixing=name != "goal-wide"))
+    return _sha(f)
+
+
 def cases():
     """(case id, thunk computing the DIMACS sha256)."""
     out = []
@@ -81,6 +104,9 @@ def cases():
     for name in OPB_FILES:
         for method in ("oe4", "oe2", "fourwise", "pairwise_half_bitonic"):
             out.append((f"{name}-{method}", lambda nm=name, m=method: _opb_case(nm, m)))
+    for name in GOAL_OBJECTIVES:
+        for method in NETWORK_METHODS if name in ("goal-w", "goal-wide") else METHODS:
+            out.append((f"{name}-{method}", lambda nm=name, m=method: _goal_case(nm, m)))
     return out
 
 
@@ -567,6 +593,75 @@ GOLDEN = {
         "8021152d0429682eaf8ea2ea8d02c840c27ce54f42d14cfb010d2d324edf712f",
     "opb-b-pairwise_half_bitonic":
         "8021152d0429682eaf8ea2ea8d02c840c27ce54f42d14cfb010d2d324edf712f",
+    # flagged goal bounds
+    "goal-w-oe4":
+        "c490be7a9066e41aa74cd697fa07ead2dccd4cfa9bad21ed8da9b2dc4a36c0bf",
+    "goal-w-oe2":
+        "2dd40bea51908ad519a04e17fb053e6dc577d8f46bc389af3fcaabfb62e83097",
+    "goal-w-pairwise_classic":
+        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+    "goal-w-pairwise_bitonic":
+        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+    "goal-w-pairwise_half_bitonic":
+        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+    "goal-w-fourwise":
+        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+    "goal-w-bitonic_sel":
+        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+    "goal-u-oe4":
+        "e9d4b54bef91339bff967d648f05f4339a458f9489812ba655b4194f82aeff5b",
+    "goal-u-oe2":
+        "1223eed7faaf127d2d44dee6015dc0d89b20757c4b429df18077dbf58f7ab795",
+    "goal-u-pairwise_classic":
+        "4e6ccdfa3809b6e4e79374c47131a36d47117d1f53888c97ed89afc5c4176fd1",
+    "goal-u-pairwise_bitonic":
+        "72980fa3567bf2ac2e3c8673456fda237028c7eff95ca58fb64e8fa95e904ad2",
+    "goal-u-pairwise_half_bitonic":
+        "8da508600af26fb5c89156568a1443bc12ceb4173cc39143592343fe22e7f7cf",
+    "goal-u-fourwise":
+        "ac2f5b5bccac5c6cfdb1992b8cf93e2c58ab045747fd3e2df09894ccfec61d68",
+    "goal-u-bitonic_sel":
+        "0c1b50ac5584ecbec60b30ba2267916c4fbee04c9900d5475860e718bf94bd48",
+    "goal-u-sequential":
+        "93403b0577f2689296cdb38903ffdc096298c74fc7d7889ea76aad5ba5293bfd",
+    "goal-u-totalizer":
+        "908a2aa45f5eb73f278a5458da826a926448a3cca7cc25bd49416971a81b4708",
+    "goal-u-binomial":
+        "c1da32bda5eaad388041f72d99bfc7f43f0e60445522f5166d59ba2adea4b09e",
+    "goal-neg-oe4":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-oe2":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-pairwise_classic":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-pairwise_bitonic":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-pairwise_half_bitonic":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-fourwise":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-bitonic_sel":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-sequential":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-totalizer":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-neg-binomial":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-wide-oe4":
+        "a4e6c83286983db6f8ef0d5879b18ceba5209caeef7a2f283668b585180ded3c",
+    "goal-wide-oe2":
+        "8580d013db57ed4f00675ac168129c8a9877c242b5c04b017d29e1d2d6bc6501",
+    "goal-wide-pairwise_classic":
+        "d95238914b212320aa0e4c6acd18d2bbf837b27f41a108ed3310030081f55354",
+    "goal-wide-pairwise_bitonic":
+        "d95238914b212320aa0e4c6acd18d2bbf837b27f41a108ed3310030081f55354",
+    "goal-wide-pairwise_half_bitonic":
+        "d95238914b212320aa0e4c6acd18d2bbf837b27f41a108ed3310030081f55354",
+    "goal-wide-fourwise":
+        "7b9ac7cc9fe9753d9f0a57c156afa47d522ae153e04f0c97cca2a335ec9b36f6",
+    "goal-wide-bitonic_sel":
+        "d95238914b212320aa0e4c6acd18d2bbf837b27f41a108ed3310030081f55354",
 }
 
 
@@ -574,7 +669,7 @@ def test_golden_grid_is_complete():
     assert sorted(GOLDEN) == sorted(case_id for case_id, _ in cases())
 
 
-@pytest.mark.parametrize("method", NETWORK_METHODS + ("queens8", "opb"))
+@pytest.mark.parametrize("method", NETWORK_METHODS + ("queens8", "opb", "goal"))
 def test_golden_dimacs(method):
     checked = 0
     for case_id, thunk in cases():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cardnet.cnf import FALSE, TRUE, CnfFormula
+from cardnet.encode import METHODS, NETWORK_METHODS, EncodeOptions
 from cardnet.pb import (MixedRadixBase, PbConstraint, PbSyntaxError, base_cost,
                         emit_normalizer, encode_goal_bound, encode_pb, find_base,
                         normalize_pb, parse_opb, plan_digits, simplify_rhs,
@@ -282,6 +283,29 @@ def test_goal_bound_flagged():
     assert dpll_sat(f, [flag, x1, -x2])[0] == "SAT"
     # with the flag off the bound is vacuous
     assert dpll_sat(f, [-flag, x1, x2])[0] == "SAT"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_goal_bound_guards_every_clause(method):
+    # weighted objectives need a selection network; unit ones run everywhere
+    objectives = [((1,) * 12, 5), ((1, 1, -1, 1, 1, 1, -1, 1), 3)]
+    if method in NETWORK_METHODS:
+        objectives += [((3, 5, -2, 7, 4, 6, 1, -4, 9, 2, 8, 5), 14),
+                       ((1, 2, 3, 1, 2, 3, 5, 1, 2, 3, 1, 2, 3, 5, 1, 2, 3, 1, 2, 3), 17),
+                       ((2, 3, 4), -1)]
+    for coeffs, bound in objectives:
+        for mixing in (True, False):
+            f = CnfFormula()
+            xs = f.fresh_vars(len(coeffs))
+            flag = f.fresh_var()
+            f.add_clause([xs[0], xs[1]])
+            encode_goal_bound(f, list(zip(coeffs, xs)), bound, flag,
+                              EncodeOptions(method=method, direct_mixing=mixing))
+            added = f.clauses[1:]
+            assert added, (coeffs, mixing)
+            missing = [c for c in added if -flag not in c]
+            assert not missing, (coeffs, mixing, len(missing), len(added))
+            assert flag not in f.clauses[0]
 
 
 def test_goal_bound_trivial_cases():
