@@ -7,6 +7,11 @@ SAT-competition output), ledger (regenerate the formula ledger).
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 encoding error, 4 solver
 failure, 10 verification failure.
+
+Each command imports the modules it needs when it runs, and `run_cli`
+defines only the arguments of the command named on the command line, so a
+`cardnet dpll` process loads `cnf` and `sat` alone: `optimize` starts one
+such process per bound.
 """
 
 from __future__ import annotations
@@ -16,16 +21,10 @@ import csv
 import io
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import build
-from .cnf import CnfFormula, parse_dimacs
-from .cnfp import CnfpSyntaxError, encode_cnfp, parse_cnfp, queens_cnfp, write_cnfp
-from .docs import formula_ledger
-from .encode import METHODS, NETWORK_METHODS, EncodeOptions, cnf_cost
-from .pb import PbSyntaxError, parse_opb
-from .sat import dpll_sat
-from .solve import MinimizeConfig, minimize, solve_decision
-from .verify import run_suite
+if TYPE_CHECKING:
+    from .encode import EncodeOptions
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,6 +40,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def _options(args) -> EncodeOptions:
+    from .encode import EncodeOptions
+
     return EncodeOptions(method=args.method, lam=args.lam,
                          direct_mixing=not args.no_direct)
 
@@ -53,6 +54,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_encode_flags(parser, default_method="oe4"):
+    from .encode import METHODS
+
     parser.add_argument("--method", default=default_method, choices=METHODS)
     parser.add_argument("--lambda", dest="lam", type=_positive_int, default=5,
                         help="variable weight for direct-network mixing")
@@ -61,6 +64,8 @@ def _add_encode_flags(parser, default_method="oe4"):
 
 
 def _cmd_encode(args) -> int:
+    from .cnfp import CnfpSyntaxError, encode_cnfp, parse_cnfp
+
     try:
         problem = parse_cnfp(Path(args.input).read_text())
     except OSError as exc:
@@ -76,6 +81,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_pbencode(args) -> int:
+    from .pb import PbSyntaxError, parse_opb
+    from .solve import encode_problem
+
     try:
         problem = parse_opb(Path(args.input).read_text())
     except OSError as exc:
@@ -83,8 +91,6 @@ def _cmd_pbencode(args) -> int:
     except PbSyntaxError as exc:
         return _fail(EXIT_PARSE, str(exc))
     try:
-        from .solve import encode_problem
-
         enc = encode_problem(problem, _options(args))
     except ValueError as exc:
         return _fail(EXIT_ENCODE, str(exc))
@@ -93,6 +99,9 @@ def _cmd_pbencode(args) -> int:
 
 
 def _load_problem(path: str):
+    from .cnfp import parse_cnfp
+    from .pb import parse_opb
+
     text = Path(path).read_text()
     for line in text.splitlines():
         stripped = line.strip()
@@ -107,6 +116,10 @@ def _load_problem(path: str):
 
 
 def _cmd_solve(args) -> int:
+    from .cnfp import CnfpSyntaxError
+    from .pb import PbSyntaxError
+    from .solve import MinimizeConfig, solve_decision
+
     try:
         problem = _load_problem(args.input)
     except OSError as exc:
@@ -128,6 +141,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .cnfp import CnfpSyntaxError
+    from .pb import PbSyntaxError
+    from .solve import MinimizeConfig, minimize
+
     try:
         problem = _load_problem(args.input)
     except OSError as exc:
@@ -182,6 +199,8 @@ def stats_report(methods: list[str], grid: dict[str, list[int]]) -> str:
     """CSV rows (method, n, k, vars, clauses, gates2, gates3, gates4,
     combines) over raw networks with mixing disabled; unsupported
     combinations get NA data columns."""
+    from .encode import cnf_cost
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["method", "n", "k", "vars", "clauses",
@@ -204,6 +223,8 @@ def stats_report(methods: list[str], grid: dict[str, list[int]]) -> str:
 
 
 def _raw_network(method: str, n: int, k: int):
+    from . import build
+
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     if method == "oe4":
@@ -220,6 +241,8 @@ def _raw_network(method: str, n: int, k: int):
 
 
 def _cmd_stats(args) -> int:
+    from .encode import NETWORK_METHODS
+
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     bad = [m for m in methods if m not in NETWORK_METHODS]
     if bad:
@@ -237,6 +260,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     ok = run_suite(args.suite)
     if not ok:
         return _fail(EXIT_VERIFY, f"suite {args.suite} failed")
@@ -244,6 +269,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .cnfp import queens_cnfp, write_cnfp
+
     if args.kind != "queens":
         return _fail(EXIT_USAGE, f"unknown demo {args.kind!r}")
     problem = queens_cnfp(args.n)
@@ -256,6 +283,9 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_dpll(args) -> int:
+    from .cnf import CnfFormula, parse_dimacs
+    from .sat import dpll_sat
+
     try:
         num_vars, clauses = parse_dimacs(Path(args.input).read_text())
     except OSError as exc:
@@ -277,6 +307,8 @@ def _cmd_dpll(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
+    from .docs import formula_ledger
+
     text = formula_ledger()
     if args.output:
         Path(args.output).write_text(text)
@@ -285,33 +317,21 @@ def _cmd_ledger(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cardnet",
-        description="cardinality / pseudo-Boolean constraint compiler to CNF")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("encode", help="encode a CNFP file to DIMACS CNF")
+def _encode_args(p) -> None:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     _add_encode_flags(p)
-    p.set_defaults(fn=_cmd_encode)
 
-    p = sub.add_parser("pbencode", help="encode an OPB file to DIMACS CNF")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    _add_encode_flags(p)
-    p.set_defaults(fn=_cmd_pbencode)
 
-    p = sub.add_parser("solve", help="solve a CNFP or OPB decision problem")
+def _solve_args(p) -> None:
     p.add_argument("input")
     p.add_argument("--solver", required=True,
                    help="solver command with a {cnf} placeholder")
     p.add_argument("--time-limit", type=float, default=None)
     _add_encode_flags(p)
-    p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("optimize", help="minimize an OPB objective")
+
+def _optimize_args(p) -> None:
     p.add_argument("input")
     p.add_argument("--solver", required=True)
     p.add_argument("--strategy", choices=("seq", "bin"), default="bin")
@@ -319,38 +339,66 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--switch", type=int, default=96)
     p.add_argument("--time-limit", type=float, default=None)
     _add_encode_flags(p)
-    p.set_defaults(fn=_cmd_optimize)
 
-    p = sub.add_parser("stats", help="CSV size statistics over a parameter grid")
+
+def _stats_args(p) -> None:
     p.add_argument("--methods", required=True, help="comma-separated network methods")
     p.add_argument("--grid", required=True, help="e.g. n=64..256,k=4..16")
     p.add_argument("--csv", help="output file (default: stdout)")
-    p.set_defaults(fn=_cmd_stats)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_args(p) -> None:
     p.add_argument("--suite", default="all",
                    choices=("zero-one", "ac", "equisat", "sizes", "all"))
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("demo", help="generate a demo instance")
+
+def _demo_args(p) -> None:
     p.add_argument("kind", choices=("queens",))
     p.add_argument("n", type=int)
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_demo)
 
-    p = sub.add_parser("dpll", help="reference DPLL solver (SAT-competition output)")
+
+def _dpll_args(p) -> None:
     p.add_argument("input")
-    p.set_defaults(fn=_cmd_dpll)
 
-    p = sub.add_parser("ledger", help="regenerate the formula ledger")
+
+def _ledger_args(p) -> None:
     p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_ledger)
 
+
+# name -> (help, argument definitions, handler)
+COMMANDS = {
+    "encode": ("encode a CNFP file to DIMACS CNF", _encode_args, _cmd_encode),
+    "pbencode": ("encode an OPB file to DIMACS CNF", _encode_args, _cmd_pbencode),
+    "solve": ("solve a CNFP or OPB decision problem", _solve_args, _cmd_solve),
+    "optimize": ("minimize an OPB objective", _optimize_args, _cmd_optimize),
+    "stats": ("CSV size statistics over a parameter grid", _stats_args, _cmd_stats),
+    "verify": ("run a verification suite", _verify_args, _cmd_verify),
+    "demo": ("generate a demo instance", _demo_args, _cmd_demo),
+    "dpll": ("reference CDCL solver (SAT-competition output)", _dpll_args, _cmd_dpll),
+    "ledger": ("regenerate the formula ledger", _ledger_args, _cmd_ledger),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  Given a command name, only that subcommand's
+    arguments are defined (the others are still listed), so building the
+    parser imports nothing the command does not use."""
+    parser = argparse.ArgumentParser(
+        prog="cardnet",
+        description="cardinality / pseudo-Boolean constraint compiler to CNF")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, define_args, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            define_args(p)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

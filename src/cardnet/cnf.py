@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
 
@@ -41,7 +42,10 @@ Lit = Union[int, _Const]
 
 
 def neg(lit: Lit) -> Lit:
-    """Negate a literal; involution, TRUE <-> FALSE."""
+    """Negate a literal; involution, TRUE <-> FALSE.  A Python bool is
+    rejected: -True is the int -1, a literal of variable 1."""
+    if lit is True or lit is False:
+        raise ValueError(f"malformed literal {lit!r}")
     return -lit
 
 
@@ -117,7 +121,10 @@ class CnfFormula:
         """True when lits are ints over distinct allocated variables, none of
         them the guard's.  Clauses built from such literals and fresh
         variables, with no variable twice, need no simplification and may go
-        through add_clauses."""
+        through add_clauses.  A Python bool raises ValueError, as in
+        add_clause: it is an int, so True would pass as variable 1."""
+        if any(map(bool.__instancecheck__, lits)):
+            raise ValueError(f"malformed literal {next(l for l in lits if isinstance(l, bool))!r}")
         try:
             used = set(map(int.__abs__, lits))
         except TypeError:  # not every literal is an int
@@ -157,7 +164,7 @@ class CnfFormula:
                 continue
             if lit is TRUE:
                 return
-            if not isinstance(lit, int) or lit == 0:
+            if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
                 raise ValueError(f"malformed literal {lit!r}")
             if abs(lit) >= self.next_var:
                 raise ValueError(f"literal {lit} uses an unallocated variable")
@@ -170,6 +177,11 @@ class CnfFormula:
             self.trivially_unsat = True
             return
         self.clauses.append(tuple(out))
+
+    @property
+    def dimacs_clauses(self) -> list[tuple[int, ...]]:
+        """The clauses `write_dimacs` writes, in its order."""
+        return [(1,), (-1,)] if self.trivially_unsat else self.clauses
 
     def write_dimacs(self) -> str:
         """Serialize to DIMACS CNF.
@@ -201,17 +213,15 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
     num_vars = 0
     clauses: list[tuple[int, ...]] = []
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line[0] in "c%":
+        toks = line.split()
+        if not toks or toks[0][0] in "c%":
             continue
-        if line[0] == "p":
-            parts = line.split()
-            if len(parts) < 3 or parts[1] != "cnf":
-                raise ValueError(f"malformed DIMACS header {line!r}")
-            num_vars = max(num_vars, int(parts[2]))
+        if toks[0][0] == "p":
+            if len(toks) < 3 or toks[1] != "cnf":
+                raise ValueError(f"malformed DIMACS header {line.strip()!r}")
+            num_vars = max(num_vars, int(toks[2]))
             continue
-        lits = [int(tok) for tok in line.split()]
-        num_vars = max(num_vars, max(map(abs, lits)))
+        lits = list(map(int, toks))
         if lits[-1] == 0:
             lits.pop()
         start = 0
@@ -221,4 +231,5 @@ def parse_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
                     clauses.append(tuple(lits[start:at]))
                     start = at + 1
         clauses.append(tuple(lits[start:]))
-    return num_vars, clauses
+    used = max(map(abs, chain.from_iterable(clauses)), default=0)
+    return max(num_vars, used), clauses

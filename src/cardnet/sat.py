@@ -1,17 +1,23 @@
-"""Unit propagation, a small DPLL oracle, and propagation-quality harnesses.
+"""Unit propagation, the built-in CDCL solver, and propagation-quality
+harnesses.
 
-Propagation uses occurrence lists with a FIFO scan queue so trails are
-deterministic and reproducible.  The DPLL oracle branches on the
-lowest-indexed unassigned variable, trying true first, with no learning; it
-is meant for desk-scale checks, not performance.
+`Propagator` uses occurrence lists with a FIFO scan queue so trails are
+deterministic and reproducible; the arc-consistency and forward-propagation
+harnesses drive it.  `dpll_sat` is a separate, iterative CDCL search after
+Eén and Sörensson, "An Extensible SAT-solver" (SAT 2003): an explicit trail,
+two watched literals, first-UIP learning with backjumping, VSIDS decisions
+with phase saving, and Luby restarts.  It is deterministic and keeps no
+recursion, so its depth is not bounded by the interpreter's stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Sequence
 
-from .cnf import CnfFormula, Lit, is_const
+from .cnf import FALSE, TRUE, CnfFormula, Lit, is_const
 
 
 @dataclass
@@ -133,42 +139,321 @@ def dpll_sat(formula: CnfFormula, assumptions: Sequence[Lit] = ()) -> tuple[str,
     """Complete SAT check; returns ("SAT", model) or ("UNSAT", None).
 
     The model covers every allocated variable (unconstrained ones default to
-    false) and satisfies all clauses and assumptions.
+    false) and satisfies all clauses and assumptions.  A TRUE assumption is
+    ignored and a FALSE one makes the answer UNSAT; a Python bool or 0 is a
+    malformed literal (ValueError).  The search is deterministic: the same
+    input always gives the same model.
     """
-    from .cnf import FALSE
-
-    if formula.trivially_unsat:
+    if formula.trivially_unsat or any(a is FALSE for a in assumptions):
         return "UNSAT", None
-    if any(a is FALSE for a in assumptions):
+    units = [a for a in assumptions if a is not TRUE]
+    for a in units:
+        if not isinstance(a, int) or isinstance(a, bool) or a == 0:
+            raise ValueError(f"malformed literal {a!r}")
+    num_vars = max(formula.next_var - 1, max(map(abs, units), default=0))
+    search = _Search(num_vars, formula.clauses)
+    if not search.solve(units):
         return "UNSAT", None
-    assumptions = [a for a in assumptions if not is_const(a)]
-    prop = Propagator(formula)
-    branch_vars = sorted({abs(l) for c in prop.clauses for l in c}
-                         | {abs(l) for l in assumptions})
+    value = search.value
+    return "SAT", {v: value[v] is True for v in range(1, formula.next_var)}
 
-    def search(assignment: Assignment) -> Assignment | None:
-        for var in branch_vars:
-            if var not in assignment.values:
-                break
-        else:
-            return assignment
-        for value in (True, False):
-            trial = assignment.copy()
-            res = Propagator.propagate(prop, trial, [var if value else -var])
-            if res.status == "fixpoint":
-                found = search(res.assignment)
-                if found is not None:
-                    return found
+
+_RESTART_UNIT = 100       # conflicts per step of the Luby restart sequence
+_ACTIVITY_DECAY = 0.95    # VSIDS: the bump grows by 1/decay per conflict
+
+
+def _luby(i: int) -> int:
+    """The i-th term (from 0) of the Luby sequence 1 1 2 1 1 2 4 1 1 2 ..."""
+    size, seq = 1, 0
+    while size < i + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != i:
+        size = (size - 1) >> 1
+        seq -= 1
+        i %= size
+    return 1 << seq
+
+
+class _Search:
+    """One CDCL search (MiniSat-style) over a fixed clause list.
+
+    Per-literal arrays have 2n+1 slots and are indexed by the signed literal
+    itself: through Python's negative indexing lit and -lit land on distinct
+    slots.  A binary clause (a, b) is stored twice, as the implications
+    [b, a] under a's slot and [a, b] under b's; a longer clause is a list
+    whose first two literals are watched.  Either way a clause that implied
+    a literal holds it first, which is the form conflict analysis reads.
+
+    The trail is explicit, conflicts are analysed to the first unique
+    implication point, and the learnt clause decides the backjump level.
+    Decisions follow VSIDS activity (ties to the lowest variable) with the
+    saved phase, true at first; restarts follow the Luby sequence.  Learnt
+    clauses are kept for the whole search: one call is one short search.
+    """
+
+    def __init__(self, num_vars: int, clauses: Sequence[tuple[int, ...]]):
+        size = 2 * num_vars + 1
+        self.value: list[bool | None] = [None] * size
+        self.level = [0] * (num_vars + 1)
+        self.reason: list[list[int] | None] = [None] * (num_vars + 1)
+        self.implied: list[list[list[int]]] = [[] for _ in range(size)]
+        self.watches: list[list[list[int]]] = [[] for _ in range(size)]
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []
+        self.qhead = 0
+        self.units: list[int] = []
+        self.long: list[list[int]] = []    # the input clauses of 3+ literals
+        for clause in clauses:
+            if len(clause) == 1:
+                self.units.append(clause[0])
+            else:
+                clause = self._attach(list(clause))
+                if len(clause) > 2:
+                    self.long.append(clause)
+        # decision state, set up by solve after the first propagation
+        self.branch_vars: list[int] = []
+        self.activity: list[float] = []
+        self.heap: list[tuple[float, int]] = []
+        self.heap_key: list[float | None] = []
+        self.phase: list[bool] = []
+        self.seen: list[bool] = []
+        self.var_inc = 1.0
+
+    def _attach(self, clause: list[int]) -> list[int]:
+        """Index a clause of two or more literals; returns it in the form
+        whose first literal it implies."""
+        if len(clause) == 2:
+            a, b = clause
+            self.implied[a].append([b, a])
+            self.implied[b].append(clause)
+            return clause
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
+        return clause
+
+    def assign(self, lit: int, reason: list[int] | None) -> bool:
+        """Put lit on the trail; False when it is already false."""
+        val = self.value[lit]
+        if val is not None:
+            return val
+        self.value[lit] = True
+        self.value[-lit] = False
+        var = lit if lit > 0 else -lit
+        self.level[var] = len(self.trail_lim)
+        self.reason[var] = reason
+        self.trail.append(lit)
+        return True
+
+    def propagate(self) -> list[int] | None:
+        """Run the queue to a fixpoint; returns a falsified clause or None."""
+        value, implied, watches, trail = self.value, self.implied, self.watches, self.trail
+        level, reason = self.level, self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            for clause in implied[false_lit]:
+                lit = clause[0]
+                val = value[lit]
+                if val is None:
+                    value[lit] = True
+                    value[-lit] = False
+                    var = lit if lit > 0 else -lit
+                    level[var] = lvl
+                    reason[var] = clause
+                    trail.append(lit)
+                elif val is False:
+                    self.qhead = len(trail)
+                    return clause
+            ws = watches[false_lit]
+            if not ws:
+                continue
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                clause = ws[i]
+                i += 1
+                first = clause[0]
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if value[first] is True:
+                    ws[j] = clause
+                    j += 1
+                    continue
+                for k in range(2, len(clause)):
+                    lit = clause[k]
+                    if value[lit] is not False:
+                        clause[1] = lit
+                        clause[k] = false_lit
+                        watches[lit].append(clause)
+                        break
+                else:                     # unit or falsified
+                    ws[j] = clause
+                    j += 1
+                    if value[first] is False:
+                        del ws[j:i]
+                        self.qhead = len(trail)
+                        return clause
+                    value[first] = True
+                    value[-first] = False
+                    var = first if first > 0 else -first
+                    level[var] = lvl
+                    reason[var] = clause
+                    trail.append(first)
+            del ws[j:]
+        self.qhead = qhead
         return None
 
-    first = prop.propagate(Assignment(), list(assumptions))
-    if first.status == "conflict":
-        return "UNSAT", None
-    solution = search(first.assignment)
-    if solution is None:
-        return "UNSAT", None
-    model = {v: solution.values.get(v, False) for v in range(1, formula.next_var)}
-    return "SAT", model
+    def solve(self, assumptions: Sequence[int]) -> bool:
+        """Search for a model extending the unit clauses and assumptions."""
+        for lit in self.units + list(assumptions):
+            if not self.assign(lit, None):
+                return False
+        if self.propagate() is not None:
+            return False
+        value = self.value
+        occurring = set(map(abs, chain.from_iterable(self.long)))
+        occurring.update(abs(c[0]) for ls in self.implied for c in ls)
+        self.branch_vars = sorted(var for var in occurring if value[var] is None)
+        size = len(self.level)
+        self.activity = [0.0] * size
+        self.phase = [True] * size
+        self.seen = [False] * size
+        self._rebuild_heap()
+        return self._search()
+
+    # -- decisions ---------------------------------------------------------
+
+    def _rebuild_heap(self) -> None:
+        value, activity = self.value, self.activity
+        self.heap_key = heap_key = [None] * len(activity)
+        self.heap = heap = []
+        for var in self.branch_vars:
+            if value[var] is None:
+                heap_key[var] = -activity[var]
+                heap.append((-activity[var], var))
+        heapify(heap)
+
+    def _next_decision(self) -> int:
+        """The next decision literal, or 0 when every variable is assigned."""
+        value, heap, heap_key = self.value, self.heap, self.heap_key
+        while heap:
+            key, var = heappop(heap)
+            if key != heap_key[var]:
+                continue                  # superseded by a later push
+            heap_key[var] = None
+            if value[var] is None:
+                return var if self.phase[var] else -var
+        return 0
+
+    def _bump(self, var: int) -> None:
+        activity = self.activity
+        activity[var] += self.var_inc
+        if activity[var] > 1e100:
+            for v in range(len(activity)):
+                activity[v] *= 1e-100
+            self.var_inc *= 1e-100
+            self._rebuild_heap()
+        elif self.value[var] is None:
+            self.heap_key[var] = key = -activity[var]
+            heappush(self.heap, (key, var))
+        else:
+            self.heap_key[var] = None     # pushed again when unassigned
+
+    # -- conflicts ---------------------------------------------------------
+
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """First-UIP learnt clause (asserting literal first) and the level
+        to jump back to."""
+        level, reason, trail, seen = self.level, self.reason, self.trail, self.seen
+        bump = self._bump
+        current = len(self.trail_lim)
+        learnt = [0]
+        pending = 0
+        index = len(trail) - 1
+        clause = conflict
+        skip = 0
+        while True:
+            for lit in clause[skip:]:
+                var = lit if lit > 0 else -lit
+                if not seen[var] and level[var] > 0:
+                    seen[var] = True
+                    bump(var)
+                    if level[var] >= current:
+                        pending += 1
+                    else:
+                        learnt.append(lit)
+            while not seen[abs(trail[index])]:
+                index -= 1
+            lit = trail[index]
+            index -= 1
+            var = lit if lit > 0 else -lit
+            seen[var] = False
+            pending -= 1
+            if pending == 0:
+                break
+            clause = reason[var]
+            skip = 1
+        learnt[0] = -lit
+        for lit in learnt[1:]:
+            seen[abs(lit)] = False
+        if len(learnt) == 1:
+            return learnt, 0
+        best = 1
+        for i in range(2, len(learnt)):
+            if level[abs(learnt[i])] > level[abs(learnt[best])]:
+                best = i
+        learnt[1], learnt[best] = learnt[best], learnt[1]
+        return learnt, level[abs(learnt[1])]
+
+    def _backtrack(self, to_level: int) -> None:
+        if len(self.trail_lim) <= to_level:
+            return
+        value, phase, trail = self.value, self.phase, self.trail
+        activity, heap, heap_key = self.activity, self.heap, self.heap_key
+        start = self.trail_lim[to_level]
+        for lit in trail[start:]:
+            value[lit] = None
+            value[-lit] = None
+            var = lit if lit > 0 else -lit
+            phase[var] = lit > 0
+            key = -activity[var]
+            if heap_key[var] != key:
+                heap_key[var] = key
+                heappush(heap, (key, var))
+        del trail[start:]
+        del self.trail_lim[to_level:]
+        self.qhead = start
+
+    def _search(self) -> bool:
+        conflicts = 0
+        restarts = 0
+        restart_at = _RESTART_UNIT * _luby(0)
+        while True:
+            conflict = self.propagate()
+            if conflict is not None:
+                if not self.trail_lim:
+                    return False
+                conflicts += 1
+                learnt, back = self._analyze(conflict)
+                self._backtrack(back)
+                self.var_inc /= _ACTIVITY_DECAY
+                self.assign(learnt[0], self._attach(learnt) if len(learnt) > 1 else None)
+                continue
+            if conflicts >= restart_at:
+                restarts += 1
+                restart_at = conflicts + _RESTART_UNIT * _luby(restarts)
+                self._backtrack(0)
+                continue
+            decision = self._next_decision()
+            if decision == 0:
+                return True
+            self.trail_lim.append(len(self.trail))
+            self.assign(decision, None)
 
 
 # ---------------------------------------------------------------------------

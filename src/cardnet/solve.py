@@ -15,10 +15,11 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .cnf import TRUE, CnfFormula, Lit, is_const, parse_dimacs
+from .cnf import TRUE, CnfFormula, Lit, is_const
 from .encode import EncodeOptions, encode_atmost
 from .pb import PbConstraint, PbProblem, encode_goal_bound, encode_pb, normalize_pb
 
@@ -64,32 +65,34 @@ def next_binary_bound(upper: int, lower: int, q: int) -> int:
     return (upper * (q - 1) + lower) // q
 
 
-def _model_satisfies(clauses: Sequence[tuple[int, ...]], model: dict[int, bool]) -> bool:
-    for clause in clauses:
-        if not any(model.get(abs(l), False) if l > 0 else not model.get(abs(l), False)
-                   for l in clause):
-            return False
-    return True
+def _model_satisfies(clauses: Iterable[Sequence[int]], model: dict[int, bool]) -> bool:
+    truth = [False] * (2 * len(model) + 1)     # indexed by signed literal
+    for var, val in model.items():
+        truth[var] = val
+        truth[-var] = not val
+    lit_true = truth.__getitem__
+    return all(any(map(lit_true, clause)) for clause in clauses)
 
 
 def run_external_solver(cnf_text: str, extra_units: Sequence[Lit],
-                        cfg: MinimizeConfig) -> SolverResult:
+                        cfg: MinimizeConfig,
+                        clauses: Sequence[tuple[int, ...]]) -> SolverResult:
     """Run the configured solver on the CNF plus extra unit clauses.
 
-    Expects SAT-competition `s`/`v` output lines; a claimed model is
-    revalidated against the CNF and a failing one downgrades to UNKNOWN.
+    `clauses` are the clauses cnf_text holds, as `CnfFormula.dimacs_clauses`
+    gives them: the text is sent as it is, with a new header and the units
+    appended.  Expects SAT-competition `s`/`v` output lines; a claimed model
+    is revalidated against `clauses` and the units, and a failing one
+    downgrades to UNKNOWN.
     """
-    num_vars, clauses = parse_dimacs(cnf_text)
-    for lit in extra_units:
-        if is_const(lit):
-            continue
-        clauses.append((lit,))
-        num_vars = max(num_vars, abs(lit))
-    body = [f"p cnf {num_vars} {len(clauses)}"]
-    body.extend(" ".join(map(str, c)) + " 0" for c in clauses)
+    units = [(lit,) for lit in extra_units if not is_const(lit)]
+    header, _, body = cnf_text.partition("\n")
+    num_vars = max([int(header.split()[2]), *(abs(u[0]) for u in units)])
+    text = "".join([f"p cnf {num_vars} {len(clauses) + len(units)}\n", body,
+                    *(f"{u[0]} 0\n" for u in units)])
     started = time.monotonic()
     with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as handle:
-        handle.write("\n".join(body) + "\n")
+        handle.write(text)
         path = handle.name
     try:
         cmd = [part.replace("{cnf}", path) for part in shlex.split(cfg.solver_cmd)]
@@ -124,7 +127,7 @@ def run_external_solver(cnf_text: str, extra_units: Sequence[Lit],
         for lit in values:
             if lit != 0 and abs(lit) <= num_vars:
                 model[abs(lit)] = lit > 0
-        if not _model_satisfies(clauses, model):
+        if not _model_satisfies(chain(clauses, units), model):
             return SolverResult("UNKNOWN", wall_time=elapsed,
                                 exit_code=proc.returncode,
                                 diagnostic="solver model fails validation")
@@ -175,7 +178,8 @@ def solve_decision(problem, opts: EncodeOptions | None = None,
         formula = enc.formula
         num_vars = problem.num_vars
         validate = lambda model: _check_model(enc.constraints, model)
-    result = run_external_solver(formula.write_dimacs(), (), cfg)
+    result = run_external_solver(formula.write_dimacs(), (), cfg,
+                                 formula.dimacs_clauses)
     if result.status == "SAT":
         assert result.model is not None
         projected = {v: result.model.get(v, False) for v in range(1, num_vars + 1)}
@@ -212,7 +216,8 @@ def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
     def solve_now(extra_units: Sequence[Lit] = ()) -> SolverResult:
         nonlocal sat_calls
         sat_calls += 1
-        return run_external_solver(formula.write_dimacs(), extra_units, cfg)
+        return run_external_solver(formula.write_dimacs(), extra_units, cfg,
+                                   formula.dimacs_clauses)
 
     def project(model: dict[int, bool]) -> dict[int, bool]:
         return {v: model.get(v, False) for v in range(1, problem.num_vars + 1)}

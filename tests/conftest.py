@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -49,6 +50,19 @@ def formula_from_clauses(num_vars, clauses):
     f.fresh_vars(num_vars)
     for c in clauses:
         f.add_clause(c)
+    return f
+
+
+def planted_binary_formula(num_vars, num_clauses, seed):
+    """Random binary clauses, each true under a planted assignment."""
+    rng = random.Random(seed)
+    planted = [None] + [rng.random() < 0.5 for _ in range(num_vars)]
+    f = CnfFormula()
+    f.fresh_vars(num_vars)
+    for _ in range(num_clauses):
+        a, b = rng.sample(range(1, num_vars + 1), 2)
+        a = a if planted[a] else -a          # true under the planted model
+        f.add_clause([a, b * rng.choice((1, -1))])
     return f
 
 

@@ -13,7 +13,7 @@ from cardnet.docs import formula_ledger
 from cardnet.encode import EncodeOptions
 from cardnet.sat import dpll_sat
 
-from conftest import parse_dimacs, solver_cmd
+from conftest import parse_dimacs, planted_binary_formula, solver_cmd
 
 
 def test_parse_cnfp_examples():
@@ -155,6 +155,82 @@ def test_cli_dpll_malformed_token_is_parse_error(tmp_path):
     proc = _run_dpll(tmp_path, "p cnf 2 1\n1 y 0\n")
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_cli_dpll_sparse_3000_variables(tmp_path):
+    # a recursive search exceeded the default recursion limit here
+    f = planted_binary_formula(3000, 1500, seed=4)
+    proc = _run_dpll(tmp_path, f.write_dimacs())
+    assert proc.returncode == 10
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "s SATISFIABLE"
+    values = [int(tok) for tok in lines[1].split()[1:]]
+    assert values[-1] == 0 and [abs(v) for v in values[:-1]] == list(range(1, 3001))
+    true_lits = set(values[:-1])
+    assert all(any(l in true_lits for l in c) for c in f.clauses)
+
+
+def test_dpll_command_loads_only_cnf_and_sat(tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    script = ("import sys\n"
+              "from cardnet import cli\n"
+              "code = cli.run_cli(['dpll', sys.argv[1]])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cardnet'))\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(cnf)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 10, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert loaded == str(["cardnet", "cardnet.cli", "cardnet.cnf", "cardnet.sat"])
+
+
+def test_star_import_resolves_every_export():
+    import cardnet
+
+    names = {}
+    exec("from cardnet import *", names)
+    assert set(cardnet.__all__) == {
+        "FALSE", "TRUE", "CnfFormula", "Lit", "neg",
+        "CardConstraint", "EncodeOptions", "EncodedConstraint", "choose_direct",
+        "encode_atmost", "encode_baseline", "encode_card", "normalize_card", "strengthen",
+        "Network", "cnf_cost",
+        "MixedRadixBase", "PbConstraint", "PbProblem", "encode_pb", "find_base",
+        "normalize_pb", "parse_opb", "simplify_rhs", "to_digits", "value_of",
+        "Assignment", "Propagator", "UpResult", "check_arc_consistency",
+        "check_forward_prop", "dpll_sat", "unit_propagate",
+        "MinimizeConfig", "MinimizeResult", "SolverResult", "minimize", "solve_decision",
+    }
+    for name in cardnet.__all__:
+        assert names[name] is getattr(cardnet, name)
+    assert cardnet.dpll_sat is dpll_sat and cardnet.CnfFormula is CnfFormula
+    with pytest.raises(AttributeError):
+        cardnet.no_such_name
+
+
+def test_cli_method_choices_and_exit_codes(tmp_path, capsys):
+    from cardnet import cli
+    from cardnet.encode import METHODS
+
+    assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PARSE, cli.EXIT_ENCODE,
+            cli.EXIT_SOLVER, cli.EXIT_VERIFY) == (0, 1, 2, 3, 4, 10)
+    src = tmp_path / "inst.cnfp"
+    src.write_text("p cnf+ 4 1\n1 2 3 4 <= 2\n")
+    for method in METHODS:
+        assert run_cli(["encode", str(src), "-o", str(tmp_path / "x.cnf"),
+                        "--method", method]) == 0
+    capsys.readouterr()
+    choices = "{" + ",".join(METHODS) + "}"
+    for command, required in (("encode", ["-o", "x"]), ("pbencode", ["-o", "x"]),
+                              ("solve", ["--solver", "s"]), ("optimize", ["--solver", "s"])):
+        assert run_cli([command, "--help"]) == 0
+        assert choices in capsys.readouterr().out
+        assert run_cli([command, str(src), *required, "--method", "bogus"]) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert run_cli(["--help"]) == 0
+    listing = capsys.readouterr().out
+    assert all(name in listing for name in cli.COMMANDS)
+    assert run_cli([]) == 1 and run_cli(["bogus"]) == 1
 
 
 def test_parse_grid():

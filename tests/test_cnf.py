@@ -50,6 +50,33 @@ def test_add_clause_rejects_malformed():
         f.add_clause([2])  # unallocated
 
 
+def test_bool_literals_are_malformed():
+    # True == 1 and -True == -1, so a bool would pass as variable 1
+    from cardnet.encode import METHODS, CardConstraint, EncodeOptions, encode_card
+    from cardnet.sat import dpll_sat
+
+    f = CnfFormula()
+    f.fresh_vars(3)
+    for lit in (True, False):
+        with pytest.raises(ValueError, match="malformed literal"):
+            f.add_clause([2, lit])
+        with pytest.raises(ValueError, match="malformed literal"):
+            f.distinct_vars([2, lit])
+        with pytest.raises(ValueError, match="malformed literal"):
+            neg(lit)
+        with pytest.raises(ValueError, match="malformed literal"):
+            dpll_sat(f, [lit])
+    assert f.clauses == [] and not f.trivially_unsat
+    assert f.distinct_vars([1, -2, 3])
+    for method in METHODS:
+        for lits, rel, k in (((True, 2, 3), "<=", 0), ((1, 2, True, 3), "<=", 1),
+                             ((1, False, 2, 3), ">=", 2)):
+            g = CnfFormula()
+            g.fresh_vars(3)
+            with pytest.raises(ValueError, match="malformed literal"):
+                encode_card(g, CardConstraint(lits, rel, k), EncodeOptions(method=method))
+
+
 def test_add_clause_never_bumps_next_var():
     f = CnfFormula()
     f.fresh_vars(4)

@@ -313,8 +313,8 @@ def test_bulk_emission_matches_per_clause_emission(method, monkeypatch):
 @pytest.mark.parametrize("k", (1, 2))
 @pytest.mark.parametrize("mixing", (True, False))
 def test_oe4_long_column_chain(k, mixing):
-    # about n/3 oe4 levels; builder and mixing cost run them as loops, so
-    # this needs no raised recursion limit
+    # about n/3 oe4 levels; network construction, mixing cost and solver
+    # run them as loops, so this needs no raised recursion limit
     n = 5000
     f = CnfFormula()
     lits = f.fresh_vars(n)
@@ -328,3 +328,6 @@ def test_oe4_long_column_chain(k, mixing):
         fixing = [l if i < count else -l for i, l in enumerate(lits)]
         status = prop.propagate(Assignment(), fixing).status
         assert status == ("fixpoint" if count <= k else "conflict")
+        # unit propagation leaves auxiliary variables open: the solver
+        # decides thousands of them without recursing
+        assert dpll_sat(f, fixing)[0] == ("SAT" if count <= k else "UNSAT")

@@ -1,13 +1,13 @@
-"""Unit propagation, the DPLL oracle, and the propagation harnesses."""
+"""Unit propagation, the built-in CDCL solver, and the propagation harnesses."""
 
 import random
 
-from cardnet.cnf import CnfFormula
+from cardnet.cnf import FALSE, TRUE, CnfFormula
 from cardnet.encode import EncodeOptions, encode_atmost
 from cardnet.sat import (Assignment, Propagator, check_arc_consistency,
                          check_forward_prop, dpll_sat, unit_propagate)
 
-from conftest import formula_from_clauses
+from conftest import formula_from_clauses, planted_binary_formula
 
 
 def test_up_unit():
@@ -101,16 +101,77 @@ def _mask_sat(n, clauses):
     return acc != 0
 
 
+def _satisfies(model, clauses):
+    return all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
 def test_dpll_agrees_with_truth_table():
     rng = random.Random(99)
+    arng = random.Random(100)   # assumptions; rng draws the same formulas as before
     for trial in range(500):
         n = rng.randint(1, 18) if trial % 10 == 0 else rng.randint(1, 10)
         clauses = [tuple({rng.choice([1, -1]) * rng.randint(1, n)
                           for _ in range(rng.randint(1, 4))})
                    for _ in range(rng.randint(1, 2 * n + 4))]
         f = formula_from_clauses(n, clauses)
-        want = "SAT" if _mask_sat(n, f.clauses) else "UNSAT"
-        assert dpll_sat(f)[0] == want
+        assumptions = [arng.choice((TRUE, FALSE)) if arng.random() < 0.1
+                       else arng.choice([1, -1]) * arng.randint(1, n)
+                       for _ in range(arng.randint(0, 3) if trial % 2 else 0)]
+        units = [(a,) for a in assumptions if a is not TRUE and a is not FALSE]
+        want = ("UNSAT" if FALSE in assumptions
+                else "SAT" if _mask_sat(n, f.clauses + units) else "UNSAT")
+        status, model = dpll_sat(f, assumptions)
+        assert status == want, (trial, assumptions)
+        if status == "SAT":
+            assert sorted(model) == list(range(1, f.next_var))
+            assert _satisfies(model, f.clauses + units)
+        else:
+            assert model is None
+        assert dpll_sat(f, assumptions) == (status, model)
+
+
+def test_dpll_restarts_and_rescaling(monkeypatch):
+    # tiny constants run every search path on formulas the truth table checks
+    from cardnet import sat
+
+    monkeypatch.setattr(sat, "_RESTART_UNIT", 1)
+    monkeypatch.setattr(sat, "_ACTIVITY_DECAY", 1e-30)   # rescale every few conflicts
+    calls = {"_luby": 0, "_rebuild_heap": 0}
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(sat, "_luby")
+    counted(sat._Search, "_rebuild_heap")
+    rng = random.Random(2024)
+    trials = 150
+    for _ in range(trials):
+        n = rng.randint(8, 12)
+        clauses = [tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3))
+                   for _ in range(round(4.3 * n))]
+        f = formula_from_clauses(n, clauses)
+        status, model = dpll_sat(f)
+        assert status == ("SAT" if _mask_sat(n, f.clauses) else "UNSAT")
+        if status == "SAT":
+            assert _satisfies(model, f.clauses)
+    # each search asks for one restart interval and builds its heap once;
+    # more come from restarts and from rescaling
+    assert calls["_luby"] > trials
+    assert calls["_rebuild_heap"] > trials
+
+
+def test_dpll_sparse_3000_variables():
+    # one branching level per open variable: a recursive search needs
+    # about 2600 frames here
+    f = planted_binary_formula(3000, 1500, seed=4)
+    status, model = dpll_sat(f)
+    assert status == "SAT"
+    assert sorted(model) == list(range(1, 3001))
+    assert _satisfies(model, f.clauses)
 
 
 def test_dpll_with_assumptions_on_encoding():

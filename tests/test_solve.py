@@ -10,7 +10,7 @@ from cardnet.sat import dpll_sat
 from cardnet.solve import (MinimizeConfig, encode_problem, minimize,
                            next_binary_bound, run_external_solver, solve_decision)
 
-from conftest import solver_cmd
+from conftest import formula_from_clauses, solver_cmd
 
 
 def cfg(**kw):
@@ -18,46 +18,51 @@ def cfg(**kw):
     return MinimizeConfig(**kw)
 
 
+def send(num_vars, clauses, units=(), config=None):
+    f = formula_from_clauses(num_vars, clauses)
+    return run_external_solver(f.write_dimacs(), units, config or cfg(), f.dimacs_clauses)
+
+
 def test_run_external_solver_sat():
-    res = run_external_solver("p cnf 1 1\n1 0\n", (), cfg())
+    res = send(1, [(1,)])
     assert res.status == "SAT"
     assert res.model == {1: True}
 
 
 def test_run_external_solver_unsat():
-    res = run_external_solver("p cnf 1 2\n1 0\n-1 0\n", (), cfg())
+    res = send(1, [(1,), (-1,)])
     assert res.status == "UNSAT"
 
 
 def test_run_external_solver_extra_units():
-    res = run_external_solver("p cnf 2 1\n1 2 0\n", [-1], cfg())
+    res = send(2, [(1, 2)], [-1])
     assert res.status == "SAT" and res.model[2] is True and res.model[1] is False
 
 
 def test_run_external_solver_rejects_lying_solver():
     lying = f'{sys.executable} -c "print(chr(115)+chr(32)+chr(83)+chr(65)+chr(84)+chr(73)+chr(83)+chr(70)+chr(73)+chr(65)+chr(66)+chr(76)+chr(69)); print(chr(118)+chr(32)+chr(45)+chr(49)+chr(32)+chr(48))"'
-    res = run_external_solver("p cnf 1 1\n1 0\n", (), MinimizeConfig(solver_cmd=lying))
+    res = send(1, [(1,)], config=MinimizeConfig(solver_cmd=lying))
+    assert res.status == "UNKNOWN"
+    assert "validation" in res.diagnostic
+    res = send(1, [()], config=MinimizeConfig(solver_cmd=lying))   # written as 1 0 / -1 0
     assert res.status == "UNKNOWN"
     assert "validation" in res.diagnostic
 
 
 def test_run_external_solver_unparseable():
-    res = run_external_solver("p cnf 1 1\n1 0\n",
-                              (), MinimizeConfig(solver_cmd=f'{sys.executable} -c "print(42)"'))
+    res = send(1, [(1,)], config=MinimizeConfig(solver_cmd=f'{sys.executable} -c "print(42)"'))
     assert res.status == "UNKNOWN"
 
 
 def test_run_external_solver_spawn_failure():
-    res = run_external_solver("p cnf 1 1\n1 0\n",
-                              (), MinimizeConfig(solver_cmd="/nonexistent/solver {cnf}"))
+    res = send(1, [(1,)], config=MinimizeConfig(solver_cmd="/nonexistent/solver {cnf}"))
     assert res.status == "UNKNOWN"
     assert "spawn" in res.diagnostic
 
 
 def test_run_external_solver_timeout():
     slow = f'{sys.executable} -c "import time; time.sleep(5)"'
-    res = run_external_solver("p cnf 1 1\n1 0\n",
-                              (), MinimizeConfig(solver_cmd=slow, time_limit=0.3))
+    res = send(1, [(1,)], config=MinimizeConfig(solver_cmd=slow, time_limit=0.3))
     assert res.status == "UNKNOWN"
     assert "timeout" in res.diagnostic
 
