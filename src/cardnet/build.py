@@ -171,14 +171,10 @@ def bitonic_merge(n: int, half: bool = False) -> Network:
     return net
 
 
-def bit_sel(n: int, k: int) -> Network:
+def _emit_bit_sel(net: Network, wires: list[int], k: int) -> list[int]:
     """Block selection: sort k-blocks, then repeatedly bitonic-split pairs of
     blocks, keep the dominating half and re-sort it bitonically."""
-    if not (_is_pow2(n) and _is_pow2(k) and 1 <= k <= n):
-        raise ValueError("bitonic selection needs n, k powers of 2 with k <= n")
-    net = Network(n)
-    wires = net.input_wires()
-    blocks = [_emit_oe_sort(net, wires[i * k:(i + 1) * k]) for i in range(n // k)]
+    blocks = [_emit_oe_sort(net, wires[i:i + k]) for i in range(0, len(wires), k)]
     residue: list[int] = []
     while len(blocks) > 1:
         nxt = []
@@ -188,7 +184,15 @@ def bit_sel(n: int, k: int) -> Network:
             nxt.append(_emit_bit_merge(net, cur[:k]))
             residue.extend(cur[k:])
         blocks = nxt
-    net.set_outputs(blocks[0] + residue)
+    return blocks[0] + residue
+
+
+def bit_sel(n: int, k: int) -> Network:
+    """Bitonic block selection network."""
+    if not (_is_pow2(n) and _is_pow2(k) and 1 <= k <= n):
+        raise ValueError("bitonic selection needs n, k powers of 2 with k <= n")
+    net = Network(n)
+    net.set_outputs(_emit_bit_sel(net, net.input_wires(), k))
     return net
 
 
@@ -597,7 +601,7 @@ def oe4_sel(n: int, k: int) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# m-column odd-even selection (m = 2 baseline and m = 4 delegate)
+# two-column odd-even selection
 # ---------------------------------------------------------------------------
 
 def _oe2_split(n: int, k: int) -> list[tuple[int, int]]:
@@ -620,37 +624,3 @@ def _emit_oe2_sel(net: Network, wires: list[int], k: int, sub=None) -> list[int]
     sel1 = _sub_select(net, wires[h:], k1, sub, _emit_oe2_sel)
     merged = _emit_oe_merge(net, sel0[:k0], sel1[:k1])
     return merged + sel0[k0:] + sel1[k1:]
-
-
-def m_oe_sel(n: int, k: int, m: int) -> Network:
-    """m-column odd-even selection network; mergers exist for m in {2, 4}.
-
-    m = 2 splits in half and merges with the general odd-even merger; m = 4
-    splits evenly at the top and delegates to the four-way machinery.
-    """
-    if m not in (2, 4):
-        raise ValueError("only 2 and 4 columns are supported")
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    net = Network(n)
-    wires = net.input_wires()
-    if m == 2:
-        net.set_outputs(_emit_oe2_sel(net, wires, k))
-        return net
-    if k == 0 or n <= 1:
-        net.set_outputs(wires)
-        return net
-    if k == 1:
-        net.set_outputs(net.add_selector(tuple(wires), 1))
-        return net
-    sizes = even_split4(n)
-    cols, at = [], 0
-    for s in sizes:
-        cols.append(wires[at:at + s])
-        at += s
-    ys = [_emit_oe4_sel(net, col, min(k, len(col))) for col in cols]
-    ks = [min(k, len(col)) for col in cols]
-    res = _emit_oe4_merge(net, [y[:ki] for y, ki in zip(ys, ks)], k)
-    leftovers = [wire for y, ki in zip(ys, ks) for wire in y[ki:]]
-    net.set_outputs(res + leftovers)
-    return net

@@ -153,9 +153,12 @@ def _cmd_optimize(args) -> int:
         return _fail(EXIT_PARSE, str(exc))
     if not hasattr(problem, "objective") or problem.objective is None:
         return _fail(EXIT_USAGE, "optimize needs an OPB problem with a min: line")
-    cfg = MinimizeConfig(strategy="binary" if args.strategy == "bin" else "sequential",
-                         q=args.q, switch_gap=args.switch,
-                         solver_cmd=args.solver, time_limit=args.time_limit)
+    try:
+        cfg = MinimizeConfig(strategy="binary" if args.strategy == "bin" else "sequential",
+                             q=args.q, switch_gap=args.switch,
+                             solver_cmd=args.solver, time_limit=args.time_limit)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     try:
         result = minimize(problem, _options(args), cfg)
     except ValueError as exc:
@@ -182,6 +185,8 @@ def _parse_grid(spec: str) -> dict[str, list[int]]:
             raise ValueError(f"grid entries look like n=64..256 or k=4;8;16, got {part!r}")
         if ".." in rng:
             lo, hi = (int(x) for x in rng.split("..", 1))
+            if lo < 1:
+                raise ValueError(f"a doubling range starts at 1 or more, got {part!r}")
             vals = []
             v = lo
             while v <= hi:
@@ -197,9 +202,11 @@ def _parse_grid(spec: str) -> dict[str, list[int]]:
 
 def stats_report(methods: list[str], grid: dict[str, list[int]]) -> str:
     """CSV rows (method, n, k, vars, clauses, gates2, gates3, gates4,
-    combines) over raw networks with mixing disabled; unsupported
-    combinations get NA data columns."""
-    from .encode import cnf_cost
+    combines) over the network methods' own constructions with mixing
+    disabled.  Combinations outside a construction's domain get NA data
+    columns: k outside 0..n, and n or k not a power of two for the methods
+    that are built for powers of two only."""
+    from .encode import PADDED_METHODS, cnf_cost, method_network
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -208,11 +215,11 @@ def stats_report(methods: list[str], grid: dict[str, list[int]]) -> str:
     for method in methods:
         for n in grid["n"]:
             for k in grid["k"]:
-                try:
-                    net = _raw_network(method, n, k)
-                except ValueError:
+                if not 0 <= k <= n or method in PADDED_METHODS and (
+                        k < 1 or k & (k - 1) or n & (n - 1)):
                     writer.writerow([method, n, k] + ["NA"] * 6)
                     continue
+                net = method_network(method, n, k)
                 v, c = cnf_cost(net)
                 hist, combines = net.gate_histogram()
                 g2 = sum(cnt for (order, _m), cnt in hist.items() if order == 2)
@@ -220,24 +227,6 @@ def stats_report(methods: list[str], grid: dict[str, list[int]]) -> str:
                 g4 = sum(cnt for (order, _m), cnt in hist.items() if order == 4)
                 writer.writerow([method, n, k, v, c, g2, g3, g4, combines])
     return out.getvalue()
-
-
-def _raw_network(method: str, n: int, k: int):
-    from . import build
-
-    if not 0 <= k <= n:
-        raise ValueError("k out of range")
-    if method == "oe4":
-        return build.oe4_sel(n, k)
-    if method == "oe2":
-        return build.m_oe_sel(n, k, 2)
-    if method == "fourwise":
-        return build.mw_sel(n, k, build.even_split4(n))
-    if method == "bitonic_sel":
-        return build.bit_sel(n, k)
-    if method.startswith("pairwise_"):
-        return build.pw_sel(n, k, method.removeprefix("pairwise_"))
-    raise ValueError(f"stats supports network methods, not {method!r}")
 
 
 def _cmd_stats(args) -> int:
@@ -354,7 +343,7 @@ def _verify_args(p) -> None:
 
 def _demo_args(p) -> None:
     p.add_argument("kind", choices=("queens",))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_positive_int)
     p.add_argument("-o", "--output")
 
 

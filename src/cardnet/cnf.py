@@ -15,7 +15,6 @@ the guard literal of a `guarded` scope.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -53,12 +52,6 @@ def is_const(lit: Lit) -> bool:
     return lit is TRUE or lit is FALSE
 
 
-def lit_var(lit: Lit) -> int:
-    if is_const(lit):
-        raise ValueError("constant literal has no variable")
-    return abs(lit)
-
-
 # clauses per string join in write_dimacs: bounds the transient line strings
 DIMACS_CHUNK = 4096
 
@@ -71,7 +64,6 @@ class _LineFormats(dict):
         return fmt
 
 
-@dataclass
 class CnfFormula:
     """A growing clause list with a fresh-variable counter.
 
@@ -81,10 +73,12 @@ class CnfFormula:
     clause gets lit disjoined.
     """
 
-    next_var: int = 1
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
-    trivially_unsat: bool = False
-    _guard: Lit | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, next_var: int = 1, clauses: list[tuple[int, ...]] | None = None,
+                 trivially_unsat: bool = False):
+        self.next_var = next_var
+        self.clauses = [] if clauses is None else clauses
+        self.trivially_unsat = trivially_unsat
+        self._guard: Lit | None = None
 
     def fresh_var(self) -> int:
         v = self.next_var

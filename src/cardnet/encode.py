@@ -15,18 +15,11 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
 from .network import CombinePair, Network, Selector
-
-METHODS = ("oe4", "oe2", "pairwise_classic", "pairwise_bitonic",
-           "pairwise_half_bitonic", "fourwise", "bitonic_sel",
-           "sequential", "totalizer", "binomial")
-NETWORK_METHODS = METHODS[:7]
-BASELINE_METHODS = METHODS[7:]
-
 
 @dataclass(frozen=True)
 class CardConstraint:
@@ -73,10 +66,6 @@ class EncodedConstraint:
     input_lits: tuple[Lit, ...]
     k: int
     output_lits: tuple[Lit, ...] = ()
-
-    @property
-    def input_map(self) -> dict[int, Lit]:
-        return dict(enumerate(self.input_lits))
 
 
 @dataclass(frozen=True)
@@ -295,17 +284,6 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
     return [wire_lits[w] for w in net.outputs]
 
 
-def dry_run_cost(net: Network, needed_prefix: int | None = None,
-                 polarity: str = "atmost") -> tuple[int, int]:
-    """(variables, clauses) the emitter would add for this network with free
-    inputs and no output assertion."""
-    formula = CnfFormula()
-    inputs = formula.fresh_vars(net.num_inputs)
-    before = formula.next_var
-    emit_network(formula, net, inputs, polarity, needed_prefix)
-    return formula.next_var - before, formula.num_clauses
-
-
 def cnf_cost(net: Network, needed_prefix: int | None = None) -> tuple[int, int]:
     """Exact (variables, clauses) the at-most encoder would emit for this network.
 
@@ -315,83 +293,43 @@ def cnf_cost(net: Network, needed_prefix: int | None = None) -> tuple[int, int]:
     skipped, matching the truncated accounting used for mergers embedded in a
     larger selection network.
     """
-    return dry_run_cost(net, needed_prefix=needed_prefix)
+    formula = CnfFormula()
+    inputs = formula.fresh_vars(net.num_inputs)
+    emit_network(formula, net, inputs, "atmost", needed_prefix)
+    return formula.num_vars - net.num_inputs, formula.num_clauses
 
 
 # ---------------------------------------------------------------------------
 # selection-network construction per method
 # ---------------------------------------------------------------------------
 
-# Level builder and column split of the constructions that recurse on
-# sub-selections; mixing may replace any of their sub-selections.
-_LEVELS = {
-    "oe4": (build._emit_oe4_sel, build._oe4_split),
-    "oe2": (build._emit_oe2_sel, build._oe2_split),
-    "fourwise": (build._emit_mw_sel,
-                 lambda n, k: build._mw_split(build.even_split4(n), k)),
-}
-MIXED_METHODS = tuple(_LEVELS)
-
-
 def _next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length()
-
-
-def _padded_pow2_network(method: str, n: int, m: int) -> Network:
-    """Build a power-of-two-only construction for arbitrary (n, m) by padding
-    the inputs with constant-false wires and widening the selection target."""
-    n_pad = _next_pow2(n)
-    m_sel = min(_next_pow2(m), n_pad)
-    if method == "bitonic_sel":
-        inner = build.bit_sel(n_pad, m_sel)
-    else:
-        variant = method.removeprefix("pairwise_")
-        inner = build.pw_sel(n_pad, m_sel, variant)
-    if n_pad == n:
-        return inner
-    net = Network(n)
-    pad = [net.const_wire(0)] * (n_pad - n)
-    wires = net.input_wires() + pad
-    # replay the inner network's gates over the padded wire list
-    mapping: dict[int, int] = {}
-    for w, src in enumerate(inner.sources):
-        if src[0] == "input":
-            mapping[w] = wires[src[1]]
-        elif src[0] == "const":
-            mapping[w] = net.const_wire(src[1])
-    for gate in inner.gates:
-        if isinstance(gate, Selector):
-            outs = net.add_selector([mapping[w] for w in gate.inputs], gate.m)
-            for w, nw in zip(gate.outputs, outs):
-                mapping[w] = nw
-        else:
-            ox, oy = net.add_combine(*(mapping[w] for w in gate.inputs),
-                                     gate.out_x is not None, gate.out_y is not None)
-            if gate.out_x is not None:
-                mapping[gate.out_x] = ox
-            if gate.out_y is not None:
-                mapping[gate.out_y] = oy
-    net.set_outputs([mapping[w] for w in inner.outputs])
-    return net
 
 
 def method_network(method: str, n: int, m: int,
                    mixer: DirectMixer | None = None) -> Network:
     """The method's own construction for (n, m).  With a mixer, each of its
-    sub-selections may be a direct selector; the whole never is."""
-    if method not in _LEVELS:
-        return _padded_pow2_network(method, n, m)
+    sub-selections may be a direct selector; the whole never is.  A method
+    without a column split is built for powers of two: its inputs get
+    constant-0 wires up to one, and m rounds up to one."""
+    if method not in NETWORK_METHODS:
+        raise ValueError(f"{method!r} is not a network method")
+    entry = _TABLE[method]
     net = Network(n)
-    sub = mixer.sub if mixer is not None else None
-    net.set_outputs(_LEVELS[method][0](net, net.input_wires(), m, sub))
+    wires = net.input_wires()
+    if entry.split is None:
+        n_pad = _next_pow2(n)
+        m = min(_next_pow2(m), n_pad)
+        if n_pad > n:
+            wires += [net.const_wire(0)] * (n_pad - n)
+    net.set_outputs(entry.level(net, wires, m, mixer.sub if mixer is not None else None))
     return net
 
 
 def build_selection_network(method: str, n: int, m: int,
                             mixer: DirectMixer | None = None) -> Network:
     """Network whose output prefix of length m is the sorted m largest inputs."""
-    if method not in NETWORK_METHODS:
-        raise ValueError(f"{method!r} is not a network method")
     if mixer is not None and mixer.use_direct(n, m):
         return build.direct_selector(n, m)
     return method_network(method, n, m, mixer)
@@ -426,15 +364,13 @@ def _level_cost(method: str, n: int, m: int,
     odd-even mergers, or the four-wise row sorters, merger and zero padding.
     Priced by dry-running the level with every sub-selection replaced by its
     free input wires, once per level shape."""
-    # Odd-even levels only merge each column's selected prefix, so their gates
-    # follow from the selected counts; four-wise levels also sort rows across
-    # the full column lengths.
-    shape = tuple(children) if method == "fourwise" else tuple(k for _, k in children)
+    entry = _TABLE[method]
+    shape = tuple(children) if entry.sorts_rows else tuple(k for _, k in children)
     key = (method, m, shape)
     if key not in _LEVEL_COSTS:
         net = Network(n)
-        _LEVELS[method][0](net, net.input_wires(), m, _free_wires)
-        _LEVEL_COSTS[key] = dry_run_cost(net)
+        entry.level(net, net.input_wires(), m, _free_wires)
+        _LEVEL_COSTS[key] = cnf_cost(net)
     return _LEVEL_COSTS[key]
 
 
@@ -455,9 +391,10 @@ def recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
     # A level's first sub-selection is the next level's input: at small m an
     # oe4 chain is about n/3 levels deep, so price the chain bottom-up and
     # every level finds its first child already priced.
+    split = _TABLE[method].split
     chain = [(n, m)]
-    while method in _LEVELS and chain[-1][0] > 1 and chain[-1][1] > 1:
-        child = _LEVELS[method][1](*chain[-1])[0]
+    while split is not None and chain[-1][0] > 1 and chain[-1][1] > 1:
+        child = split(*chain[-1])[0]
         if (method, lam, *child) in _COSTS:
             break
         chain.append(child)
@@ -467,13 +404,14 @@ def recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
 
 
 def _level_recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
-    if method not in _LEVELS:
-        return dry_run_cost(_padded_pow2_network(method, n, m))
+    split = _TABLE[method].split
+    if split is None:
+        return cnf_cost(method_network(method, n, m))
     if n <= 1 or m == 0:
         return 0, 0
     if m == 1:  # every level builder emits one (n, 1)-selector
         return _direct_cost(n, 1)
-    children = _LEVELS[method][1](n, m)
+    children = split(n, m)
     v, c = _level_cost(method, n, m, children)
     for cn, cm in children:
         cv, cc = (_direct_cost(cn, cm) if _use_direct(method, lam, cn, cm)
@@ -546,9 +484,7 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
     if opts.method in BASELINE_METHODS:
         return encode_baseline(formula, lits, k, opts.method)
     if k == 0:
-        for lit in lits:
-            formula.add_clause([neg(lit)])
-        return EncodedConstraint(formula, tuple(lits), k)
+        return _forbid_all(formula, lits)
     net = build_selection_network(opts.method, n, k + 1, _mixer_for(opts))
     outs = emit_network(formula, net, list(lits), "atmost")
     formula.add_clause([neg(outs[k])])
@@ -568,6 +504,13 @@ def strengthen(enc: EncodedConstraint, new_k: int) -> None:
 # ---------------------------------------------------------------------------
 # baseline encoders
 # ---------------------------------------------------------------------------
+
+def _forbid_all(formula: CnfFormula, lits: Sequence[Lit]) -> EncodedConstraint:
+    """sum(lits) <= 0 as one negative unit per literal, for every method."""
+    for lit in lits:
+        formula.add_clause([neg(lit)])
+    return EncodedConstraint(formula, tuple(lits), 0)
+
 
 def _encode_sequential(formula: CnfFormula, lits: Sequence[Lit], k: int) -> EncodedConstraint:
     # unary running counter with the overflow bits simplified away
@@ -628,20 +571,13 @@ def _encode_binomial(formula: CnfFormula, lits: Sequence[Lit], k: int) -> Encode
 def encode_baseline(formula: CnfFormula, lits: Sequence[Lit], k: int,
                     which: str) -> EncodedConstraint:
     """Comparison encoders: sequential counter, totalizer, binomial."""
-    n = len(lits)
-    if not 0 <= k < n:
+    if which not in BASELINE_METHODS:
+        raise ValueError(f"unknown baseline {which!r}")
+    if not 0 <= k < len(lits):
         raise ValueError("encode_baseline needs 0 <= k < n")
-    if k == 0 and which != "binomial":
-        for lit in lits:
-            formula.add_clause([neg(lit)])
-        return EncodedConstraint(formula, tuple(lits), k)
-    if which == "sequential":
-        return _encode_sequential(formula, lits, k)
-    if which == "totalizer":
-        return _encode_totalizer(formula, lits, k)
-    if which == "binomial":
-        return _encode_binomial(formula, lits, k)
-    raise ValueError(f"unknown baseline {which!r}")
+    if k == 0:
+        return _forbid_all(formula, lits)
+    return _TABLE[which](formula, lits, k)
 
 
 def encode_card(formula: CnfFormula, c: CardConstraint,
@@ -652,3 +588,50 @@ def encode_card(formula: CnfFormula, c: CardConstraint,
         formula.add_clause([])
         return []
     return [encode_atmost(formula, form.lits, form.k, opts) for form in norm.atmosts]
+
+
+# ---------------------------------------------------------------------------
+# the method table
+# ---------------------------------------------------------------------------
+
+class _NetworkMethod(NamedTuple):
+    """A selection-network method: its level builder (net, wires, m, sub) ->
+    wires and, for the constructions that recurse on sub-selections, their
+    column split (n, m) -> [(length, selected)].  Mixing may replace any of
+    those sub-selections.  Without a split the construction exists for
+    powers of two only (see method_network).
+
+    An odd-even level only merges each column's selected prefix, so the
+    gates it adds follow from the selected counts; a level that sorts_rows
+    also sorts rows across the full column lengths (see _level_cost)."""
+
+    level: Callable
+    split: Callable | None = None
+    sorts_rows: bool = False
+
+
+def _pairwise(variant: str) -> Callable:
+    return lambda net, wires, m, sub: build._emit_pw_sel(net, wires, m, variant)
+
+
+# method name -> network method, or a baseline's encoder (formula, lits, k);
+# the order is the order of the CLI's --method choices
+_TABLE: dict[str, _NetworkMethod | Callable] = {
+    "oe4": _NetworkMethod(build._emit_oe4_sel, build._oe4_split),
+    "oe2": _NetworkMethod(build._emit_oe2_sel, build._oe2_split),
+    "pairwise_classic": _NetworkMethod(_pairwise("classic")),
+    "pairwise_bitonic": _NetworkMethod(_pairwise("bitonic")),
+    "pairwise_half_bitonic": _NetworkMethod(_pairwise("half_bitonic")),
+    "fourwise": _NetworkMethod(build._emit_mw_sel,
+                               lambda n, m: build._mw_split(build.even_split4(n), m),
+                               sorts_rows=True),
+    "bitonic_sel": _NetworkMethod(lambda net, wires, m, sub: build._emit_bit_sel(net, wires, m)),
+    "sequential": _encode_sequential,
+    "totalizer": _encode_totalizer,
+    "binomial": _encode_binomial,
+}
+METHODS = tuple(_TABLE)
+NETWORK_METHODS = tuple(m for m in METHODS if isinstance(_TABLE[m], _NetworkMethod))
+BASELINE_METHODS = tuple(m for m in METHODS if m not in NETWORK_METHODS)
+MIXED_METHODS = tuple(m for m in NETWORK_METHODS if _TABLE[m].split is not None)
+PADDED_METHODS = tuple(m for m in NETWORK_METHODS if _TABLE[m].split is None)

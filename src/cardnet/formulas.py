@@ -163,10 +163,6 @@ def fourw_merge_vars(k: int) -> Fraction:
     return Fraction(k * _log2(k)) + Fraction(7 * k, 6) - 5
 
 
-def fourw_merge_clauses(k: int) -> Fraction:
-    return Fraction(15 * k * _log2(k), 4) - Fraction(33 * k, 24) - 10
-
-
 def dsv_lower_bound(n: int, k: int) -> Fraction:
     """Lower bound on the variable saving of the four-column odd-even selection
     network over the two-column one: (n-k)(5k+2)/(3k) * log(k/2) + 3(n/k - 1)."""
@@ -341,11 +337,3 @@ def registry() -> dict[str, FormulaInfo]:
         for info in _registry():
             FORMULAS[info.name] = info
     return FORMULAS
-
-
-def closed_form(kind: str, **params):
-    """Evaluate a registered closed form by name."""
-    info = registry().get(kind)
-    if info is None:
-        raise KeyError(f"unknown closed form {kind!r}")
-    return info.fn(**params)

@@ -72,6 +72,16 @@ class CombinePair:
 Gate = Selector | CombinePair
 
 
+def thresholds(xs: Sequence[int], m: int, full: int) -> list[int]:
+    """Bit-parallel counting over lanes: th[p] (0 <= p <= m) has a lane set
+    when at least p of the masks xs have it set; full sets every lane."""
+    th = [full] + [0] * m
+    for x in xs:
+        for p in range(m, 0, -1):
+            th[p] |= th[p - 1] & x
+    return th
+
+
 class Network:
     """Wires, gates in topological order, and a designated output sequence."""
 
@@ -142,20 +152,23 @@ class Network:
 
     def eval(self, bits: Sequence[int]) -> list[int]:
         """Evaluate obliviously on a 0-1 input of length num_inputs."""
-        if len(bits) != self.num_inputs:
-            raise ValueError(f"expected {self.num_inputs} input bits, got {len(bits)}")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("inputs must be 0/1")
+        return self.eval_masks(bits, 1)
+
+    def eval_masks(self, masks: Sequence[int], full: int) -> list[int]:
+        """Evaluate many inputs at once: bit a of masks[i] is input i of lane
+        a, and full sets every lane.  Returns one such mask per output."""
+        if len(masks) != self.num_inputs:
+            raise ValueError(f"expected {self.num_inputs} inputs, got {len(masks)}")
         val = [0] * len(self.sources)
-        for w, src in enumerate(self.sources):
-            if src[0] == "input":
-                val[w] = bits[src[1]]
-            elif src[0] == "const":
-                val[w] = src[1]
+        val[:self.num_inputs] = masks  # input wires come first
+        for w, bit in self.const_sources():
+            val[w] = full if bit else 0
         for gate in self.gates:
-            if isinstance(gate, Selector):
-                top = sorted((val[w] for w in gate.inputs), reverse=True)
-                for w, v in zip(gate.outputs, top):
+            if type(gate) is Selector:
+                th = thresholds([val[w] for w in gate.inputs], gate.m, full)
+                for w, v in zip(gate.outputs, th[1:]):
                     val[w] = v
             else:
                 ym2, ym1, yy = val[gate.ym2], val[gate.ym1], val[gate.yy]
@@ -177,10 +190,6 @@ class Network:
             else:
                 combines += 1
         return hist, combines
-
-    def is_permutation_network(self) -> bool:
-        """True when no gate discards elements (every selector is a full sorter)."""
-        return all(isinstance(g, CombinePair) or g.m == g.order for g in self.gates)
 
     @property
     def num_gates(self) -> int:

@@ -378,36 +378,6 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k, tuple(outs))
 
 
-def emit_normalizer(formula: CnfFormula, unary: Sequence[Lit], radix: int,
-                    both_polarities: bool = False) -> tuple[list[Lit], list[Lit]]:
-    """Carry aliases plus remainder literals for a sorted unary run.
-
-    Carries are aliases of every radix-th output (no clauses).  Remainder
-    literal j (1 <= j < radix) is forced true when the count is congruent to
-    at least j past a full block: (u_{q*r+j} & ~u_{(q+1)*r}) => rem_j; the
-    reverse direction is emitted on request.
-    """
-    carries = [unary[q * radix - 1] for q in range(1, len(unary) // radix + 1)]
-    remainders: list[Lit] = []
-    for j in range(1, radix):
-        supports = []
-        for q in range(0, len(unary) // radix + 1):
-            idx = q * radix + j
-            if idx <= len(unary):
-                blocker = unary[(q + 1) * radix - 1] if (q + 1) * radix <= len(unary) else FALSE
-                supports.append((unary[idx - 1], blocker))
-        if not supports:
-            remainders.append(FALSE)
-            continue
-        rem = formula.fresh_var()
-        for lit, blocker in supports:
-            formula.add_clause([neg(lit), blocker, rem])
-        if both_polarities:
-            formula.add_clause([-rem] + [lit for lit, _ in supports])
-        remainders.append(rem)
-    return carries, remainders
-
-
 def encode_goal_bound(formula: CnfFormula, objective: Sequence[tuple[int, Lit]],
                       bound: int, flag: Lit | None,
                       opts: EncodeOptions | None = None) -> None:

@@ -12,7 +12,6 @@ recursion, so its depth is not bounded by the interpreter's stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Sequence
@@ -20,12 +19,13 @@ from typing import Iterable, Sequence
 from .cnf import FALSE, TRUE, CnfFormula, Lit, is_const
 
 
-@dataclass
 class Assignment:
     """Partial map var -> bool plus the assignment trail."""
 
-    values: dict[int, bool] = field(default_factory=dict)
-    trail: list[tuple[int, bool, str]] = field(default_factory=list)
+    def __init__(self, values: dict[int, bool] | None = None,
+                 trail: list[tuple[int, bool, str]] | None = None):
+        self.values = {} if values is None else values
+        self.trail = [] if trail is None else trail
 
     def lit_value(self, lit: int) -> bool | None:
         v = self.values.get(abs(lit))
@@ -44,11 +44,12 @@ class Assignment:
         return Assignment(dict(self.values), list(self.trail))
 
 
-@dataclass
 class UpResult:
-    status: str  # "fixpoint" | "conflict"
-    assignment: Assignment
-    conflict_clause: tuple[int, ...] | None = None
+    def __init__(self, status: str, assignment: Assignment,
+                 conflict_clause: tuple[int, ...] | None = None):
+        self.status = status  # "fixpoint" | "conflict"
+        self.assignment = assignment
+        self.conflict_clause = conflict_clause
 
 
 class Propagator:
@@ -460,10 +461,10 @@ class _Search:
 # propagation-quality harnesses
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckReport:
-    passed: bool
-    detail: str = ""
+    def __init__(self, passed: bool, detail: str = ""):
+        self.passed = passed
+        self.detail = detail
 
 
 def _input_true_seed(lit: Lit) -> int:

@@ -1,8 +1,7 @@
 """Finite sequence operators used by the network constructors.
 
-All operators use 1-based index conventions: pref(i, x) is the first i
-elements and suff(i, x) is everything from position i onwards.  Sorted always
-means non-increasing.
+Positions are 1-based: odd(x) holds x1, x3, ... and even(x) holds x2, x4, ...
+Sorted always means non-increasing.
 """
 
 from __future__ import annotations
@@ -10,19 +9,6 @@ from __future__ import annotations
 from typing import Sequence, TypeVar
 
 T = TypeVar("T")
-
-
-def pref(i: int, xs: Sequence[T]) -> list[T]:
-    if not 0 <= i <= len(xs):
-        raise IndexError(f"pref({i}) out of range for length {len(xs)}")
-    return list(xs[:i])
-
-
-def suff(i: int, xs: Sequence[T]) -> list[T]:
-    """Elements from 1-based position i to the end; suff(n+1, x) is empty."""
-    if not 1 <= i <= len(xs) + 1:
-        raise IndexError(f"suff({i}) out of range for length {len(xs)}")
-    return list(xs[i - 1:])
 
 
 def odd(xs: Sequence[T]) -> list[T]:
@@ -33,23 +19,6 @@ def odd(xs: Sequence[T]) -> list[T]:
 def even(xs: Sequence[T]) -> list[T]:
     """Elements at even 1-based positions: x2, x4, ..."""
     return list(xs[1::2])
-
-
-def left(xs: Sequence[T]) -> list[T]:
-    return list(xs[: len(xs) // 2])
-
-
-def right(xs: Sequence[T]) -> list[T]:
-    return list(xs[len(xs) // 2:])
-
-
-def drop(b: T, xs: Sequence[T]) -> list[T]:
-    """Remove every occurrence of value b."""
-    return [x for x in xs if x != b]
-
-
-def count(b: T, xs: Sequence[T]) -> int:
-    return sum(1 for x in xs if x == b)
 
 
 def zip_cols(*cols: Sequence[T]) -> list[T]:
@@ -63,20 +32,3 @@ def zip_cols(*cols: Sequence[T]) -> list[T]:
             if row < len(col):
                 out.append(col[row])
     return out
-
-
-def is_sorted(xs: Sequence[int]) -> bool:
-    return all(xs[i] >= xs[i + 1] for i in range(len(xs) - 1))
-
-
-def is_top_k_sorted(xs: Sequence[int], k: int) -> bool:
-    """First k positions sorted and dominating every later position."""
-    if k > len(xs):
-        return False
-    head = xs[:k]
-    if not is_sorted(head):
-        return False
-    if k < len(xs) and k > 0:
-        m = min(head)
-        return all(m >= x for x in xs[k:])
-    return True

@@ -15,62 +15,30 @@ from itertools import combinations
 
 from . import build
 from .cnf import CnfFormula
-from .encode import (MIXED_METHODS, NETWORK_METHODS, DirectMixer, EncodeOptions,
-                     dry_run_cost, encode_atmost, method_network, recursive_cost)
+from .encode import (METHODS, MIXED_METHODS, DirectMixer, EncodeOptions, cnf_cost,
+                     encode_atmost, method_network, recursive_cost)
 from .formulas import registry
-from .network import Network
+from .network import Network, thresholds
 from .sat import check_arc_consistency, dpll_sat
+
+
+def _input_masks(n: int) -> tuple[list[int], int]:
+    """Per input i, the bitmask over all 2^n assignments a with bit i set,
+    and the mask of every assignment."""
+    lanes = range(1 << n)
+    return [sum(1 << a for a in lanes if (a >> i) & 1) for i in range(n)], (1 << (1 << n)) - 1
 
 
 def threshold_masks(n: int) -> list[int]:
     """For each p, the bitmask over all 2^n assignments marking inputs with at
     least p ones; index 0 is the all-ones mask."""
-    full = (1 << (1 << n)) - 1
-    var_masks = []
-    for i in range(n):
-        mask = 0
-        for a in range(1 << n):
-            if (a >> i) & 1:
-                mask |= 1 << a
-        var_masks.append(mask)
-    th = [full] + [0] * n
-    for x in var_masks:
-        for p in range(n, 0, -1):
-            th[p] |= th[p - 1] & x
-    return th
+    masks, full = _input_masks(n)
+    return thresholds(masks, n, full)
 
 
 def mask_eval(net: Network, n: int) -> list[int]:
     """Evaluate the network over all 2^n inputs at once with bit-parallel masks."""
-    full = (1 << (1 << n)) - 1
-    val = [0] * len(net.sources)
-    for w, src in enumerate(net.sources):
-        if src[0] == "input":
-            i = src[1]
-            mask = 0
-            for a in range(1 << n):
-                if (a >> i) & 1:
-                    mask |= 1 << a
-            val[w] = mask
-        elif src[0] == "const":
-            val[w] = full if src[1] else 0
-    for gate in net.gates:
-        if hasattr(gate, "m"):  # Selector
-            ins = [val[w] for w in gate.inputs]
-            th = [full] + [0] * len(ins)
-            for x in ins:
-                for p in range(len(ins), 0, -1):
-                    th[p] |= th[p - 1] & x
-            for pos, w in enumerate(gate.outputs, start=1):
-                val[w] = th[pos]
-        else:
-            ym2, ym1, yy = val[gate.ym2], val[gate.ym1], val[gate.yy]
-            xx, xp1, xp2 = val[gate.xx], val[gate.xp1], val[gate.xp2]
-            if gate.out_x is not None:
-                val[gate.out_x] = (ym1 & xx) | (ym2 & xp1)
-            if gate.out_y is not None:
-                val[gate.out_y] = yy | xp2 | (ym1 & xp1)
-    return [val[w] for w in net.outputs]
+    return net.eval_masks(*_input_masks(n))
 
 
 def selection_failures(net: Network, n: int, k: int) -> str | None:
@@ -91,10 +59,6 @@ def selection_failures(net: Network, n: int, k: int) -> str | None:
     return None
 
 
-def sorter_failures(net: Network, n: int) -> str | None:
-    return selection_failures(net, n, len(net.outputs))
-
-
 def run_zero_one(limit: int = 8, log=print) -> bool:
     ok = True
 
@@ -111,7 +75,7 @@ def run_zero_one(limit: int = 8, log=print) -> bool:
     for n in range(1, limit + 1):
         for k in range(0, n + 1):
             check(f"oe4_sel({n},{k})", build.oe4_sel(n, k), n, k)
-            check(f"m_oe_sel({n},{k},2)", build.m_oe_sel(n, k, 2), n, k)
+            check(f"oe2({n},{k})", method_network("oe2", n, k), n, k)
     for n in (2, 4, 8):
         if n > limit:
             continue
@@ -148,7 +112,7 @@ def run_ac(limit: int = 6, log=print) -> bool:
 
 def run_equisat(limit: int = 5, log=print) -> bool:
     ok = True
-    for method in NETWORK_METHODS + ("sequential", "totalizer", "binomial"):
+    for method in METHODS:
         for n in range(1, limit + 1):
             for k in range(0, n):
                 formula = CnfFormula()
@@ -175,7 +139,7 @@ def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
         for n in range(2, limit + 1):
             for m in range(1, n + 1):
                 net = method_network(method, n, m, mixer)
-                if recursive_cost(method, lam, n, m) != dry_run_cost(net):
+                if recursive_cost(method, lam, n, m) != cnf_cost(net):
                     fails.append(f"{method} n={n} m={m}")
     return fails
 

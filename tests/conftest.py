@@ -4,7 +4,24 @@ import sys
 import pytest
 
 from cardnet.cnf import CnfFormula
-from cardnet.seqs import is_top_k_sorted
+from cardnet.network import Selector
+
+
+def is_sorted(xs):
+    return all(xs[i] >= xs[i + 1] for i in range(len(xs) - 1))
+
+
+def is_top_k_sorted(xs, k):
+    """First k positions sorted and dominating every later position."""
+    if k > len(xs):
+        return False
+    head = xs[:k]
+    if not is_sorted(head):
+        return False
+    if k < len(xs) and k > 0:
+        m = min(head)
+        return all(m >= x for x in xs[k:])
+    return True
 
 
 def parse_dimacs(text):
@@ -43,6 +60,28 @@ def check_selection_output(out, k, total_ones):
     kk = min(k, len(out))
     want = [1] * min(total_ones, kk) + [0] * (kk - min(total_ones, kk))
     return list(out[:kk]) == want and is_top_k_sorted(out, kk)
+
+
+def reference_eval(net, bits):
+    """Gate-by-gate evaluation of one 0-1 input: a selector sorts its inputs
+    and keeps the top m, a combine pair applies its two formulas."""
+    val = [0] * len(net.sources)
+    val[:net.num_inputs] = bits
+    for w, bit in net.const_sources():
+        val[w] = bit
+    for gate in net.gates:
+        if type(gate) is Selector:
+            top = sorted((val[w] for w in gate.inputs), reverse=True)
+            for w, v in zip(gate.outputs, top):
+                val[w] = v
+            continue
+        ym2, ym1, yy = val[gate.ym2], val[gate.ym1], val[gate.yy]
+        xx, xp1, xp2 = val[gate.xx], val[gate.xp1], val[gate.xp2]
+        if gate.out_x is not None:
+            val[gate.out_x] = (ym1 & xx) | (ym2 & xp1)
+        if gate.out_y is not None:
+            val[gate.out_y] = yy | xp2 | (ym1 & xp1)
+    return [val[w] for w in net.outputs]
 
 
 def formula_from_clauses(num_vars, clauses):

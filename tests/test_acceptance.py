@@ -13,7 +13,7 @@ from itertools import combinations, product
 from cardnet import build
 from cardnet.cnf import CnfFormula, neg
 from cardnet.encode import (EncodeOptions, NETWORK_METHODS, cnf_cost, emit_network,
-                            encode_atmost)
+                            encode_atmost, method_network)
 from cardnet.formulas import (bit_sel_size, fourw_merge_vars, fourw_sorter_counts,
                               oe2_merge_clauses, oe2_merge_vars, oe4_merge_clauses_bound,
                               oe4_merge_vars_bound, oe_sort_size, pw_merge_size,
@@ -22,11 +22,11 @@ from cardnet.network import Network
 from cardnet.pb import (MixedRadixBase, PbConstraint, base_cost, find_base,
                         normalize_pb, encode_pb, simplify_rhs, to_digits)
 from cardnet.sat import Propagator, check_arc_consistency, check_forward_prop, dpll_sat
-from cardnet.seqs import is_top_k_sorted
 from cardnet.solve import MinimizeConfig, minimize, next_binary_bound
 from cardnet.verify import mask_eval, selection_failures
 
-from conftest import check_selection_output, solver_cmd, sorted_runs
+from conftest import (check_selection_output, is_top_k_sorted, reference_eval, solver_cmd,
+                      sorted_runs)
 
 
 def report(line):
@@ -50,13 +50,13 @@ def test_c01_zero_one_principle():
         if fail:
             failures.append((name, n, k, fail))
 
-    # mask evaluator grounded against the direct per-input evaluation
+    # mask evaluator grounded against a gate-by-gate sorting evaluation
     for net, n in ((build.oe4_sel(6, 3), 6), (build.pw_sel(8, 4), 8),
                    (build.mw_sel(7, 3, build.even_split4(7)), 7)):
         per_input = _mask_outputs_per_input(net, n)
         for a in range(1 << n):
             bits = [(a >> i) & 1 for i in range(n)]
-            assert net.eval(bits) == per_input[a]
+            assert net.eval(bits) == per_input[a] == reference_eval(net, bits)
 
     # sorters
     for n in (2, 4, 8):
@@ -66,8 +66,7 @@ def test_c01_zero_one_principle():
     for n in range(1, 13):
         for k in range(0, n + 1):
             sel("oe4_sel", build.oe4_sel(n, k), n, k)
-            sel("m_oe_sel2", build.m_oe_sel(n, k, 2), n, k)
-            sel("m_oe_sel4", build.m_oe_sel(n, k, 4), n, k)
+            sel("oe2", method_network("oe2", n, k), n, k)
             if n >= 2:
                 sel("mw_sel", build.mw_sel(n, k, build.even_split4(n)), n, k)
     for n in (4, 8, 12):  # irregular column profiles
@@ -484,7 +483,7 @@ def test_c11_optimization():
 def test_c12_dsv_positive():
     gaps = {}
     for n, k in ((64, 4), (256, 4), (256, 16)):
-        v2, _ = cnf_cost(build.m_oe_sel(n, k, 2))
+        v2, _ = cnf_cost(method_network("oe2", n, k))
         v4, _ = cnf_cost(build.oe4_sel(n, k))
         assert v2 - v4 > 0, (n, k, v2, v4)
         gaps[(n, k)] = v2 - v4

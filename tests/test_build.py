@@ -9,11 +9,10 @@ import pytest
 from cardnet import build
 from cardnet.formulas import (bit_sel_size, oe_merge_size, oe_sort_size,
                               pw_merge_size, pw_sel_size, pw_variant_gap)
-from cardnet.encode import cnf_cost
-from cardnet.seqs import is_top_k_sorted
+from cardnet.encode import cnf_cost, method_network
 from cardnet.verify import selection_failures
 
-from conftest import check_selection_output, sorted_runs
+from conftest import check_selection_output, is_top_k_sorted, sorted_runs
 
 
 # -- splitters ---------------------------------------------------------------
@@ -343,21 +342,13 @@ def test_oe4_sel_examples():
 
 
 def test_m_oe_sel_examples():
-    out = build.m_oe_sel(8, 2, 2).eval([0, 1, 0, 0, 0, 0, 1, 0])
+    out = method_network("oe2", 8, 2).eval([0, 1, 0, 0, 0, 0, 1, 0])
     assert out[:2] == [1, 1]
-    with pytest.raises(ValueError):
-        build.m_oe_sel(8, 2, 3)
+    for method in ("oe3", "sequential"):
+        with pytest.raises(ValueError):
+            method_network(method, 8, 2)
     # the two-column merger of two sorted k-runs costs (2k log k + 2, 3k log k + 3)
     assert cnf_cost(build.oe_merge_general(4, 4)) == (18, 27)
-
-
-def test_m_oe_sel4_matches_oe4_prefix():
-    for n in range(1, 11):
-        for k in range(0, n + 1):
-            a = build.m_oe_sel(n, k, 4)
-            b = build.oe4_sel(n, k)
-            for bits in product((0, 1), repeat=n):
-                assert a.eval(list(bits))[:k] == b.eval(list(bits))[:k]
 
 
 # -- determinism ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI behaviour: formats, exit codes, determinism, stats, demo."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -177,12 +178,14 @@ def test_dpll_command_loads_only_cnf_and_sat(tmp_path):
               "from cardnet import cli\n"
               "code = cli.run_cli(['dpll', sys.argv[1]])\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cardnet'))\n"
+              "print('dataclasses' in sys.modules)\n"
               "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", script, str(cnf)],
                           capture_output=True, text=True)
     assert proc.returncode == 10, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
+    loaded, dataclasses_loaded = proc.stdout.splitlines()[-2:]
     assert loaded == str(["cardnet", "cardnet.cli", "cardnet.cnf", "cardnet.sat"])
+    assert dataclasses_loaded == "False"
 
 
 def test_star_import_resolves_every_export():
@@ -241,6 +244,29 @@ def test_parse_grid():
         _parse_grid("n=4..8")
 
 
+def test_stats_grid_range_from_zero_is_usage_error(capsys):
+    # doubling from 0 never passed the upper end
+    assert run_cli(["stats", "--methods", "oe4", "--grid", "n=0..8,k=1..2"]) == 1
+    assert "starts at 1" in capsys.readouterr().err
+
+
+def test_stats_grid_negative_range_is_usage_error(capsys):
+    # doubling from -1 ran until memory was exhausted
+    assert run_cli(["stats", "--methods", "oe4", "--grid", "n=4..8,k=-1..2"]) == 1
+    assert "starts at 1" in capsys.readouterr().err
+
+
+def test_cli_bad_numbers_are_usage_errors(tmp_path, capsys):
+    opb = tmp_path / "inst.opb"
+    opb.write_text("min: +1 x1 +1 x2 ;\n+2 x1 +3 x2 >= 2 ;\n")
+    for argv in (["demo", "queens", "0"], ["demo", "queens", "-1"],
+                 ["optimize", str(opb), "--solver", solver_cmd(), "--q", "1"],
+                 ["optimize", str(opb), "--solver", solver_cmd(), "--switch", "0"]):
+        assert run_cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error:" in err, argv
+
+
 def test_stats_report_columns_and_na():
     text = stats_report(["oe2", "oe4", "pairwise_classic"], {"n": [9, 16], "k": [8]})
     lines = text.strip().splitlines()
@@ -263,6 +289,19 @@ def test_stats_pairwise_gate_gap():
     gates = {m: sum(int(x) for x in row[5:8])
              for m, row in rows.items()}
     assert gates["pairwise_classic"] - gates["pairwise_half_bitonic"] == 6
+
+
+def test_stats_report_golden():
+    # sha256 of the CSV recorded before the stats rows were built from the
+    # method table; any change to a row, an NA cell or the row order fails
+    from cardnet.encode import NETWORK_METHODS
+
+    text = stats_report(list(NETWORK_METHODS), {"n": [1, 5, 8, 13, 16, 37, 64],
+                                                "k": [0, 1, 2, 3, 8, 16, 40]})
+    rows = text.splitlines()[1:]
+    assert (len(rows), sum(",NA," in row for row in rows)) == (343, 190)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "17c79244bf16917823827fefa3e500b552cc3bda0fa3a1ba9f71313d279d8894"
 
 
 def test_cli_verify_sizes(tmp_path, monkeypatch):

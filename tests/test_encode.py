@@ -7,7 +7,7 @@ import pytest
 
 from cardnet.cnf import FALSE, TRUE, CnfFormula
 from cardnet.encode import (MIXED_METHODS, CardConstraint, DirectMixer, EncodeOptions,
-                            choose_direct, dry_run_cost, emit_network, encode_atmost,
+                            choose_direct, cnf_cost, emit_network, encode_atmost,
                             encode_baseline, encode_card, method_network,
                             normalize_card, recursive_cost, strengthen)
 from cardnet.network import Network
@@ -182,7 +182,7 @@ def test_recursive_cost_matches_dry_run(method, lam):
     points = [(n, m) for n in range(2, 65) for m in range(1, n + 1)]
     for n, m in points + list(LARGE_POINTS[:2]):
         net = method_network(method, n, m, mixer)
-        assert recursive_cost(method, lam, n, m) == dry_run_cost(net), (n, m)
+        assert recursive_cost(method, lam, n, m) == cnf_cost(net), (n, m)
 
 
 def test_mixing_preserves_equisatisfiability():

@@ -4,9 +4,11 @@ from itertools import product
 import pytest
 
 from cardnet import build
-from cardnet.formulas import closed_form, registry
+from cardnet.formulas import (binomial_clauses, bit_merge_size, bit_sel_size,
+                              fourw_merge_vars, half_bit_merge_size, oe_sort_size,
+                              pw_merge_size, pw_variant_gap, registry, sequential_clauses)
 from cardnet.encode import cnf_cost
-from cardnet.network import Network
+from cardnet.network import CombinePair, Network
 
 
 def test_selector_eval_examples():
@@ -83,16 +85,12 @@ def test_gate_histogram():
     assert hist == {(6, 3): 1}
 
 
-def test_permutation_detection():
-    assert build.oe_sort(8).is_permutation_network()
-    assert not build.direct_selector(4, 1).is_permutation_network()
-
-
 def test_permutation_networks_preserve_ones():
     for net, n in ((build.oe_sort(8), 8), (build.oe_merge2(8), 8),
                    (build.bitonic_merge(8), 8),
                    (build.fourw_merge((4, 2, 1, 1), 4), 8)):
-        assert net.is_permutation_network()
+        # no gate discards elements: every selector is a full sorter
+        assert all(type(g) is CombinePair or g.m == g.order for g in net.gates)
         for bits in product((0, 1), repeat=n):
             assert sum(net.eval(list(bits))) == sum(bits)
 
@@ -107,27 +105,29 @@ def test_selector_idempotent_on_sorted_input():
 
 
 def test_closed_form_values():
-    assert closed_form("oe_sort_size", n=4) == 5
-    assert closed_form("oe_sort_size", n=8) == 19
-    assert closed_form("oe_sort_size", n=16) == 63
-    assert closed_form("pw_merge_size", k=4, variant="classic") == 5
-    assert closed_form("pw_merge_size", k=4, variant="half_bitonic") == 4
-    assert closed_form("pw_merge_size", k=8, variant="half_bitonic") == 12
-    assert closed_form("bit_merge_size", n=8) == 12
-    assert closed_form("half_bit_merge_size", n=8) == 8
-    assert closed_form("bit_sel_size", n=8, k=2) == 13
-    assert closed_form("pw_variant_gap", n=16) == 6
-    assert closed_form("binomial_clauses", n=4, k=1) == 6
-    assert closed_form("sequential_clauses", n=4, k=2) == 13
+    assert oe_sort_size(n=4) == 5
+    assert oe_sort_size(n=8) == 19
+    assert oe_sort_size(n=16) == 63
+    assert pw_merge_size(k=4, variant="classic") == 5
+    assert pw_merge_size(k=4, variant="half_bitonic") == 4
+    assert pw_merge_size(k=8, variant="half_bitonic") == 12
+    assert bit_merge_size(n=8) == 12
+    assert half_bit_merge_size(n=8) == 8
+    assert bit_sel_size(n=8, k=2) == 13
+    assert pw_variant_gap(n=16) == 6
+    assert binomial_clauses(n=4, k=1) == 6
+    assert sequential_clauses(n=4, k=2) == 13
+    assert all(registry()[f.__name__].fn is f for f in (oe_sort_size, pw_merge_size,
+                                                       bit_sel_size, sequential_clauses))
 
 
 def test_closed_form_domain_errors():
     with pytest.raises(ValueError):
-        closed_form("oe_sort_size", n=6)
+        oe_sort_size(n=6)
     with pytest.raises(ValueError):
-        closed_form("bit_sel_size", n=8, k=8)
+        bit_sel_size(n=8, k=8)
     with pytest.raises(KeyError):
-        closed_form("nonsense")
+        registry()["nonsense"]
 
 
 def test_formula_registry_checks_pass():
@@ -137,5 +137,5 @@ def test_formula_registry_checks_pass():
 
 
 def test_fourw_approximation_is_fraction():
-    v = closed_form("fourw_merge_vars", k=16)
+    v = fourw_merge_vars(k=16)
     assert isinstance(v, Fraction)

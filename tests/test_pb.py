@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from cardnet.cnf import FALSE, TRUE, CnfFormula
+from cardnet.cnf import TRUE, CnfFormula
 from cardnet.encode import METHODS, NETWORK_METHODS, EncodeOptions
 from cardnet.pb import (MixedRadixBase, PbConstraint, PbSyntaxError, base_cost,
-                        emit_normalizer, encode_goal_bound, encode_pb, find_base,
+                        encode_goal_bound, encode_pb, find_base,
                         normalize_pb, parse_opb, plan_digits, simplify_rhs,
                         to_digits, value_of)
 from cardnet.sat import dpll_sat
@@ -250,27 +250,6 @@ def test_random_pb_equisat():
             model = {v: bool((bits >> (v - 1)) & 1) for v in range(1, n + 1)}
             fixing = [v if model[v] else -v for v in range(1, n + 1)]
             assert dpll_sat(f, fixing)[0] == ("SAT" if c.holds(model) else "UNSAT")
-
-
-def test_normalizer_remainder_semantics():
-    # remainder j is forced exactly when count % r >= j within an open block
-    for r in (2, 3):
-        for length in (4, 5, 6):
-            f = CnfFormula()
-            lits = f.fresh_vars(length)
-            # sorted unary run: u_p is anything with u_1 >= u_2 >= ...
-            carries, rems = emit_normalizer(f, lits, r)
-            assert carries == [lits[q * r - 1] for q in range(1, length // r + 1)]
-            for count in range(length + 1):
-                fixing = [l if i < count else -l for i, l in enumerate(lits)]
-                for j, rem in enumerate(rems, start=1):
-                    if rem is FALSE:
-                        continue
-                    forced = dpll_sat(f, fixing + [-rem])[0] == "UNSAT"
-                    # forced iff some open block shows >= j past a full multiple
-                    expect = any(q * r + j <= count < (q + 1) * r
-                                 for q in range(0, length // r + 1))
-                    assert forced == expect, (r, length, count, j)
 
 
 def test_goal_bound_flagged():

@@ -1,7 +1,8 @@
 import pytest
 
-from cardnet.seqs import (count, drop, even, is_sorted, is_top_k_sorted, left,
-                          odd, pref, right, suff, zip_cols)
+from cardnet.seqs import even, odd, zip_cols
+
+from conftest import is_sorted, is_top_k_sorted
 
 
 def test_zip_row_major():
@@ -16,29 +17,10 @@ def test_zip_rejects_increasing_lengths():
         zip_cols([1], [2, 3])
 
 
-def test_pref_suff():
-    assert pref(2, [1, 0, 1]) == [1, 0]
-    assert suff(2, [1, 0, 1]) == [0, 1]
-    assert suff(4, [1, 0, 1]) == []
-    assert pref(0, [1]) == []
-    with pytest.raises(IndexError):
-        pref(4, [1, 0, 1])
-    with pytest.raises(IndexError):
-        suff(0, [1, 0, 1])
-
-
 def test_odd_even_left_right():
     xs = [10, 20, 30, 40, 50]
     assert odd(xs) == [10, 30, 50]
     assert even(xs) == [20, 40]
-    assert left(xs) == [10, 20]
-    assert right(xs) == [30, 40, 50]
-
-
-def test_drop_and_count():
-    assert drop(0, [1, 0, 0, 1]) == [1, 1]
-    assert count(1, [1, 0, 0, 1]) == 2
-    assert drop(7, []) == []
 
 
 def test_sortedness_predicates():
