@@ -179,21 +179,22 @@ def _cmd_optimize(args) -> int:
 def _parse_grid(spec: str) -> dict[str, list[int]]:
     grid: dict[str, list[int]] = {}
     for part in spec.split(","):
+        usage = f"grid entries look like n=64..256 or k=4;8;16, got {part!r}"
         name, _, rng = part.partition("=")
         name = name.strip()
-        if name not in ("n", "k") or not rng:
-            raise ValueError(f"grid entries look like n=64..256 or k=4;8;16, got {part!r}")
-        if ".." in rng:
-            lo, hi = (int(x) for x in rng.split("..", 1))
-            if lo < 1:
-                raise ValueError(f"a doubling range starts at 1 or more, got {part!r}")
-            vals = []
-            v = lo
-            while v <= hi:
-                vals.append(v)
-                v *= 2
-        else:
-            vals = [int(x) for x in rng.split(";")]
+        lo, dots, hi = rng.partition("..")
+        try:
+            vals = [] if dots else [int(x) for x in rng.split(";")]
+            lo, hi = (int(lo), int(hi)) if dots else (1, 0)
+        except ValueError:
+            raise ValueError(usage) from None
+        if lo < 1:
+            raise ValueError(f"a doubling range starts at 1 or more, got {part!r}")
+        while lo <= hi:
+            vals.append(lo)
+            lo *= 2
+        if name not in ("n", "k") or not vals:  # also a reversed range
+            raise ValueError(usage)
         grid[name] = vals
     if "n" not in grid or "k" not in grid:
         raise ValueError("grid needs both n= and k= entries")

@@ -505,6 +505,10 @@ def strengthen(enc: EncodedConstraint, new_k: int) -> None:
 # baseline encoders
 # ---------------------------------------------------------------------------
 
+# the binomial encoder refuses to enumerate more clauses than this
+BINOMIAL_MAX_CLAUSES = 10 ** 7
+
+
 def _forbid_all(formula: CnfFormula, lits: Sequence[Lit]) -> EncodedConstraint:
     """sum(lits) <= 0 as one negative unit per literal, for every method."""
     for lit in lits:
@@ -563,6 +567,10 @@ def _encode_totalizer(formula: CnfFormula, lits: Sequence[Lit], k: int) -> Encod
 
 
 def _encode_binomial(formula: CnfFormula, lits: Sequence[Lit], k: int) -> EncodedConstraint:
+    clauses = math.comb(len(lits), k + 1)
+    if clauses > BINOMIAL_MAX_CLAUSES:
+        raise ValueError(f"binomial at-most-{k} over {len(lits)} literals needs {clauses} "
+                         f"clauses, more than the limit of {BINOMIAL_MAX_CLAUSES}")
     for subset in combinations(lits, k + 1):
         formula.add_clause([neg(l) for l in subset])
     return EncodedConstraint(formula, tuple(lits), k)

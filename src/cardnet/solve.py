@@ -1,11 +1,14 @@
 """Drive an external SAT solver over DIMACS files for decision and optimization.
 
-External solvers are stateless across calls, so each iteration rewrites the
-base CNF (built once) plus the accumulated bound clauses.  Minimization
-starts with the binary bound-halving strategy and switches to sequential
-re-solving once the open interval is small; pure cardinality objectives are
-strengthened incrementally with unit clauses on the already-encoded counter
-outputs instead of fresh bound encodings.
+External solvers are stateless across calls, so minimization encodes the
+problem once and sends each call that base CNF plus the one objective bound
+under test, f <= bound - 1: a tighter bound implies every earlier one, and a
+disproved bound carries nothing the next call needs.  The bound comes from
+binary halving of the open interval [lower, upper] while it is at least the
+switch gap wide (binary strategy), and is the incumbent's value otherwise,
+until UNSAT proves optimality.  Every model is checked against the source
+constraints and improved by a greedy one-flip descent before its value
+becomes the new upper bound.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cnf import TRUE, CnfFormula, Lit, is_const
-from .encode import EncodeOptions, encode_atmost
+from .encode import EncodeOptions
 from .pb import PbConstraint, PbProblem, encode_goal_bound, encode_pb, normalize_pb
 
 
@@ -81,9 +84,9 @@ def run_external_solver(cnf_text: str, extra_units: Sequence[Lit],
 
     `clauses` are the clauses cnf_text holds, as `CnfFormula.dimacs_clauses`
     gives them: the text is sent as it is, with a new header and the units
-    appended.  Expects SAT-competition `s`/`v` output lines; a claimed model
-    is revalidated against `clauses` and the units, and a failing one
-    downgrades to UNKNOWN.
+    appended.  Expects SAT-competition `s`/`v` output lines.  Output with no
+    verdict or a malformed `v` token, and a claimed model that fails
+    revalidation against `clauses` and the units, give UNKNOWN.
     """
     units = [(lit,) for lit in extra_units if not is_const(lit)]
     header, _, body = cnf_text.partition("\n")
@@ -108,15 +111,18 @@ def run_external_solver(cnf_text: str, extra_units: Sequence[Lit],
         elapsed = time.monotonic() - started
         status = None
         values: list[int] = []
-        for line in proc.stdout.splitlines():
-            if line.startswith("s "):
-                verdict = line[2:].strip()
-                if verdict == "SATISFIABLE":
-                    status = "SAT"
-                elif verdict == "UNSATISFIABLE":
-                    status = "UNSAT"
-            elif line.startswith("v "):
-                values.extend(int(tok) for tok in line[2:].split())
+        try:
+            for line in proc.stdout.splitlines():
+                if line.startswith("s "):
+                    verdict = line[2:].strip()
+                    if verdict == "SATISFIABLE":
+                        status = "SAT"
+                    elif verdict == "UNSATISFIABLE":
+                        status = "UNSAT"
+                elif line.startswith("v "):
+                    values.extend(map(int, line[2:].split()))
+        except ValueError:      # a malformed v token
+            status = None
         if status is None:
             return SolverResult("UNKNOWN", wall_time=elapsed,
                                 exit_code=proc.returncode,
@@ -200,6 +206,49 @@ def _objective_value(objective: Sequence[tuple[int, Lit]], model: dict[int, bool
     return total
 
 
+def improve_model(constraints: Sequence[PbConstraint], objective: Sequence[tuple[int, Lit]],
+                  model: dict[int, bool]) -> dict[int, bool]:
+    """Greedy one-flip descent from a model that satisfies every constraint.
+
+    Objective variables are visited by decreasing |net coefficient|, ties by
+    variable, and each is set to its objective-lowering value when every
+    constraint still holds; passes repeat until none flips.  A flip never
+    undoes another, so each variable flips at most once, and each pass is
+    linear in the variables' occurrences.  The result satisfies every
+    constraint, has no larger objective value, and no single flip of an
+    objective variable lowers it further."""
+    gain: dict[int, int] = {}           # objective change when the variable turns true
+    for a, lit in objective:
+        if not is_const(lit):
+            gain[abs(lit)] = gain.get(abs(lit), 0) + (a if lit > 0 else -a)
+    occurs: dict[int, dict[int, int]] = {v: {} for v in gain}   # var -> {constraint: delta}
+    for ci, c in enumerate(constraints):
+        for a, lit in c.terms:
+            if not is_const(lit) and abs(lit) in occurs:
+                deltas = occurs[abs(lit)]
+                deltas[ci] = deltas.get(ci, 0) + (a if lit > 0 else -a)
+    inf = float("inf")
+    ranges = [(c.k if c.rel != "<=" else -inf, c.k if c.rel != ">=" else inf)
+              for c in constraints]
+    sums = [c.value(model) for c in constraints]
+    model = dict(model)
+    order = sorted((v for v, g in gain.items() if g), key=lambda v: (-abs(gain[v]), v))
+    flipped = True
+    while flipped:
+        flipped = False
+        for v in order:
+            want = gain[v] < 0
+            if model[v] == want:
+                continue
+            moves = [(ci, d if want else -d) for ci, d in occurs[v].items() if d]
+            if all(ranges[ci][0] <= sums[ci] + d <= ranges[ci][1] for ci, d in moves):
+                for ci, d in moves:
+                    sums[ci] += d
+                model[v] = want
+                flipped = True
+    return model
+
+
 def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
              cfg: MinimizeConfig | None = None) -> MinimizeResult:
     """Minimize the objective with binary bound halving then sequential
@@ -209,90 +258,38 @@ def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
     opts = opts or EncodeOptions()
     cfg = cfg or MinimizeConfig()
     enc = encode_problem(problem, opts)
-    formula = enc.formula
+    base = enc.formula
     objective = list(problem.objective)
+    lower = sum(a for a, _ in objective if a < 0)   # every model's value is >= lower
+    upper = best_model = bound = None
     sat_calls = 0
 
-    def solve_now(extra_units: Sequence[Lit] = ()) -> SolverResult:
-        nonlocal sat_calls
+    def result(status: str) -> MinimizeResult:
+        return MinimizeResult(status, value=upper, model=best_model, lower_bound=lower,
+                              upper_bound=upper, sat_calls=sat_calls)
+
+    while upper is None or upper > lower:
+        formula = base
+        if upper is not None:
+            bound = upper
+            if cfg.strategy == "binary" and upper - lower >= cfg.switch_gap:
+                bound = max(next_binary_bound(upper, lower, cfg.q), lower + 1)
+            formula = CnfFormula(base.next_var, list(base.clauses), base.trivially_unsat)
+            encode_goal_bound(formula, objective, bound, None, opts)
         sat_calls += 1
-        return run_external_solver(formula.write_dimacs(), extra_units, cfg,
-                                   formula.dimacs_clauses)
-
-    def project(model: dict[int, bool]) -> dict[int, bool]:
-        return {v: model.get(v, False) for v in range(1, problem.num_vars + 1)}
-
-    first = solve_now()
-    if first.status == "UNSAT":
-        return MinimizeResult("INFEASIBLE", sat_calls=sat_calls)
-    if first.status != "SAT":
-        return MinimizeResult("UNKNOWN", sat_calls=sat_calls)
-    best_model = project(first.model)
-    upper = _objective_value(objective, best_model)
-    lower = sum(a for a, _ in objective if a < 0)
-
-    if cfg.strategy == "binary":
-        while upper - lower >= cfg.switch_gap:
-            bound = next_binary_bound(upper, lower, cfg.q)
-            if bound <= lower:
-                break
-            flag = formula.fresh_var()
-            encode_goal_bound(formula, objective, bound, flag, opts)
-            res = solve_now([flag])
-            if res.status == "SAT":
-                model = project(res.model)
-                value = _objective_value(objective, model)
-                if value >= upper:
-                    return MinimizeResult("UNKNOWN", value=upper, model=best_model,
-                                          lower_bound=lower, upper_bound=upper,
-                                          sat_calls=sat_calls)
-                best_model, upper = model, value
-                formula.add_clause([flag])
-            elif res.status == "UNSAT":
-                lower = bound
-                formula.add_clause([-flag])  # disable, keep numbering stable
-            else:
-                return MinimizeResult("UNKNOWN", value=upper, model=best_model,
-                                      lower_bound=lower, upper_bound=upper,
-                                      sat_calls=sat_calls)
-
-    # sequential phase: tighten f <= upper - 1 until UNSAT proves optimality
-    counter = None  # incremental strengthening state for unit objectives
-    unit_objective = all(a == 1 for a, _ in objective)
-    while True:
-        if upper <= lower:
-            break
-        if unit_objective:
-            lits = [l for _, l in objective]
-            bound_k = upper - 1
-            if bound_k < 0:
-                break
-            if counter is None:
-                counter = encode_atmost(formula, lits, bound_k, opts)
-            else:
-                from .encode import strengthen
-
-                strengthen(counter, bound_k)
-                counter.k = bound_k
-        else:
-            encode_goal_bound(formula, objective, upper, None, opts)
-        res = solve_now()
+        res = run_external_solver(formula.write_dimacs(), (), cfg, formula.dimacs_clauses)
         if res.status == "UNSAT":
-            break
+            if upper is None:
+                return MinimizeResult("INFEASIBLE", sat_calls=sat_calls)
+            lower = bound
+            continue
         if res.status != "SAT":
-            return MinimizeResult("UNKNOWN", value=upper, model=best_model,
-                                  lower_bound=lower, upper_bound=upper,
-                                  sat_calls=sat_calls)
-        model = project(res.model)
-        value = _objective_value(objective, model)
-        if value >= upper:
-            return MinimizeResult("UNKNOWN", value=upper, model=best_model,
-                                  lower_bound=lower, upper_bound=upper,
-                                  sat_calls=sat_calls)
-        best_model, upper = model, value
+            return result("UNKNOWN")
+        model = {v: res.model.get(v, False) for v in range(1, problem.num_vars + 1)}
+        if not _check_model(enc.constraints, model) or (
+                upper is not None and _objective_value(objective, model) >= bound):
+            return result("UNKNOWN")
+        best_model = improve_model(enc.constraints, objective, model)
+        upper = _objective_value(objective, best_model)
 
-    if not _check_model(enc.constraints, best_model):
-        return MinimizeResult("UNKNOWN", value=upper, model=best_model,
-                              lower_bound=lower, upper_bound=upper, sat_calls=sat_calls)
-    return MinimizeResult("OPTIMAL", value=upper, model=best_model,
-                          lower_bound=lower, upper_bound=upper, sat_calls=sat_calls)
+    return result("OPTIMAL" if _check_model(enc.constraints, best_model) else "UNKNOWN")

@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,16 @@ def test_cli_encode_deterministic(tmp_path):
     assert run_cli(["encode", str(src), "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     parse_dimacs(out1.read_text())  # well-formed
+
+
+def test_cli_binomial_too_large_fails_fast(tmp_path, capsys):
+    # C(60, 11) is about 3.4e11 clauses; the guard refuses before emitting any
+    src = tmp_path / "wide.cnfp"
+    src.write_text("p cnf+ 60 1\n" + " ".join(map(str, range(1, 61))) + " <= 10\n")
+    started = time.monotonic()
+    code = run_cli(["encode", str(src), "--method", "binomial", "-o", str(tmp_path / "x.cnf")])
+    assert code == 3 and time.monotonic() - started < 1.0
+    assert "342700125300 clauses" in capsys.readouterr().err
 
 
 def test_cli_encode_parse_error_exit_code(tmp_path, capsys):
@@ -250,6 +261,14 @@ def test_stats_grid_range_from_zero_is_usage_error(capsys):
     assert "starts at 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["n=8..4,k=1..2", "n=4;8,k=;", "n=4..x,k=1"])
+def test_stats_grid_reversed_or_empty_is_usage_error(capsys, grid):
+    # a reversed range gave an empty list, and stats printed only its header
+    assert run_cli(["stats", "--methods", "oe4", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "grid entries look like" in captured.err
+
+
 def test_stats_grid_negative_range_is_usage_error(capsys):
     # doubling from -1 ran until memory was exhausted
     assert run_cli(["stats", "--methods", "oe4", "--grid", "n=4..8,k=-1..2"]) == 1
@@ -328,3 +347,17 @@ def test_cli_solver_failure_exit_code(tmp_path):
     src.write_text("p cnf+ 2 1\n1 2 0\n")
     code = run_cli(["solve", str(src), "--solver", "/nonexistent/solver {cnf}"])
     assert code == 4
+
+
+def test_cli_malformed_solver_model_is_solver_failure(tmp_path, capsys):
+    script = tmp_path / "fake_solver.py"
+    script.write_text("print('s SATISFIABLE')\nprint('v 1 x2 0')\n")
+    solver = f"{sys.executable} {script} {{cnf}}"
+    opb = tmp_path / "inst.opb"
+    opb.write_text("min: +1 x1 +1 x2 ;\n+1 x1 +1 x2 >= 1 ;\n")
+    assert run_cli(["optimize", str(opb), "--solver", solver]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    src = tmp_path / "inst.cnfp"
+    src.write_text("p cnf+ 2 1\n1 2 0\n")
+    assert run_cli(["solve", str(src), "--solver", solver]) == 4
+    assert "solver failed: unparseable solver output" in capsys.readouterr().err

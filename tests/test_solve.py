@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
-from cardnet.pb import PbConstraint, PbProblem
+import cardnet.solve as solve
+from cardnet.cnf import CnfFormula
+from cardnet.pb import PbConstraint, PbProblem, encode_goal_bound
 from cardnet.sat import dpll_sat
-from cardnet.solve import (MinimizeConfig, encode_problem, minimize,
-                           next_binary_bound, run_external_solver, solve_decision)
+from cardnet.solve import (MinimizeConfig, _objective_value, encode_problem, improve_model,
+                           minimize, next_binary_bound, run_external_solver, solve_decision)
 
 from conftest import formula_from_clauses, solver_cmd
 
@@ -52,6 +54,14 @@ def test_run_external_solver_rejects_lying_solver():
 def test_run_external_solver_unparseable():
     res = send(1, [(1,)], config=MinimizeConfig(solver_cmd=f'{sys.executable} -c "print(42)"'))
     assert res.status == "UNKNOWN"
+
+
+def test_run_external_solver_malformed_model_token(tmp_path):
+    script = tmp_path / "fake_solver.py"
+    script.write_text("print('s SATISFIABLE')\nprint('v 1 x2 0')\n")
+    res = send(2, [(1,)], config=MinimizeConfig(solver_cmd=f"{sys.executable} {script} {{cnf}}"))
+    assert res.status == "UNKNOWN"
+    assert res.diagnostic == "unparseable solver output"
 
 
 def test_run_external_solver_spawn_failure():
@@ -128,9 +138,12 @@ def brute_force_optimum(cons, obj, n):
     return best
 
 
-@pytest.mark.parametrize("strategy,gap", [("sequential", 96), ("binary", 96), ("binary", 1)])
-def test_minimize_matches_brute_force(strategy, gap):
-    rng = random.Random(41 + gap)
+@pytest.mark.parametrize("strategy,gap,unit", [
+    pytest.param(strategy, gap, unit, id=f"{strategy}-{gap}" + "-unit" * unit)
+    for unit in (False, True)
+    for strategy, gap in (("sequential", 96), ("binary", 96), ("binary", 1), ("binary", 2))])
+def test_minimize_matches_brute_force(strategy, gap, unit):
+    rng = random.Random(41 + gap + 100 * unit)
     for _ in range(8):
         n = rng.randint(2, 5)
         cons = []
@@ -140,7 +153,10 @@ def test_minimize_matches_brute_force(strategy, gap):
             cons.append(PbConstraint(tuple(zip(coeffs, lits)),
                                      rng.choice([">=", "<=", "="]),
                                      rng.randint(0, sum(coeffs))))
-        obj = [(rng.randint(-5, 5), i + 1) for i in range(n)]
+        if unit:    # all coefficients 1, over literals of either polarity
+            obj = [(1, (i + 1) * rng.choice((1, -1))) for i in range(n)]
+        else:
+            obj = [(rng.randint(-5, 5), i + 1) for i in range(n)]
         prob = PbProblem(cons, obj, {f"x{i}": i for i in range(1, n + 1)})
         want = brute_force_optimum(cons, obj, n)
         res = minimize(prob, cfg=cfg(strategy=strategy, switch_gap=gap))
@@ -148,7 +164,89 @@ def test_minimize_matches_brute_force(strategy, gap):
             assert res.status == "INFEASIBLE"
         else:
             assert res.status == "OPTIMAL" and res.value == want
+            assert _objective_value(obj, res.model) == res.value
             assert all(c.holds(res.model) for c in cons)
+
+
+def knapsack(values, weights, capacity):
+    n = len(values)
+    return PbProblem([PbConstraint(tuple((w, i + 1) for i, w in enumerate(weights)),
+                                   "<=", capacity)],
+                     [(-v, i + 1) for i, v in enumerate(values)],
+                     {f"x{i}": i for i in range(1, n + 1)})
+
+
+@pytest.mark.parametrize("strategy,gap", [("sequential", 96), ("binary", 1)])
+def test_minimize_sends_the_problem_plus_one_bound(monkeypatch, strategy, gap):
+    # takes more than two calls under both strategies, so stacked bounds would show
+    values = [10, 9, 9, 8, 7, 7, 6, 5, 5, 4]
+    weights = [7, 6, 6, 5, 5, 4, 4, 3, 3, 2]
+    prob = knapsack(values, weights, 20)
+    sent = []
+    real = solve.run_external_solver
+
+    def counting(cnf_text, extra_units, config, clauses):
+        sent.append(len(clauses) + len(extra_units))
+        return real(cnf_text, extra_units, config, clauses)
+
+    monkeypatch.setattr(solve, "run_external_solver", counting)
+    res = minimize(prob, cfg=cfg(strategy=strategy, switch_gap=gap))
+    assert res.status == "OPTIMAL"
+    assert res.value == brute_force_optimum(prob.constraints, prob.objective, len(values))
+    assert len(sent) == res.sat_calls >= 3
+    base = encode_problem(prob).formula
+    assert sent[0] == base.num_clauses
+    one_bound = 0
+    for bound in range(-sum(values), 1):
+        f = CnfFormula(base.next_var, list(base.clauses))
+        encode_goal_bound(f, prob.objective, bound, None)
+        one_bound = max(one_bound, f.num_clauses - base.num_clauses)
+    assert all(count <= sent[0] + one_bound for count in sent[1:]), sent
+
+
+def random_feasible_problem(rng):
+    """(constraints, objective, model): model satisfies every constraint."""
+    n = rng.randint(2, 7)
+    model = {v: rng.random() < 0.5 for v in range(1, n + 1)}
+    cons = []
+    for _ in range(rng.randint(1, 3)):
+        terms = tuple((rng.randint(1, 9), v * rng.choice((1, -1)))
+                      for v in rng.sample(range(1, n + 1), rng.randint(1, n)))
+        rel = rng.choice([">=", "<=", "="])
+        slack = {"<=": rng.randint(0, 5), ">=": -rng.randint(0, 5), "=": 0}[rel]
+        cons.append(PbConstraint(terms, rel, PbConstraint(terms, rel, 0).value(model) + slack))
+    obj = [(rng.randint(-6, 6), v * rng.choice((1, -1))) for v in range(1, n + 1)
+           if rng.random() < 0.8]
+    obj += [(rng.randint(-6, 6), rng.randint(1, n))]   # a variable may recur
+    return cons, obj, model
+
+
+def test_improve_model_descends_to_a_one_flip_local_optimum():
+    rng = random.Random(7)
+    for _ in range(300):
+        cons, obj, model = random_feasible_problem(rng)
+        before = dict(model)
+        better = improve_model(cons, obj, model)
+        assert model == before                          # the input is not changed
+        assert improve_model(cons, obj, model) == better   # deterministic
+        assert all(c.holds(better) for c in cons)
+        value = _objective_value(obj, better)
+        assert value <= _objective_value(obj, model)
+        for v in better:
+            flipped = {**better, v: not better[v]}
+            assert not (all(c.holds(flipped) for c in cons)
+                        and _objective_value(obj, flipped) < value), (cons, obj, v)
+
+
+def test_improve_model_visit_order_and_passes():
+    # room for one of two items: the larger |coefficient| wins, a tie goes to x1
+    cons = [PbConstraint(((1, 1), (1, 2)), "<=", 1)]
+    assert improve_model(cons, [(-3, 1), (-5, 2)], {1: False, 2: False}) == {1: False, 2: True}
+    assert improve_model(cons, [(-4, 2), (-4, 1)], {1: False, 2: False}) == {1: True, 2: False}
+    # x2, the heavier objective term, may drop only after x1 has: x2 >= x1
+    cons = [PbConstraint(((1, 2), (1, -1)), ">=", 1)]
+    obj = [(1, 1), (5, 2)]
+    assert improve_model(cons, obj, {1: True, 2: True}) == {1: False, 2: False}
 
 
 def test_encode_problem_projects_input_vars():
