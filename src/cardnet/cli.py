@@ -168,7 +168,8 @@ def _cmd_optimize(args) -> int:
         return EXIT_OK
     if result.status != "OPTIMAL":
         return _fail(EXIT_SOLVER, f"optimization aborted with bounds "
-                                  f"[{result.lower_bound}, {result.upper_bound}]")
+                                  f"[{result.lower_bound}, {result.upper_bound}]: "
+                                  f"{result.diagnostic}")
     print(f"o {result.value}")
     print("s OPTIMUM FOUND")
     lits = [v if result.model[v] else -v for v in sorted(result.model)]

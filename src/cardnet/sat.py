@@ -1,13 +1,13 @@
 """Unit propagation, the built-in CDCL solver, and propagation-quality
-harnesses.
+harnesses, all on one watched-literal core.
 
-`Propagator` uses occurrence lists with a FIFO scan queue so trails are
-deterministic and reproducible; the arc-consistency and forward-propagation
-harnesses drive it.  `dpll_sat` is a separate, iterative CDCL search after
-Eén and Sörensson, "An Extensible SAT-solver" (SAT 2003): an explicit trail,
-two watched literals, first-UIP learning with backjumping, VSIDS decisions
-with phase saving, and Luby restarts.  It is deterministic and keeps no
-recursion, so its depth is not bounded by the interpreter's stack.
+`_Search` is an iterative CDCL search after Eén and Sörensson, "An
+Extensible SAT-solver" (SAT 2003): an explicit trail, two watched literals,
+first-UIP learning with backjumping, VSIDS decisions with phase saving, and
+Luby restarts, with no recursion.  `dpll_sat` runs its search.  The
+harnesses and `Propagator`, a view in `Assignment` records, use only its
+propagation: index a formula once, then per scenario reset to the root and
+assume literals one at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .cnf import FALSE, TRUE, CnfFormula, Lit, is_const
+from .cnf import FALSE, TRUE, CnfFormula, Lit
 
 
 class Assignment:
@@ -52,78 +52,56 @@ class UpResult:
         self.conflict_clause = conflict_clause
 
 
+def _check_literal(lit, num_vars: int | None = None) -> int:
+    """lit, when it is an int literal (not a bool, not 0) over a variable no
+    larger than num_vars if that is given; otherwise ValueError."""
+    if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
+        raise ValueError(f"malformed literal {lit!r}")
+    if num_vars is not None and abs(lit) > num_vars:
+        raise ValueError(f"literal {lit} uses an unallocated variable")
+    return lit
+
+
 class Propagator:
-    """Reusable occurrence index over an immutable clause list."""
+    """Unit propagation over one formula, read and written as `Assignment`
+    records: a view of one `_Search` core, indexed and propagated at the
+    root once."""
 
     def __init__(self, formula: CnfFormula):
-        self.trivially_unsat = formula.trivially_unsat
-        self.clauses = list(formula.clauses)
-        self.occ: dict[int, list[int]] = {}
-        for idx, clause in enumerate(self.clauses):
-            for lit in clause:
-                self.occ.setdefault(lit, []).append(idx)
-        self.initial_units = [c[0] for c in self.clauses if len(c) == 1]
+        self.num_vars = formula.next_var - 1
+        self.core = _Search(self.num_vars, formula.clauses)
+        self.core.start()
+        if formula.trivially_unsat:
+            self.core.root_conflict = []    # the empty clause, which is not stored
 
     def propagate(self, assignment: Assignment,
                   seeds: Sequence[int] = ()) -> UpResult:
-        """Extend the assignment to a UP fixpoint; seeds are asserted first.
+        """Extend the assignment to a UP fixpoint: reset the core, then
+        assume the assignment's literals and the seeds in turn.
 
-        A clause already falsified by the seeds is an immediate conflict.
+        Literals the core assigned are appended to the assignment in trail
+        order, seeds as "decision" and the rest as "propagated".  A conflict
+        reports the falsified clause as the core holds it, (lit,) for a
+        literal already false, or () for a trivially unsatisfiable formula.
+        A malformed literal, or one over an unallocated variable, raises
+        ValueError.
         """
-        if self.trivially_unsat:
-            return UpResult("conflict", assignment, ())
-        queue: list[int] = []
-        head = 0
-
-        def enqueue(lit: int, reason: str) -> tuple[int, ...] | None:
-            val = assignment.lit_value(lit)
-            if val is True:
-                return None
-            if val is False:
-                return (lit,)
-            assignment.assign(lit, reason)
-            queue.append(lit)
-            return None
-
-        for lit in self.initial_units:
-            conf = enqueue(lit, "propagated")
-            if conf is not None:
-                return UpResult("conflict", assignment, self._unit_reason(lit))
-        for lit in seeds:
-            conf = enqueue(lit, "decision")
-            if conf is not None:
-                return UpResult("conflict", assignment, conf)
-        # scan clauses watching the negations of newly-true literals, FIFO
-        while head < len(queue):
-            lit = queue[head]
-            head += 1
-            for cidx in self.occ.get(-lit, ()):
-                clause = self.clauses[cidx]
-                unassigned = None
-                satisfied = False
-                for l in clause:
-                    v = assignment.lit_value(l)
-                    if v is True:
-                        satisfied = True
-                        break
-                    if v is None:
-                        if unassigned is not None:
-                            unassigned = False  # two free literals, not unit
-                            break
-                        unassigned = l
-                if satisfied or unassigned is False:
-                    continue
-                if unassigned is None:
-                    return UpResult("conflict", assignment, clause)
-                assignment.assign(unassigned, "propagated")
-                queue.append(unassigned)
+        lits = [_check_literal(lit, self.num_vars) for lit in chain(
+            (var if val else -var for var, val in assignment.values.items()), seeds)]
+        core = self.core
+        if core.reset():
+            for lit in lits:
+                if not core.assume(lit):
+                    break
+        values, level, reason = assignment.values, core.level, core.reason
+        for lit in core.trail:
+            var = lit if lit > 0 else -lit
+            if var not in values:
+                assignment.assign(lit, "decision" if level[var] and reason[var] is None
+                                  else "propagated")
+        if core.conflict is not None:
+            return UpResult("conflict", assignment, tuple(core.conflict))
         return UpResult("fixpoint", assignment)
-
-    def _unit_reason(self, lit: int) -> tuple[int, ...]:
-        for clause in self.clauses:
-            if clause == (lit,):
-                return clause
-        return (lit,)
 
 
 def unit_propagate(formula: CnfFormula, seed: Assignment | Iterable[int] | None = None) -> UpResult:
@@ -147,10 +125,7 @@ def dpll_sat(formula: CnfFormula, assumptions: Sequence[Lit] = ()) -> tuple[str,
     """
     if formula.trivially_unsat or any(a is FALSE for a in assumptions):
         return "UNSAT", None
-    units = [a for a in assumptions if a is not TRUE]
-    for a in units:
-        if not isinstance(a, int) or isinstance(a, bool) or a == 0:
-            raise ValueError(f"malformed literal {a!r}")
+    units = [_check_literal(a) for a in assumptions if a is not TRUE]
     num_vars = max(formula.next_var - 1, max(map(abs, units), default=0))
     search = _Search(num_vars, formula.clauses)
     if not search.solve(units):
@@ -220,6 +195,8 @@ class _Search:
         self.phase: list[bool] = []
         self.seen: list[bool] = []
         self.var_inc = 1.0
+        self.root_conflict: list[int] | None = None
+        self.conflict: list[int] | None = None
 
     def _attach(self, clause: list[int]) -> list[int]:
         """Index a clause of two or more literals; returns it in the form
@@ -309,12 +286,44 @@ class _Search:
         self.qhead = qhead
         return None
 
+    def start(self, assumptions: Iterable[int] = ()) -> bool:
+        """Assert the unit clauses and assumptions at the root and propagate
+        them; on a conflict return False and keep the falsified clause, or
+        [lit] for a literal already false, in `root_conflict`."""
+        for lit in chain(self.units, assumptions):
+            if not self.assign(lit, None):
+                self.root_conflict = [lit]
+                return False
+        self.root_conflict = self.propagate()
+        return self.root_conflict is None
+
+    def assume(self, lit: int) -> bool:
+        """Open a decision level, assign lit and propagate; on a conflict
+        return False and keep the falsified clause, or [lit] when lit was
+        already false, in `conflict`."""
+        self.trail_lim.append(len(self.trail))
+        self.conflict = self.propagate() if self.assign(lit, None) else [lit]
+        return self.conflict is None
+
+    def reset(self) -> bool:
+        """Undo every assignment above the root; False when the root itself
+        conflicts.  Unlike `_backtrack` this touches values only, so it
+        works before `solve` has run."""
+        self.conflict = self.root_conflict
+        if self.trail_lim:
+            value, trail = self.value, self.trail
+            start = self.trail_lim[0]
+            for lit in trail[start:]:
+                value[lit] = None
+                value[-lit] = None
+            del trail[start:]
+            self.trail_lim.clear()
+            self.qhead = start
+        return self.conflict is None
+
     def solve(self, assumptions: Sequence[int]) -> bool:
         """Search for a model extending the unit clauses and assumptions."""
-        for lit in self.units + list(assumptions):
-            if not self.assign(lit, None):
-                return False
-        if self.propagate() is not None:
+        if not self.start(assumptions):
             return False
         value = self.value
         occurring = set(map(abs, chain.from_iterable(self.long)))
@@ -467,12 +476,6 @@ class CheckReport:
         self.detail = detail
 
 
-def _input_true_seed(lit: Lit) -> int:
-    if is_const(lit):
-        raise ValueError("constant input literal in scenario")
-    return lit
-
-
 def check_arc_consistency(enc, k: int, scenario: Sequence[int],
                           extra: int | None = None,
                           prop: Propagator | None = None) -> CheckReport:
@@ -486,28 +489,23 @@ def check_arc_consistency(enc, k: int, scenario: Sequence[int],
     if len(scenario) != k:
         raise ValueError("scenario must list exactly k input positions")
     prop = prop or Propagator(enc.formula)
-    res = prop.propagate(Assignment())
-    if res.status == "conflict":
+    core = prop.core
+    if not core.reset():
         return CheckReport(False, "conflict at step 0")
-    assignment = res.assignment
+    inputs = enc.input_lits
     for step, idx in enumerate(scenario):
-        res = prop.propagate(assignment, [_input_true_seed(enc.input_lits[idx])])
-        if res.status == "conflict":
+        if not core.assume(_check_literal(inputs[idx], prop.num_vars)):
             return CheckReport(False, f"conflict at step {step}")
-        assignment = res.assignment
+    value = core.value
     members = set(scenario)
-    for idx, lit in enumerate(enc.input_lits):
-        if idx in members:
-            continue
-        if assignment.lit_value(lit) is not False:
+    for idx, lit in enumerate(inputs):
+        if idx not in members and value[lit] is not False:
             return CheckReport(False, f"input {idx} not propagated to 0")
     if extra is None:
-        others = [i for i in range(len(enc.input_lits)) if i not in members]
-        if not others:
+        extra = next((i for i in range(len(inputs)) if i not in members), None)
+        if extra is None:
             return CheckReport(True)
-        extra = others[0]
-    res = prop.propagate(assignment, [_input_true_seed(enc.input_lits[extra])])
-    if res.status != "conflict":
+    if core.assume(_check_literal(inputs[extra], prop.num_vars)):
         return CheckReport(False, "no conflict on the (k+1)-th input")
     return CheckReport(True)
 
@@ -520,16 +518,17 @@ def check_forward_prop(enc, i: int, subset: Sequence[int],
     if i > len(enc.output_lits):
         raise ValueError("i exceeds the exposed outputs")
     prop = prop or Propagator(enc.formula)
-    res = prop.propagate(Assignment(),
-                         [_input_true_seed(enc.input_lits[idx]) for idx in subset])
+    core = prop.core
+    seeds = [_check_literal(enc.input_lits[idx], prop.num_vars) for idx in subset]
+    conflict = not (core.reset() and all(map(core.assume, seeds)))
     if i <= enc.k:
-        if res.status == "conflict":
+        if conflict:
             return CheckReport(False, "unexpected conflict")
         for j in range(i):
-            if res.assignment.lit_value(enc.output_lits[j]) is not True:
+            if core.value[enc.output_lits[j]] is not True:
                 return CheckReport(False, f"output {j + 1} not set by UP")
         return CheckReport(True)
     # i == k+1: forward propagation reaches the asserted output, conflicting
-    if res.status != "conflict":
+    if not conflict:
         return CheckReport(False, "no conflict past the bound")
     return CheckReport(True)

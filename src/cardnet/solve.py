@@ -61,6 +61,7 @@ class MinimizeResult:
     lower_bound: int | None = None
     upper_bound: int | None = None
     sat_calls: int = 0
+    diagnostic: str = ""         # why an UNKNOWN result gave up
 
 
 def next_binary_bound(upper: int, lower: int, q: int) -> int:
@@ -264,9 +265,9 @@ def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
     upper = best_model = bound = None
     sat_calls = 0
 
-    def result(status: str) -> MinimizeResult:
+    def result(status: str, diagnostic: str = "") -> MinimizeResult:
         return MinimizeResult(status, value=upper, model=best_model, lower_bound=lower,
-                              upper_bound=upper, sat_calls=sat_calls)
+                              upper_bound=upper, sat_calls=sat_calls, diagnostic=diagnostic)
 
     while upper is None or upper > lower:
         formula = base
@@ -284,12 +285,15 @@ def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
             lower = bound
             continue
         if res.status != "SAT":
-            return result("UNKNOWN")
+            return result("UNKNOWN", res.diagnostic)
         model = {v: res.model.get(v, False) for v in range(1, problem.num_vars + 1)}
-        if not _check_model(enc.constraints, model) or (
-                upper is not None and _objective_value(objective, model) >= bound):
-            return result("UNKNOWN")
+        if not _check_model(enc.constraints, model):
+            return result("UNKNOWN", "model violates source constraints")
+        if upper is not None and _objective_value(objective, model) >= bound:
+            return result("UNKNOWN", "model does not beat the bound")
         best_model = improve_model(enc.constraints, objective, model)
         upper = _objective_value(objective, best_model)
 
-    return result("OPTIMAL" if _check_model(enc.constraints, best_model) else "UNKNOWN")
+    if not _check_model(enc.constraints, best_model):
+        return result("UNKNOWN", "model violates source constraints")
+    return result("OPTIMAL")

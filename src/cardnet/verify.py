@@ -19,7 +19,7 @@ from .encode import (METHODS, MIXED_METHODS, DirectMixer, EncodeOptions, cnf_cos
                      encode_atmost, method_network, recursive_cost)
 from .formulas import registry
 from .network import Network, thresholds
-from .sat import check_arc_consistency, dpll_sat
+from .sat import Propagator, check_arc_consistency, dpll_sat
 
 
 def _input_masks(n: int) -> tuple[list[int], int]:
@@ -98,11 +98,12 @@ def run_ac(limit: int = 6, log=print) -> bool:
                 lits = formula.fresh_vars(n)
                 enc = encode_atmost(formula, lits, k,
                                     EncodeOptions(method=method))
+                prop = Propagator(formula)
                 subsets = list(combinations(range(n), k))
                 if len(subsets) > 20:
                     subsets = rng.sample(subsets, 20)
                 for subset in subsets:
-                    report = check_arc_consistency(enc, k, subset)
+                    report = check_arc_consistency(enc, k, subset, prop=prop)
                     if not report.passed:
                         ok = False
                         log(f"  FAIL ac {method} n={n} k={k} {subset}: {report.detail}")

@@ -92,6 +92,37 @@ def formula_from_clauses(num_vars, clauses):
     return f
 
 
+def naive_unit_propagate(clauses, seeds):
+    """Reference unit propagation: assert the seeds in order, then rescan
+    every clause until none is unit.  Returns ("conflict", None) or
+    ("fixpoint", values) with values a dict var -> bool.  Clauses may repeat
+    literals and hold complementary pairs."""
+    values = {}
+
+    def holds(lit):
+        val = values.get(abs(lit))
+        return None if val is None else val == (lit > 0)
+
+    for lit in seeds:
+        if holds(lit) is False:
+            return "conflict", None
+        values[abs(lit)] = lit > 0
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(holds(lit) for lit in clause):
+                continue
+            free = {lit for lit in clause if holds(lit) is None}
+            if not free:
+                return "conflict", None
+            if len(free) == 1:
+                (lit,) = free
+                values[abs(lit)] = lit > 0
+                changed = True
+    return "fixpoint", values
+
+
 def planted_binary_formula(num_vars, num_clauses, seed):
     """Random binary clauses, each true under a planted assignment."""
     rng = random.Random(seed)

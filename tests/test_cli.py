@@ -356,7 +356,9 @@ def test_cli_malformed_solver_model_is_solver_failure(tmp_path, capsys):
     opb = tmp_path / "inst.opb"
     opb.write_text("min: +1 x1 +1 x2 ;\n+1 x1 +1 x2 >= 1 ;\n")
     assert run_cli(["optimize", str(opb), "--solver", solver]) == 4
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "optimization aborted with bounds [0, None]: unparseable solver output" in err
     src = tmp_path / "inst.cnfp"
     src.write_text("p cnf+ 2 1\n1 2 0\n")
     assert run_cli(["solve", str(src), "--solver", solver]) == 4

@@ -1,19 +1,28 @@
-"""Randomized equisatisfiability of the cardinality and PB encoders.
+"""Randomized equisatisfiability of the cardinality and PB encoders, and
+randomized checks of unit propagation and the propagation harnesses.
 
 Literal lists deliberately repeat literals, hold complementary pairs and the
 constants TRUE and FALSE, so clause emission meets both of its paths: whole
 clause families over distinct variables, and per-clause simplification for
 everything else.  Under every full fixing of the input variables the encoding
 must be satisfiable exactly when the constraint holds.
+
+Unit propagation must reach the status and fixpoint of a naive reference
+that rescans every clause, and every network encoding must pass the
+arc-consistency and forward-propagation harnesses on random scenarios.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardnet.cnf import FALSE, TRUE, CnfFormula
-from cardnet.encode import METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions, encode_card
+from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions,
+                            encode_atmost, encode_card)
 from cardnet.pb import PbConstraint, encode_pb, normalize_pb
-from cardnet.sat import dpll_sat
+from cardnet.sat import (Propagator, check_arc_consistency, check_forward_prop, dpll_sat,
+                         unit_propagate)
+
+from conftest import formula_from_clauses, naive_unit_propagate
 
 NUM_VARS = 4
 
@@ -72,3 +81,47 @@ def test_encode_pb_equisatisfiable(terms, rel, k, opts):
         return {"<=": total <= k, ">=": total >= k, "=": total == k}[rel]
 
     _check_equisat(f, holds)
+
+
+@st.composite
+def cnf_with_seeds(draw):
+    """Clauses of 1-3 literals over at most 8 variables, with repeated
+    literals and complementary pairs, and a list of seed literals."""
+    n = draw(st.integers(1, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3).map(tuple), max_size=16))
+    return n, clauses, draw(st.lists(lit, max_size=5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=cnf_with_seeds())
+def test_unit_propagate_matches_naive_oracle(case):
+    n, clauses, seeds = case
+    status, values = naive_unit_propagate(clauses, seeds)
+    f = formula_from_clauses(n, clauses)
+    res = unit_propagate(f, seeds)
+    assert res.status == status
+    trail = res.assignment.trail
+    assert {var: val for var, val, _ in trail} == res.assignment.values
+    assert len(trail) == len(res.assignment.values)
+    if status == "fixpoint":
+        assert res.assignment.values == values
+        again = unit_propagate(f, res.assignment)    # a fixpoint stays put
+        assert again.status == "fixpoint" and again.assignment.values == values
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(NETWORK_METHODS), n=st.integers(2, 12), data=st.data())
+def test_harnesses_pass_on_random_scenarios(method, n, data):
+    k = data.draw(st.integers(0, n - 1))
+    f = CnfFormula()
+    enc = encode_atmost(f, f.fresh_vars(n), k, EncodeOptions(method=method))
+    prop = Propagator(f)
+    positions = st.integers(0, n - 1)
+    for _ in range(3):      # one propagator serves every scenario
+        scenario = data.draw(st.lists(positions, min_size=k, max_size=k, unique=True))
+        assert check_arc_consistency(enc, k, scenario, prop=prop).passed
+        if enc.output_lits:
+            i = data.draw(st.integers(0, min(k + 1, len(enc.output_lits))))
+            subset = data.draw(st.lists(positions, min_size=i, max_size=i, unique=True))
+            assert check_forward_prop(enc, i, subset, prop=prop).passed

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from cardnet.cnf import FALSE, TRUE, CnfFormula
 from cardnet.encode import EncodeOptions, encode_atmost
 from cardnet.sat import (Assignment, Propagator, check_arc_consistency,
@@ -58,6 +60,40 @@ def test_up_confluence_random_orders():
                    frozenset(res.assignment.values.items()) if res.status == "fixpoint" else None)
             results.add(key)
         assert len(results) == 1
+
+
+@pytest.mark.parametrize("seed", [True, False, 0, 1.0, "1", TRUE, 4, -4])
+def test_up_rejects_malformed_seeds(seed):
+    # bools, 0 and non-ints are malformed; variable 4 is not allocated and
+    # would alias another literal's slot in the core's signed-index arrays
+    f = formula_from_clauses(3, [(-1, 2)])
+    with pytest.raises(ValueError, match="malformed literal|unallocated"):
+        unit_propagate(f, [1, seed])
+    if seed is not TRUE and seed not in (4, -4):   # dpll_sat ignores TRUE, sizes to 4
+        with pytest.raises(ValueError, match="malformed literal"):
+            dpll_sat(f, [seed])
+
+
+def test_up_rejects_unallocated_assignment():
+    f = formula_from_clauses(3, [(-1, 2)])
+    with pytest.raises(ValueError, match="unallocated"):
+        Propagator(f).propagate(Assignment({4: True}))
+
+
+def test_up_reasons_and_conflict_clauses():
+    # root units first, then each seed and what it implies
+    f = formula_from_clauses(4, [(3,), (-1, 2), (-2, -4)])
+    res = unit_propagate(f, [1])
+    assert res.assignment.trail == [(3, True, "propagated"), (1, True, "decision"),
+                                    (2, True, "propagated"), (4, False, "propagated")]
+    res = unit_propagate(f, [1, 4])
+    assert res.status == "conflict" and res.conflict_clause == (4,)
+    res = unit_propagate(formula_from_clauses(2, [(-1, 2), (-1, -2)]), [1])
+    assert res.status == "conflict" and sorted(res.conflict_clause) == [-2, -1]
+    assert unit_propagate(formula_from_clauses(2, [(1,), (-1,)])).conflict_clause == (-1,)
+    g = formula_from_clauses(1, [(1,)])
+    g.add_clause([FALSE])
+    assert unit_propagate(g, [1]).conflict_clause == ()
 
 
 def test_dpll_examples():
