@@ -3,8 +3,12 @@
 All builders are deterministic pure functions: identical parameters produce
 identical gate lists and wire numbering, so downstream CNF output is
 byte-identical across runs.  Internal helpers operate on (network, wire-list)
-pairs; the public functions wrap them in a fresh Network whose inputs are the
-wire list and whose outputs are the constructed sequence.
+pairs.  The selection-network methods are their level builders
+(_emit_*_sel), which encode.method_network alone turns into networks; the
+public functions here wrap the sub-constructions (mergers, splitters, the
+sorter, the four-wise slope phase, the combine, direct selectors) and mw_sel,
+the four-wise selection over an explicit column profile, in a fresh Network
+whose inputs are the wire list and whose outputs are the constructed sequence.
 
 Convention: every sorting/selection result is in non-increasing order, and a
 "selection" result is a full-length sequence whose k-prefix holds the k
@@ -109,16 +113,6 @@ def _emit_oe_sort(net: Network, wires: Sequence[int]) -> list[int]:
     return _emit_oe_merge(net, a, b)
 
 
-def oe_merge2(n: int) -> Network:
-    """Odd-even merger; the two sorted halves are input slots 1..n/2, n/2+1..n."""
-    if not _is_pow2(n) or n < 2:
-        raise ValueError("odd-even merger needs n a power of 2, n >= 2")
-    net = Network(n)
-    wires = net.input_wires()
-    net.set_outputs(_emit_oe_merge(net, wires[: n // 2], wires[n // 2:]))
-    return net
-
-
 def oe_merge_general(p: int, q: int) -> Network:
     """Odd-even merger of sorted sequences of lengths p and q (any lengths)."""
     net = Network(p + q)
@@ -187,15 +181,6 @@ def _emit_bit_sel(net: Network, wires: list[int], k: int) -> list[int]:
     return blocks[0] + residue
 
 
-def bit_sel(n: int, k: int) -> Network:
-    """Bitonic block selection network."""
-    if not (_is_pow2(n) and _is_pow2(k) and 1 <= k <= n):
-        raise ValueError("bitonic selection needs n, k powers of 2 with k <= n")
-    net = Network(n)
-    net.set_outputs(_emit_bit_sel(net, net.input_wires(), k))
-    return net
-
-
 # ---------------------------------------------------------------------------
 # pairwise selection
 # ---------------------------------------------------------------------------
@@ -262,17 +247,6 @@ def _emit_pw_sel(net: Network, wires: list[int], k: int, variant: str) -> list[i
     if variant == "classic":
         return _emit_pw_merge_classic(net, l, r, k)
     return _emit_pw_merge_bitonic(net, l, r, k, half=(variant == "half_bitonic"))
-
-
-def pw_sel(n: int, k: int, variant: str = "classic") -> Network:
-    """Pairwise selection network (classic, bitonic or half-bitonic merger)."""
-    if not (_is_pow2(n) and _is_pow2(k) and 1 <= k <= n):
-        raise ValueError("pairwise selection needs n, k powers of 2 with k <= n")
-    if variant not in ("classic", "bitonic", "half_bitonic"):
-        raise ValueError(f"unknown pairwise merger variant {variant!r}")
-    net = Network(n)
-    net.set_outputs(_emit_pw_sel(net, net.input_wires(), k, variant))
-    return net
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +413,8 @@ def _emit_mw_sel(net: Network, wires: list[int], k: int, sub=None,
 
 
 def mw_sel(n: int, k: int, col_sizes: Sequence[int]) -> Network:
-    """Four-column selection network over the given column profile."""
+    """Four-column selection network over the given column profile (the
+    fourwise method is this network over even_split4(n))."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     net = Network(n)
@@ -589,15 +564,6 @@ def _emit_oe4_sel(net: Network, wires: list[int], k: int, sub=None) -> list[int]
         res = _emit_oe4_merge(net, [y[:ki] for y, ki in zip(ys, ks)], k)
         res += [wire for y, ki in zip(ys, ks) for wire in y[ki:]]
     return res
-
-
-def oe4_sel(n: int, k: int) -> Network:
-    """Four-way odd-even selection network for any 0 <= k <= n."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    net = Network(n)
-    net.set_outputs(_emit_oe4_sel(net, net.input_wires(), k))
-    return net
 
 
 # ---------------------------------------------------------------------------

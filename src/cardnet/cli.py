@@ -126,7 +126,10 @@ def _cmd_solve(args) -> int:
         return _fail(EXIT_PARSE, f"cannot read {args.input}: {exc}")
     except (CnfpSyntaxError, PbSyntaxError) as exc:
         return _fail(EXIT_PARSE, str(exc))
-    cfg = MinimizeConfig(solver_cmd=args.solver, time_limit=args.time_limit)
+    try:
+        cfg = MinimizeConfig(solver_cmd=args.solver, time_limit=args.time_limit)
+    except ValueError as exc:
+        return _fail(EXIT_USAGE, str(exc))
     try:
         result = solve_decision(problem, _options(args), cfg)
     except ValueError as exc:

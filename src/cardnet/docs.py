@@ -10,7 +10,7 @@ from __future__ import annotations
 from .formulas import registry
 
 
-def formula_ledger(run_checks: bool = True) -> str:
+def formula_ledger() -> str:
     """Markdown table with one row per registered closed form."""
     lines = [
         "# Formula ledger",
@@ -22,7 +22,7 @@ def formula_ledger(run_checks: bool = True) -> str:
         "|---|---|---|---|---|",
     ]
     for name, info in registry().items():
-        if not run_checks or info.check is None:
+        if info.check is None:
             status = "not checked"
         else:
             status = "pass" if info.check() else "FAIL"

@@ -271,7 +271,7 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
             if any(w in live for w in gate.outputs):
                 live.update(gate.inputs)
     # wire id -> literal; inputs come first, gate outputs are filled in order
-    wire_lits: list[Lit] = list(input_lits) + [FALSE] * (len(net.sources) - net.num_inputs)
+    wire_lits: list[Lit] = list(input_lits) + [FALSE] * (net.num_wires - net.num_inputs)
     for w, bit in net.const_sources():
         wire_lits[w] = TRUE if bit else FALSE
     for gate in net.gates:

@@ -14,12 +14,9 @@ from functools import lru_cache
 from typing import Callable
 
 from . import build
+from .build import _is_pow2
 from .cnf import CnfFormula
-from .encode import cnf_cost, encode_baseline
-
-
-def _is_pow2(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
+from .encode import cnf_cost, encode_baseline, method_network
 
 
 def _log2(x: int) -> int:
@@ -199,7 +196,8 @@ def _registry() -> list[FormulaInfo]:
         return all(build.oe_sort(n).num_gates == oe_sort_size(n) for n in (2, 4, 8, 16, 32))
 
     def chk_oe_merge():
-        return all(build.oe_merge2(n).num_gates == oe_merge_size(n) for n in (2, 4, 8, 16, 32))
+        return all(build.oe_merge_general(n // 2, n // 2).num_gates == oe_merge_size(n)
+                   for n in (2, 4, 8, 16, 32))
 
     def chk_pw_merge():
         return all(build.pw_merge(2 * k, k, v).num_gates == pw_merge_size(k, v)
@@ -214,11 +212,11 @@ def _registry() -> list[FormulaInfo]:
                    for n in (2, 4, 8, 16))
 
     def chk_bit_sel():
-        return all(build.bit_sel(n, k).num_gates == bit_sel_size(n, k)
+        return all(method_network("bitonic_sel", n, k).num_gates == bit_sel_size(n, k)
                    for n in (2, 4, 8, 16, 32) for k in (1, 2, 4, 8, 16) if k < n)
 
     def chk_pw_sel():
-        return all(build.pw_sel(n, k, v).num_gates == pw_sel_size(n, k, v)
+        return all(method_network(f"pairwise_{v}", n, k).num_gates == pw_sel_size(n, k, v)
                    for n in (2, 4, 8, 16, 32) for k in (1, 2, 4, 8, 16, 32) if k <= n
                    for v in ("classic", "bitonic", "half_bitonic"))
 

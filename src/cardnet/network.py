@@ -87,8 +87,9 @@ class Network:
 
     def __init__(self, num_inputs: int):
         self.num_inputs = num_inputs
-        # wire id -> source: ("input", slot) | ("const", 0|1) | ("gate", gate_idx, pos)
-        self.sources: list[tuple] = [("input", i) for i in range(num_inputs)]
+        # wires 0..num_inputs-1 are the inputs; later ids are constants and
+        # gate outputs, numbered in the order they are made
+        self.num_wires = num_inputs
         self.gates: list[Gate] = []
         self.outputs: list[int] = []
         self._const_wire: dict[int, int] = {}
@@ -102,29 +103,29 @@ class Network:
         if bit not in (0, 1):
             raise ValueError("constant wires carry 0 or 1")
         if bit not in self._const_wire:
-            self.sources.append(("const", bit))
-            self._const_wire[bit] = len(self.sources) - 1
+            self._const_wire[bit] = self.num_wires
+            self.num_wires += 1
         return self._const_wire[bit]
 
     def const_sources(self) -> list[tuple[int, int]]:
         """(wire, bit) of each constant wire."""
         return [(w, bit) for bit, w in self._const_wire.items()]
 
-    def _new_wires(self, count: int, gate_idx: int) -> tuple[int, ...]:
-        base = len(self.sources)
-        self.sources.extend([("gate", gate_idx, pos) for pos in range(count)])
+    def _new_wires(self, count: int) -> tuple[int, ...]:
+        base = self.num_wires
+        self.num_wires += count
         return tuple(range(base, base + count))
 
     def _check_defined(self, wires: Sequence[int]) -> None:
-        if wires and not (0 <= min(wires) and max(wires) < len(self.sources)):
-            bad = next(w for w in wires if not 0 <= w < len(self.sources))
+        if wires and not (0 <= min(wires) and max(wires) < self.num_wires):
+            bad = next(w for w in wires if not 0 <= w < self.num_wires)
             raise ValueError(f"undefined wire {bad}")
 
     def add_selector(self, inputs: Sequence[int], m: int) -> tuple[int, ...]:
         if not 1 <= m <= len(inputs):
             raise ValueError(f"selector needs 1 <= m <= n, got m={m}, n={len(inputs)}")
         self._check_defined(inputs)
-        outs = self._new_wires(m, len(self.gates))
+        outs = self._new_wires(m)
         self.gates.append(Selector(tuple(inputs), outs))
         return outs
 
@@ -133,14 +134,13 @@ class Network:
         self._check_defined((ym2, ym1, yy, xx, xp1, xp2))
         if not (want_x or want_y):
             raise ValueError("combine pair must produce at least one output")
-        gate_idx = len(self.gates)
         out_x = out_y = None
+        w = self.num_wires
         if want_x:
-            out_x = len(self.sources)
-            self.sources.append(("gate", gate_idx, 0))
+            out_x, w = w, w + 1
         if want_y:
-            out_y = len(self.sources)
-            self.sources.append(("gate", gate_idx, int(want_x)))
+            out_y, w = w, w + 1
+        self.num_wires = w
         self.gates.append(CombinePair(ym2, ym1, yy, xx, xp1, xp2, out_x, out_y))
         return out_x, out_y
 
@@ -161,7 +161,7 @@ class Network:
         a, and full sets every lane.  Returns one such mask per output."""
         if len(masks) != self.num_inputs:
             raise ValueError(f"expected {self.num_inputs} inputs, got {len(masks)}")
-        val = [0] * len(self.sources)
+        val = [0] * self.num_wires
         val[:self.num_inputs] = masks  # input wires come first
         for w, bit in self.const_sources():
             val[w] = full if bit else 0

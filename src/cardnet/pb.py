@@ -67,12 +67,6 @@ class PbProblem:
     def num_vars(self) -> int:
         return len(self.var_names)
 
-    def name_of(self, var: int) -> str:
-        for name, v in self.var_names.items():
-            if v == var:
-                return name
-        raise KeyError(var)
-
 
 @dataclass(frozen=True)
 class MixedRadixBase:
@@ -383,22 +377,6 @@ def encode_goal_bound(formula: CnfFormula, objective: Sequence[tuple[int, Lit]],
                       opts: EncodeOptions | None = None) -> None:
     """Encode f(x) <= bound - 1; with a flag literal every emitted clause gets
     ~flag disjoined, so fixing flag to 0 disables the bound."""
-    opts = opts or EncodeOptions()
-    pos_terms: list[tuple[int, Lit]] = []
-    offset = 0
-    for a, l in objective:
-        if a > 0:
-            pos_terms.append((a, l))
-        elif a < 0:
-            offset += a
-            pos_terms.append((-a, neg(l)))
-    limit = bound - 1 - offset  # bound on the all-positive part
-    total = sum(a for a, _ in pos_terms)
     with nullcontext() if flag is None else formula.guarded(neg(flag)):
-        if limit < 0:
-            formula.add_clause([])
-        elif limit < total:
-            atleast = PbConstraint(tuple((a, neg(l)) for a, l in pos_terms), ">=",
-                                   total - limit)
-            for norm in normalize_pb(atleast):
-                encode_pb(formula, norm, opts=opts)
+        for norm in normalize_pb(PbConstraint(tuple(objective), "<=", bound - 1)):
+            encode_pb(formula, norm, opts=opts)

@@ -51,6 +51,12 @@ class MinimizeConfig:
             raise ValueError("switch gap must be at least 1")
         if self.strategy not in ("sequential", "binary"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        try:
+            words = shlex.split(self.solver_cmd)
+        except ValueError as exc:
+            raise ValueError(f"malformed solver command {self.solver_cmd!r}: {exc}") from None
+        if not words:
+            raise ValueError("the solver command is empty")
 
 
 @dataclass
@@ -101,8 +107,8 @@ def run_external_solver(cnf_text: str, extra_units: Sequence[Lit],
     try:
         cmd = [part.replace("{cnf}", path) for part in shlex.split(cfg.solver_cmd)]
         try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=cfg.time_limit)
+            proc = subprocess.run(cmd, stdin=subprocess.DEVNULL, capture_output=True,
+                                  text=True, timeout=cfg.time_limit)
         except subprocess.TimeoutExpired:
             return SolverResult("UNKNOWN", diagnostic="solver timeout",
                                 wall_time=time.monotonic() - started)

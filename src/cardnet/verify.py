@@ -1,11 +1,12 @@
 """In-process verification suites behind the `verify` CLI subcommand.
 
-These are compact mirrors of the test suite: the zero-one selection checks
-run every construction exhaustively over all 0-1 inputs at desk scale, the
-arc-consistency and equisatisfiability suites drive the propagation
-harnesses, and the sizes suite evaluates every registered closed form
-against freshly built networks and checks the mixing cost recurrence against
-dry runs of the networks it prices.
+These are compact mirrors of the test suite: the zero-one suite checks the
+odd-even sorter and every network method of the method table, unmixed and
+mixed with direct selectors, exactly as the encoder builds them, over all 0-1
+inputs at desk scale; the arc-consistency and equisatisfiability suites drive
+the propagation harnesses, and the sizes suite evaluates every registered
+closed form against freshly built networks and checks the mixing cost
+recurrence against dry runs of the networks it prices.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from itertools import combinations
 
 from . import build
 from .cnf import CnfFormula
-from .encode import (METHODS, MIXED_METHODS, DirectMixer, EncodeOptions, cnf_cost,
-                     encode_atmost, method_network, recursive_cost)
+from .encode import (METHODS, MIXED_METHODS, NETWORK_METHODS, DirectMixer, EncodeOptions,
+                     build_selection_network, cnf_cost, encode_atmost, method_network,
+                     recursive_cost)
 from .formulas import registry
 from .network import Network, thresholds
 from .sat import Propagator, check_arc_consistency, dpll_sat
@@ -60,6 +62,9 @@ def selection_failures(net: Network, n: int, k: int) -> str | None:
 
 
 def run_zero_one(limit: int = 8, log=print) -> bool:
+    """The odd-even sorter, then every network method without and with direct
+    mixing (lambda 5), for every 0 <= k <= n <= limit, built by
+    build_selection_network as the encoder builds it."""
     ok = True
 
     def check(name: str, net: Network, n: int, k: int):
@@ -72,18 +77,13 @@ def run_zero_one(limit: int = 8, log=print) -> bool:
     for n in (2, 4, 8):
         if n <= limit:
             check(f"oe_sort({n})", build.oe_sort(n), n, n)
-    for n in range(1, limit + 1):
-        for k in range(0, n + 1):
-            check(f"oe4_sel({n},{k})", build.oe4_sel(n, k), n, k)
-            check(f"oe2({n},{k})", method_network("oe2", n, k), n, k)
-    for n in (2, 4, 8):
-        if n > limit:
-            continue
-        for k in (1, 2, 4, 8):
-            if k <= n:
-                for variant in ("classic", "bitonic", "half_bitonic"):
-                    check(f"pw_sel({n},{k},{variant})", build.pw_sel(n, k, variant), n, k)
-                check(f"bit_sel({n},{k})", build.bit_sel(n, k), n, k)
+    for method in NETWORK_METHODS:
+        for mixer in (None, DirectMixer(method, 5)):
+            name = method if mixer is None else f"{method} mixed"
+            for n in range(1, limit + 1):
+                for k in range(0, n + 1):
+                    check(f"{name}({n},{k})", build_selection_network(method, n, k, mixer),
+                          n, k)
     log(f"zero-one suite: {'PASS' if ok else 'FAIL'}")
     return ok
 
@@ -136,7 +136,7 @@ def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
     from a dry run of the network built with the same mixing decisions."""
     fails = []
     for method in MIXED_METHODS:
-        mixer = DirectMixer(method, lam)
+        mixer = DirectMixer(method, 5)
         for n in range(2, limit + 1):
             for m in range(1, n + 1):
                 net = method_network(method, n, m, mixer)

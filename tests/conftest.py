@@ -65,7 +65,7 @@ def check_selection_output(out, k, total_ones):
 def reference_eval(net, bits):
     """Gate-by-gate evaluation of one 0-1 input: a selector sorts its inputs
     and keeps the top m, a combine pair applies its two formulas."""
-    val = [0] * len(net.sources)
+    val = [0] * net.num_wires
     val[:net.num_inputs] = bits
     for w, bit in net.const_sources():
         val[w] = bit

@@ -51,8 +51,9 @@ def test_c01_zero_one_principle():
             failures.append((name, n, k, fail))
 
     # mask evaluator grounded against a gate-by-gate sorting evaluation
-    for net, n in ((build.oe4_sel(6, 3), 6), (build.pw_sel(8, 4), 8),
-                   (build.mw_sel(7, 3, build.even_split4(7)), 7)):
+    for net, n in ((method_network("oe4", 6, 3), 6),
+                   (method_network("pairwise_classic", 8, 4), 8),
+                   (method_network("fourwise", 7, 3), 7)):
         per_input = _mask_outputs_per_input(net, n)
         for a in range(1 << n):
             bits = [(a >> i) & 1 for i in range(n)]
@@ -65,10 +66,10 @@ def test_c01_zero_one_principle():
     # selection networks, unrestricted inputs
     for n in range(1, 13):
         for k in range(0, n + 1):
-            sel("oe4_sel", build.oe4_sel(n, k), n, k)
+            sel("oe4", method_network("oe4", n, k), n, k)
             sel("oe2", method_network("oe2", n, k), n, k)
             if n >= 2:
-                sel("mw_sel", build.mw_sel(n, k, build.even_split4(n)), n, k)
+                sel("fourwise", method_network("fourwise", n, k), n, k)
     for n in (4, 8, 12):  # irregular column profiles
         for cols in ((n - 3, 1, 1, 1), (n // 2, n // 2 - 1, 1, 0)):
             if cols[0] >= n or any(cols[i] < cols[i + 1] for i in range(3)):
@@ -79,13 +80,14 @@ def test_c01_zero_one_principle():
         for k in (1, 2, 4, 8):
             if k > n:
                 continue
-            sel("bit_sel", build.bit_sel(n, k), n, k)
+            sel("bitonic_sel", method_network("bitonic_sel", n, k), n, k)
             for variant in ("classic", "bitonic", "half_bitonic"):
-                sel(f"pw_sel[{variant}]", build.pw_sel(n, k, variant), n, k)
+                method = f"pairwise_{variant}"
+                sel(method, method_network(method, n, k), n, k)
 
     # mergers: exhaustive over inputs meeting their contracts
     for n in (2, 4, 8):
-        net = build.oe_merge2(n)
+        net = build.oe_merge_general(n // 2, n // 2)
         for a in sorted_runs(n // 2):
             for b in sorted_runs(n // 2):
                 if net.eval(list(a) + list(b)) != sorted(a + b, reverse=True):
@@ -185,7 +187,7 @@ def test_c02_size_formulas_exact():
     assert pw_merge_size(4, "classic") == 5
     assert pw_merge_size(8, "half_bitonic") == 12
     assert build.bitonic_merge(8).num_gates == 12
-    assert build.bit_sel(8, 2).num_gates == bit_sel_size(8, 2) == 13
+    assert method_network("bitonic_sel", 8, 2).num_gates == bit_sel_size(8, 2) == 13
     report("C2 exact size formulas: PASS")
 
 
@@ -196,8 +198,8 @@ def test_c02_size_formulas_exact():
 def test_c03_pairwise_variant_gap():
     got = {}
     for n, want in ((8, 1), (16, 6), (32, 23)):
-        diff = (build.pw_sel(n, n // 2, "classic").num_gates
-                - build.pw_sel(n, n // 2, "half_bitonic").num_gates)
+        diff = (method_network("pairwise_classic", n, n // 2).num_gates
+                - method_network("pairwise_half_bitonic", n, n // 2).num_gates)
         assert diff == pw_variant_gap(n) == want
         got[n] = diff
     report(f"C3 pairwise variant gap {got}: PASS")
@@ -320,6 +322,7 @@ def test_c07_fused_combine():
                 if ly > k // 2 or lx > k // 2 + 2:
                     continue
                 fused_net = build.oe4_combine(lx, ly, k)
+                consts = {w for w, _ in fused_net.const_sources()}
                 ref_net = _two_layer_reference(lx, ly)
                 fused_f, ref_f = CnfFormula(), CnfFormula()
                 in_f = fused_f.fresh_vars(lx + ly)
@@ -331,7 +334,7 @@ def test_c07_fused_combine():
                 for gate in fused_net.gates:
                     if gate.out_x is None or gate.out_y is None:
                         continue
-                    if any(fused_net.sources[w][0] == "const" for w in gate.inputs):
+                    if consts.intersection(gate.inputs):
                         continue
                     probe = CnfFormula()
                     lits = probe.fresh_vars(6)
@@ -484,7 +487,7 @@ def test_c12_dsv_positive():
     gaps = {}
     for n, k in ((64, 4), (256, 4), (256, 16)):
         v2, _ = cnf_cost(method_network("oe2", n, k))
-        v4, _ = cnf_cost(build.oe4_sel(n, k))
+        v4, _ = cnf_cost(method_network("oe4", n, k))
         assert v2 - v4 > 0, (n, k, v2, v4)
         gaps[(n, k)] = v2 - v4
     report(f"C12 variable saving two-column minus four-column {gaps}: PASS")

@@ -10,7 +10,7 @@ from cardnet import build
 from cardnet.formulas import (bit_sel_size, oe_merge_size, oe_sort_size,
                               pw_merge_size, pw_sel_size, pw_variant_gap)
 from cardnet.encode import cnf_cost, method_network
-from cardnet.verify import selection_failures
+from cardnet.verify import run_zero_one, selection_failures
 
 from conftest import check_selection_output, is_top_k_sorted, sorted_runs
 
@@ -34,7 +34,7 @@ def test_bitonic_splitter_dominates():
 def test_half_splitter_structure():
     net = build.splitter("half", 8)
     assert net.num_gates == 2
-    pairs = [tuple(net.sources[w][1] for w in g.inputs) for g in net.gates]
+    pairs = [g.inputs for g in net.gates]  # input wire ids are the input slots
     assert pairs == [(2, 6), (3, 7)]  # 1-based (3,7) and (4,8)
 
 
@@ -47,21 +47,26 @@ def test_splitter_parity_errors():
 
 # -- odd-even merging and sorting ---------------------------------------------
 
+def oe_merge2(n):
+    """The odd-even merger of two sorted n/2-sequences."""
+    return build.oe_merge_general(n // 2, n // 2)
+
+
 def test_oe_merge2_examples():
-    assert build.oe_merge2(4).eval([1, 0, 1, 1]) == [1, 1, 1, 0]
-    assert build.oe_merge2(2).eval([0, 1]) == [1, 0]
+    assert oe_merge2(4).eval([1, 0, 1, 1]) == [1, 1, 1, 0]
+    assert oe_merge2(2).eval([0, 1]) == [1, 0]
 
 
 def test_oe_merge2_gate_counts():
-    assert build.oe_merge2(4).num_gates == 3
-    assert build.oe_merge2(8).num_gates == 9
+    assert oe_merge2(4).num_gates == 3
+    assert oe_merge2(8).num_gates == 9
     for n in (2, 4, 8, 16, 32):
-        assert build.oe_merge2(n).num_gates == oe_merge_size(n)
+        assert oe_merge2(n).num_gates == oe_merge_size(n)
 
 
 def test_oe_merge2_exhaustive_on_sorted_halves():
     for n in (2, 4, 8):
-        net = build.oe_merge2(n)
+        net = oe_merge2(n)
         for a in sorted_runs(n // 2):
             for b in sorted_runs(n // 2):
                 out = net.eval(list(a) + list(b))
@@ -130,13 +135,13 @@ def test_bitonic_merge_half():
 # -- block bitonic selection ---------------------------------------------------
 
 def test_bit_sel_examples():
-    assert build.bit_sel(8, 2).num_gates == 13
-    assert build.bit_sel(8, 2).eval([0, 0, 1, 0, 0, 1, 0, 0])[:2] == [1, 1]
-    assert build.bit_sel(4, 4).num_gates == build.oe_sort(4).num_gates
+    assert method_network("bitonic_sel", 8, 2).num_gates == 13
+    assert method_network("bitonic_sel", 8, 2).eval([0, 0, 1, 0, 0, 1, 0, 0])[:2] == [1, 1]
+    assert method_network("bitonic_sel", 4, 4).num_gates == build.oe_sort(4).num_gates
     for n in (2, 4, 8, 16, 32):
         for k in (1, 2, 4, 8, 16):
             if k < n:
-                assert build.bit_sel(n, k).num_gates == bit_sel_size(n, k)
+                assert method_network("bitonic_sel", n, k).num_gates == bit_sel_size(n, k)
 
 
 # -- pairwise family ------------------------------------------------------------
@@ -176,26 +181,28 @@ def test_pw_merge_gate_counts():
     assert build.pw_merge(8, 4, "half_bitonic").num_gates == 4
 
 
+def pw_sel(n, k, variant="classic"):
+    return method_network(f"pairwise_{variant}", n, k)
+
+
 def test_pw_sel_gate_counts():
-    assert build.pw_sel(8, 4).num_gates == 19
-    assert build.pw_sel(8, 4, "half_bitonic").num_gates == 18
-    assert (build.pw_sel(16, 8).num_gates
-            - build.pw_sel(16, 8, "half_bitonic").num_gates) == pw_variant_gap(16) == 6
+    assert pw_sel(8, 4).num_gates == 19
+    assert pw_sel(8, 4, "half_bitonic").num_gates == 18
+    assert (pw_sel(16, 8).num_gates
+            - pw_sel(16, 8, "half_bitonic").num_gates) == pw_variant_gap(16) == 6
     for n in (2, 4, 8, 16, 32):
         for k in (1, 2, 4, 8, 16, 32):
             if k <= n:
                 for variant in ("classic", "bitonic", "half_bitonic"):
-                    assert build.pw_sel(n, k, variant).num_gates == pw_sel_size(n, k, variant)
+                    assert pw_sel(n, k, variant).num_gates == pw_sel_size(n, k, variant)
 
 
 def test_pw_sel_example():
-    out = build.pw_sel(8, 2).eval([0, 1, 0, 0, 0, 0, 0, 1])
+    out = pw_sel(8, 2).eval([0, 1, 0, 0, 0, 0, 0, 1])
     assert out[:2] == [1, 1]
 
 
 def test_pw_domain_errors():
-    with pytest.raises(ValueError):
-        build.pw_sel(6, 2)
     with pytest.raises(ValueError):
         build.pw_merge(8, 8)
     with pytest.raises(ValueError):
@@ -218,7 +225,7 @@ def test_mw_sel_worked_example():
 
 
 def test_mw_sel_k1_is_single_selector():
-    net = build.mw_sel(9, 1, build.even_split4(9))
+    net = method_network("fourwise", 9, 1)
     hist, combines = net.gate_histogram()
     assert hist == {(9, 1): 1} and combines == 0
 
@@ -336,9 +343,9 @@ def test_oe4_sel_column_rule():
 
 
 def test_oe4_sel_examples():
-    out = build.oe4_sel(11, 3).eval([0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1])
+    out = method_network("oe4", 11, 3).eval([0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1])
     assert out[:3] == [1, 1, 1]
-    assert selection_failures(build.oe4_sel(11, 3), 11, 3) is None
+    assert selection_failures(method_network("oe4", 11, 3), 11, 3) is None
 
 
 def test_m_oe_sel_examples():
@@ -351,13 +358,26 @@ def test_m_oe_sel_examples():
     assert cnf_cost(build.oe_merge_general(4, 4)) == (18, 27)
 
 
+# -- the zero-one suite sees what the encoder builds ---------------------------------
+
+def test_zero_one_suite_catches_broken_fourwise_correction(monkeypatch):
+    # the clean run also fills the mixing cost caches, so the stubbed run
+    # prices nothing anew and leaves no wrong cost behind
+    assert run_zero_one(log=lambda line: None)
+    monkeypatch.setattr(build, "_emit_4w_correction", lambda net, cols, k: None)
+    failures = []
+    assert not run_zero_one(log=failures.append)
+    assert any(line.startswith("  FAIL fourwise(") for line in failures)
+
+
 # -- determinism ------------------------------------------------------------------
 
 def test_builders_are_deterministic():
-    for make in (lambda: build.oe4_sel(13, 5),
-                 lambda: build.pw_sel(16, 4, "half_bitonic"),
-                 lambda: build.mw_sel(11, 4, build.even_split4(11))):
+    for make in (lambda: method_network("oe4", 13, 5),
+                 lambda: pw_sel(16, 4, "half_bitonic"),
+                 lambda: method_network("fourwise", 11, 4)):
         a, b = make(), make()
-        assert a.sources == b.sources
+        assert a.num_wires == b.num_wires
+        assert a.const_sources() == b.const_sources()
         assert a.gates == b.gates
         assert a.outputs == b.outputs

@@ -363,3 +363,34 @@ def test_cli_malformed_solver_model_is_solver_failure(tmp_path, capsys):
     src.write_text("p cnf+ 2 1\n1 2 0\n")
     assert run_cli(["solve", str(src), "--solver", solver]) == 4
     assert "solver failed: unparseable solver output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("template", ["", "   ", "'x"])
+def test_cli_bad_solver_template_is_usage_error(tmp_path, capsys, template):
+    cnfp = tmp_path / "inst.cnfp"
+    cnfp.write_text("p cnf+ 2 1\n1 2 0\n")
+    opb = tmp_path / "inst.opb"
+    opb.write_text("min: +1 x1 +1 x2 ;\n+1 x1 +1 x2 >= 1 ;\n")
+    for argv in (["solve", str(cnfp), "--solver", template],
+                 ["optimize", str(opb), "--solver", template]):
+        assert run_cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error:" in err and "solver command" in err, argv
+
+
+def test_cli_solver_does_not_read_cardnet_stdin(tmp_path):
+    # the solver reads its stdin to the end while cardnet's own stdin stays
+    # open, so a solver that inherited it would wait forever
+    script = tmp_path / "stdin_solver.py"
+    script.write_text("import sys\nsys.stdin.read()\nprint('s UNSATISFIABLE')\n")
+    opb = tmp_path / "inst.opb"
+    opb.write_text("min: +1 x1 +1 x2 ;\n+1 x1 +1 x2 >= 1 ;\n")
+    proc = subprocess.Popen([sys.executable, "-m", "cardnet.cli", "optimize", str(opb),
+                             "--solver", f"{sys.executable} {script} {{cnf}}"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        code = proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        out = proc.communicate()[0]
+    assert code == 0 and out == "s UNSATISFIABLE\n"

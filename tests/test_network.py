@@ -7,7 +7,7 @@ from cardnet import build
 from cardnet.formulas import (binomial_clauses, bit_merge_size, bit_sel_size,
                               fourw_merge_vars, half_bit_merge_size, oe_sort_size,
                               pw_merge_size, pw_variant_gap, registry, sequential_clauses)
-from cardnet.encode import cnf_cost
+from cardnet.encode import cnf_cost, method_network
 from cardnet.network import CombinePair, Network
 
 
@@ -67,8 +67,8 @@ def test_cnf_cost_matches_emission():
     from cardnet.cnf import CnfFormula
     from cardnet.encode import emit_network
 
-    for net in (build.oe_sort(8), build.oe4_sel(9, 3), build.pw_sel(8, 4),
-                build.mw_sel(10, 4, build.even_split4(10))):
+    for net in (build.oe_sort(8), method_network("oe4", 9, 3),
+                method_network("pairwise_classic", 8, 4), method_network("fourwise", 10, 4)):
         f = CnfFormula()
         lits = f.fresh_vars(net.num_inputs)
         before_v, before_c = f.num_vars, f.num_clauses
@@ -86,7 +86,7 @@ def test_gate_histogram():
 
 
 def test_permutation_networks_preserve_ones():
-    for net, n in ((build.oe_sort(8), 8), (build.oe_merge2(8), 8),
+    for net, n in ((build.oe_sort(8), 8), (build.oe_merge_general(4, 4), 8),
                    (build.bitonic_merge(8), 8),
                    (build.fourw_merge((4, 2, 1, 1), 4), 8)):
         # no gate discards elements: every selector is a full sorter

@@ -1,5 +1,5 @@
-"""Randomized equisatisfiability of the cardinality and PB encoders, and
-randomized checks of unit propagation and the propagation harnesses.
+"""Randomized equisatisfiability of the cardinality, PB and objective-bound
+encoders, and randomized checks of unit propagation and the propagation harnesses.
 
 Literal lists deliberately repeat literals, hold complementary pairs and the
 constants TRUE and FALSE, so clause emission meets both of its paths: whole
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cardnet.cnf import FALSE, TRUE, CnfFormula
 from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions,
                             encode_atmost, encode_card)
-from cardnet.pb import PbConstraint, encode_pb, normalize_pb
+from cardnet.pb import PbConstraint, encode_goal_bound, encode_pb, normalize_pb
 from cardnet.sat import (Propagator, check_arc_consistency, check_forward_prop, dpll_sat,
                          unit_propagate)
 
@@ -81,6 +81,25 @@ def test_encode_pb_equisatisfiable(terms, rel, k, opts):
         return {"<=": total <= k, ">=": total >= k, "=": total == k}[rel]
 
     _check_equisat(f, holds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(objective=st.lists(st.tuples(st.integers(-9, 9), literals), min_size=1, max_size=6),
+       bound=st.integers(-20, 30), flag=st.sampled_from((None, True, False)),
+       opts=pb_options)
+def test_encode_goal_bound_equisatisfiable(objective, bound, flag, opts):
+    # f <= bound - 1 while the flag is absent or true; nothing once it is false
+    f = CnfFormula()
+    f.fresh_vars(NUM_VARS)
+    flag_var = None if flag is None else f.fresh_var()
+    encode_goal_bound(f, objective, bound, flag_var, opts)
+    for fixing in _fixings():
+        units = [v if val else -v for v, val in fixing.items()]
+        if flag_var is not None:
+            units.append(flag_var if flag else -flag_var)
+        value = sum(a for a, l in objective if _value(l, fixing))
+        want = flag is False or value <= bound - 1
+        assert (dpll_sat(f, units)[0] == "SAT") == want, fixing
 
 
 @st.composite
