@@ -12,6 +12,7 @@ assume literals one at a time.
 
 from __future__ import annotations
 
+import gc
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Sequence
@@ -180,13 +181,21 @@ class _Search:
         self.qhead = 0
         self.units: list[int] = []
         self.long: list[list[int]] = []    # the input clauses of 3+ literals
-        for clause in clauses:
-            if len(clause) == 1:
-                self.units.append(clause[0])
-            else:
-                clause = self._attach(list(clause))
-                if len(clause) > 2:
-                    self.long.append(clause)
+        # indexing allocates a list or two per clause and frees none, so the
+        # cyclic collector's passes over the growing heap find nothing
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for clause in clauses:
+                if len(clause) == 1:
+                    self.units.append(clause[0])
+                else:
+                    clause = self._attach(list(clause))
+                    if len(clause) > 2:
+                        self.long.append(clause)
+        finally:
+            if collecting:
+                gc.enable()
         # decision state, set up by solve after the first propagation
         self.branch_vars: list[int] = []
         self.activity: list[float] = []

@@ -7,8 +7,10 @@ disproved bound carries nothing the next call needs.  The bound comes from
 binary halving of the open interval [lower, upper] while it is at least the
 switch gap wide (binary strategy), and is the incumbent's value otherwise,
 until UNSAT proves optimality.  Every model is checked against the source
-constraints and improved by a greedy one-flip descent before its value
-becomes the new upper bound.
+constraints and improved before its value becomes the new upper bound, by a
+local search of one-flip passes and pair moves that stops when no flip of
+one or two objective variables lowers the objective: a solver call costs
+far more than the search, and every point the search closes can save calls.
 """
 
 from __future__ import annotations
@@ -215,15 +217,22 @@ def _objective_value(objective: Sequence[tuple[int, Lit]], model: dict[int, bool
 
 def improve_model(constraints: Sequence[PbConstraint], objective: Sequence[tuple[int, Lit]],
                   model: dict[int, bool]) -> dict[int, bool]:
-    """Greedy one-flip descent from a model that satisfies every constraint.
+    """Local search by single flips and pair moves from a model that
+    satisfies every constraint.
 
-    Objective variables are visited by decreasing |net coefficient|, ties by
-    variable, and each is set to its objective-lowering value when every
-    constraint still holds; passes repeat until none flips.  A flip never
-    undoes another, so each variable flips at most once, and each pass is
-    linear in the variables' occurrences.  The result satisfies every
-    constraint, has no larger objective value, and no single flip of an
-    objective variable lowers it further."""
+    A one-flip descent visits the objective variables by decreasing |net
+    coefficient|, ties by variable, and sets each to its objective-lowering
+    value when every constraint still holds; passes repeat until none flips.
+    At that point every flip that would lower the objective breaks some
+    constraint, so a pair move flips such a variable u together with another
+    objective variable w that occurs in the first constraint u alone breaks.
+    The u are visited by decreasing gain, ties by variable; for each, the w
+    are scanned by increasing objective cost, ties by variable, until the
+    cost reaches u's gain, and the first pair that keeps every constraint is
+    taken.  The descent then runs again, until neither kind of move lowers
+    the objective; every move lowers it, so the search ends.  The result
+    satisfies every constraint, has no larger objective value, and no flip
+    of one or two objective variables lowers it further."""
     gain: dict[int, int] = {}           # objective change when the variable turns true
     for a, lit in objective:
         if not is_const(lit):
@@ -240,20 +249,66 @@ def improve_model(constraints: Sequence[PbConstraint], objective: Sequence[tuple
     sums = [c.value(model) for c in constraints]
     model = dict(model)
     order = sorted((v for v, g in gain.items() if g), key=lambda v: (-abs(gain[v]), v))
-    flipped = True
-    while flipped:
-        flipped = False
-        for v in order:
-            want = gain[v] < 0
-            if model[v] == want:
+
+    def cost(v: int) -> int:            # objective change when v flips
+        return -gain[v] if model[v] else gain[v]
+
+    def shift(v: int) -> dict[int, int]:    # constraint sum changes when v flips
+        sign = -1 if model[v] else 1
+        return {ci: sign * d for ci, d in occurs[v].items() if d}
+
+    def broken(moves: dict[int, int]) -> list[int]:     # constraints the changes break
+        return [ci for ci, d in moves.items()
+                if not ranges[ci][0] <= sums[ci] + d <= ranges[ci][1]]
+
+    def flip(v: int, moves: dict[int, int]) -> None:
+        for ci, d in moves.items():
+            sums[ci] += d
+        model[v] = not model[v]
+
+    def pair_move() -> bool:
+        # per constraint and direction (True: down), the objective variables
+        # whose flip moves its sum that way, by increasing cost, ties by variable
+        repairs: dict[tuple[int, bool], list[tuple[int, int, int]]] = {}
+        for w in gain:
+            for ci, d in shift(w).items():
+                repairs.setdefault((ci, d < 0), []).append((cost(w), w, d))
+        for candidates in repairs.values():
+            candidates.sort()
+        for u in order:
+            gain_u = -cost(u)
+            if gain_u <= 0:
                 continue
-            moves = [(ci, d if want else -d) for ci, d in occurs[v].items() if d]
-            if all(ranges[ci][0] <= sums[ci] + d <= ranges[ci][1] for ci, d in moves):
-                for ci, d in moves:
-                    sums[ci] += d
-                model[v] = want
-                flipped = True
-    return model
+            moves_u = shift(u)
+            b = broken(moves_u)[0]      # non-empty, or the descent would have flipped u
+            lo, hi = (end - sums[b] - moves_u[b] for end in ranges[b])
+            # the repairs move b's sum against u's move, so they exclude u
+            for c, w, d in repairs.get((b, moves_u[b] > 0), ()):
+                if c >= gain_u:
+                    break
+                if lo <= d <= hi:
+                    moves_w = shift(w)
+                    joint = dict(moves_u)
+                    for ci, dw in moves_w.items():
+                        joint[ci] = joint.get(ci, 0) + dw
+                    if not broken(joint):
+                        flip(u, moves_u)
+                        flip(w, moves_w)
+                        return True
+        return False
+
+    while True:
+        flipped = True
+        while flipped:
+            flipped = False
+            for v in order:
+                if cost(v) < 0:
+                    moves = shift(v)
+                    if not broken(moves):
+                        flip(v, moves)
+                        flipped = True
+        if not pair_move():
+            return model
 
 
 def minimize(problem: PbProblem, opts: EncodeOptions | None = None,

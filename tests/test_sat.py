@@ -1,12 +1,13 @@
 """Unit propagation, the built-in CDCL solver, and the propagation harnesses."""
 
+import gc
 import random
 
 import pytest
 
 from cardnet.cnf import FALSE, TRUE, CnfFormula
 from cardnet.encode import EncodeOptions, encode_atmost
-from cardnet.sat import (Assignment, Propagator, check_arc_consistency,
+from cardnet.sat import (Assignment, Propagator, _Search, check_arc_consistency,
                          check_forward_prop, dpll_sat, unit_propagate)
 
 from conftest import formula_from_clauses, planted_binary_formula
@@ -208,6 +209,21 @@ def test_dpll_sparse_3000_variables():
     assert status == "SAT"
     assert sorted(model) == list(range(1, 3001))
     assert _satisfies(model, f.clauses)
+
+
+def test_search_indexing_restores_the_collector_state():
+    # the collector is paused while the core indexes its clauses
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            _Search(3, [(1, 2), (1, -2, 3), (-3,)])
+            assert gc.isenabled() is enabled
+            with pytest.raises(TypeError):
+                _Search(3, [(1, 2), None])
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()
 
 
 def test_dpll_with_assumptions_on_encoding():

@@ -222,6 +222,8 @@ def random_feasible_problem(rng):
 
 
 def test_improve_model_descends_to_a_one_flip_local_optimum():
+    # ... and to a pair-local one: no flip of one or two objective variables
+    # keeps every constraint and lowers the objective
     rng = random.Random(7)
     for _ in range(300):
         cons, obj, model = random_feasible_problem(rng)
@@ -232,10 +234,12 @@ def test_improve_model_descends_to_a_one_flip_local_optimum():
         assert all(c.holds(better) for c in cons)
         value = _objective_value(obj, better)
         assert value <= _objective_value(obj, model)
-        for v in better:
-            flipped = {**better, v: not better[v]}
-            assert not (all(c.holds(flipped) for c in cons)
-                        and _objective_value(obj, flipped) < value), (cons, obj, v)
+        objective_vars = sorted({abs(lit) for _, lit in obj})
+        for i, v in enumerate(objective_vars):
+            for pair in [(v,)] + [(v, w) for w in objective_vars[i + 1:]]:
+                flipped = {**better, **{x: not better[x] for x in pair}}
+                assert not (all(c.holds(flipped) for c in cons)
+                            and _objective_value(obj, flipped) < value), (cons, obj, pair)
 
 
 def test_improve_model_visit_order_and_passes():
@@ -247,6 +251,35 @@ def test_improve_model_visit_order_and_passes():
     cons = [PbConstraint(((1, 2), (1, -1)), ">=", 1)]
     obj = [(1, 1), (5, 2)]
     assert improve_model(cons, obj, {1: True, 2: True}) == {1: False, 2: False}
+
+
+def test_improve_model_swaps_past_a_one_flip_stall():
+    # x1 and x2 fill the knapsack, so adding x3 alone breaks it; dropping
+    # x2, the cheaper of the two, for x3 is the optimum
+    prob = knapsack([4, 3, 6], [5, 5, 5], 10)
+    start = {1: True, 2: True, 3: False}
+    assert improve_model(prob.constraints, prob.objective, start) == {1: True, 2: False, 3: True}
+    assert brute_force_optimum(prob.constraints, prob.objective, 3) == -10
+
+
+def test_improve_model_on_a_1000_item_knapsack():
+    rng = random.Random(5)
+    values = [rng.randint(1, 1000) for _ in range(1000)]
+    weights = [rng.randint(1, 1000) for _ in range(1000)]
+    capacity = sum(weights) // 2
+    prob = knapsack(values, weights, capacity)
+    start, load = {v: False for v in range(1, 1001)}, 0
+    for i in rng.sample(range(1000), 1000):     # a random fill
+        if load + weights[i] <= capacity:
+            start[i + 1], load = True, load + weights[i]
+    one_flip = dict(start)      # the one-flip descent: add by decreasing value
+    for i in sorted(range(1000), key=lambda i: (-values[i], i)):
+        if not one_flip[i + 1] and load + weights[i] <= capacity:
+            one_flip[i + 1], load = True, load + weights[i]
+    better = improve_model(prob.constraints, prob.objective, start)
+    assert all(c.holds(better) for c in prob.constraints)
+    assert (_objective_value(prob.objective, better)
+            <= _objective_value(prob.objective, one_flip))
 
 
 def test_encode_problem_projects_input_vars():
