@@ -5,12 +5,18 @@ problem once and sends each call that base CNF plus the one objective bound
 under test, f <= bound - 1: a tighter bound implies every earlier one, and a
 disproved bound carries nothing the next call needs.  The bound comes from
 binary halving of the open interval [lower, upper] while it is at least the
-switch gap wide (binary strategy), and is the incumbent's value otherwise,
-until UNSAT proves optimality.  Every model is checked against the source
-constraints and improved before its value becomes the new upper bound, by a
-local search of one-flip passes and pair moves that stops when no flip of
-one or two objective variables lowers the objective: a solver call costs
-far more than the search, and every point the search closes can save calls.
+switch gap wide (binary strategy), and is the incumbent's value otherwise.
+The lower end starts at the linear relaxation's bound, the best over the
+source constraints of min f subject to that one constraint over [0,1]^n
+(a fractional knapsack), and the run ends OPTIMAL when the incumbent meets
+it or when UNSAT proves the incumbent's bound.  A bounded call also gets, as
+unit clauses, the variables that reduced-cost fixing sets: those whose move
+away from their relaxed value would lift the Lagrangian bound past
+bound - 1.  Every model is checked against the source constraints and
+improved before its value becomes the new upper bound, by a local search of
+one-flip passes and pair moves that stops when no flip of one or two
+objective variables lowers the objective: a solver call costs far more than
+the search, and every point the search closes can save calls.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ class MinimizeConfig:
 
 @dataclass
 class MinimizeResult:
+    """The outcome of `minimize`.  `lower_bound` is the proven lower bound:
+    the linear relaxation's, or the last bound an UNSAT answer disproved."""
     status: str  # "OPTIMAL" | "INFEASIBLE" | "UNKNOWN"
     value: int | None = None
     model: dict[int, bool] | None = None
@@ -205,6 +213,73 @@ def solve_decision(problem, opts: EncodeOptions | None = None,
     return result
 
 
+def _linear(terms: Iterable[tuple[int, Lit]]) -> tuple[int, dict[int, int]]:
+    """(const, coeffs) with sum(terms) = const + sum(coeffs[v] * x_v) over 0/1 x_v:
+    a negated literal a*~x_v adds a to const and -a to coeffs[v]."""
+    const, coeffs = 0, {}
+    for a, lit in terms:
+        if is_const(lit):
+            const += a if lit is TRUE else 0
+        else:
+            if lit < 0:
+                const += a
+                a = -a
+            coeffs[abs(lit)] = coeffs.get(abs(lit), 0) + a
+    return const, coeffs
+
+
+def _relaxation(objective: tuple[int, dict[int, int]],
+                c: PbConstraint) -> tuple[int, int, dict[int, int]] | None:
+    """The linear relaxation of min f(x) over x in [0,1]^n subject to the one
+    normalized constraint c alone, by the greedy fractional-knapsack rule
+    (Dantzig 1957); `objective` is f as `_linear` gives it.
+
+    Every variable starts at its objective-optimal value (a zero-cost one at
+    the value that helps c); if c is then short, the variables whose move
+    helps c are moved by increasing cost per unit of c's sum until c holds,
+    the last one possibly fractionally, and the multiplier lambda of c is
+    that last variable's cost ratio (0 if c held at the start).  Returns
+    (lp, den, reduced) in exact integers: the relaxation's value is lp/den,
+    and the reduced cost g_v - lambda*a_v of each variable with objective
+    coefficient g_v and constraint coefficient a_v is reduced[v]/den (zero
+    ones omitted); None when c has no model even in [0,1]^n.  For every 0/1
+    model x of c, f(x) >= lp/den, and f(x) >= (lp + |reduced[v]|)/den when
+    x_v differs from its relaxed value, 1 if reduced[v] < 0 and 0 if
+    reduced[v] > 0 (the Lagrangian bound with multiplier lambda)."""
+    from functools import cmp_to_key
+
+    value, gain = objective
+    const, weight = _linear(c.terms)
+    lack = c.k - const          # c is sum(weight[v] * x_v) >= lack
+    value += sum(min(g, 0) for g in gain.values())
+    for v, a in weight.items():
+        g = gain.get(v, 0)
+        if g < 0 or (g == 0 and a > 0):     # starts at 1
+            lack -= a
+    num, den = 0, 1             # lambda = num / den
+    if lack > 0:
+        # (cost, help) of each move that helps c: a zero-to-one move with
+        # g, a > 0 or a one-to-zero move with g, a < 0
+        moves = sorted(((abs(gain[v]), abs(a)) for v, a in weight.items()
+                        if gain.get(v, 0) * a > 0),
+                       key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]))
+        for g, a in moves:
+            num, den = g, a
+            if a >= lack:
+                break
+            value += g
+            lack -= a
+        else:
+            return None
+        value = value * den + num * lack
+    reduced = {}
+    for v in gain.keys() | weight.keys():
+        rc = gain.get(v, 0) * den - num * weight.get(v, 0)
+        if rc:
+            reduced[v] = rc
+    return value, den, reduced
+
+
 def _objective_value(objective: Sequence[tuple[int, Lit]], model: dict[int, bool]) -> int:
     total = 0
     for coeff, lit in objective:
@@ -233,10 +308,9 @@ def improve_model(constraints: Sequence[PbConstraint], objective: Sequence[tuple
     the objective; every move lowers it, so the search ends.  The result
     satisfies every constraint, has no larger objective value, and no flip
     of one or two objective variables lowers it further."""
-    gain: dict[int, int] = {}           # objective change when the variable turns true
-    for a, lit in objective:
-        if not is_const(lit):
-            gain[abs(lit)] = gain.get(abs(lit), 0) + (a if lit > 0 else -a)
+    from bisect import bisect_left, insort
+
+    _, gain = _linear(objective)        # objective change when the variable turns true
     occurs: dict[int, dict[int, int]] = {v: {} for v in gain}   # var -> {constraint: delta}
     for ci, c in enumerate(constraints):
         for a, lit in c.terms:
@@ -261,20 +335,26 @@ def improve_model(constraints: Sequence[PbConstraint], objective: Sequence[tuple
         return [ci for ci, d in moves.items()
                 if not ranges[ci][0] <= sums[ci] + d <= ranges[ci][1]]
 
-    def flip(v: int, moves: dict[int, int]) -> None:
+    # per constraint and direction (True: down), the objective variables
+    # whose flip moves its sum that way, as (cost, variable, change), by
+    # increasing cost, ties by variable; a flip re-keys the flipped one's entries
+    repairs: dict[tuple[int, bool], list[tuple[int, int, int]]] = {}
+    for w in gain:
+        for ci, d in shift(w).items():
+            repairs.setdefault((ci, d < 0), []).append((cost(w), w, d))
+    for candidates in repairs.values():
+        candidates.sort()
+
+    def flip(v: int, moves: dict[int, int]) -> None:    # moves is shift(v)
+        c = cost(v)
         for ci, d in moves.items():
             sums[ci] += d
+            candidates = repairs[ci, d < 0]
+            del candidates[bisect_left(candidates, (c, v, d))]
+            insort(repairs.setdefault((ci, d > 0), []), (-c, v, -d))
         model[v] = not model[v]
 
     def pair_move() -> bool:
-        # per constraint and direction (True: down), the objective variables
-        # whose flip moves its sum that way, by increasing cost, ties by variable
-        repairs: dict[tuple[int, bool], list[tuple[int, int, int]]] = {}
-        for w in gain:
-            for ci, d in shift(w).items():
-                repairs.setdefault((ci, d < 0), []).append((cost(w), w, d))
-        for candidates in repairs.values():
-            candidates.sort()
         for u in order:
             gain_u = -cost(u)
             if gain_u <= 0:
@@ -314,7 +394,11 @@ def improve_model(constraints: Sequence[PbConstraint], objective: Sequence[tuple
 def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
              cfg: MinimizeConfig | None = None) -> MinimizeResult:
     """Minimize the objective with binary bound halving then sequential
-    re-solving; returns the proven optimum and a validated witness."""
+    re-solving, from the linear relaxation's lower bound; returns the proven
+    optimum and a validated witness.  The optimum is proven when the best
+    value meets the lower bound: the relaxation's, or the last B whose
+    f <= B - 1 the solver answered UNSAT.  A bounded call sends the
+    reduced-cost fixing units with its CNF."""
     if problem.objective is None:
         raise ValueError("minimize needs an objective")
     opts = opts or EncodeOptions()
@@ -322,7 +406,12 @@ def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
     enc = encode_problem(problem, opts)
     base = enc.formula
     objective = list(problem.objective)
-    lower = sum(a for a, _ in objective if a < 0)   # every model's value is >= lower
+    form = _linear(objective)
+    relaxations = [r for c in enc.constraints for norm in normalize_pb(c)
+                   if (r := _relaxation(form, norm)) is not None]
+    # every model's value is >= lower
+    lower = max([sum(a for a, _ in objective if a < 0),
+                 *(-(-lp // den) for lp, den, _ in relaxations)])
     upper = best_model = bound = None
     sat_calls = 0
 
@@ -331,15 +420,22 @@ def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
                               upper_bound=upper, sat_calls=sat_calls, diagnostic=diagnostic)
 
     while upper is None or upper > lower:
-        formula = base
+        formula, fixed = base, set()
         if upper is not None:
             bound = upper
             if cfg.strategy == "binary" and upper - lower >= cfg.switch_gap:
                 bound = max(next_binary_bound(upper, lower, cfg.q), lower + 1)
             formula = CnfFormula(base.next_var, list(base.clauses), base.trivially_unsat)
             encode_goal_bound(formula, objective, bound, None, opts)
+            # reduced-cost fixing: a variable away from its relaxed value
+            # would lift the bound past bound - 1
+            for lp, den, reduced in relaxations:
+                for v, rc in reduced.items():
+                    if lp + abs(rc) > (bound - 1) * den:
+                        fixed.add(v if rc < 0 else -v)
         sat_calls += 1
-        res = run_external_solver(formula.write_dimacs(), (), cfg, formula.dimacs_clauses)
+        res = run_external_solver(formula.write_dimacs(), sorted(fixed, key=abs), cfg,
+                                  formula.dimacs_clauses)
         if res.status == "UNSAT":
             if upper is None:
                 return MinimizeResult("INFEASIBLE", sat_calls=sat_calls)

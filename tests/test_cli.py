@@ -358,7 +358,7 @@ def test_cli_malformed_solver_model_is_solver_failure(tmp_path, capsys):
     assert run_cli(["optimize", str(opb), "--solver", solver]) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "optimization aborted with bounds [0, None]: unparseable solver output" in err
+    assert "optimization aborted with bounds [1, None]: unparseable solver output" in err
     src = tmp_path / "inst.cnfp"
     src.write_text("p cnf+ 2 1\n1 2 0\n")
     assert run_cli(["solve", str(src), "--solver", solver]) == 4

@@ -4,13 +4,16 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cardnet.solve as solve
-from cardnet.cnf import CnfFormula
-from cardnet.pb import PbConstraint, PbProblem, encode_goal_bound
+from cardnet.cnf import FALSE, TRUE, CnfFormula
+from cardnet.pb import PbConstraint, PbProblem, encode_goal_bound, normalize_pb
 from cardnet.sat import dpll_sat
-from cardnet.solve import (MinimizeConfig, _objective_value, encode_problem, improve_model,
-                           minimize, next_binary_bound, run_external_solver, solve_decision)
+from cardnet.solve import (MinimizeConfig, _linear, _objective_value, _relaxation,
+                           encode_problem, improve_model, minimize, next_binary_bound,
+                           run_external_solver, solve_decision)
 
 from conftest import formula_from_clauses, solver_cmd
 
@@ -182,11 +185,11 @@ def test_minimize_sends_the_problem_plus_one_bound(monkeypatch, strategy, gap):
     values = [10, 9, 9, 8, 7, 7, 6, 5, 5, 4]
     weights = [7, 6, 6, 5, 5, 4, 4, 3, 3, 2]
     prob = knapsack(values, weights, 20)
-    sent = []
+    sent = []       # (clauses, fixing units) of each call
     real = solve.run_external_solver
 
     def counting(cnf_text, extra_units, config, clauses):
-        sent.append(len(clauses) + len(extra_units))
+        sent.append((list(clauses), list(extra_units)))
         return real(cnf_text, extra_units, config, clauses)
 
     monkeypatch.setattr(solve, "run_external_solver", counting)
@@ -195,13 +198,73 @@ def test_minimize_sends_the_problem_plus_one_bound(monkeypatch, strategy, gap):
     assert res.value == brute_force_optimum(prob.constraints, prob.objective, len(values))
     assert len(sent) == res.sat_calls >= 3
     base = encode_problem(prob).formula
-    assert sent[0] == base.num_clauses
+    assert (len(sent[0][0]), sent[0][1]) == (base.num_clauses, [])
     one_bound = 0
     for bound in range(-sum(values), 1):
         f = CnfFormula(base.next_var, list(base.clauses))
         encode_goal_bound(f, prob.objective, bound, None)
         one_bound = max(one_bound, f.num_clauses - base.num_clauses)
-    assert all(count <= sent[0] + one_bound for count in sent[1:]), sent
+    assert all(len(clauses) <= base.num_clauses + one_bound for clauses, _ in sent[1:])
+    for clauses, units in sent:     # each fixing unit is implied by the clauses sent
+        num_vars = max(abs(lit) for clause in clauses for lit in clause)
+        for unit in units:
+            assert dpll_sat(formula_from_clauses(num_vars, clauses + [(-unit,)]))[0] == "UNSAT"
+
+
+README_KNAPSACK = knapsack([3, 4, 5, 6], [2, 3, 4, 5], 5)     # LP bound -7, optimum -7
+GAP_KNAPSACK = knapsack([3, 4, 5, 6], [3, 3, 2, 2], 5)        # LP bound -37/3, optimum -11
+
+
+@pytest.mark.parametrize("strategy", ["sequential", "binary"])
+def test_minimize_stops_when_the_incumbent_meets_the_relaxation(strategy):
+    res = minimize(README_KNAPSACK, cfg=cfg(strategy=strategy))
+    assert (res.status, res.value, res.lower_bound, res.sat_calls) == ("OPTIMAL", -7, -7, 1)
+
+
+@pytest.mark.parametrize("strategy", ["sequential", "binary"])
+def test_minimize_proves_past_a_relaxation_gap_by_unsat(monkeypatch, strategy):
+    verdicts = []
+    real = solve.run_external_solver
+
+    def recording(*args):
+        res = real(*args)
+        verdicts.append(res.status)
+        return res
+
+    monkeypatch.setattr(solve, "run_external_solver", recording)
+    res = minimize(GAP_KNAPSACK, cfg=cfg(strategy=strategy))
+    assert (res.status, res.value, res.lower_bound) == ("OPTIMAL", -11, -11)
+    assert brute_force_optimum(GAP_KNAPSACK.constraints, GAP_KNAPSACK.objective, 4) == -11
+    assert verdicts[-1] == "UNSAT" and len(verdicts) == res.sat_calls
+
+
+relax_lits = st.integers(1, 7).flatmap(lambda v: st.sampled_from((v, -v)))
+relax_terms = st.lists(st.tuples(st.integers(-9, 9), relax_lits), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(objective=relax_terms, const=st.tuples(st.integers(-9, 9), st.sampled_from((TRUE, FALSE))),
+       terms=relax_terms, rel=st.sampled_from(("<=", ">=", "=")), k=st.integers(-20, 30))
+def test_relaxation_is_sound(objective, const, terms, rel, k):
+    objective = objective + [const]
+    models = [{v: bool((bits >> (v - 1)) & 1) for v in range(1, 8)} for bits in range(1 << 7)]
+    for norm in normalize_pb(PbConstraint(tuple(terms), rel, k)):
+        relaxed = _relaxation(_linear(objective), norm)
+        values = [_objective_value(objective, m) for m in models if norm.holds(m)]
+        if relaxed is None:     # only a constraint with no model is infeasible
+            assert not values
+            continue
+        lp, den, reduced = relaxed
+        if not values:
+            continue
+        optimum = min(values)
+        assert -(-lp // den) <= optimum
+        for bound in range(optimum, optimum + 4):
+            fixed = [v if rc < 0 else -v for v, rc in reduced.items()
+                     if lp + abs(rc) > (bound - 1) * den]
+            for m in models:
+                if norm.holds(m) and _objective_value(objective, m) <= bound - 1:
+                    assert all(m[abs(lit)] == (lit > 0) for lit in fixed), (m, fixed)
 
 
 def random_feasible_problem(rng):
