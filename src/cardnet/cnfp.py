@@ -1,8 +1,9 @@
 """CNF-plus-cardinality input format and the n-Queens demo generator.
 
-Grammar (normative for this tool): header `p cnf+ <vars> <lines>`, clause
-lines are signed integers terminated by `0`, cardinality lines are literals
-terminated by `<= <k>` or `>= <k>`.
+Grammar (normative for this tool): one header `p cnf+ <vars> <lines>` with
+non-negative counts before any other line, clause lines are signed integers
+terminated by `0`, cardinality lines are literals terminated by `<= <k>` or
+`>= <k>`.
 """
 
 from __future__ import annotations
@@ -47,10 +48,15 @@ def parse_cnfp(text: str) -> CnfpProblem:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf+":
                 raise CnfpSyntaxError("header must be 'p cnf+ <vars> <lines>'", lineno)
+            if problem is not None:
+                raise CnfpSyntaxError("duplicate 'p cnf+' header", lineno)
             try:
-                problem = CnfpProblem(int(parts[2]))
+                counts = [int(parts[2]), int(parts[3])]
             except ValueError:
                 raise CnfpSyntaxError("malformed header counts", lineno) from None
+            if min(counts) < 0:
+                raise CnfpSyntaxError("negative header counts", lineno)
+            problem = CnfpProblem(counts[0])
             continue
         if problem is None:
             raise CnfpSyntaxError("line before the 'p cnf+' header", lineno)

@@ -5,8 +5,17 @@ The clause scheme per selector output p is the monotone implication family
 combine pair costs at most 5 clauses and 2 variables.  At-most-k constraints
 build a (k+1)-selection network over the literals in this one-propagating
 polarity and assert the unit ~y_{k+1}.  The mirrored zero-propagating polarity
-(used by the pseudo-Boolean pipeline, which asserts an output positively) is
-emitted by the same walker with polarity="atleast".
+is emitted by the same walker with polarity="atleast"; its clauses y_p => (at
+least p inputs true) let a positive unit assert an at-least bound.
+
+Every relation normalizes to at-most forms.  encode_card encodes each form on
+its cheaper side: sum(lits) <= k either as above, or as sum(~lits) >= n-k, an
+(n-k)-selection network over the negated literals in the zero-propagating
+polarity plus the unit y_{n-k}.  Both are arc-consistent (Asin, Nieuwenhuis,
+Oliveras and Rodriguez-Carbonell, "Cardinality Networks: a theoretical and
+empirical study", Constraints 2011).  The pseudo-Boolean pipeline emits its
+digit networks in the zero-propagating polarity too, since it asserts an
+output positively.
 """
 
 from __future__ import annotations
@@ -55,11 +64,13 @@ class EncodeOptions:
 
 @dataclass
 class EncodedConstraint:
-    """Result of encoding one at-most-k constraint.
+    """Result of encoding one at-most-k constraint sum(input_lits) <= k.
 
     output_lits are the unary counter outputs y_1..y_{k+1} (y_j true once j
     inputs are true); the last one carries the asserted unit.  They stay
-    available for incremental strengthening with deeper unit clauses.
+    available for incremental strengthening with deeper unit clauses.  A form
+    encode_card put on the at-least side exposes none: its outputs count the
+    negated inputs and cannot deepen the at-most bound.
     """
 
     formula: CnfFormula
@@ -378,11 +389,12 @@ def _level_cost(method: str, n: int, m: int,
 _COSTS: dict[tuple[str, int, int, int], tuple[int, int]] = {}
 
 
-def recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
+def recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, int]:
     """(V, C) of method_network(method, n, m) mixed under lam: the level's own
     gates plus, per sub-selection, a direct selector or its own recursive
-    cost, whichever mixing picks.  The padded power-of-two methods mix only
-    the whole constraint, so their cost is one dry run."""
+    cost, whichever mixing picks; lam None prices the unmixed construction.
+    The padded power-of-two methods mix only the whole constraint, so their
+    cost is one dry run."""
     if method not in NETWORK_METHODS:
         raise ValueError(f"{method!r} is not a network method")
     key = (method, lam, n, m)
@@ -403,7 +415,7 @@ def recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
     return _COSTS[key]
 
 
-def _level_recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, int]:
+def _level_recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, int]:
     split = _TABLE[method].split
     if split is None:
         return cnf_cost(method_network(method, n, m))
@@ -414,7 +426,7 @@ def _level_recursive_cost(method: str, lam: int, n: int, m: int) -> tuple[int, i
     children = split(n, m)
     v, c = _level_cost(method, n, m, children)
     for cn, cm in children:
-        cv, cc = (_direct_cost(cn, cm) if _use_direct(method, lam, cn, cm)
+        cv, cc = (_direct_cost(cn, cm) if lam is not None and _use_direct(method, lam, cn, cm)
                   else recursive_cost(method, lam, cn, cm))
         v += cv
         c += cc
@@ -489,6 +501,37 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
     outs = emit_network(formula, net, list(lits), "atmost")
     formula.add_clause([neg(outs[k])])
     return EncodedConstraint(formula, tuple(lits), k, tuple(outs[:k + 1]))
+
+
+def _selection_cost(n: int, m: int, opts: EncodeOptions) -> tuple[int, int]:
+    """(V, C) of the (n, m)-selection network build_selection_network gives
+    under opts, priced in at-most polarity by the cost model mixing uses."""
+    mixer = _mixer_for(opts)
+    if mixer is not None and mixer.use_direct(n, m):
+        return _direct_cost(n, m)
+    return recursive_cost(opts.method, None if mixer is None else opts.lam, n, m)
+
+
+def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
+                 opts: EncodeOptions) -> EncodedConstraint:
+    """sum(lits) <= k on its cheaper side.  The at-least side, sum(~lits) >=
+    n-k, is an (n-k)-selection network over the negated literals in
+    zero-propagating polarity plus the unit y_{n-k}.  It is taken when it is
+    strictly cheaper under lam*V + C, both sides priced in at-most polarity;
+    a network emitted in at-least polarity was measured never to cost more
+    than that price (see test_cheaper_side_is_never_larger).  Its outputs
+    cannot deepen the at-most bound, so none are exposed."""
+    n = len(lits)
+    if opts.method in NETWORK_METHODS and n - k < k + 1:
+        lam = opts.lam
+        v, c = _selection_cost(n, k + 1, opts)
+        lv, lc = _selection_cost(n, n - k, opts)
+        if lam * lv + lc < lam * v + c:
+            net = build_selection_network(opts.method, n, n - k, _mixer_for(opts))
+            outs = emit_network(formula, net, [neg(l) for l in lits], "atleast")
+            formula.add_clause([outs[n - k - 1]])
+            return EncodedConstraint(formula, tuple(lits), k)
+    return encode_atmost(formula, lits, k, opts)
 
 
 def strengthen(enc: EncodedConstraint, new_k: int) -> None:
@@ -590,12 +633,14 @@ def encode_baseline(formula: CnfFormula, lits: Sequence[Lit], k: int,
 
 def encode_card(formula: CnfFormula, c: CardConstraint,
                 opts: EncodeOptions | None = None) -> list[EncodedConstraint]:
-    """Normalize and encode a constraint with any relation."""
+    """Normalize and encode a constraint with any relation, each at-most form
+    on its cheaper side (see _encode_form)."""
+    opts = opts or EncodeOptions()
     norm = normalize_card(c)
     if norm.trivially_unsat:
         formula.add_clause([])
         return []
-    return [encode_atmost(formula, form.lits, form.k, opts) for form in norm.atmosts]
+    return [_encode_form(formula, form.lits, form.k, opts) for form in norm.atmosts]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from typing import Sequence
 
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
-from .encode import (EncodeOptions, EncodedConstraint, _mixer_for, build_selection_network,
-                     emit_network, encode_atmost)
+from .encode import (EncodeOptions, EncodedConstraint, _encode_form, _mixer_for,
+                     build_selection_network, emit_network)
 
 MAX_COEFF_MAGNITUDE = 2 ** 62  # 63-bit magnitudes; larger coefficients are rejected
 PRIMES_UNDER_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -331,11 +331,11 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
               opts: EncodeOptions | None = None) -> EncodedConstraint:
     """Encode a normalized at-least constraint through the digit/carry chain.
 
-    All-unit-coefficient constraints degenerate to the at-most encoder over
-    the negated literals.  Otherwise each position selects its top outputs in
-    zero-propagating polarity, carries are merged (not appended) into the
-    next position, and one positive unit asserts the top position's m-th
-    output.
+    All-unit-coefficient constraints degenerate to the cardinality encoder:
+    at-most n-k over the negated literals, on its cheaper side.  Otherwise
+    each position selects its top outputs in zero-propagating polarity,
+    carries are merged (not appended) into the next position, and one
+    positive unit asserts the top position's m-th output.
     """
     opts = opts or EncodeOptions()
     if c.rel != ">=" or any(a <= 0 for a, _ in c.terms) or c.k < 1:
@@ -349,7 +349,7 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     if all(a == 1 for a, _ in c.terms):
         # plain cardinality: at-least k over lits == at-most n-k over negations
         lits = [l for _, l in c.terms]
-        return encode_atmost(formula, [neg(l) for l in lits], len(lits) - c.k, opts)
+        return _encode_form(formula, [neg(l) for l in lits], len(lits) - c.k, opts)
     plan = plan_digits(c, base)
     if plan.positions[-1].max_inputs < plan.assert_index:
         formula.add_clause([])

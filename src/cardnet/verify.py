@@ -16,9 +16,9 @@ from itertools import combinations
 
 from . import build
 from .cnf import CnfFormula
-from .encode import (METHODS, MIXED_METHODS, NETWORK_METHODS, DirectMixer, EncodeOptions,
-                     build_selection_network, cnf_cost, encode_atmost, method_network,
-                     recursive_cost)
+from .encode import (METHODS, MIXED_METHODS, NETWORK_METHODS, CardConstraint, DirectMixer,
+                     EncodeOptions, build_selection_network, cnf_cost, encode_atmost,
+                     encode_card, method_network, recursive_cost)
 from .formulas import registry
 from .network import Network, thresholds
 from .sat import Propagator, check_arc_consistency, dpll_sat
@@ -88,60 +88,76 @@ def run_zero_one(limit: int = 8, log=print) -> bool:
     return ok
 
 
+def _card_encodings(n: int, opts: EncodeOptions):
+    """(label, formula, encoded at-most forms, source constraint) over n
+    fresh inputs: the at-most encoder for every 0 <= k < n, then encode_card
+    for every relation and 0 <= k <= n, whose forms may be on either side."""
+    for k in range(n):
+        formula = CnfFormula()
+        c = CardConstraint(tuple(formula.fresh_vars(n)), "<=", k)
+        yield f"atmost k={k}", formula, [encode_atmost(formula, c.lits, k, opts)], c
+    for rel in ("<=", ">=", "="):
+        for k in range(n + 1):
+            formula = CnfFormula()
+            c = CardConstraint(tuple(formula.fresh_vars(n)), rel, k)
+            yield f"card {rel} {k}", formula, encode_card(formula, c, opts), c
+
+
 def run_ac(limit: int = 6, log=print) -> bool:
+    """Arc-consistency of every encoded at-most form at its bound, on up to
+    20 scenarios each, for the at-most encoder and encode_card."""
     ok = True
     rng = random.Random(2024)
     for method in ("oe4", "oe2"):
         for n in range(2, limit + 1):
-            for k in range(0, n):
-                formula = CnfFormula()
-                lits = formula.fresh_vars(n)
-                enc = encode_atmost(formula, lits, k,
-                                    EncodeOptions(method=method))
+            for label, formula, encs, _ in _card_encodings(n, EncodeOptions(method=method)):
                 prop = Propagator(formula)
-                subsets = list(combinations(range(n), k))
-                if len(subsets) > 20:
-                    subsets = rng.sample(subsets, 20)
-                for subset in subsets:
-                    report = check_arc_consistency(enc, k, subset, prop=prop)
-                    if not report.passed:
-                        ok = False
-                        log(f"  FAIL ac {method} n={n} k={k} {subset}: {report.detail}")
+                for enc in encs:
+                    subsets = list(combinations(range(n), enc.k))
+                    if len(subsets) > 20:
+                        subsets = rng.sample(subsets, 20)
+                    for subset in subsets:
+                        report = check_arc_consistency(enc, enc.k, subset, prop=prop)
+                        if not report.passed:
+                            ok = False
+                            log(f"  FAIL ac {method} n={n} {label} form k={enc.k} "
+                                f"{subset}: {report.detail}")
     log(f"arc-consistency suite: {'PASS' if ok else 'FAIL'}")
     return ok
 
 
 def run_equisat(limit: int = 5, log=print) -> bool:
+    """Under every full input fixing the encoding is satisfiable exactly when
+    the constraint holds, for every method, the at-most encoder and
+    encode_card."""
     ok = True
     for method in METHODS:
         for n in range(1, limit + 1):
-            for k in range(0, n):
-                formula = CnfFormula()
-                lits = formula.fresh_vars(n)
-                encode_atmost(formula, lits, k, EncodeOptions(method=method))
+            for label, formula, _, c in _card_encodings(n, EncodeOptions(method=method)):
                 for bits in range(1 << n):
-                    fixing = [v if (bits >> i) & 1 else -v
-                              for i, v in enumerate(lits)]
+                    fixing = [v if (bits >> i) & 1 else -v for i, v in enumerate(c.lits)]
                     status, _ = dpll_sat(formula, fixing)
-                    want = "SAT" if bin(bits).count("1") <= k else "UNSAT"
+                    want = "SAT" if c.holds(bin(bits).count("1")) else "UNSAT"
                     if status != want:
                         ok = False
-                        log(f"  FAIL equisat {method} n={n} k={k} bits={bits:0{n}b}")
+                        log(f"  FAIL equisat {method} n={n} {label} bits={bits:0{n}b}")
     log(f"equisatisfiability suite: {'PASS' if ok else 'FAIL'}")
     return ok
 
 
 def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
     """Sub-problems up to order limit where the mixing cost recurrence differs
-    from a dry run of the network built with the same mixing decisions."""
+    from a dry run of the network built with the same mixing decisions, or
+    with none (lam None)."""
     fails = []
     for method in MIXED_METHODS:
-        mixer = DirectMixer(method, 5)
-        for n in range(2, limit + 1):
-            for m in range(1, n + 1):
-                net = method_network(method, n, m, mixer)
-                if recursive_cost(method, lam, n, m) != cnf_cost(net):
-                    fails.append(f"{method} n={n} m={m}")
+        for mix_lam in (lam, None):
+            mixer = DirectMixer(method, mix_lam) if mix_lam else None
+            for n in range(2, limit + 1):
+                for m in range(1, n + 1):
+                    net = method_network(method, n, m, mixer)
+                    if recursive_cost(method, mix_lam, n, m) != cnf_cost(net):
+                        fails.append(f"{method} lam={mix_lam} n={n} m={m}")
     return fails
 
 

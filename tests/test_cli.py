@@ -93,6 +93,30 @@ def test_cli_encode_parse_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_cnfp_second_header_is_a_parse_error(tmp_path, capsys):
+    # a second header used to restart the problem, dropping the lines before it
+    text = "p cnf+ 3 2\n1 2 0\np cnf+ 3 1\n-1 0\n"
+    with pytest.raises(CnfpSyntaxError, match="duplicate") as err:
+        parse_cnfp(text)
+    assert err.value.line == 3
+    src = tmp_path / "twice.cnfp"
+    src.write_text(text)
+    out = tmp_path / "x.cnf"
+    assert run_cli(["encode", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 3:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header", ("p cnf+ -2 1", "p cnf+ 2 -1"))
+def test_cnfp_negative_header_count_is_a_parse_error(tmp_path, header):
+    with pytest.raises(CnfpSyntaxError, match="negative") as err:
+        parse_cnfp(header + "\n")
+    assert err.value.line == 1
+    src = tmp_path / "negative.cnfp"
+    src.write_text(header + "\n")
+    assert run_cli(["encode", str(src), "-o", str(tmp_path / "x.cnf")]) == 2
+
+
 def test_cli_missing_file_exit_code(tmp_path):
     assert run_cli(["encode", str(tmp_path / "none.cnfp"),
                     "-o", str(tmp_path / "x.cnf")]) == 2

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from cardnet.cnf import FALSE, TRUE, CnfFormula
-from cardnet.encode import (MIXED_METHODS, CardConstraint, DirectMixer, EncodeOptions,
-                            choose_direct, cnf_cost, emit_network, encode_atmost,
-                            encode_baseline, encode_card, method_network,
+from cardnet.encode import (MIXED_METHODS, NETWORK_METHODS, CardConstraint, DirectMixer,
+                            EncodeOptions, _mixer_for, _selection_cost,
+                            build_selection_network, choose_direct, cnf_cost, emit_network,
+                            encode_atmost, encode_baseline, encode_card, method_network,
                             normalize_card, recursive_cost, strengthen)
 from cardnet.network import Network
 from cardnet.pb import PbConstraint, encode_pb, normalize_pb
@@ -185,6 +186,14 @@ def test_recursive_cost_matches_dry_run(method, lam):
         assert recursive_cost(method, lam, n, m) == cnf_cost(net), (n, m)
 
 
+@pytest.mark.parametrize("method", MIXED_METHODS)
+def test_recursive_cost_prices_the_unmixed_network(method):
+    # lam None takes no direct sub-selection, the network --no-direct builds
+    points = [(n, m) for n in range(2, 33) for m in range(1, n + 1)]
+    for n, m in points + [(256, 33), (256, 249)]:
+        assert recursive_cost(method, None, n, m) == cnf_cost(method_network(method, n, m)), (n, m)
+
+
 def test_mixing_preserves_equisatisfiability():
     for n, k in ((6, 2), (9, 4), (12, 3)):
         f = CnfFormula()
@@ -331,3 +340,76 @@ def test_oe4_long_column_chain(k, mixing):
         # unit propagation leaves auxiliary variables open: the solver
         # decides thousands of them without recursing
         assert dpll_sat(f, fixing)[0] == ("SAT" if count <= k else "UNSAT")
+
+
+# -- each bound on its cheaper side ----------------------------------------------
+
+def test_atleast_forms_take_the_small_network():
+    # >= 8 over 256: a top-8 network instead of a 249-selection network
+    f = CnfFormula()
+    lits = f.fresh_vars(256)
+    (enc,) = encode_card(f, CardConstraint(tuple(lits), ">=", 8))
+    assert (f.num_vars - 256, f.num_clauses) == (1964, 4315)
+    assert enc.input_lits == tuple(-l for l in lits) and enc.k == 248
+    assert enc.output_lits == ()
+    with pytest.raises(ValueError, match="no exposed outputs"):
+        strengthen(enc, 100)
+    # >= 1 over 64: one selector output, its clause and the unit
+    f = CnfFormula()
+    encode_card(f, CardConstraint(tuple(f.fresh_vars(64)), ">=", 1))
+    assert (f.num_vars - 64, f.num_clauses) == (1, 2)
+    # the at-most encoder keeps its contract
+    f = CnfFormula()
+    enc = encode_atmost(f, [-l for l in f.fresh_vars(256)], 248)
+    assert (f.num_vars - 256, f.num_clauses) == (4077, 10810)
+    assert len(enc.output_lits) == 249
+
+
+def _weight(f, n, lam):
+    return lam * (f.num_vars - n) + f.num_clauses
+
+
+@pytest.mark.parametrize("method", NETWORK_METHODS)
+def test_cheaper_side_is_never_larger(method):
+    # encode_card's side costs no more than the at-most encoder under
+    # lam*V + C, and a network emitted in at-least polarity no more than the
+    # at-most price the choice is made on
+    for opts in [EncodeOptions(method=method, lam=lam) for lam in (1, 5, 20)] + [
+            EncodeOptions(method=method, direct_mixing=False)]:
+        for n in range(2, 13):
+            for k in range(1, n):
+                f = CnfFormula()
+                (enc,) = encode_card(f, CardConstraint(tuple(f.fresh_vars(n)), "<=", k), opts)
+                g = CnfFormula()
+                encode_atmost(g, g.fresh_vars(n), k, opts)
+                assert _weight(f, n, opts.lam) <= _weight(g, n, opts.lam), (opts, n, k)
+                if enc.output_lits:
+                    assert f.clauses == g.clauses
+                    continue
+                assert n - k < k + 1
+                h = CnfFormula()
+                net = build_selection_network(method, n, n - k, _mixer_for(opts))
+                emit_network(h, net, h.fresh_vars(n), "atleast")
+                price = _selection_cost(n, n - k, opts)
+                assert h.num_vars - n <= price[0] and h.num_clauses <= price[1], (opts, n, k)
+
+
+@pytest.mark.parametrize("method", ("oe4", "oe2", "fourwise"))
+def test_atleast_side_propagates_at_scale(method):
+    # >= 8 over 256 and >= 32 over 1024 in one formula on one propagator: k-1
+    # true inputs (the rest false) conflict, k true inputs do not
+    rng = random.Random(12)
+    f = CnfFormula()
+    cases = []
+    for n, k in ((256, 8), (1024, 32)):
+        lits = f.fresh_vars(n)
+        (enc,) = encode_card(f, CardConstraint(tuple(lits), ">=", k), EncodeOptions(method=method))
+        assert enc.output_lits == ()
+        cases.append((lits, k))
+    prop = Propagator(f)
+    for lits, k in cases:
+        for count in (k - 1, k, k - 1, k):
+            chosen = set(rng.sample(range(len(lits)), count))
+            fixing = [l if i in chosen else -l for i, l in enumerate(lits)]
+            status = prop.propagate(Assignment(), fixing).status
+            assert status == ("conflict" if count < k else "fixpoint"), (len(lits), count)

@@ -7,6 +7,13 @@ the encoder now writes different bytes, which is a behaviour change and never
 a reason to re-record.  The flagged goal-bound cases (`goal-*`) were recorded
 from the code before clause families were emitted in bulk; they pin the guard
 literal that `encode_goal_bound` disjoins into every clause it adds.
+
+The seven cases `queens8-{oe4,oe2,fourwise}` and `opb-a-*` were re-recorded
+once, when `encode_card` and the unit-coefficient branch of `encode_pb` began
+to encode an at-most form on its cheaper side: their `>=` and `=` lines, the
+length-2 diagonals of queens 8 and opb-a's `<= 4` over six unit terms now
+become small selection networks in the zero-propagating polarity.  Every
+other case kept its bytes through that change.
 """
 
 import hashlib
@@ -564,27 +571,27 @@ GOLDEN = {
     "oe4-n300-k17-lam5-mix":
         "3deed255f85084f4b3597389b213fdec23a13b23dbf874e5434d2d2a1ca4c74d",
     "queens8-oe4":
-        "695f60712f66fa965494b097ecdf343c9d64f5512b1017eb6e772fc6276bae5c",
+        "fe58b43d6179580810d54c5601cb5a9f21f5ac54e6a7d6a3a5370ebd24b376a8",
     "oe2-n256-k33-lam5-mix":
         "25d74626ff86f67e4453beb0dc06f10ae0370a4b5b494f4cdd22dc2fc6c15703",
     "oe2-n300-k17-lam5-mix":
         "6f61045bbbdffaf93a17dfd5c62c3a7cb311575640935e9a6d17c359f6c69e62",
     "queens8-oe2":
-        "fa54e3f3d90de7d0fd65f65258c9aa95f914114fe775f8a11f523f0ff95c6aff",
+        "1b442c41818f597c182d11b54fd5ba5501c0cdf58d73db8386e374d5be716303",
     "fourwise-n256-k33-lam5-mix":
         "85f943920c150d2c70c12f9b827dad6dd35212b86b9d9a228b0eb451b266e7a0",
     "fourwise-n300-k17-lam5-mix":
         "85902d5900fb29660567a3131c639845aa04b437b358cdfa4d49044ec812d576",
     "queens8-fourwise":
-        "c47842d77f3ce48683c32e7d94a06138675c0c5bc1c35e14e54d420c638a311f",
+        "4692283ec34517b17d62b5b7d58cc146335adfb77b60910af021d9a57c1905c3",
     "opb-a-oe4":
-        "3ae3fbaf513f611ba09da4161ee3787078cd40485b0bf00a366465664a8ae4c5",
+        "6e3332bfaace03d36f48484e50aaf1d7ee274adc5c9eac76eaed2fd42af1a297",
     "opb-a-oe2":
-        "3ae3fbaf513f611ba09da4161ee3787078cd40485b0bf00a366465664a8ae4c5",
+        "6e3332bfaace03d36f48484e50aaf1d7ee274adc5c9eac76eaed2fd42af1a297",
     "opb-a-fourwise":
-        "3ae3fbaf513f611ba09da4161ee3787078cd40485b0bf00a366465664a8ae4c5",
+        "6e3332bfaace03d36f48484e50aaf1d7ee274adc5c9eac76eaed2fd42af1a297",
     "opb-a-pairwise_half_bitonic":
-        "3ae3fbaf513f611ba09da4161ee3787078cd40485b0bf00a366465664a8ae4c5",
+        "6e3332bfaace03d36f48484e50aaf1d7ee274adc5c9eac76eaed2fd42af1a297",
     "opb-b-oe4":
         "556ec90e9dbd6407b72d7333cfc32ad71adddf2bd12d25500f786ec1a7806307",
     "opb-b-oe2":

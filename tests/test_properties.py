@@ -10,6 +10,9 @@ must be satisfiable exactly when the constraint holds.
 Unit propagation must reach the status and fixpoint of a naive reference
 that rescans every clause, and every network encoding must pass the
 arc-consistency and forward-propagation harnesses on random scenarios.
+`encode_card`, whose forms may take either polarity, is also checked on
+every full fixing of up to 12 inputs: unit propagation conflicts exactly on
+the violating ones.
 """
 
 from hypothesis import given, settings
@@ -144,3 +147,53 @@ def test_harnesses_pass_on_random_scenarios(method, n, data):
             i = data.draw(st.integers(0, min(k + 1, len(enc.output_lits))))
             subset = data.draw(st.lists(positions, min_size=i, max_size=i, unique=True))
             assert check_forward_prop(enc, i, subset, prop=prop).passed
+
+
+def _first_signs(formula):
+    """Per variable, the sign of its first occurrence in the clause list.  A
+    network output is defined by the first clauses that hold it: positively
+    in the at-most polarity, negatively in the at-least polarity."""
+    sign = {}
+    for clause in formula.clauses:
+        for lit in clause:
+            sign.setdefault(abs(lit), lit > 0)
+    return sign
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(NETWORK_METHODS), mixing=st.booleans(), n=st.integers(1, 12),
+       rel=st.sampled_from(("<", "<=", "=", ">=", ">")), data=st.data())
+def test_encode_card_on_every_full_fixing(method, mixing, n, rel, data):
+    # under every full fixing of the inputs unit propagation conflicts exactly
+    # when the constraint is violated, and a satisfying fixing has a model;
+    # every returned form is arc-consistent at its bound
+    k = data.draw(st.integers(-1, n + 1))
+    f = CnfFormula()
+    signs = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lits = [v if s else -v for v, s in zip(f.fresh_vars(n), signs)]
+    c = CardConstraint(tuple(lits), rel, k)
+    encs = encode_card(f, c, EncodeOptions(method=method, direct_mixing=mixing))
+    prop = Propagator(f)
+    core = prop.core
+    # a satisfying fixing's model: the propagated values, and each free
+    # auxiliary variable at the value that satisfies its defining clauses
+    # (false in the at-most polarity, true in the at-least one), checked
+    # against every clause; dpll_sat decides when that completion fails
+    default = {v: not s for v, s in _first_signs(f).items()}
+    for bits in range(1 << n):
+        fixing = [v if (bits >> (v - 1)) & 1 else -v for v in range(1, n + 1)]
+        holds = c.holds(sum(l in fixing for l in lits))
+        conflict = not (core.reset() and all(map(core.assume, fixing)))
+        assert conflict != holds, (bits, holds)
+        if holds:
+            model = [core.value[v] if core.value[v] is not None else default.get(v, False)
+                     for v in range(f.next_var)]
+            if not all(any(model[l] if l > 0 else not model[-l] for l in cl)
+                       for cl in f.clauses):
+                assert dpll_sat(f, fixing)[0] == "SAT", bits
+    positions = st.integers(0, n - 1)
+    for enc in encs:
+        for _ in range(2):
+            scenario = data.draw(st.lists(positions, min_size=enc.k, max_size=enc.k,
+                                          unique=True))
+            assert check_arc_consistency(enc, enc.k, scenario, prop=prop).passed
