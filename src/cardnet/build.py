@@ -3,8 +3,10 @@
 All builders are deterministic pure functions: identical parameters produce
 identical gate lists and wire numbering, so downstream CNF output is
 byte-identical across runs.  Internal helpers operate on (network, wire-list)
-pairs.  The selection-network methods are their level builders
-(_emit_*_sel), which encode.method_network alone turns into networks; the
+pairs.  The column-recursive selection methods (oe4, oe2, fourwise) are one
+recursion, _select_columns, run over a method's column split and merger; the
+power-of-two methods are their own recursions (_emit_pw_sel, _emit_bit_sel).
+encode.method_network alone turns either into a method's network.  The
 public functions here wrap the sub-constructions (mergers, splitters, the
 sorter, the four-wise slope phase, the combine, direct selectors) and mw_sel,
 the four-wise selection over an explicit column profile, in a fresh Network
@@ -38,6 +40,15 @@ def _sortm(net: Network, wires: Sequence[int]) -> list[int]:
     if len(wires) < 2:
         return list(wires)
     return list(net.add_selector(tuple(wires), len(wires)))
+
+
+def _columns(wires: Sequence[int], lens: Sequence[int]) -> list[list[int]]:
+    """Consecutive slices of wires with the given lengths."""
+    cols, at = [], 0
+    for ln in lens:
+        cols.append(wires[at:at + ln])
+        at += ln
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +261,6 @@ def _emit_pw_sel(net: Network, wires: list[int], k: int, variant: str) -> list[i
 
 
 # ---------------------------------------------------------------------------
-# sub-selection hooks of the recursive level builders
-# ---------------------------------------------------------------------------
-
-def _sub_select(net: Network, wires: list[int], k: int, sub, level) -> list[int]:
-    """One column's sub-selection inside a level builder.
-
-    sub(net, wires, k) may build it: a direct selector, or just the free
-    wires when a level is priced on its own.  When sub is None or returns
-    None, the column recurses into level(net, wires, k, sub).
-    """
-    sel = sub(net, wires, k) if sub is not None else None
-    return level(net, wires, k, sub) if sel is None else sel
-
-
-# ---------------------------------------------------------------------------
 # four-wise selection (column split + slope-sorting merger)
 # ---------------------------------------------------------------------------
 
@@ -334,11 +330,7 @@ def fourw_slope(col_lens: Sequence[int]) -> Network:
     """The slope-sorting phase of the four-wise merger, as its own network
     (used by the size analytics; the correction stages are excluded)."""
     net = Network(sum(col_lens))
-    wires = net.input_wires()
-    cols, at = [], 0
-    for ln in col_lens:
-        cols.append(wires[at:at + ln])
-        at += ln
+    cols = _columns(net.input_wires(), col_lens)
     _emit_4w_slope(net, cols)
     net.set_outputs(zip_cols(*cols))
     return net
@@ -349,11 +341,7 @@ def fourw_merge(col_lens: Sequence[int], k: int) -> Network:
     (min(c, k/i) for the i-th column); inputs are column-major."""
     _check_fourw_profile(col_lens, k)
     net = Network(sum(col_lens))
-    wires = net.input_wires()
-    cols, at = [], 0
-    for ln in col_lens:
-        cols.append(wires[at:at + ln])
-        at += ln
+    cols = _columns(net.input_wires(), col_lens)
     net.set_outputs(_emit_4w_merge(net, cols, k))
     return net
 
@@ -364,61 +352,43 @@ def even_split4(n: int) -> tuple[int, int, int, int]:
     return parts  # sums to n
 
 
-def _mw_split(sizes: Sequence[int], k: int) -> list[tuple[int, int]]:
-    """(length, selected) of each column one four-wise level recurses into."""
+def _mw_split(n: int, k: int, sizes: Sequence[int] | None = None) -> list[tuple[int, int]]:
+    """(length, selected) of each column one four-wise level recurses into:
+    the columns are sizes, or even_split4(n) by default."""
+    sizes = even_split4(n) if sizes is None else sizes
     return [(s, min(s, k // (i + 1))) for i, s in enumerate(sizes)]
 
 
-def _emit_mw_sel(net: Network, wires: list[int], k: int, sub=None,
-                 col_sizes: Sequence[int] | None = None) -> list[int]:
-    """Four-column selection level over col_sizes (default: even_split4).
-
-    Each column's sub-selection goes through _sub_select: sub may build it,
-    otherwise the column recurses into this construction with an even split.
-    """
-    n = len(wires)
-    if k == 0 or n <= 1:
-        return list(wires)
-    if k == 1:
-        return list(net.add_selector(tuple(wires), 1))
-    sizes = list(even_split4(n) if col_sizes is None else col_sizes)
-    if len(sizes) != 4 or sum(sizes) != n or any(sizes[i] < sizes[i + 1] for i in range(3)) \
-            or sizes[0] >= n or sizes[-1] < 0:
-        raise ValueError(f"invalid column profile {sizes} for n={n}")
-    cols, at = [], 0
-    for s in sizes:
-        cols.append(wires[at:at + s])
-        at += s
-    # sort rows so column one-counts are non-increasing
-    for row in range(sizes[0]):
-        members = [i for i in range(4) if sizes[i] > row]
-        if len(members) >= 2:
-            outs = _sortm(net, [cols[i][row] for i in members])
-            for i, wire in zip(members, outs):
-                cols[i][row] = wire
-    split = _mw_split(sizes, k)
-    sel_cols = [_sub_select(net, col, li, sub, _emit_mw_sel)
-                for col, (_, li) in zip(cols, split)]
-    c = min(sizes[0], k)
-    merge_cols, leftovers, pad = [], [], 0
-    for i, (_, li) in enumerate(split):
-        ki = min(c, k // (i + 1))
-        merge_cols.append(sel_cols[i][:li] + [net.const_wire(0)] * (ki - li))
-        leftovers.extend(sel_cols[i][li:])
-        pad += ki - li
-    res = _emit_4w_merge(net, merge_cols, k)
-    if pad:
-        res = res[:len(res) - pad]  # padding only ever holds zeros
-    return res + leftovers
+def _mw_merge(net: Network, cols: list[list[int]], k: int) -> list[int]:
+    """Four-wise merger of the columns' selected prefixes: column i is padded
+    with zeros to min(c, k/i) wires (c the first column's length), and the
+    padding, which only ever holds zeros, is trimmed off the merged output."""
+    zero = net.const_wire(0)
+    c = len(cols[0])
+    padded = [col + [zero] * (min(c, k // (i + 1)) - len(col)) for i, col in enumerate(cols)]
+    pad = sum(map(len, padded)) - sum(map(len, cols))
+    res = _emit_4w_merge(net, padded, k)
+    return res[:len(res) - pad]
 
 
 def mw_sel(n: int, k: int, col_sizes: Sequence[int]) -> Network:
-    """Four-column selection network over the given column profile (the
-    fourwise method is this network over even_split4(n))."""
+    """Four-column selection network over the given column profile at the
+    top level and even_split4 below (the fourwise method is this network
+    over even_split4(n))."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    sizes = list(col_sizes)
+    if len(sizes) != 4 or sum(sizes) != n or any(sizes[i] < sizes[i + 1] for i in range(3)) \
+            or sizes[0] >= n or sizes[-1] < 0:
+        raise ValueError(f"invalid column profile {sizes} for n={n}")
+
+    def split(m: int, j: int) -> list[tuple[int, int]]:
+        # every column is shorter than n, so only the top level has length n
+        return _mw_split(m, j, sizes if m == n else None)
+
     net = Network(n)
-    net.set_outputs(_emit_mw_sel(net, net.input_wires(), k, col_sizes=col_sizes))
+    net.set_outputs(_select_columns(net, net.input_wires(), k, split, _mw_merge,
+                                    sort_rows=True))
     return net
 
 
@@ -492,11 +462,7 @@ def oe4_merge(col_lens: Sequence[int], k: int) -> Network:
     if lens and k < lens[0]:
         raise ValueError("first column may not be longer than k")
     net = Network(s)
-    wires = net.input_wires()
-    cols, at = [], 0
-    for ln in lens:
-        cols.append(wires[at:at + ln])
-        at += ln
+    cols = _columns(net.input_wires(), lens)
     net.set_outputs(_emit_oe4_merge(net, cols, k))
     return net
 
@@ -527,45 +493,6 @@ def _oe4_split(n: int, k: int) -> list[tuple[int, int]]:
     return [(s, min(k, s)) for s in _oe4_columns(n, k)]
 
 
-def _emit_oe4_sel(net: Network, wires: list[int], k: int, sub=None) -> list[int]:
-    """Four-way odd-even selection.  Each column's sub-selection goes through
-    _sub_select: sub may build it, otherwise the column recurses into this
-    construction.
-
-    A level's first column is the input of the next level, and at small k
-    there are about n/3 such levels, so that chain runs as a loop: down to
-    the first column that is a base case or that sub builds, then back up,
-    each level adding its other columns and its merger.  Gates come out in
-    the order of the plain recursion.
-    """
-    levels: list[tuple[list[int], int, list[tuple[int, int]]]] = []
-    while True:
-        n = len(wires)
-        if k == 0 or n <= 1:
-            res = list(wires)
-            break
-        if k == 1:
-            res = list(net.add_selector(tuple(wires), 1))
-            break
-        split = _oe4_split(n, k)
-        levels.append((wires, k, split))
-        s0, k0 = split[0]
-        res = sub(net, wires[:s0], k0) if sub is not None else None
-        if res is not None:
-            break
-        wires, k = wires[:s0], k0
-    for wires, k, split in reversed(levels):
-        ys = [res]
-        at = split[0][0]
-        for s, ki in split[1:]:
-            ys.append(_sub_select(net, wires[at:at + s], ki, sub, _emit_oe4_sel))
-            at += s
-        ks = [ki for _, ki in split]
-        res = _emit_oe4_merge(net, [y[:ki] for y, ki in zip(ys, ks)], k)
-        res += [wire for y, ki in zip(ys, ks) for wire in y[ki:]]
-    return res
-
-
 # ---------------------------------------------------------------------------
 # two-column odd-even selection
 # ---------------------------------------------------------------------------
@@ -576,17 +503,69 @@ def _oe2_split(n: int, k: int) -> list[tuple[int, int]]:
     return [(h, min(k, h)), (n - h, min(k, n - h))]
 
 
-def _emit_oe2_sel(net: Network, wires: list[int], k: int, sub=None) -> list[int]:
-    """One two-column odd-even selection level.  Each half's sub-selection
-    goes through _sub_select: sub may build it, otherwise the half recurses
-    into this construction."""
-    n = len(wires)
-    if k == 0 or n <= 1:
-        return list(wires)
-    if k == 1:
-        return list(net.add_selector(tuple(wires), 1))
-    (h, k0), (_, k1) = _oe2_split(n, k)
-    sel0 = _sub_select(net, wires[:h], k0, sub, _emit_oe2_sel)
-    sel1 = _sub_select(net, wires[h:], k1, sub, _emit_oe2_sel)
-    merged = _emit_oe_merge(net, sel0[:k0], sel1[:k1])
-    return merged + sel0[k0:] + sel1[k1:]
+def _oe2_merge(net: Network, cols: list[list[int]], k: int) -> list[int]:
+    """Odd-even merger of the two halves' selected prefixes."""
+    return _emit_oe_merge(net, cols[0], cols[1])
+
+
+# ---------------------------------------------------------------------------
+# column-recursive selection (oe4, oe2, fourwise)
+# ---------------------------------------------------------------------------
+
+def _select_columns(net: Network, wires: list[int], k: int, split, merge, sub=None,
+                    sort_rows: bool = False) -> list[int]:
+    """Select the k largest of wires by columns.
+
+    split(n, k) gives each column's (length, selected).  With sort_rows the
+    rows across the columns are sorted first, so that the columns' one-counts
+    are non-increasing.  sub(net, wires, k) may build a column's selection (a
+    direct selector, or the free wires when a level is priced on its own);
+    when sub is None or returns None, the column recurses.  merge(net,
+    prefixes, k) merges the columns' selected prefixes, and the columns'
+    leftovers follow in column order.
+
+    A level's first column is the input of the next level, and at small k an
+    oe4 chain is about n/3 levels deep, so that chain runs as a loop: down to
+    the first column that is a base case or that sub builds, then back up,
+    each level adding its other columns and its merger.  Gates come out in
+    the order of the plain recursion.
+    """
+    levels = []
+    while True:
+        n = len(wires)
+        if k == 0 or n <= 1:
+            res = list(wires)
+            break
+        if k == 1:
+            res = list(net.add_selector(tuple(wires), 1))
+            break
+        sizes = split(n, k)
+        cols, at = [], 0
+        for s, _ in sizes:
+            cols.append(wires[at:at + s])
+            at += s
+        if sort_rows:
+            for row in range(sizes[0][0]):
+                members = [i for i, (s, _) in enumerate(sizes) if s > row]
+                if len(members) >= 2:
+                    outs = _sortm(net, [cols[i][row] for i in members])
+                    for i, wire in zip(members, outs):
+                        cols[i][row] = wire
+        levels.append((k, cols, sizes))
+        wires, k = cols[0], sizes[0][1]
+        if sub is not None:
+            res = sub(net, wires, k)
+            if res is not None:
+                break
+    for k, cols, sizes in reversed(levels):
+        k0 = sizes[0][1]
+        prefixes, leftovers = [res[:k0]], res[k0:]
+        for i in range(1, len(cols)):
+            ki = sizes[i][1]
+            sel = sub(net, cols[i], ki) if sub is not None else None
+            if sel is None:
+                sel = _select_columns(net, cols[i], ki, split, merge, sub, sort_rows)
+            prefixes.append(sel[:ki])
+            leftovers += sel[ki:]
+        res = merge(net, prefixes, k) + leftovers
+    return res

@@ -334,7 +334,11 @@ def method_network(method: str, n: int, m: int,
         m = min(_next_pow2(m), n_pad)
         if n_pad > n:
             wires += [net.const_wire(0)] * (n_pad - n)
-    net.set_outputs(entry.level(net, wires, m, mixer.sub if mixer is not None else None))
+        net.set_outputs(entry.level(net, wires, m))
+    else:
+        net.set_outputs(build._select_columns(net, wires, m, entry.split, entry.merge,
+                                              mixer.sub if mixer is not None else None,
+                                              entry.sorts_rows))
     return net
 
 
@@ -361,10 +365,6 @@ def _direct_cost(n: int, m: int, cap: int | None = None) -> tuple[int, int] | No
     return m, clauses
 
 
-def _free_wires(net: Network, wires: list[int], k: int) -> list[int]:
-    return list(wires)
-
-
 # (method, m, level shape) -> (V, C) of that level's own gates
 _LEVEL_COSTS: dict[tuple, tuple[int, int]] = {}
 
@@ -373,14 +373,15 @@ def _level_cost(method: str, n: int, m: int,
                 children: list[tuple[int, int]]) -> tuple[int, int]:
     """(V, C) of the gates one level adds besides its sub-selections: the
     odd-even mergers, or the four-wise row sorters, merger and zero padding.
-    Priced by dry-running the level with every sub-selection replaced by its
+    Priced by dry-running the level with a sub that gives every column its
     free input wires, once per level shape."""
     entry = _TABLE[method]
     shape = tuple(children) if entry.sorts_rows else tuple(k for _, k in children)
     key = (method, m, shape)
     if key not in _LEVEL_COSTS:
         net = Network(n)
-        entry.level(net, net.input_wires(), m, _free_wires)
+        build._select_columns(net, net.input_wires(), m, entry.split, entry.merge,
+                              lambda net, wires, k: wires, entry.sorts_rows)
         _LEVEL_COSTS[key] = cnf_cost(net)
     return _LEVEL_COSTS[key]
 
@@ -421,7 +422,7 @@ def _level_recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple
         return cnf_cost(method_network(method, n, m))
     if n <= 1 or m == 0:
         return 0, 0
-    if m == 1:  # every level builder emits one (n, 1)-selector
+    if m == 1:  # build._select_columns emits one (n, 1)-selector
         return _direct_cost(n, 1)
     children = split(n, m)
     v, c = _level_cost(method, n, m, children)
@@ -460,7 +461,7 @@ class DirectMixer:
         return _use_direct(self.method, self.lam, n, m)
 
     def sub(self, net: Network, wires: list[int], k: int) -> list[int] | None:
-        """Child hook of the level builders: a direct sub-selection as a
+        """Column hook of build._select_columns: a direct sub-selection as a
         full-length sequence, or None to keep the method's own construction."""
         if self.use_direct(len(wires), k):
             outs = list(net.add_selector(tuple(wires), k))
@@ -648,37 +649,36 @@ def encode_card(formula: CnfFormula, c: CardConstraint,
 # ---------------------------------------------------------------------------
 
 class _NetworkMethod(NamedTuple):
-    """A selection-network method: its level builder (net, wires, m, sub) ->
-    wires and, for the constructions that recurse on sub-selections, their
-    column split (n, m) -> [(length, selected)].  Mixing may replace any of
-    those sub-selections.  Without a split the construction exists for
-    powers of two only (see method_network).
+    """A selection-network method.  A column-recursive one is data for
+    build._select_columns: its column split (n, m) -> [(length, selected)],
+    the merge (net, prefixes, m) of the columns' selected prefixes, and
+    whether a level sorts_rows across the columns first.  Mixing may replace
+    any column's selection.  Any other method is a level (net, wires, m) ->
+    wires that exists for powers of two only (see method_network).
 
     An odd-even level only merges each column's selected prefix, so the
     gates it adds follow from the selected counts; a level that sorts_rows
     also sorts rows across the full column lengths (see _level_cost)."""
 
-    level: Callable
     split: Callable | None = None
+    merge: Callable | None = None
     sorts_rows: bool = False
-
-
-def _pairwise(variant: str) -> Callable:
-    return lambda net, wires, m, sub: build._emit_pw_sel(net, wires, m, variant)
+    level: Callable | None = None
 
 
 # method name -> network method, or a baseline's encoder (formula, lits, k);
 # the order is the order of the CLI's --method choices
 _TABLE: dict[str, _NetworkMethod | Callable] = {
-    "oe4": _NetworkMethod(build._emit_oe4_sel, build._oe4_split),
-    "oe2": _NetworkMethod(build._emit_oe2_sel, build._oe2_split),
-    "pairwise_classic": _NetworkMethod(_pairwise("classic")),
-    "pairwise_bitonic": _NetworkMethod(_pairwise("bitonic")),
-    "pairwise_half_bitonic": _NetworkMethod(_pairwise("half_bitonic")),
-    "fourwise": _NetworkMethod(build._emit_mw_sel,
-                               lambda n, m: build._mw_split(build.even_split4(n), m),
-                               sorts_rows=True),
-    "bitonic_sel": _NetworkMethod(lambda net, wires, m, sub: build._emit_bit_sel(net, wires, m)),
+    "oe4": _NetworkMethod(build._oe4_split, build._emit_oe4_merge),
+    "oe2": _NetworkMethod(build._oe2_split, build._oe2_merge),
+    "pairwise_classic": _NetworkMethod(level=functools.partial(build._emit_pw_sel,
+                                                               variant="classic")),
+    "pairwise_bitonic": _NetworkMethod(level=functools.partial(build._emit_pw_sel,
+                                                               variant="bitonic")),
+    "pairwise_half_bitonic": _NetworkMethod(level=functools.partial(build._emit_pw_sel,
+                                                                    variant="half_bitonic")),
+    "fourwise": _NetworkMethod(build._mw_split, build._mw_merge, sorts_rows=True),
+    "bitonic_sel": _NetworkMethod(level=build._emit_bit_sel),
     "sequential": _encode_sequential,
     "totalizer": _encode_totalizer,
     "binomial": _encode_binomial,

@@ -28,6 +28,19 @@ MAX_COEFF_MAGNITUDE = 2 ** 62  # 63-bit magnitudes; larger coefficients are reje
 PRIMES_UNDER_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def _terms_value(terms: Sequence[tuple[int, Lit]], model: dict[int, bool]) -> int:
+    """Sum of the coefficients whose literal is true under the model."""
+    total = 0
+    for coeff, lit in terms:
+        if lit is TRUE:
+            total += coeff
+        elif lit is FALSE:
+            continue
+        elif (model[abs(lit)] if lit > 0 else not model[abs(lit)]):
+            total += coeff
+    return total
+
+
 class PbSyntaxError(ValueError):
     def __init__(self, message: str, line: int, column: int = 0):
         super().__init__(f"line {line}, column {column}: {message}")
@@ -42,15 +55,7 @@ class PbConstraint:
     k: int
 
     def value(self, model: dict[int, bool]) -> int:
-        total = 0
-        for coeff, lit in self.terms:
-            if lit is TRUE:
-                total += coeff
-            elif lit is FALSE:
-                continue
-            elif (model[abs(lit)] if lit > 0 else not model[abs(lit)]):
-                total += coeff
-        return total
+        return _terms_value(self.terms, model)
 
     def holds(self, model: dict[int, bool]) -> bool:
         v = self.value(model)

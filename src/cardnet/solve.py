@@ -21,6 +21,7 @@ the search, and every point the search closes can save calls.
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import tempfile
@@ -32,7 +33,8 @@ from typing import Iterable, Sequence
 
 from .cnf import TRUE, CnfFormula, Lit, is_const
 from .encode import EncodeOptions
-from .pb import PbConstraint, PbProblem, encode_goal_bound, encode_pb, normalize_pb
+from .pb import (PbConstraint, PbProblem, _terms_value, encode_goal_bound, encode_pb,
+                 normalize_pb)
 
 
 @dataclass
@@ -59,6 +61,9 @@ class MinimizeConfig:
             raise ValueError("switch gap must be at least 1")
         if self.strategy not in ("sequential", "binary"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError(f"time limit must be a positive finite number of seconds, "
+                             f"not {self.time_limit}")
         try:
             words = shlex.split(self.solver_cmd)
         except ValueError as exc:
@@ -280,16 +285,6 @@ def _relaxation(objective: tuple[int, dict[int, int]],
     return value, den, reduced
 
 
-def _objective_value(objective: Sequence[tuple[int, Lit]], model: dict[int, bool]) -> int:
-    total = 0
-    for coeff, lit in objective:
-        if is_const(lit):
-            total += coeff if lit is TRUE else 0
-        elif (model[abs(lit)] if lit > 0 else not model[abs(lit)]):
-            total += coeff
-    return total
-
-
 def improve_model(constraints: Sequence[PbConstraint], objective: Sequence[tuple[int, Lit]],
                   model: dict[int, bool]) -> dict[int, bool]:
     """Local search by single flips and pair moves from a model that
@@ -446,10 +441,10 @@ def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
         model = {v: res.model.get(v, False) for v in range(1, problem.num_vars + 1)}
         if not _check_model(enc.constraints, model):
             return result("UNKNOWN", "model violates source constraints")
-        if upper is not None and _objective_value(objective, model) >= bound:
+        if upper is not None and _terms_value(objective, model) >= bound:
             return result("UNKNOWN", "model does not beat the bound")
         best_model = improve_model(enc.constraints, objective, model)
-        upper = _objective_value(objective, best_model)
+        upper = _terms_value(objective, best_model)
 
     if not _check_model(enc.constraints, best_model):
         return result("UNKNOWN", "model violates source constraints")

@@ -237,6 +237,10 @@ def test_mw_sel_rejects_bad_profile():
         build.mw_sel(8, 3, (2, 2, 2, 1))   # must sum to n
     with pytest.raises(ValueError):
         build.mw_sel(8, 3, (2, 1, 3, 2))   # must be non-increasing
+    with pytest.raises(ValueError):
+        build.mw_sel(8, 1, (8, 0, 0, 0))   # checked at k = 1 too
+    with pytest.raises(ValueError):
+        build.mw_sel(1, 1, (5, 5, 5, 5))   # and at n = 1
 
 
 def fourw_profiles(k, cmax):

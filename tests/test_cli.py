@@ -402,6 +402,19 @@ def test_cli_bad_solver_template_is_usage_error(tmp_path, capsys, template):
         assert "Traceback" not in err and "error:" in err and "solver command" in err, argv
 
 
+@pytest.mark.parametrize("limit", ["-1", "0", "nan", "inf"])
+def test_cli_bad_time_limit_is_usage_error(tmp_path, capsys, limit):
+    cnfp = tmp_path / "inst.cnfp"
+    cnfp.write_text("p cnf+ 2 1\n1 2 0\n")
+    opb = tmp_path / "inst.opb"
+    opb.write_text("min: +1 x1 +1 x2 ;\n+1 x1 +1 x2 >= 1 ;\n")
+    for argv in (["solve", str(cnfp), "--solver", solver_cmd(), "--time-limit", limit],
+                 ["optimize", str(opb), "--solver", solver_cmd(), "--time-limit", limit]):
+        assert run_cli(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "time limit" in err, argv
+
+
 def test_cli_solver_does_not_read_cardnet_stdin(tmp_path):
     # the solver reads its stdin to the end while cardnet's own stdin stays
     # open, so a solver that inherited it would wait forever

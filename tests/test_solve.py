@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 import cardnet.solve as solve
 from cardnet.cnf import FALSE, TRUE, CnfFormula
-from cardnet.pb import PbConstraint, PbProblem, encode_goal_bound, normalize_pb
+from cardnet.pb import PbConstraint, PbProblem, _terms_value, encode_goal_bound, normalize_pb
 from cardnet.sat import dpll_sat
-from cardnet.solve import (MinimizeConfig, _linear, _objective_value, _relaxation,
-                           encode_problem, improve_model, minimize, next_binary_bound,
-                           run_external_solver, solve_decision)
+from cardnet.solve import (MinimizeConfig, _linear, _relaxation, encode_problem, improve_model,
+                           minimize, next_binary_bound, run_external_solver, solve_decision)
 
 from conftest import formula_from_clauses, solver_cmd
 
@@ -78,6 +77,12 @@ def test_run_external_solver_timeout():
     res = send(1, [(1,)], config=MinimizeConfig(solver_cmd=slow, time_limit=0.3))
     assert res.status == "UNKNOWN"
     assert "timeout" in res.diagnostic
+
+
+@pytest.mark.parametrize("limit", [-1.0, 0.0, float("nan"), float("inf")])
+def test_minimize_config_rejects_bad_time_limit(limit):
+    with pytest.raises(ValueError, match="time limit"):
+        cfg(time_limit=limit)
 
 
 def test_solve_decision_examples():
@@ -167,7 +172,7 @@ def test_minimize_matches_brute_force(strategy, gap, unit):
             assert res.status == "INFEASIBLE"
         else:
             assert res.status == "OPTIMAL" and res.value == want
-            assert _objective_value(obj, res.model) == res.value
+            assert _terms_value(obj, res.model) == res.value
             assert all(c.holds(res.model) for c in cons)
 
 
@@ -250,7 +255,7 @@ def test_relaxation_is_sound(objective, const, terms, rel, k):
     models = [{v: bool((bits >> (v - 1)) & 1) for v in range(1, 8)} for bits in range(1 << 7)]
     for norm in normalize_pb(PbConstraint(tuple(terms), rel, k)):
         relaxed = _relaxation(_linear(objective), norm)
-        values = [_objective_value(objective, m) for m in models if norm.holds(m)]
+        values = [_terms_value(objective, m) for m in models if norm.holds(m)]
         if relaxed is None:     # only a constraint with no model is infeasible
             assert not values
             continue
@@ -263,7 +268,7 @@ def test_relaxation_is_sound(objective, const, terms, rel, k):
             fixed = [v if rc < 0 else -v for v, rc in reduced.items()
                      if lp + abs(rc) > (bound - 1) * den]
             for m in models:
-                if norm.holds(m) and _objective_value(objective, m) <= bound - 1:
+                if norm.holds(m) and _terms_value(objective, m) <= bound - 1:
                     assert all(m[abs(lit)] == (lit > 0) for lit in fixed), (m, fixed)
 
 
@@ -277,7 +282,7 @@ def random_feasible_problem(rng):
                       for v in rng.sample(range(1, n + 1), rng.randint(1, n)))
         rel = rng.choice([">=", "<=", "="])
         slack = {"<=": rng.randint(0, 5), ">=": -rng.randint(0, 5), "=": 0}[rel]
-        cons.append(PbConstraint(terms, rel, PbConstraint(terms, rel, 0).value(model) + slack))
+        cons.append(PbConstraint(terms, rel, _terms_value(terms, model) + slack))
     obj = [(rng.randint(-6, 6), v * rng.choice((1, -1))) for v in range(1, n + 1)
            if rng.random() < 0.8]
     obj += [(rng.randint(-6, 6), rng.randint(1, n))]   # a variable may recur
@@ -295,14 +300,14 @@ def test_improve_model_descends_to_a_one_flip_local_optimum():
         assert model == before                          # the input is not changed
         assert improve_model(cons, obj, model) == better   # deterministic
         assert all(c.holds(better) for c in cons)
-        value = _objective_value(obj, better)
-        assert value <= _objective_value(obj, model)
+        value = _terms_value(obj, better)
+        assert value <= _terms_value(obj, model)
         objective_vars = sorted({abs(lit) for _, lit in obj})
         for i, v in enumerate(objective_vars):
             for pair in [(v,)] + [(v, w) for w in objective_vars[i + 1:]]:
                 flipped = {**better, **{x: not better[x] for x in pair}}
                 assert not (all(c.holds(flipped) for c in cons)
-                            and _objective_value(obj, flipped) < value), (cons, obj, pair)
+                            and _terms_value(obj, flipped) < value), (cons, obj, pair)
 
 
 def test_improve_model_visit_order_and_passes():
@@ -341,8 +346,8 @@ def test_improve_model_on_a_1000_item_knapsack():
             one_flip[i + 1], load = True, load + weights[i]
     better = improve_model(prob.constraints, prob.objective, start)
     assert all(c.holds(better) for c in prob.constraints)
-    assert (_objective_value(prob.objective, better)
-            <= _objective_value(prob.objective, one_flip))
+    assert (_terms_value(prob.objective, better)
+            <= _terms_value(prob.objective, one_flip))
 
 
 def test_encode_problem_projects_input_vars():
