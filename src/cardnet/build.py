@@ -11,6 +11,7 @@ public functions here wrap the sub-constructions (mergers, splitters, the
 sorter, the four-wise slope phase, the combine, direct selectors) and mw_sel,
 the four-wise selection over an explicit column profile, in a fresh Network
 whose inputs are the wire list and whose outputs are the constructed sequence.
+carry_chain builds the pseudo-Boolean digit/carry chain as one Network.
 
 Convention: every sorting/selection result is in non-increasing order, and a
 "selection" result is a full-length sequence whose k-prefix holds the k
@@ -569,3 +570,45 @@ def _select_columns(net: Network, wires: list[int], k: int, split, merge, sub=No
             leftovers += sel[ki:]
         res = merge(net, prefixes, k) + leftovers
     return res
+
+
+# ---------------------------------------------------------------------------
+# pseudo-Boolean digit/carry chain
+# ---------------------------------------------------------------------------
+
+def carry_chain(positions: Sequence[tuple[int, int, int | None]], select) -> Network:
+    """The digit/carry chain of a pseudo-Boolean constraint as one network.
+
+    Each position, least significant first, is (digits, t, radix): it takes
+    the next `digits` network inputs, and select(net, wires, t) selects
+    their top t.  Those are merged with the carries from below (a four-way
+    odd-even merger) to the top t, and every radix-th merged wire is a carry
+    into the next position.  The top position has radix None, and its merged
+    wires are the outputs.
+    """
+    net = Network(sum(size for size, _, _ in positions))
+    inputs = net.input_wires()
+    at = 0
+    carries: list[int] = []
+    outs: list[int] = []
+    for size, t, radix in positions:
+        digits = inputs[at:at + size]
+        at += size
+        t_sel = min(t, size)
+        sel = select(net, digits, t_sel)[:t_sel] if size > 1 and t_sel else digits[:t_sel]
+        outs = _merge_top(net, sel, carries, t)
+        if radix:
+            carries = outs[radix - 1::radix]
+    net.set_outputs(outs)
+    return net
+
+
+def _merge_top(net: Network, a: list[int], b: list[int], t: int) -> list[int]:
+    """The top t of two sorted wire runs."""
+    if not b:
+        return a[:t]
+    if not a:
+        return b[:t]
+    cols = sorted([a, b], key=len, reverse=True)
+    k = min(t, len(a) + len(b))
+    return _emit_oe4_merge(net, [col[:k] for col in cols], k)[:t]

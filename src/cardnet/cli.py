@@ -317,11 +317,15 @@ def _encode_args(p) -> None:
     _add_encode_flags(p)
 
 
+TIME_LIMIT_HELP = ("seconds per solver call; a limit longer than the wait can take "
+                   "(about 24.8 days) is no limit")
+
+
 def _solve_args(p) -> None:
     p.add_argument("input")
     p.add_argument("--solver", required=True,
                    help="solver command with a {cnf} placeholder")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=float, default=None, help=TIME_LIMIT_HELP)
     _add_encode_flags(p)
 
 
@@ -331,7 +335,7 @@ def _optimize_args(p) -> None:
     p.add_argument("--strategy", choices=("seq", "bin"), default="bin")
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--switch", type=int, default=96)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=float, default=None, help=TIME_LIMIT_HELP)
     _add_encode_flags(p)
 
 

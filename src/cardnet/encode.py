@@ -6,7 +6,8 @@ combine pair costs at most 5 clauses and 2 variables.  At-most-k constraints
 build a (k+1)-selection network over the literals in this one-propagating
 polarity and assert the unit ~y_{k+1}.  The mirrored zero-propagating polarity
 is emitted by the same walker with polarity="atleast"; its clauses y_p => (at
-least p inputs true) let a positive unit assert an at-least bound.
+least p inputs true) let a positive unit assert an at-least bound.  The walker
+emits only the gates that the outputs its caller reads depend on.
 
 Every relation normalizes to at-most forms.  encode_card encodes each form on
 its cheaper side: sum(lits) <= k either as above, or as sum(~lits) >= n-k, an
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
-from .network import CombinePair, Network, Selector
+from .network import Network, Selector
 
 @dataclass(frozen=True)
 class CardConstraint:
@@ -96,7 +98,8 @@ class NormalizedCard:
 def normalize_card(c: CardConstraint) -> NormalizedCard:
     """Reduce any relation to at-most forms: >= and > flip to negated
     literals, < lowers the bound, = yields both directions.  Constant
-    literals are folded into the bound first."""
+    literals, and pairs of a literal and its complement, which count exactly
+    one, are folded into the bound first."""
     lits = []
     base = 0
     for lit in c.lits:
@@ -104,6 +107,18 @@ def normalize_card(c: CardConstraint) -> NormalizedCard:
             base += 1
         elif lit is not FALSE:
             lits.append(lit)
+    if len(set(map(abs, lits))) < len(lits):
+        count = Counter(lits)
+        pairs = {lit: min(c, count[-lit]) for lit, c in count.items()
+                 if type(lit) is int and -lit in count}
+        base += sum(pairs.values()) // 2
+        unpaired = []
+        for lit in lits:
+            if pairs.get(lit):
+                pairs[lit] -= 1
+            else:
+                unpaired.append(lit)
+        lits = unpaired
     n = len(lits)
 
     def atmost(ls, k):
@@ -135,15 +150,19 @@ def normalize_card(c: CardConstraint) -> NormalizedCard:
 # gate-level clause emission
 # ---------------------------------------------------------------------------
 
-def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], m: int,
-                      polarity: str) -> list[Lit]:
+def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequence[int],
+                      polarity: str, distinct: bool = False) -> list[Lit]:
+    """The literals of one selector's outputs of the given ranks p (output p
+    is true once p inputs are): a constant-forced output folds, every other
+    gets a fresh variable and its clause family.  distinct says the free
+    inputs are known to be over distinct variables."""
     trues = in_lits.count(TRUE)
     free = [l for l in in_lits if l is not TRUE and l is not FALSE]
     negs = [-l for l in free] if polarity == "atmost" else []
     # over distinct variables no clause of the family needs simplification
-    bulk = formula.distinct_vars(free)
+    bulk = distinct or formula.distinct_vars(free)
     outs: list[Lit] = []
-    for p in range(1, m + 1):
+    for p in ranks:
         if p <= trues:
             outs.append(TRUE)
         elif p > trues + len(free):
@@ -166,78 +185,61 @@ def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], m: int,
     return outs
 
 
-def emit_selector_clauses(formula: CnfFormula, gate: Selector,
-                          wire_lits: list[Lit], polarity: str = "atmost") -> None:
-    """Emit one selector's clause family, mapping its output wires to fresh
-    variables (constant-forced outputs fold instead of allocating)."""
-    in_lits = [wire_lits[w] for w in gate.inputs]
-    outs = _selector_outputs(formula, in_lits, gate.m, polarity)
-    for w, lit in zip(gate.outputs, outs):
-        wire_lits[w] = lit
-
-
-def _cv(l: Lit) -> bool | None:
-    """Constant view of a literal: True, False, or None when free."""
-    if l is TRUE:
-        return True
-    if l is FALSE:
-        return False
-    return None
-
-
-def _conj(a: Lit, b: Lit) -> bool | None:
+def _conj(a: Lit | None, b: Lit | None) -> Lit | None:
+    """Three-valued and of two literals: TRUE, FALSE, or None when free."""
     if a is FALSE or b is FALSE:
-        return False
+        return FALSE
     if a is TRUE and b is TRUE:
-        return True
+        return TRUE
     return None
 
 
-def _det_or(*disjuncts: bool | None) -> bool | None:
-    # three-valued or over (lit-or-const) conjunction pairs
-    if any(d is True for d in disjuncts):
-        return True
-    if all(d is False for d in disjuncts):
-        return False
-    return None
+def _combine_consts(ym2, ym1, yy, xx, xp1, xp2, atmost: bool) -> tuple[Lit | None, Lit | None]:
+    """The constants a combine pair's x and y fold to, None for a free one;
+    an input is a literal, or None for any free one.  In the at-least
+    polarity an output folds to TRUE only when every clause that would
+    define it holds."""
+    # x = (y_{i-1} & x_i) | (y_{i-2} & x_{i+1}),  y = y_i | x_{i+2} | (y_{i-1} & x_{i+1})
+    a, b, c = _conj(ym1, xx), _conj(ym2, xp1), _conj(ym1, xp1)
+    if a is TRUE or b is TRUE:
+        x = TRUE if atmost or xx is TRUE and ym2 is TRUE and (ym1 is TRUE or xp1 is TRUE) else None
+    else:
+        x = FALSE if a is FALSE and b is FALSE else None
+    if yy is TRUE or xp2 is TRUE or c is TRUE:
+        y = TRUE if atmost or (ym1 is TRUE or xp2 is TRUE) and (yy is TRUE or xp1 is TRUE) else None
+    else:
+        y = FALSE if yy is FALSE and xp2 is FALSE and c is FALSE else None
+    return x, y
 
 
-def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2,
-                     want_x: bool, want_y: bool, polarity: str) -> tuple[Lit | None, Lit | None]:
+def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bool,
+                     want_y: bool, polarity: str,
+                     distinct: bool = False) -> tuple[Lit | None, Lit | None]:
     atmost = polarity == "atmost"
     free = [l for l in (ym2, ym1, yy, xx, xp1, xp2) if l is not TRUE and l is not FALSE]
     consts = len(free) < 6  # only then can an output be forced
+    fold_x, fold_y = _combine_consts(ym2, ym1, yy, xx, xp1, xp2, atmost) if consts else (None, None)
     out_x: Lit | None = None
     out_y: Lit | None = None
     clauses: list[tuple[Lit, ...]] = []
 
     if want_y:
-        det = _det_or(_cv(yy), _cv(xp2), _conj(ym1, xp1)) if consts else None
-        if det is True and (atmost
-                            or (ym1 is TRUE or xp2 is TRUE)
-                            and (yy is TRUE or xp1 is TRUE)):
-            out_y = TRUE
-        elif det is False:
-            out_y = FALSE
+        if fold_y is not None:
+            out_y = fold_y
         else:
             out_y = y = formula.fresh_var()
             clauses += ([(-yy, y), (-xp2, y), (-ym1, -xp1, y)] if atmost
                         else [(-y, ym1, xp2), (-y, yy, xp1)])
 
     if want_x:
-        det = _det_or(_conj(ym1, xx), _conj(ym2, xp1)) if consts else None
-        if det is True and (atmost
-                            or xx is TRUE and ym2 is TRUE
-                            and (ym1 is TRUE or xp1 is TRUE)):
-            out_x = TRUE
-        elif det is False:
-            out_x = FALSE
+        if fold_x is not None:
+            out_x = fold_x
         else:
             out_x = x = formula.fresh_var()
             clauses += ([(-ym1, -xx, x), (-ym2, -xp1, x)] if atmost
                         else [(-x, xx), (-x, ym2), (-x, ym1, xp1)])
 
-    if formula.distinct_vars(free):
+    if distinct or formula.distinct_vars(free):
         # every clause holds a fresh output, so over distinct variables none
         # can repeat a variable, be a tautology or become empty: only the
         # constants fold (TRUE satisfies a clause, FALSE drops out)
@@ -251,62 +253,154 @@ def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2,
     return out_x, out_y
 
 
-def emit_combine_clauses(formula: CnfFormula, gate: CombinePair,
-                         wire_lits: list[Lit], polarity: str = "atmost") -> None:
-    """Emit the fused clause set of one combine pair (at most 5 clauses and 2
-    variables; boundary constants simplify both away)."""
-    out_x, out_y = _combine_outputs(
-        formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
-        wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2],
-        gate.out_x is not None, gate.out_y is not None, polarity)
-    if gate.out_x is not None:
-        wire_lits[gate.out_x] = out_x
-    if gate.out_y is not None:
-        wire_lits[gate.out_y] = out_y
+def _constant_wires(net: Network, input_lits: Sequence[Lit], atmost: bool) -> dict[int, Lit]:
+    """Wire -> TRUE or FALSE for every wire that emission folds to a
+    constant: the constant wires, the constant input literals, and the gate
+    outputs they force."""
+    consts = {w: TRUE if bit else FALSE for w, bit in net.const_sources()}
+    consts.update((w, l) for w, l in enumerate(input_lits) if l is TRUE or l is FALSE)
+    known = consts.keys()
+    for gate in net.gates:
+        if type(gate) is Selector:
+            if known.isdisjoint(gate.inputs):
+                continue
+            ins = [consts.get(w) for w in gate.inputs]
+            trues, free = ins.count(TRUE), ins.count(None)
+            for p, w in enumerate(gate.outputs, 1):
+                if p <= trues:
+                    consts[w] = TRUE
+                elif p > trues + free:
+                    consts[w] = FALSE
+        else:
+            ins = (gate.ym2, gate.ym1, gate.yy, gate.xx, gate.xp1, gate.xp2)
+            if known.isdisjoint(ins):
+                continue
+            fold_x, fold_y = _combine_consts(*map(consts.get, ins), atmost)
+            if fold_x is not None and gate.out_x is not None:
+                consts[gate.out_x] = fold_x
+            if fold_y is not None and gate.out_y is not None:
+                consts[gate.out_y] = fold_y
+    return consts
+
+
+def _live_wires(net: Network, reads: Sequence[int], consts: dict[int, Lit],
+                atmost: bool) -> bytearray:
+    """live[w] is 1 when a clause in the cone of some read output holds
+    wire w.
+
+    A selector output folded to a constant (see _constant_wires) reads
+    nothing, any other every input of its selector.  A free combine pair
+    output reads the wires of its clauses, in at-most polarity x: (y_{i-1},
+    x_i), (y_{i-2}, x_{i+1}) and y: y_i, x_{i+2}, (y_{i-1}, x_{i+1}); in
+    at-least polarity x: x_i, y_{i-2}, (y_{i-1}, x_{i+1}) and y: (y_{i-1},
+    x_{i+2}), (y_i, x_{i+1}).  A clause that a constant satisfies reads
+    nothing: one with a FALSE wire at most, a TRUE one at least.
+    """
+    live = bytearray(net.num_wires)
+    for i in reads:
+        live[net.outputs[i]] = 1
+    known = consts.keys()
+    kill = FALSE if atmost else TRUE
+    for gate in reversed(net.gates):
+        if type(gate) is Selector:
+            outs = gate.outputs  # consecutive wire ids
+            if 1 not in live[outs[0]:outs[-1] + 1]:
+                continue
+            if not known.isdisjoint(outs) and all(w in consts for w in outs if live[w]):
+                continue
+            for w in gate.inputs:
+                live[w] = 1
+            continue
+        ox, oy = gate.out_x, gate.out_y
+        want_x = ox is not None and live[ox] and ox not in consts
+        want_y = oy is not None and live[oy] and oy not in consts
+        if not (want_x or want_y):
+            continue
+        ym2, ym1, yy, xx, xp1, xp2 = gate.ym2, gate.ym1, gate.yy, gate.xx, gate.xp1, gate.xp2
+        if known.isdisjoint((ym2, ym1, yy, xx, xp1, xp2)):
+            if want_x:
+                live[ym2] = live[ym1] = live[xx] = live[xp1] = 1
+            if want_y:
+                live[ym1] = live[yy] = live[xp1] = live[xp2] = 1
+            continue
+        if want_x:
+            pairs = ((ym1, xx), (ym2, xp1)) if atmost else ((xx, xx), (ym2, ym2), (ym1, xp1))
+        else:
+            pairs = ()
+        if want_y:
+            pairs += ((yy, yy), (xp2, xp2), (ym1, xp1)) if atmost else ((ym1, xp2), (yy, xp1))
+        for a, b in pairs:
+            if consts.get(a) is not kill and consts.get(b) is not kill:
+                live[a] = live[b] = 1
+    return live
 
 
 def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
-                 polarity: str = "atmost",
-                 needed_prefix: int | None = None) -> list[Lit]:
-    """Walk the gates in topological order and return the output literals.
+                 polarity: str = "atmost", reads: Sequence[int] | None = None) -> list[Lit]:
+    """Walk the gates in topological order and return the literals of the
+    outputs the caller reads: the output positions in reads, in that order,
+    or every output when reads is None.
 
-    With needed_prefix, gate outputs that do not (transitively) feed the first
-    needed_prefix network outputs are skipped entirely.
+    With reads, a gate output that no clause of a read output's cone reads
+    (see _live_wires) gets no variable and no clause.
     """
     if len(input_lits) != net.num_inputs:
         raise ValueError("input literal count does not match the network")
-    live: set[int] | None = None
-    if needed_prefix is not None:
-        live = set(net.outputs[:needed_prefix])
-        for gate in reversed(net.gates):
-            if any(w in live for w in gate.outputs):
-                live.update(gate.inputs)
-    # wire id -> literal; inputs come first, gate outputs are filled in order
-    wire_lits: list[Lit] = list(input_lits) + [FALSE] * (net.num_wires - net.num_inputs)
-    for w, bit in net.const_sources():
-        wire_lits[w] = TRUE if bit else FALSE
+    atmost = polarity == "atmost"
+    consts = _constant_wires(net, input_lits, atmost)
+    live = None if reads is None else _live_wires(net, reads, consts, atmost)
+    # wire id -> literal; inputs come first, gate outputs are filled in order.
+    # An unread free wire keeps the constant that satisfies every clause that
+    # would read it, so it folds nothing a read output depends on.
+    wire_lits: list[Lit] = list(input_lits) + [FALSE if atmost else TRUE] * (
+        net.num_wires - net.num_inputs)
+    for w, lit in consts.items():
+        wire_lits[w] = lit
+    # Gate outputs get fresh variables and no gate reads a wire twice, so
+    # when the input literals are over distinct variables, so is every gate.
+    distinct = formula.distinct_vars([l for l in input_lits if l is not TRUE and l is not FALSE])
     for gate in net.gates:
-        if live is not None and not any(w in live for w in gate.outputs):
-            continue  # dead wires stay FALSE, never consumed
         if type(gate) is Selector:
-            emit_selector_clauses(formula, gate, wire_lits, polarity)
+            outs = gate.outputs
+            if live is None:
+                ranks = range(1, len(outs) + 1)
+            else:
+                ranks = [p for p, w in enumerate(outs, 1) if live[w]]
+                if not ranks:
+                    continue
+            lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
+                                     ranks, polarity, distinct)
+            for p, lit in zip(ranks, lits):
+                wire_lits[outs[p - 1]] = lit
         else:
-            emit_combine_clauses(formula, gate, wire_lits, polarity)
-    return [wire_lits[w] for w in net.outputs]
+            ox, oy = gate.out_x, gate.out_y
+            want_x = ox is not None and (live is None or live[ox])
+            want_y = oy is not None and (live is None or live[oy])
+            if not (want_x or want_y):
+                continue
+            lx, ly = _combine_outputs(
+                formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
+                wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2],
+                want_x, want_y, polarity, distinct)
+            if want_x:
+                wire_lits[ox] = lx
+            if want_y:
+                wire_lits[oy] = ly
+    outputs = net.outputs if reads is None else [net.outputs[i] for i in reads]
+    return [wire_lits[w] for w in outputs]
 
 
-def cnf_cost(net: Network, needed_prefix: int | None = None) -> tuple[int, int]:
-    """Exact (variables, clauses) the at-most encoder would emit for this network.
+def cnf_cost(net: Network, reads: Sequence[int] | None = None) -> tuple[int, int]:
+    """Exact (variables, clauses) the at-most encoder emits for this network
+    when its caller reads the output positions in reads (every output when
+    reads is None).
 
     Computed by a dry-run emission (including constant simplification) with
-    free input literals and no output assertion.  With needed_prefix, gate
-    outputs that do not feed the first needed_prefix network outputs are
-    skipped, matching the truncated accounting used for mergers embedded in a
-    larger selection network.
+    free input literals and no output assertion.
     """
     formula = CnfFormula()
     inputs = formula.fresh_vars(net.num_inputs)
-    emit_network(formula, net, inputs, "atmost", needed_prefix)
+    emit_network(formula, net, inputs, "atmost", reads)
     return formula.num_vars - net.num_inputs, formula.num_clauses
 
 
@@ -318,6 +412,30 @@ def _next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
+def _method_wires(net: Network, wires: list[int], m: int, method: str,
+                  mixer: DirectMixer | None) -> list[int]:
+    """Add to net the method's own selection of the m largest of wires."""
+    entry = _TABLE[method]
+    if entry.split is None:
+        n_pad = _next_pow2(len(wires))
+        m = min(_next_pow2(m), n_pad)
+        if n_pad > len(wires):
+            wires = wires + [net.const_wire(0)] * (n_pad - len(wires))
+        return entry.level(net, wires, m)
+    return build._select_columns(net, wires, m, entry.split, entry.merge,
+                                 mixer.sub if mixer is not None else None, entry.sorts_rows)
+
+
+def select_wires(net: Network, wires: list[int], m: int, method: str,
+                 mixer: DirectMixer | None = None) -> list[int]:
+    """Add to net a selection of the m largest of wires: a direct selector
+    when the mixer picks one, else the method's own construction.  The
+    result's m-prefix holds them sorted."""
+    if mixer is not None and mixer.use_direct(len(wires), m):
+        return list(net.add_selector(tuple(wires), m))
+    return _method_wires(net, wires, m, method, mixer)
+
+
 def method_network(method: str, n: int, m: int,
                    mixer: DirectMixer | None = None) -> Network:
     """The method's own construction for (n, m).  With a mixer, each of its
@@ -326,28 +444,19 @@ def method_network(method: str, n: int, m: int,
     constant-0 wires up to one, and m rounds up to one."""
     if method not in NETWORK_METHODS:
         raise ValueError(f"{method!r} is not a network method")
-    entry = _TABLE[method]
     net = Network(n)
-    wires = net.input_wires()
-    if entry.split is None:
-        n_pad = _next_pow2(n)
-        m = min(_next_pow2(m), n_pad)
-        if n_pad > n:
-            wires += [net.const_wire(0)] * (n_pad - n)
-        net.set_outputs(entry.level(net, wires, m))
-    else:
-        net.set_outputs(build._select_columns(net, wires, m, entry.split, entry.merge,
-                                              mixer.sub if mixer is not None else None,
-                                              entry.sorts_rows))
+    net.set_outputs(_method_wires(net, net.input_wires(), m, method, mixer))
     return net
 
 
 def build_selection_network(method: str, n: int, m: int,
                             mixer: DirectMixer | None = None) -> Network:
     """Network whose output prefix of length m is the sorted m largest inputs."""
-    if mixer is not None and mixer.use_direct(n, m):
-        return build.direct_selector(n, m)
-    return method_network(method, n, m, mixer)
+    if method not in NETWORK_METHODS:
+        raise ValueError(f"{method!r} is not a network method")
+    net = Network(n)
+    net.set_outputs(select_wires(net, net.input_wires(), m, method, mixer))
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +483,25 @@ def _level_cost(method: str, n: int, m: int,
     """(V, C) of the gates one level adds besides its sub-selections: the
     odd-even mergers, or the four-wise row sorters, merger and zero padding.
     Priced by dry-running the level with a sub that gives every column its
-    free input wires, once per level shape."""
+    free input wires, once per level shape.  The dry run reads the level's
+    m-prefix and every wire handed to a column that selects any, since
+    such a column's selection reads its whole column."""
     entry = _TABLE[method]
     shape = tuple(children) if entry.sorts_rows else tuple(k for _, k in children)
     key = (method, m, shape)
     if key not in _LEVEL_COSTS:
         net = Network(n)
-        build._select_columns(net, net.input_wires(), m, entry.split, entry.merge,
-                              lambda net, wires, k: wires, entry.sorts_rows)
-        _LEVEL_COSTS[key] = cnf_cost(net)
+        handed: list[int] = []
+
+        def sub(net, wires, k):
+            if k:
+                handed.extend(wires)
+            return wires
+
+        res = build._select_columns(net, net.input_wires(), m, entry.split, entry.merge,
+                                    sub, entry.sorts_rows)
+        net.set_outputs(res[:m] + handed)
+        _LEVEL_COSTS[key] = cnf_cost(net, range(len(net.outputs)))
     return _LEVEL_COSTS[key]
 
 
@@ -419,7 +538,7 @@ def recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, i
 def _level_recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, int]:
     split = _TABLE[method].split
     if split is None:
-        return cnf_cost(method_network(method, n, m))
+        return cnf_cost(method_network(method, n, m), range(m))
     if n <= 1 or m == 0:
         return 0, 0
     if m == 1:  # build._select_columns emits one (n, 1)-selector
@@ -499,9 +618,9 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
     if k == 0:
         return _forbid_all(formula, lits)
     net = build_selection_network(opts.method, n, k + 1, _mixer_for(opts))
-    outs = emit_network(formula, net, list(lits), "atmost")
+    outs = emit_network(formula, net, list(lits), "atmost", range(k + 1))
     formula.add_clause([neg(outs[k])])
-    return EncodedConstraint(formula, tuple(lits), k, tuple(outs[:k + 1]))
+    return EncodedConstraint(formula, tuple(lits), k, tuple(outs))
 
 
 def _selection_cost(n: int, m: int, opts: EncodeOptions) -> tuple[int, int]:
@@ -529,8 +648,8 @@ def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
         lv, lc = _selection_cost(n, n - k, opts)
         if lam * lv + lc < lam * v + c:
             net = build_selection_network(opts.method, n, n - k, _mixer_for(opts))
-            outs = emit_network(formula, net, [neg(l) for l in lits], "atleast")
-            formula.add_clause([outs[n - k - 1]])
+            out, = emit_network(formula, net, [neg(l) for l in lits], "atleast", (n - k - 1,))
+            formula.add_clause([out])
             return EncodedConstraint(formula, tuple(lits), k)
     return encode_atmost(formula, lits, k, opts)
 

@@ -247,7 +247,7 @@ def _registry() -> list[FormulaInfo]:
         ok = True
         for k in (4, 8, 16):
             net = build.oe4_merge((k, k, k, k), k)
-            v, c = cnf_cost(net, needed_prefix=k)
+            v, c = cnf_cost(net, range(k))
             ok = ok and v <= oe4_merge_vars_bound(k) and c <= oe4_merge_clauses_bound(k)
         return ok
 

@@ -14,6 +14,7 @@ at-most scheme.
 
 from __future__ import annotations
 
+import functools
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Sequence
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
 from .encode import (EncodeOptions, EncodedConstraint, _encode_form, _mixer_for,
-                     build_selection_network, emit_network)
+                     emit_network, select_wires)
 
 MAX_COEFF_MAGNITUDE = 2 ** 62  # 63-bit magnitudes; larger coefficients are rejected
 PRIMES_UNDER_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -149,7 +150,7 @@ def parse_opb(text: str) -> PbProblem:
 
 def normalize_pb(c: PbConstraint) -> list[PbConstraint]:
     """Rewrite into at-least form(s): positive coefficients over possibly
-    negated literals, merged duplicates, k required to be >= 1 (k <= 0 is
+    negated literals, one term per variable, k required to be >= 1 (k <= 0 is
     trivially true and yields no constraint)."""
     if c.rel == "=":
         return (normalize_pb(PbConstraint(c.terms, ">=", c.k))
@@ -158,17 +159,19 @@ def normalize_pb(c: PbConstraint) -> list[PbConstraint]:
     if c.rel == "<=":
         terms = [(-a, l) for a, l in terms]
         k = -k
-    # now an at-least form; flip negative coefficients and merge duplicates
+    # now an at-least form; merge the terms of each variable (a*~v is
+    # a - a*v), then flip negative coefficients
     merged: dict[int, int] = {}
-    const = 0
     for a, l in terms:
         if a == 0 or l is FALSE:
             continue
         if l is TRUE:
-            const += a
+            k -= a
             continue
+        if l < 0:
+            l, a = -l, -a
+            k += a
         merged[l] = merged.get(l, 0) + a
-    k -= const
     out = []
     for l, a in merged.items():
         if a < 0:
@@ -302,45 +305,18 @@ def plan_digits(c: PbConstraint, base: MixedRadixBase) -> DigitPlan:
     return DigitPlan(base, const_add, k_adj, m_assert, positions)
 
 
-def _select_sorted(formula: CnfFormula, lits: list[Lit], t: int,
-                   opts: EncodeOptions) -> list[Lit]:
-    """Top-t sorted outputs of the position's selection network, emitted in
-    the zero-propagating polarity."""
-    n = len(lits)
-    t = min(t, n)
-    if n == 0 or t == 0:
-        return []
-    if n == 1:
-        return list(lits)
-    net = build_selection_network(opts.method, n, t, _mixer_for(opts))
-    outs = emit_network(formula, net, lits, "atleast")
-    return outs[:t]
-
-
-def _merge_sorted(formula: CnfFormula, a: list[Lit], b: list[Lit], t: int) -> list[Lit]:
-    """Merge two sorted literal runs, keeping the top t."""
-    if not b:
-        return a[:t]
-    if not a:
-        return b[:t]
-    cols = sorted([a, b], key=len, reverse=True)
-    k_merge = min(t, len(a) + len(b))
-    if len(cols[0]) > k_merge:
-        cols = [cols[0][:k_merge], cols[1][:k_merge]]
-    net = build.oe4_merge((len(cols[0]), len(cols[1])), k_merge)
-    outs = emit_network(formula, net, cols[0] + cols[1], "atleast")
-    return outs[:t]
-
-
 def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None = None,
               opts: EncodeOptions | None = None) -> EncodedConstraint:
     """Encode a normalized at-least constraint through the digit/carry chain.
 
     All-unit-coefficient constraints degenerate to the cardinality encoder:
     at-most n-k over the negated literals, on its cheaper side.  Otherwise
-    each position selects its top outputs in zero-propagating polarity,
-    carries are merged (not appended) into the next position, and one
-    positive unit asserts the top position's m-th output.
+    the chain is one network (build.carry_chain): each position selects its
+    top outputs, and every r-th of them, the carries, is merged (not
+    appended) into the next position.  It is emitted in zero-propagating
+    polarity reading the top position's outputs, so a position below the
+    top emits only what its carries need, and one positive unit asserts the
+    top position's m-th output.
     """
     opts = opts or EncodeOptions()
     if c.rel != ">=" or any(a <= 0 for a, _ in c.terms) or c.k < 1:
@@ -359,22 +335,19 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     if plan.positions[-1].max_inputs < plan.assert_index:
         formula.add_clause([])
         return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
-    carries: list[Lit] = []
-    outs: list[Lit] = []
-    for pos in plan.positions:
-        digit_lits: list[Lit] = []
-        for lit, mult in pos.bundles:
-            digit_lits.extend([lit] * mult)
-        sorted_digits = _select_sorted(formula, digit_lits, pos.t_outputs, opts)
-        outs = _merge_sorted(formula, sorted_digits, carries, pos.t_outputs)
-        if pos.radix:
-            carries = [outs[q * pos.radix - 1]
-                       for q in range(1, len(outs) // pos.radix + 1)]
+    # every digit occurrence is one network input, position by position
+    in_lits = [lit for pos in plan.positions for lit, mult in pos.bundles for _ in range(mult)]
+    net = build.carry_chain(
+        [(sum(mult for _, mult in pos.bundles), pos.t_outputs, pos.radix)
+         for pos in plan.positions],
+        functools.partial(select_wires, method=opts.method, mixer=_mixer_for(opts)))
+    outs = net.outputs
     if plan.assert_index > len(outs):
         formula.add_clause([])
         return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
-    formula.add_clause([outs[plan.assert_index - 1]])
-    return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k, tuple(outs))
+    top = emit_network(formula, net, in_lits, "atleast", range(len(outs)))
+    formula.add_clause([top[plan.assert_index - 1]])
+    return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k, tuple(top))
 
 
 def encode_goal_bound(formula: CnfFormula, objective: Sequence[tuple[int, Lit]],

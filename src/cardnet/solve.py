@@ -36,6 +36,10 @@ from .encode import EncodeOptions
 from .pb import (PbConstraint, PbProblem, _terms_value, encode_goal_bound, encode_pb,
                  normalize_pb)
 
+# the longest timeout subprocess can wait: poll() takes it in milliseconds as
+# a C int, and a longer timeout raises OverflowError
+MAX_WAIT_S = (2 ** 31 - 1) / 1000
+
 
 @dataclass
 class SolverResult:
@@ -70,6 +74,14 @@ class MinimizeConfig:
             raise ValueError(f"malformed solver command {self.solver_cmd!r}: {exc}") from None
         if not words:
             raise ValueError("the solver command is empty")
+
+    @property
+    def wait_limit(self) -> float | None:
+        """The time limit as the solver's wait takes it.  A limit longer than
+        that wait can take (MAX_WAIT_S, about 24.8 days) means no limit."""
+        if self.time_limit is None or self.time_limit > MAX_WAIT_S:
+            return None
+        return self.time_limit
 
 
 @dataclass
@@ -123,7 +135,7 @@ def run_external_solver(cnf_text: str, extra_units: Sequence[Lit],
         cmd = [part.replace("{cnf}", path) for part in shlex.split(cfg.solver_cmd)]
         try:
             proc = subprocess.run(cmd, stdin=subprocess.DEVNULL, capture_output=True,
-                                  text=True, timeout=cfg.time_limit)
+                                  text=True, timeout=cfg.wait_limit)
         except subprocess.TimeoutExpired:
             return SolverResult("UNKNOWN", diagnostic="solver timeout",
                                 wall_time=time.monotonic() - started)

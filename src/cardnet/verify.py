@@ -148,7 +148,7 @@ def run_equisat(limit: int = 5, log=print) -> bool:
 def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
     """Sub-problems up to order limit where the mixing cost recurrence differs
     from a dry run of the network built with the same mixing decisions, or
-    with none (lam None)."""
+    with none (lam None), read to its m-prefix."""
     fails = []
     for method in MIXED_METHODS:
         for mix_lam in (lam, None):
@@ -156,7 +156,7 @@ def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
             for n in range(2, limit + 1):
                 for m in range(1, n + 1):
                     net = method_network(method, n, m, mixer)
-                    if recursive_cost(method, mix_lam, n, m) != cnf_cost(net):
+                    if recursive_cost(method, mix_lam, n, m) != cnf_cost(net, range(m)):
                         fails.append(f"{method} lam={mix_lam} n={n} m={m}")
     return fails
 

@@ -215,7 +215,7 @@ def test_c04_merger_costs():
         assert (v, c) == (oe2_merge_vars(k), oe2_merge_clauses(k))
     assert (oe2_merge_vars(4), oe2_merge_clauses(4)) == (18, 27)
     for k in (4, 8, 16):
-        v, c = cnf_cost(build.oe4_merge((k, k, k, k), k), needed_prefix=k)
+        v, c = cnf_cost(build.oe4_merge((k, k, k, k), k), range(k))
         assert v <= oe4_merge_vars_bound(k)
         assert c <= oe4_merge_clauses_bound(k)
     report("C4 merger cost formulas and bounds: PASS")

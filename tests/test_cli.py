@@ -415,6 +415,18 @@ def test_cli_bad_time_limit_is_usage_error(tmp_path, capsys, limit):
         assert "Traceback" not in err and "time limit" in err, argv
 
 
+@pytest.mark.parametrize("limit", ["1e6", "1e10", "1e300"])
+def test_cli_large_time_limit_runs(tmp_path, capsys, limit):
+    cnfp = tmp_path / "inst.cnfp"
+    cnfp.write_text("p cnf+ 2 1\n1 2 0\n")
+    opb = tmp_path / "inst.opb"
+    opb.write_text("min: +1 x1 +1 x2 ;\n+1 x1 +1 x2 >= 1 ;\n")
+    assert run_cli(["solve", str(cnfp), "--solver", solver_cmd(), "--time-limit", limit]) == 0
+    assert capsys.readouterr().out.startswith("s SATISFIABLE\n")
+    assert run_cli(["optimize", str(opb), "--solver", solver_cmd(), "--time-limit", limit]) == 0
+    assert "o 1" in capsys.readouterr().out
+
+
 def test_cli_solver_does_not_read_cardnet_stdin(tmp_path):
     # the solver reads its stdin to the end while cardnet's own stdin stays
     # open, so a solver that inherited it would wait forever

@@ -1,16 +1,18 @@
 """Clause-emission contracts, normalization, mixing, and baseline encoders."""
 
+import functools
 import hashlib
 import random
 
 import pytest
 
+from cardnet import build
 from cardnet.cnf import FALSE, TRUE, CnfFormula
-from cardnet.encode import (MIXED_METHODS, NETWORK_METHODS, CardConstraint, DirectMixer,
-                            EncodeOptions, _mixer_for, _selection_cost,
+from cardnet.encode import (MIXED_METHODS, NETWORK_METHODS, AtMostForm, CardConstraint,
+                            DirectMixer, EncodeOptions, _mixer_for, _selection_cost,
                             build_selection_network, choose_direct, cnf_cost, emit_network,
                             encode_atmost, encode_baseline, encode_card, method_network,
-                            normalize_card, recursive_cost, strengthen)
+                            normalize_card, recursive_cost, select_wires, strengthen)
 from cardnet.network import Network
 from cardnet.pb import PbConstraint, encode_pb, normalize_pb
 from cardnet.sat import Assignment, Propagator, dpll_sat
@@ -36,6 +38,14 @@ def test_normalize_card_folds_constants():
     assert norm.atmosts[0] .lits == (1, 2) and norm.atmosts[0].k == 0
     norm = normalize_card(CardConstraint((1, FALSE), "<=", 0))
     assert norm.atmosts[0].lits == (1,) and norm.atmosts[0].k == 0
+
+
+def test_normalize_card_folds_complementary_pairs():
+    # x and ~x count exactly one together; the surplus occurrences remain
+    norm = normalize_card(CardConstraint((1, -1, 2, 1, 3, 1), "<=", 3))
+    assert norm.atmosts == (AtMostForm((2, 1, 3, 1), 2),)
+    norm = normalize_card(CardConstraint((1, -1, -2, 2), "<=", 1))
+    assert norm.trivially_unsat
 
 
 def test_selector_emission_two_sorter():
@@ -149,18 +159,20 @@ def test_direct_cost_comparison():
 
 
 # (direct count, sha256 of the decision bits over 2 <= n <= 64, 1 <= m <= n in
-# row-major order), recorded from the pricing that rebuilt and dry-ran the
-# whole recursive network for every sub-problem
+# row-major order).  First recorded from the pricing that rebuilt and dry-ran
+# the whole recursive network for every sub-problem; re-recorded once when the
+# emitter began to skip gate outputs no read output depends on, so that each
+# side of a decision is the exact size of what is emitted for its m-prefix
 SEED_DECISIONS = {
-    ("oe4", 1): (78, "a82338f63fe8d8110177c1892e54f26da2b9bfb76cbdf3c74343cc4143a61fe6"),
-    ("oe4", 5): (95, "ea40ac15ff2ad57498288928ea8147d566090627591eb27c02763a52eb2f1cb0"),
-    ("oe4", 20): (151, "64e7c48f70e33f03d2c12d8f41a87d4cebe303b1279c09eab2ea26b727c1be75"),
-    ("oe2", 1): (77, "6b1e3806d42d3bacf98d0be4351e47e322427bd337e02f4d5b680ac3082409c3"),
-    ("oe2", 5): (93, "af79fb12d74031713a414d4276f58c7b48f0eaee261f920617986dc6c611dad2"),
-    ("oe2", 20): (122, "2ac024f38dbcf2acada99ddd4eebb13d0e32fd1316296909c96c7ee6236b420d"),
-    ("fourwise", 1): (79, "7f12b7fe907e29513cdfd553ff9e04598607b9623a60fe1eee216d5ab7bbb72e"),
-    ("fourwise", 5): (99, "7e9bcafceb6ac9a1b091981aacca99ccb4762dccf87d9bb472c102889fa0c115"),
-    ("fourwise", 20): (149, "a1339b0aa99a584088761b1087b41208ec3304d601f30b86b8cc28fa1229bad6"),
+    ("oe4", 1): (77, "6f5f005be2c305aecec0b34b8d11dc70eab21ff496ff4a44304cd2d117e86b3c"),
+    ("oe4", 5): (90, "9c04b338ed7ddf52c8f37cbf3ead29167113fbc8ff8d2bd762bfa82e011b8dd7"),
+    ("oe4", 20): (133, "1d6a586af82392464cc2c9bba3544652a1006fb2cd43b085eb3d980cf5f99ac4"),
+    ("oe2", 1): (75, "31626c1ec09e3f5933fda8b78ec2c745a0044f8a599fca89a3d8a6f532c9879d"),
+    ("oe2", 5): (86, "767cebaf1529b1ce38882fb9efbb4091a56621b5774ab26bae6f405c5ee42019"),
+    ("oe2", 20): (115, "bd6c10eb83032b06970ca152ad4861e35f93a5731a2ecd75e46a0a4fd6e34bb1"),
+    ("fourwise", 1): (75, "31626c1ec09e3f5933fda8b78ec2c745a0044f8a599fca89a3d8a6f532c9879d"),
+    ("fourwise", 5): (89, "97da91dd3c6a2c1d9979384821e61243eabf83eff0c7f7388b434e751869d8bd"),
+    ("fourwise", 20): (124, "9fbde98870d1c886743478ada14477f6ae5b1ab975affb8a9aa8e9b6eb7789b9"),
 }
 LARGE_POINTS = ((256, 33), (300, 17), (129, 128), (200, 3))
 
@@ -183,7 +195,7 @@ def test_recursive_cost_matches_dry_run(method, lam):
     points = [(n, m) for n in range(2, 65) for m in range(1, n + 1)]
     for n, m in points + list(LARGE_POINTS[:2]):
         net = method_network(method, n, m, mixer)
-        assert recursive_cost(method, lam, n, m) == cnf_cost(net), (n, m)
+        assert recursive_cost(method, lam, n, m) == cnf_cost(net, range(m)), (n, m)
 
 
 @pytest.mark.parametrize("method", MIXED_METHODS)
@@ -191,7 +203,8 @@ def test_recursive_cost_prices_the_unmixed_network(method):
     # lam None takes no direct sub-selection, the network --no-direct builds
     points = [(n, m) for n in range(2, 33) for m in range(1, n + 1)]
     for n, m in points + [(256, 33), (256, 249)]:
-        assert recursive_cost(method, None, n, m) == cnf_cost(method_network(method, n, m)), (n, m)
+        net = method_network(method, n, m)
+        assert recursive_cost(method, None, n, m) == cnf_cost(net, range(m)), (n, m)
 
 
 def test_mixing_preserves_equisatisfiability():
@@ -319,6 +332,22 @@ def test_bulk_emission_matches_per_clause_emission(method, monkeypatch):
         assert (bulk.next_var, bulk.trivially_unsat) == (plain.next_var, plain.trivially_unsat)
 
 
+def test_no_gate_reads_a_wire_twice():
+    # emit_network checks its input literals for distinct variables once and
+    # relies on this for every gate: gate outputs get fresh variables
+    nets = [method_network(method, n, m, mixer)
+            for method in NETWORK_METHODS for n in range(2, 17) for m in range(1, n + 1)
+            for mixer in ((None, DirectMixer(method, 5)) if method in MIXED_METHODS else (None,))]
+    select = functools.partial(select_wires, method="oe4", mixer=DirectMixer("oe4", 5))
+    nets += [build.carry_chain([(6, 7, 2), (5, 5, 3), (4, 3, None)], select),
+             build.carry_chain([(1, 1, 2), (9, 4, 5), (0, 2, None)], select)]
+    for net in nets:
+        consts = {w for w, _ in net.const_sources()}
+        for gate in net.gates:
+            wires = [w for w in gate.inputs if w not in consts]
+            assert len(set(wires)) == len(wires), gate
+
+
 @pytest.mark.parametrize("k", (1, 2))
 @pytest.mark.parametrize("mixing", (True, False))
 def test_oe4_long_column_chain(k, mixing):
@@ -349,7 +378,7 @@ def test_atleast_forms_take_the_small_network():
     f = CnfFormula()
     lits = f.fresh_vars(256)
     (enc,) = encode_card(f, CardConstraint(tuple(lits), ">=", 8))
-    assert (f.num_vars - 256, f.num_clauses) == (1964, 4315)
+    assert (f.num_vars - 256, f.num_clauses) == (1698, 3626)
     assert enc.input_lits == tuple(-l for l in lits) and enc.k == 248
     assert enc.output_lits == ()
     with pytest.raises(ValueError, match="no exposed outputs"):
@@ -361,7 +390,7 @@ def test_atleast_forms_take_the_small_network():
     # the at-most encoder keeps its contract
     f = CnfFormula()
     enc = encode_atmost(f, [-l for l in f.fresh_vars(256)], 248)
-    assert (f.num_vars - 256, f.num_clauses) == (4077, 10810)
+    assert (f.num_vars - 256, f.num_clauses) == (4072, 10804)
     assert len(enc.output_lits) == 249
 
 
@@ -389,7 +418,7 @@ def test_cheaper_side_is_never_larger(method):
                 assert n - k < k + 1
                 h = CnfFormula()
                 net = build_selection_network(method, n, n - k, _mixer_for(opts))
-                emit_network(h, net, h.fresh_vars(n), "atleast")
+                emit_network(h, net, h.fresh_vars(n), "atleast", (n - k - 1,))
                 price = _selection_cost(n, n - k, opts)
                 assert h.num_vars - n <= price[0] and h.num_clauses <= price[1], (opts, n, k)
 

@@ -1,26 +1,43 @@
 """Golden DIMACS gate: sha256 of the exact output bytes over a fixed grid.
 
 Every refactor of network construction, direct mixing or clause emission
-must keep these hashes.  They were recorded from the code before the cost
-recurrence replaced dry-run pricing of mixing decisions; a changed hash means
-the encoder now writes different bytes, which is a behaviour change and never
-a reason to re-record.  The flagged goal-bound cases (`goal-*`) were recorded
-from the code before clause families were emitted in bulk; they pin the guard
-literal that `encode_goal_bound` disjoins into every clause it adds.
+must keep these hashes.  A changed hash means the encoder now writes
+different bytes, which is a behaviour change and never a reason to
+re-record.  The flagged goal-bound cases (`goal-*`) pin the guard literal
+that `encode_goal_bound` disjoins into every clause it adds.
 
 The seven cases `queens8-{oe4,oe2,fourwise}` and `opb-a-*` were re-recorded
 once, when `encode_card` and the unit-coefficient branch of `encode_pb` began
 to encode an at-most form on its cheaper side: their `>=` and `=` lines, the
 length-2 diagonals of queens 8 and opb-a's `<= 4` over six unit terms now
-become small selection networks in the zero-propagating polarity.  Every
-other case kept its bytes through that change.
+become small selection networks in the zero-propagating polarity.
+
+Every hash was re-recorded once more when `emit_network` began to emit only
+the gate outputs that the outputs its caller reads depend on (the first k+1
+outputs of an at-most network, the one asserted output of the at-least side,
+the carries of a PB position below the top).  230 of the 275 cases changed:
+- 223 only lose dead gates: the same network, emitted pruned.  That is every
+  case except the 45 below and the 7 re-priced ones.
+- 7 also build a different network, because mixing now prices each side of a
+  decision by the exact size of its pruned emission: oe2-n8-k3-lam5-mix,
+  oe2-n13-k4-lam5-mix, fourwise-n37-k9-lam1-mix, fourwise-n37-k9-lam5-mix,
+  fourwise-n100-k17-lam1-mix, fourwise-n256-k33-lam5-mix and
+  fourwise-n300-k17-lam5-mix.
+- 45 kept their bytes: the card cases whose whole network is one direct
+  selector (every method at n5-k2 mixed, and n8-k3 mixed at lam 20 for all
+  methods and at lam 5 for the pairwise and bitonic ones), the baselines'
+  goal-u cases and every goal-neg case.
+test_pruning_matches_dead_gate_elimination ties every case's pruned bytes to
+its full emission, so the pruning itself is checked, not only pinned.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from cardnet.cnf import CnfFormula
+from cardnet import encode, pb
+from cardnet.cnf import CnfFormula, is_const
 from cardnet.cnfp import encode_cnfp, queens_cnfp
 from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions,
                             encode_atmost)
@@ -64,7 +81,7 @@ def _card_case(method, n, k, lam, mixing):
     f = CnfFormula()
     lits = f.fresh_vars(n)
     encode_atmost(f, lits, k, EncodeOptions(method=method, lam=lam, direct_mixing=mixing))
-    return _sha(f)
+    return f
 
 
 def _queens_case(method):
@@ -74,11 +91,11 @@ def _queens_case(method):
         problem.card_lines.append(CardConstraint(tuple(f * 8 + r + 1 for f in range(8)), "=", 1))
     problem.card_lines.append(CardConstraint(tuple(range(1, 65, 3)), ">=", 6))
     problem.card_lines.append(CardConstraint(tuple(range(2, 65, 5)), ">=", 3))
-    return _sha(encode_cnfp(problem, EncodeOptions(method=method)))
+    return encode_cnfp(problem, EncodeOptions(method=method))
 
 
 def _opb_case(name, method):
-    return _sha(encode_problem(parse_opb(OPB_FILES[name]), EncodeOptions(method=method)).formula)
+    return encode_problem(parse_opb(OPB_FILES[name]), EncodeOptions(method=method)).formula
 
 
 def _goal_case(name, method):
@@ -89,11 +106,11 @@ def _goal_case(name, method):
     flag = f.fresh_var()
     encode_goal_bound(f, list(zip(coeffs, xs)), bound, flag,
                       EncodeOptions(method=method, direct_mixing=name != "goal-wide"))
-    return _sha(f)
+    return f
 
 
 def cases():
-    """(case id, thunk computing the DIMACS sha256)."""
+    """(case id, thunk encoding the case into a new formula)."""
     out = []
     for method in NETWORK_METHODS:
         for n, k in SIZES:
@@ -125,63 +142,63 @@ GOLDEN = {
     "oe4-n5-k2-lam20-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "oe4-n5-k2-nomix":
-        "31d73b89177dedd9e733e70a82e49211e76b8a1851c7b90bedfd86750c9cf84d",
+        "faa7df91f6dbc44071585768ccc3eca71079c6e23e5e457a5d6c8827a14f3692",
     "oe4-n8-k3-lam1-mix":
-        "bf004b313b83044d21fcf9719923ac2fb9e1a2ace00326f2ace5e540891208c9",
+        "ea05814bc73655a02a42b48797ca2dd3d04f61bb589b864b9a86fcc9a89a4d61",
     "oe4-n8-k3-lam5-mix":
-        "bf004b313b83044d21fcf9719923ac2fb9e1a2ace00326f2ace5e540891208c9",
+        "ea05814bc73655a02a42b48797ca2dd3d04f61bb589b864b9a86fcc9a89a4d61",
     "oe4-n8-k3-lam20-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "oe4-n8-k3-nomix":
-        "2a6cb83620cb576f69e4e95485c45761cd7de041da91e08598e1d92840fb5f08",
+        "9d7629b01a0b87edd89bda638c236a7fc14ba8e9a996b1d3e6a316870cb10f86",
     "oe4-n13-k4-lam1-mix":
-        "db8d6b6a69c70999148c5bdead6a8f37bd76feb7d007d31ea67da1005506737e",
+        "c5fb813082bad062aa59ba8a8f11209f3a8bbf3dc5ee9a39b3247978f59684ab",
     "oe4-n13-k4-lam5-mix":
-        "db8d6b6a69c70999148c5bdead6a8f37bd76feb7d007d31ea67da1005506737e",
+        "c5fb813082bad062aa59ba8a8f11209f3a8bbf3dc5ee9a39b3247978f59684ab",
     "oe4-n13-k4-lam20-mix":
-        "e597b068c1f0d24e2f8fd7a9790e4f973d36c364d351ad02a480e4def4da6c31",
+        "1b481d2b363d2b4d23dc67e3dc26680be8dffa25334226c308f8d255998b6f45",
     "oe4-n13-k4-nomix":
-        "db8d6b6a69c70999148c5bdead6a8f37bd76feb7d007d31ea67da1005506737e",
+        "c5fb813082bad062aa59ba8a8f11209f3a8bbf3dc5ee9a39b3247978f59684ab",
     "oe4-n16-k7-lam1-mix":
-        "57dc8ba724e980b62408d808749a67d09f24beafb1066ba511af9ab54f60e12b",
+        "0d2babb3019009ceae878dfe9672a2cf85363e5f17de0b2c56791b45809ee953",
     "oe4-n16-k7-lam5-mix":
-        "57dc8ba724e980b62408d808749a67d09f24beafb1066ba511af9ab54f60e12b",
+        "0d2babb3019009ceae878dfe9672a2cf85363e5f17de0b2c56791b45809ee953",
     "oe4-n16-k7-lam20-mix":
-        "57dc8ba724e980b62408d808749a67d09f24beafb1066ba511af9ab54f60e12b",
+        "0d2babb3019009ceae878dfe9672a2cf85363e5f17de0b2c56791b45809ee953",
     "oe4-n16-k7-nomix":
-        "57dc8ba724e980b62408d808749a67d09f24beafb1066ba511af9ab54f60e12b",
+        "0d2babb3019009ceae878dfe9672a2cf85363e5f17de0b2c56791b45809ee953",
     "oe4-n24-k5-lam1-mix":
-        "04680a001df0329477ef44ebd752a173e0ea10affd0a37d72bcab3565c96e821",
+        "88e8d6684b5911d6b10440c1ba929f7de4e46b4262e8c9b23d78856dd90a277b",
     "oe4-n24-k5-lam5-mix":
-        "0fd0c43eb2f72fcca39988e6fc7905e560bc5217e776f0f80a5cafed0ace30a8",
+        "55d16a95e8b0d6d9f89f1b2756cd3297296fe964d25461acb50d9aedda262e6c",
     "oe4-n24-k5-lam20-mix":
-        "4cb5050a1e63bf0ad272acd49322fbb45ed9d0116b0d85f8cc0e3b65670abc70",
+        "32eba4c8b8315b7fb7804f75e65da1cddbb6f2780283bc7613c41cd9d3861444",
     "oe4-n24-k5-nomix":
-        "04680a001df0329477ef44ebd752a173e0ea10affd0a37d72bcab3565c96e821",
+        "88e8d6684b5911d6b10440c1ba929f7de4e46b4262e8c9b23d78856dd90a277b",
     "oe4-n37-k9-lam1-mix":
-        "19603ff2ceb3e14e40edb136fbc73daca10d4e64c52b610dcae0d2818f8d86ed",
+        "280dd3cb0e73128996bc76ea0293bac7a13896a2614db533c331be93aa01aed5",
     "oe4-n37-k9-lam5-mix":
-        "19603ff2ceb3e14e40edb136fbc73daca10d4e64c52b610dcae0d2818f8d86ed",
+        "280dd3cb0e73128996bc76ea0293bac7a13896a2614db533c331be93aa01aed5",
     "oe4-n37-k9-lam20-mix":
-        "ffa0bbfbe8bddb55da022bb0aabf7dba32a8dea188b10893ee21a248486188d2",
+        "d60c91181b91f1221f3c2899d4faca46f9753fca5f9b5d0e6b7e4d313906d57b",
     "oe4-n37-k9-nomix":
-        "19603ff2ceb3e14e40edb136fbc73daca10d4e64c52b610dcae0d2818f8d86ed",
+        "280dd3cb0e73128996bc76ea0293bac7a13896a2614db533c331be93aa01aed5",
     "oe4-n64-k12-lam1-mix":
-        "ca06d37549bc24bfce459b464992ced63ba69e9e7eae27dc5fd0cf0f10e40cc9",
+        "c000569ba9ca57247997ce432a6609343d4388d11cf49744747ebbdfb449df52",
     "oe4-n64-k12-lam5-mix":
-        "ca06d37549bc24bfce459b464992ced63ba69e9e7eae27dc5fd0cf0f10e40cc9",
+        "c000569ba9ca57247997ce432a6609343d4388d11cf49744747ebbdfb449df52",
     "oe4-n64-k12-lam20-mix":
-        "ca06d37549bc24bfce459b464992ced63ba69e9e7eae27dc5fd0cf0f10e40cc9",
+        "c000569ba9ca57247997ce432a6609343d4388d11cf49744747ebbdfb449df52",
     "oe4-n64-k12-nomix":
-        "ca06d37549bc24bfce459b464992ced63ba69e9e7eae27dc5fd0cf0f10e40cc9",
+        "c000569ba9ca57247997ce432a6609343d4388d11cf49744747ebbdfb449df52",
     "oe4-n100-k17-lam1-mix":
-        "ca4c137bb645cb23e50881b98e140b239539a693eee7b9f18cdc343787f1972c",
+        "18c09f1e8f37ed621bfc49ca02c4fc9c4329cffdaed1c4143e77d907951644e6",
     "oe4-n100-k17-lam5-mix":
-        "ca4c137bb645cb23e50881b98e140b239539a693eee7b9f18cdc343787f1972c",
+        "18c09f1e8f37ed621bfc49ca02c4fc9c4329cffdaed1c4143e77d907951644e6",
     "oe4-n100-k17-lam20-mix":
-        "ca4c137bb645cb23e50881b98e140b239539a693eee7b9f18cdc343787f1972c",
+        "18c09f1e8f37ed621bfc49ca02c4fc9c4329cffdaed1c4143e77d907951644e6",
     "oe4-n100-k17-nomix":
-        "ca4c137bb645cb23e50881b98e140b239539a693eee7b9f18cdc343787f1972c",
+        "18c09f1e8f37ed621bfc49ca02c4fc9c4329cffdaed1c4143e77d907951644e6",
     "oe2-n5-k2-lam1-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "oe2-n5-k2-lam5-mix":
@@ -189,63 +206,63 @@ GOLDEN = {
     "oe2-n5-k2-lam20-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "oe2-n5-k2-nomix":
-        "27be3c8192da220d404ece08fb5cbc8aa1f6155b6cf731b7119e9e1345de7568",
+        "860b3dd36a5c4040722e52db9ed351635cd81e5734e1bebafc1471337ac61f56",
     "oe2-n8-k3-lam1-mix":
-        "8eb9b997012c9192080f86ba8003ff4aba137a4f6ce26c97efd583575f5f7f8a",
+        "2e44ee52fe24bee977fa84f895b678581dc77dfe1476b3e93436975297fcc44a",
     "oe2-n8-k3-lam5-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "2e44ee52fe24bee977fa84f895b678581dc77dfe1476b3e93436975297fcc44a",
     "oe2-n8-k3-lam20-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "oe2-n8-k3-nomix":
-        "aad3a06600ba4acf4c0f906690a76fd2b68c17ef32b05e0d33f603bea08c03d5",
+        "efe529e1c6a1bb2a1ea6cf46f8a2c908dee3f5b680188a5086f0fbecfabdf556",
     "oe2-n13-k4-lam1-mix":
-        "5acc1f3cc6767b76a4680da1dcb67a561dbf39d57366bbe930dcfbae3b8b40c8",
+        "357b09f7bf5bbdcd2f1cfaf03d917e0a6ca94d1b8e00561cffde0b0185719941",
     "oe2-n13-k4-lam5-mix":
-        "9d8b70c3c7d570574b78c61cf3ddb5aa8a48e704bfa6a650fa71a48ffe893c94",
+        "4ba47128642ec2a6ad9cfde837cdcf07032818cb8b4900ff3272f3562fe4162b",
     "oe2-n13-k4-lam20-mix":
-        "9d8b70c3c7d570574b78c61cf3ddb5aa8a48e704bfa6a650fa71a48ffe893c94",
+        "e2a4ade911d278fde9fa00d1f33103e93113b168ff6380c7d1c2d8847b829628",
     "oe2-n13-k4-nomix":
-        "6bb207d9575cb5fc923572abcf83914912dd248dacc8dd0e53d294cdee70f94f",
+        "4a52186a59d2ada9d9cf2e2656edbab37484b55f8e6ae4bf8a223b5ecc5ea390",
     "oe2-n16-k7-lam1-mix":
-        "13312f2242d1f9fc3caebf137dc632407e4f8aeacd5b00e8889b049570466eea",
+        "d147e976ba3f4f236ea5bb5a6aae98efdcbe96969ec225001f9fec7cd4bc3bf5",
     "oe2-n16-k7-lam5-mix":
-        "13312f2242d1f9fc3caebf137dc632407e4f8aeacd5b00e8889b049570466eea",
+        "d147e976ba3f4f236ea5bb5a6aae98efdcbe96969ec225001f9fec7cd4bc3bf5",
     "oe2-n16-k7-lam20-mix":
-        "6cf58f94d239ca7447d87302a18da50465132e3dddb26de1ea03414272fbf117",
+        "c88ce8bca310052f40e9388a0c72a10487729ea935c68c4ed7d9119c6468100d",
     "oe2-n16-k7-nomix":
-        "053f0f0bcfdafa6f7adab5087bbde20e023a36f74fb7bd945cd23c667d1d5f91",
+        "14078ac59570ea702c9ff24a90c6420cbc0cc63c005e193d5a29678b6fea3c35",
     "oe2-n24-k5-lam1-mix":
-        "93b85acff71d9f73e0723776b2e8ef40698c8124e2c8bafbb0161fba7f186155",
+        "c07148a8f255f2d339edd21c4dde94efd3a8818d53ca2ee782e1e143bfd7fd45",
     "oe2-n24-k5-lam5-mix":
-        "0d86987bf4ea7dd34d2d6d6270c4f0bcc8d66a1f4e08d2e470597989141839b0",
+        "6627e41c182e35146cd3838c42c47bfd0e0516143f29efc8a75accfc6d598201",
     "oe2-n24-k5-lam20-mix":
-        "0d86987bf4ea7dd34d2d6d6270c4f0bcc8d66a1f4e08d2e470597989141839b0",
+        "6627e41c182e35146cd3838c42c47bfd0e0516143f29efc8a75accfc6d598201",
     "oe2-n24-k5-nomix":
-        "6fc1f9f5f233430f6ea56b7a6b717424a76fe9f2aeb43d9c1a52a1571a0de58c",
+        "41d8445b9ba669933a60f18315fecdc85686edb301cc75ba923b5921a9029620",
     "oe2-n37-k9-lam1-mix":
-        "3d86b4cbd2a53073ec1c575aeab9296f2c544668326d69ce1167bcb6e4186334",
+        "c9c3743fef1d37e4378d132e68cd5de4f2159b2ee11eec7e7827767f2c878f07",
     "oe2-n37-k9-lam5-mix":
-        "3d86b4cbd2a53073ec1c575aeab9296f2c544668326d69ce1167bcb6e4186334",
+        "c9c3743fef1d37e4378d132e68cd5de4f2159b2ee11eec7e7827767f2c878f07",
     "oe2-n37-k9-lam20-mix":
-        "173b468bb6927099eb5f1a29406d429ccc834036be768d2619eb0362bed584cf",
+        "a69715822dbbf7dda9c68d84c3e35654f56a5217fef5b5a29adb8905dd0e4fc1",
     "oe2-n37-k9-nomix":
-        "b17c3cbf8dc1073075b520a101a9397e205b873d8a6d2113fdcbefe34fc47854",
+        "88b8cf80bd0ace61395fd3974fa58e7b43f2903180604562ffe851bb9ba5652d",
     "oe2-n64-k12-lam1-mix":
-        "34f4547035e8c9af7b2c5be44e669641536f4adbc363d5275c8f3ef66749216c",
+        "d3cc88e0e4a963c5ab653d7afed376a2d2ec74b361cba1964a025e4f11dc0450",
     "oe2-n64-k12-lam5-mix":
-        "34f4547035e8c9af7b2c5be44e669641536f4adbc363d5275c8f3ef66749216c",
+        "d3cc88e0e4a963c5ab653d7afed376a2d2ec74b361cba1964a025e4f11dc0450",
     "oe2-n64-k12-lam20-mix":
-        "f42e540594779b63b977a1122277ecad3b1d36f8c96558b69331ba3f85909e98",
+        "c5476735277c0038a85def62e5d55d74c1b684238306931ce3bb30ec2bf215f1",
     "oe2-n64-k12-nomix":
-        "fa0638c3d31f228e7cdc5969f3ae13ee1f34dfe98e63514e22a52e3cd10f6983",
+        "ebb2e8a185b88f5c77dc9795938883b27752644bc9f43b134a90eed7c4bff0ee",
     "oe2-n100-k17-lam1-mix":
-        "a62f57599caa0fe79eca0682aaa19d390341711d5a6d5dabdb9562df4c5268ab",
+        "c8f35b770321315504f176cfdb60e9109f1627f51e15154fad023506720a1437",
     "oe2-n100-k17-lam5-mix":
-        "ed7c24cc51c8da8b64dd5c7838784dea92fea9edf2099f6b7775989d98376c3e",
+        "14608d5372900694ab6b6052b245386f429f1a769acc1b48646346fa7a0def08",
     "oe2-n100-k17-lam20-mix":
-        "e8e560acd1e97dd99e2f6a5a1fa154de617fda326d9b4de3f63d44fd34101fa5",
+        "3b7834456382ddd52b90d05e34c8acd6e60438b363c2356c2d9c208589156a9a",
     "oe2-n100-k17-nomix":
-        "a6b833efe9267cbd7b971046935c198ae8723e4c06b425f4b099ca36c740edfd",
+        "8c9f478159dff73caae3ffabe8b1a3402f3b34fcc460b747a54a57b7cc6a307a",
     "pairwise_classic-n5-k2-lam1-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "pairwise_classic-n5-k2-lam5-mix":
@@ -253,63 +270,63 @@ GOLDEN = {
     "pairwise_classic-n5-k2-lam20-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "pairwise_classic-n5-k2-nomix":
-        "054788580d8613a884354d433d467597b0a2a0fbadb58c2fbd912cae8402124b",
+        "fa9ea456da21a513d12de3a3a7017388c504fca9dafe96be95b953456d4ae954",
     "pairwise_classic-n8-k3-lam1-mix":
-        "cebe0d761bc9e9012d473c050aa45e50208416d05c32739acaaa21a47759ea46",
+        "dc368b9c7d49726d414a7203dd52cc0e8cfda332ea5e04bcabdf9bb90b237581",
     "pairwise_classic-n8-k3-lam5-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "pairwise_classic-n8-k3-lam20-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "pairwise_classic-n8-k3-nomix":
-        "cebe0d761bc9e9012d473c050aa45e50208416d05c32739acaaa21a47759ea46",
+        "dc368b9c7d49726d414a7203dd52cc0e8cfda332ea5e04bcabdf9bb90b237581",
     "pairwise_classic-n13-k4-lam1-mix":
-        "4b9f415b5730618bf1843555dc72efa8ffb40be8da8f04ff206bf269773315ca",
+        "15b3fabb799dfb30243ed618e6317dbd06f54673b7d13400db6a17002ea6556f",
     "pairwise_classic-n13-k4-lam5-mix":
-        "4b9f415b5730618bf1843555dc72efa8ffb40be8da8f04ff206bf269773315ca",
+        "15b3fabb799dfb30243ed618e6317dbd06f54673b7d13400db6a17002ea6556f",
     "pairwise_classic-n13-k4-lam20-mix":
-        "4b9f415b5730618bf1843555dc72efa8ffb40be8da8f04ff206bf269773315ca",
+        "15b3fabb799dfb30243ed618e6317dbd06f54673b7d13400db6a17002ea6556f",
     "pairwise_classic-n13-k4-nomix":
-        "4b9f415b5730618bf1843555dc72efa8ffb40be8da8f04ff206bf269773315ca",
+        "15b3fabb799dfb30243ed618e6317dbd06f54673b7d13400db6a17002ea6556f",
     "pairwise_classic-n16-k7-lam1-mix":
-        "57f8934f7c5c7ea1734bd0150398c61093740551177e7dc4190d6d45f12bbf79",
+        "3effff10e85abf3382ecb6c7ff0bf5314f6606f458491e658c7e6bec6b9ad6c5",
     "pairwise_classic-n16-k7-lam5-mix":
-        "57f8934f7c5c7ea1734bd0150398c61093740551177e7dc4190d6d45f12bbf79",
+        "3effff10e85abf3382ecb6c7ff0bf5314f6606f458491e658c7e6bec6b9ad6c5",
     "pairwise_classic-n16-k7-lam20-mix":
-        "57f8934f7c5c7ea1734bd0150398c61093740551177e7dc4190d6d45f12bbf79",
+        "3effff10e85abf3382ecb6c7ff0bf5314f6606f458491e658c7e6bec6b9ad6c5",
     "pairwise_classic-n16-k7-nomix":
-        "57f8934f7c5c7ea1734bd0150398c61093740551177e7dc4190d6d45f12bbf79",
+        "3effff10e85abf3382ecb6c7ff0bf5314f6606f458491e658c7e6bec6b9ad6c5",
     "pairwise_classic-n24-k5-lam1-mix":
-        "450fe93aa902b6d1fffaba0306a7b64bf6dc0e1159ab05de0af9090d20f8fbb9",
+        "a7dbb00f93a2c79b4a4f98aa369f2b886d08aa6dc5d54fab2c6f8a68f30b195c",
     "pairwise_classic-n24-k5-lam5-mix":
-        "450fe93aa902b6d1fffaba0306a7b64bf6dc0e1159ab05de0af9090d20f8fbb9",
+        "a7dbb00f93a2c79b4a4f98aa369f2b886d08aa6dc5d54fab2c6f8a68f30b195c",
     "pairwise_classic-n24-k5-lam20-mix":
-        "450fe93aa902b6d1fffaba0306a7b64bf6dc0e1159ab05de0af9090d20f8fbb9",
+        "a7dbb00f93a2c79b4a4f98aa369f2b886d08aa6dc5d54fab2c6f8a68f30b195c",
     "pairwise_classic-n24-k5-nomix":
-        "450fe93aa902b6d1fffaba0306a7b64bf6dc0e1159ab05de0af9090d20f8fbb9",
+        "a7dbb00f93a2c79b4a4f98aa369f2b886d08aa6dc5d54fab2c6f8a68f30b195c",
     "pairwise_classic-n37-k9-lam1-mix":
-        "1d8495e722bd694433b8961c427f4cb34a38f39f74fe2cc17bf05f5a13b4fc77",
+        "cd16be8943b4c91e20c0dde3a25c37664590ccb63e400cb003d096b68208d6e7",
     "pairwise_classic-n37-k9-lam5-mix":
-        "1d8495e722bd694433b8961c427f4cb34a38f39f74fe2cc17bf05f5a13b4fc77",
+        "cd16be8943b4c91e20c0dde3a25c37664590ccb63e400cb003d096b68208d6e7",
     "pairwise_classic-n37-k9-lam20-mix":
-        "1d8495e722bd694433b8961c427f4cb34a38f39f74fe2cc17bf05f5a13b4fc77",
+        "cd16be8943b4c91e20c0dde3a25c37664590ccb63e400cb003d096b68208d6e7",
     "pairwise_classic-n37-k9-nomix":
-        "1d8495e722bd694433b8961c427f4cb34a38f39f74fe2cc17bf05f5a13b4fc77",
+        "cd16be8943b4c91e20c0dde3a25c37664590ccb63e400cb003d096b68208d6e7",
     "pairwise_classic-n64-k12-lam1-mix":
-        "48cf2e954236e43bea29f9ee3a27433355b3a367f5c69ac9438e7936bb1fe8af",
+        "3bca31ad36cba2e2f24485e9cb718e337b7b0d69520208e25f63209a28491ca4",
     "pairwise_classic-n64-k12-lam5-mix":
-        "48cf2e954236e43bea29f9ee3a27433355b3a367f5c69ac9438e7936bb1fe8af",
+        "3bca31ad36cba2e2f24485e9cb718e337b7b0d69520208e25f63209a28491ca4",
     "pairwise_classic-n64-k12-lam20-mix":
-        "48cf2e954236e43bea29f9ee3a27433355b3a367f5c69ac9438e7936bb1fe8af",
+        "3bca31ad36cba2e2f24485e9cb718e337b7b0d69520208e25f63209a28491ca4",
     "pairwise_classic-n64-k12-nomix":
-        "48cf2e954236e43bea29f9ee3a27433355b3a367f5c69ac9438e7936bb1fe8af",
+        "3bca31ad36cba2e2f24485e9cb718e337b7b0d69520208e25f63209a28491ca4",
     "pairwise_classic-n100-k17-lam1-mix":
-        "94d1b3ddf164483f7a8c6857f155a3fb9c59995743b25ac320bf94a2b7bfde73",
+        "b12962fcbd83a41827711fa355db2c84ccf8f49e580a3e519635c2e89ccf87aa",
     "pairwise_classic-n100-k17-lam5-mix":
-        "94d1b3ddf164483f7a8c6857f155a3fb9c59995743b25ac320bf94a2b7bfde73",
+        "b12962fcbd83a41827711fa355db2c84ccf8f49e580a3e519635c2e89ccf87aa",
     "pairwise_classic-n100-k17-lam20-mix":
-        "94d1b3ddf164483f7a8c6857f155a3fb9c59995743b25ac320bf94a2b7bfde73",
+        "b12962fcbd83a41827711fa355db2c84ccf8f49e580a3e519635c2e89ccf87aa",
     "pairwise_classic-n100-k17-nomix":
-        "94d1b3ddf164483f7a8c6857f155a3fb9c59995743b25ac320bf94a2b7bfde73",
+        "b12962fcbd83a41827711fa355db2c84ccf8f49e580a3e519635c2e89ccf87aa",
     "pairwise_bitonic-n5-k2-lam1-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "pairwise_bitonic-n5-k2-lam5-mix":
@@ -317,63 +334,63 @@ GOLDEN = {
     "pairwise_bitonic-n5-k2-lam20-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "pairwise_bitonic-n5-k2-nomix":
-        "df94fe1916882d41068fe24443e0d6450184dbd6b47e524e82517ceddd2dabdb",
+        "ef363634748ba3040ef7be82ed5b568e0eac9e1cc197020f4a1a5ca722ccff4f",
     "pairwise_bitonic-n8-k3-lam1-mix":
-        "706348e4fd956f85f9831a778c78b99631ac34c7810c9d8b3dc5886c4cbe1510",
+        "6e604a7e67dee37772dc1b834b6f449cf714990ac60997dc58cf06bfdc89f12c",
     "pairwise_bitonic-n8-k3-lam5-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "pairwise_bitonic-n8-k3-lam20-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "pairwise_bitonic-n8-k3-nomix":
-        "706348e4fd956f85f9831a778c78b99631ac34c7810c9d8b3dc5886c4cbe1510",
+        "6e604a7e67dee37772dc1b834b6f449cf714990ac60997dc58cf06bfdc89f12c",
     "pairwise_bitonic-n13-k4-lam1-mix":
-        "97493041eb389c2d92de199d9f6de4594e0842bfd67157eecce8056fff72f0c9",
+        "bc5b4ba26204395423e0bf2aac257146bf6d9c3059cc8620636b6e1dd440023c",
     "pairwise_bitonic-n13-k4-lam5-mix":
-        "97493041eb389c2d92de199d9f6de4594e0842bfd67157eecce8056fff72f0c9",
+        "bc5b4ba26204395423e0bf2aac257146bf6d9c3059cc8620636b6e1dd440023c",
     "pairwise_bitonic-n13-k4-lam20-mix":
-        "97493041eb389c2d92de199d9f6de4594e0842bfd67157eecce8056fff72f0c9",
+        "bc5b4ba26204395423e0bf2aac257146bf6d9c3059cc8620636b6e1dd440023c",
     "pairwise_bitonic-n13-k4-nomix":
-        "97493041eb389c2d92de199d9f6de4594e0842bfd67157eecce8056fff72f0c9",
+        "bc5b4ba26204395423e0bf2aac257146bf6d9c3059cc8620636b6e1dd440023c",
     "pairwise_bitonic-n16-k7-lam1-mix":
-        "0f331687ea3f5a32845efd94f67c97029205708ff8ad1311be01c67c0ce57d0e",
+        "d8d85b5af191ded01dfaeea05dd304b0bf72ba16eee73ed75c7c9f7b9faa27b7",
     "pairwise_bitonic-n16-k7-lam5-mix":
-        "0f331687ea3f5a32845efd94f67c97029205708ff8ad1311be01c67c0ce57d0e",
+        "d8d85b5af191ded01dfaeea05dd304b0bf72ba16eee73ed75c7c9f7b9faa27b7",
     "pairwise_bitonic-n16-k7-lam20-mix":
-        "0f331687ea3f5a32845efd94f67c97029205708ff8ad1311be01c67c0ce57d0e",
+        "d8d85b5af191ded01dfaeea05dd304b0bf72ba16eee73ed75c7c9f7b9faa27b7",
     "pairwise_bitonic-n16-k7-nomix":
-        "0f331687ea3f5a32845efd94f67c97029205708ff8ad1311be01c67c0ce57d0e",
+        "d8d85b5af191ded01dfaeea05dd304b0bf72ba16eee73ed75c7c9f7b9faa27b7",
     "pairwise_bitonic-n24-k5-lam1-mix":
-        "5f3b9e2a6590f8e85b6a035920e58fdb38ad384281fd301ce940288268006130",
+        "675299cb9617e64bee5143c9de5653f001fd115fec0a54e1bb4a904e16e860df",
     "pairwise_bitonic-n24-k5-lam5-mix":
-        "5f3b9e2a6590f8e85b6a035920e58fdb38ad384281fd301ce940288268006130",
+        "675299cb9617e64bee5143c9de5653f001fd115fec0a54e1bb4a904e16e860df",
     "pairwise_bitonic-n24-k5-lam20-mix":
-        "5f3b9e2a6590f8e85b6a035920e58fdb38ad384281fd301ce940288268006130",
+        "675299cb9617e64bee5143c9de5653f001fd115fec0a54e1bb4a904e16e860df",
     "pairwise_bitonic-n24-k5-nomix":
-        "5f3b9e2a6590f8e85b6a035920e58fdb38ad384281fd301ce940288268006130",
+        "675299cb9617e64bee5143c9de5653f001fd115fec0a54e1bb4a904e16e860df",
     "pairwise_bitonic-n37-k9-lam1-mix":
-        "f523de0da71caaaf59f8bd35882ac6de5a1ce64c0d6a29fd113c637262d47151",
+        "34af83c5a3a95381dab826c855447b849399c681a59cf65cd1edb650ea8f4d93",
     "pairwise_bitonic-n37-k9-lam5-mix":
-        "f523de0da71caaaf59f8bd35882ac6de5a1ce64c0d6a29fd113c637262d47151",
+        "34af83c5a3a95381dab826c855447b849399c681a59cf65cd1edb650ea8f4d93",
     "pairwise_bitonic-n37-k9-lam20-mix":
-        "f523de0da71caaaf59f8bd35882ac6de5a1ce64c0d6a29fd113c637262d47151",
+        "34af83c5a3a95381dab826c855447b849399c681a59cf65cd1edb650ea8f4d93",
     "pairwise_bitonic-n37-k9-nomix":
-        "f523de0da71caaaf59f8bd35882ac6de5a1ce64c0d6a29fd113c637262d47151",
+        "34af83c5a3a95381dab826c855447b849399c681a59cf65cd1edb650ea8f4d93",
     "pairwise_bitonic-n64-k12-lam1-mix":
-        "821e916bb9439a95b47e61d608c303472ea487d49c2a82ce903d36f82f948703",
+        "03aec1f908b497c79ce203c2a23008a1246fd8e4993ddc09a4fa3f3142ee0532",
     "pairwise_bitonic-n64-k12-lam5-mix":
-        "821e916bb9439a95b47e61d608c303472ea487d49c2a82ce903d36f82f948703",
+        "03aec1f908b497c79ce203c2a23008a1246fd8e4993ddc09a4fa3f3142ee0532",
     "pairwise_bitonic-n64-k12-lam20-mix":
-        "821e916bb9439a95b47e61d608c303472ea487d49c2a82ce903d36f82f948703",
+        "03aec1f908b497c79ce203c2a23008a1246fd8e4993ddc09a4fa3f3142ee0532",
     "pairwise_bitonic-n64-k12-nomix":
-        "821e916bb9439a95b47e61d608c303472ea487d49c2a82ce903d36f82f948703",
+        "03aec1f908b497c79ce203c2a23008a1246fd8e4993ddc09a4fa3f3142ee0532",
     "pairwise_bitonic-n100-k17-lam1-mix":
-        "c4c0e18b64c39d7b93abc3eed5d3a378f918d7b20dd1dd7d7fd56d7cee71ced2",
+        "d9bd111e65513aba671c7cd4b9400a7d4065b8e1ab82d9bf43227d1ef74fff63",
     "pairwise_bitonic-n100-k17-lam5-mix":
-        "c4c0e18b64c39d7b93abc3eed5d3a378f918d7b20dd1dd7d7fd56d7cee71ced2",
+        "d9bd111e65513aba671c7cd4b9400a7d4065b8e1ab82d9bf43227d1ef74fff63",
     "pairwise_bitonic-n100-k17-lam20-mix":
-        "c4c0e18b64c39d7b93abc3eed5d3a378f918d7b20dd1dd7d7fd56d7cee71ced2",
+        "d9bd111e65513aba671c7cd4b9400a7d4065b8e1ab82d9bf43227d1ef74fff63",
     "pairwise_bitonic-n100-k17-nomix":
-        "c4c0e18b64c39d7b93abc3eed5d3a378f918d7b20dd1dd7d7fd56d7cee71ced2",
+        "d9bd111e65513aba671c7cd4b9400a7d4065b8e1ab82d9bf43227d1ef74fff63",
     "pairwise_half_bitonic-n5-k2-lam1-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "pairwise_half_bitonic-n5-k2-lam5-mix":
@@ -381,63 +398,63 @@ GOLDEN = {
     "pairwise_half_bitonic-n5-k2-lam20-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "pairwise_half_bitonic-n5-k2-nomix":
-        "015f92df1e7490b96ef9002c49f89ce068dffd229c41746c8789d1f1b54e71f8",
+        "58a9a8d324b5ba6f1b975980660f074a954b521678fd60fc22c1fcdb5d1bf402",
     "pairwise_half_bitonic-n8-k3-lam1-mix":
-        "17a4002e539316c5afc8fdc5ffb21f8f4790c6b7ccfbded0a0618f6ba622359d",
+        "f4856819c58e60a04990e553346748a6ad09c1ff6dbb4d27c1a60e619b9d9af1",
     "pairwise_half_bitonic-n8-k3-lam5-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "pairwise_half_bitonic-n8-k3-lam20-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "pairwise_half_bitonic-n8-k3-nomix":
-        "17a4002e539316c5afc8fdc5ffb21f8f4790c6b7ccfbded0a0618f6ba622359d",
+        "f4856819c58e60a04990e553346748a6ad09c1ff6dbb4d27c1a60e619b9d9af1",
     "pairwise_half_bitonic-n13-k4-lam1-mix":
-        "4b757b8be75e7c3814f5b143141f307cd57fef3a82ba38e78ac8e61c5cf507aa",
+        "a6037f6f3abc7dc62a88319059c07590d7e21103bdb3f185dddd29867187f484",
     "pairwise_half_bitonic-n13-k4-lam5-mix":
-        "4b757b8be75e7c3814f5b143141f307cd57fef3a82ba38e78ac8e61c5cf507aa",
+        "a6037f6f3abc7dc62a88319059c07590d7e21103bdb3f185dddd29867187f484",
     "pairwise_half_bitonic-n13-k4-lam20-mix":
-        "4b757b8be75e7c3814f5b143141f307cd57fef3a82ba38e78ac8e61c5cf507aa",
+        "a6037f6f3abc7dc62a88319059c07590d7e21103bdb3f185dddd29867187f484",
     "pairwise_half_bitonic-n13-k4-nomix":
-        "4b757b8be75e7c3814f5b143141f307cd57fef3a82ba38e78ac8e61c5cf507aa",
+        "a6037f6f3abc7dc62a88319059c07590d7e21103bdb3f185dddd29867187f484",
     "pairwise_half_bitonic-n16-k7-lam1-mix":
-        "4d106d184676b575b2d73cf2c035fa229d4e34ab56d6d4d9963d28437e8a4985",
+        "378d8d292fda9c427d6937ff358656c150a75c18151c3353055195c86da3cb51",
     "pairwise_half_bitonic-n16-k7-lam5-mix":
-        "4d106d184676b575b2d73cf2c035fa229d4e34ab56d6d4d9963d28437e8a4985",
+        "378d8d292fda9c427d6937ff358656c150a75c18151c3353055195c86da3cb51",
     "pairwise_half_bitonic-n16-k7-lam20-mix":
-        "4d106d184676b575b2d73cf2c035fa229d4e34ab56d6d4d9963d28437e8a4985",
+        "378d8d292fda9c427d6937ff358656c150a75c18151c3353055195c86da3cb51",
     "pairwise_half_bitonic-n16-k7-nomix":
-        "4d106d184676b575b2d73cf2c035fa229d4e34ab56d6d4d9963d28437e8a4985",
+        "378d8d292fda9c427d6937ff358656c150a75c18151c3353055195c86da3cb51",
     "pairwise_half_bitonic-n24-k5-lam1-mix":
-        "619a6d2d70f48e17f27a370923fedb58d3284bd5fd744b5ca8e791080229b876",
+        "11bb0ea06e5f5ff53070a02309e1e33f272adab589296023e1daba9713f90a07",
     "pairwise_half_bitonic-n24-k5-lam5-mix":
-        "619a6d2d70f48e17f27a370923fedb58d3284bd5fd744b5ca8e791080229b876",
+        "11bb0ea06e5f5ff53070a02309e1e33f272adab589296023e1daba9713f90a07",
     "pairwise_half_bitonic-n24-k5-lam20-mix":
-        "619a6d2d70f48e17f27a370923fedb58d3284bd5fd744b5ca8e791080229b876",
+        "11bb0ea06e5f5ff53070a02309e1e33f272adab589296023e1daba9713f90a07",
     "pairwise_half_bitonic-n24-k5-nomix":
-        "619a6d2d70f48e17f27a370923fedb58d3284bd5fd744b5ca8e791080229b876",
+        "11bb0ea06e5f5ff53070a02309e1e33f272adab589296023e1daba9713f90a07",
     "pairwise_half_bitonic-n37-k9-lam1-mix":
-        "5a4d112f1f01e561d672ec2fcb1737689408238bcc6391d8b5556dda42131d80",
+        "d205314ad97e9ebfe9ac42641a2c63aa3dfb05c18a2356ee2a5c1864d6d74a54",
     "pairwise_half_bitonic-n37-k9-lam5-mix":
-        "5a4d112f1f01e561d672ec2fcb1737689408238bcc6391d8b5556dda42131d80",
+        "d205314ad97e9ebfe9ac42641a2c63aa3dfb05c18a2356ee2a5c1864d6d74a54",
     "pairwise_half_bitonic-n37-k9-lam20-mix":
-        "5a4d112f1f01e561d672ec2fcb1737689408238bcc6391d8b5556dda42131d80",
+        "d205314ad97e9ebfe9ac42641a2c63aa3dfb05c18a2356ee2a5c1864d6d74a54",
     "pairwise_half_bitonic-n37-k9-nomix":
-        "5a4d112f1f01e561d672ec2fcb1737689408238bcc6391d8b5556dda42131d80",
+        "d205314ad97e9ebfe9ac42641a2c63aa3dfb05c18a2356ee2a5c1864d6d74a54",
     "pairwise_half_bitonic-n64-k12-lam1-mix":
-        "ee08377fd3813724811d821f463e56f35f74fe5d758623d66c2ca6d83b2b5dab",
+        "a00e5d34be5635fd272d053efdd376b936f01f6c6400705e0fcac1fcba6ce1c3",
     "pairwise_half_bitonic-n64-k12-lam5-mix":
-        "ee08377fd3813724811d821f463e56f35f74fe5d758623d66c2ca6d83b2b5dab",
+        "a00e5d34be5635fd272d053efdd376b936f01f6c6400705e0fcac1fcba6ce1c3",
     "pairwise_half_bitonic-n64-k12-lam20-mix":
-        "ee08377fd3813724811d821f463e56f35f74fe5d758623d66c2ca6d83b2b5dab",
+        "a00e5d34be5635fd272d053efdd376b936f01f6c6400705e0fcac1fcba6ce1c3",
     "pairwise_half_bitonic-n64-k12-nomix":
-        "ee08377fd3813724811d821f463e56f35f74fe5d758623d66c2ca6d83b2b5dab",
+        "a00e5d34be5635fd272d053efdd376b936f01f6c6400705e0fcac1fcba6ce1c3",
     "pairwise_half_bitonic-n100-k17-lam1-mix":
-        "adff5813e71f70dbf46f26009ee58399e56ecc213e499cb12bda8838b3c6ed00",
+        "4e42c9fc60cedfee6aa1233ae2c85fdfe04fc5704e2c4bbf253a21b2d6b02378",
     "pairwise_half_bitonic-n100-k17-lam5-mix":
-        "adff5813e71f70dbf46f26009ee58399e56ecc213e499cb12bda8838b3c6ed00",
+        "4e42c9fc60cedfee6aa1233ae2c85fdfe04fc5704e2c4bbf253a21b2d6b02378",
     "pairwise_half_bitonic-n100-k17-lam20-mix":
-        "adff5813e71f70dbf46f26009ee58399e56ecc213e499cb12bda8838b3c6ed00",
+        "4e42c9fc60cedfee6aa1233ae2c85fdfe04fc5704e2c4bbf253a21b2d6b02378",
     "pairwise_half_bitonic-n100-k17-nomix":
-        "adff5813e71f70dbf46f26009ee58399e56ecc213e499cb12bda8838b3c6ed00",
+        "4e42c9fc60cedfee6aa1233ae2c85fdfe04fc5704e2c4bbf253a21b2d6b02378",
     "fourwise-n5-k2-lam1-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "fourwise-n5-k2-lam5-mix":
@@ -445,63 +462,63 @@ GOLDEN = {
     "fourwise-n5-k2-lam20-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "fourwise-n5-k2-nomix":
-        "16c522026ef42d0c84ff24a9eb9fdc5bc2c65b5a0a1772bed55662828088331e",
+        "0ab841407ad1dc84150455b1f3837b41902416f057cae4c882ff288e14fc4514",
     "fourwise-n8-k3-lam1-mix":
-        "66b12d7a00ed858cf0ea434b31673528a3f9863b20823d73f47823a719ca1ea3",
+        "b9a7897146938b487e5c481f3f70b21239c74e41de4b64e7b0ac0ef5730c9b81",
     "fourwise-n8-k3-lam5-mix":
-        "66b12d7a00ed858cf0ea434b31673528a3f9863b20823d73f47823a719ca1ea3",
+        "b9a7897146938b487e5c481f3f70b21239c74e41de4b64e7b0ac0ef5730c9b81",
     "fourwise-n8-k3-lam20-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "fourwise-n8-k3-nomix":
-        "66b12d7a00ed858cf0ea434b31673528a3f9863b20823d73f47823a719ca1ea3",
+        "b9a7897146938b487e5c481f3f70b21239c74e41de4b64e7b0ac0ef5730c9b81",
     "fourwise-n13-k4-lam1-mix":
-        "3199fda000042db3f30b9d0b51047fbf05a67610a227ea52a2b84662361d4f49",
+        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
     "fourwise-n13-k4-lam5-mix":
-        "3199fda000042db3f30b9d0b51047fbf05a67610a227ea52a2b84662361d4f49",
+        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
     "fourwise-n13-k4-lam20-mix":
-        "3199fda000042db3f30b9d0b51047fbf05a67610a227ea52a2b84662361d4f49",
+        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
     "fourwise-n13-k4-nomix":
-        "29c51621e9a9a3bc0e3890192854288a199f79447c176f12a9e0d5a52e051f7a",
+        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
     "fourwise-n16-k7-lam1-mix":
-        "e88db804cb09ab163506df2a67dd4202b95ad55ea09fdf4545810e3f495940f2",
+        "b75d948c28800e792711e1bad961c9fe1384a44670a8521b6577936409f60128",
     "fourwise-n16-k7-lam5-mix":
-        "e88db804cb09ab163506df2a67dd4202b95ad55ea09fdf4545810e3f495940f2",
+        "b75d948c28800e792711e1bad961c9fe1384a44670a8521b6577936409f60128",
     "fourwise-n16-k7-lam20-mix":
-        "e88db804cb09ab163506df2a67dd4202b95ad55ea09fdf4545810e3f495940f2",
+        "b75d948c28800e792711e1bad961c9fe1384a44670a8521b6577936409f60128",
     "fourwise-n16-k7-nomix":
-        "8f9882469a08ea24d4f9080043a97a2cf5667822e7d1840d8599a94ea6a9aa0f",
+        "b75d948c28800e792711e1bad961c9fe1384a44670a8521b6577936409f60128",
     "fourwise-n24-k5-lam1-mix":
-        "29a0a1351c524280026a8aa4db2026f558108fa904fdb5d5d5f2e3dd8c1cc679",
+        "390dfb0150fdb3b1d3e456ad2aad89def6eeda7a64c05613c49b45630a886e70",
     "fourwise-n24-k5-lam5-mix":
-        "0b6fd69264d6d8c973fdcf30597d181ec671eac3a495739f8974648ade76b88a",
+        "91934e8d9c7674a07159b2e01f31c20740d51f38c5f6b8b4d5bfa4316297cf13",
     "fourwise-n24-k5-lam20-mix":
-        "0b6fd69264d6d8c973fdcf30597d181ec671eac3a495739f8974648ade76b88a",
+        "91934e8d9c7674a07159b2e01f31c20740d51f38c5f6b8b4d5bfa4316297cf13",
     "fourwise-n24-k5-nomix":
-        "a24161645972b9423055ed9b5361975e6d6545e3924642bb8b3dc2e0e8fe940b",
+        "38e9e1c9b4e231a2db4f8e601c2e3c3e0972d98fa0eafb9b18d11c136052ca10",
     "fourwise-n37-k9-lam1-mix":
-        "c835271ba0469f0beabb8edb57c89d5d63089eebecfcbcfd60a4dfa2be606866",
+        "5a940f75f902ea2b45a1e3e9818bc5c13d60301f6366733652189e24f07c4c41",
     "fourwise-n37-k9-lam5-mix":
-        "4d23b95a462c438a054a9008c190e995d856bd5e0b712d87653ec4b23ae582df",
+        "228aef741c84bb2410bc38a29bb30d010b1965b995ec20c73433a1446b6a5b10",
     "fourwise-n37-k9-lam20-mix":
-        "3230c1f0186f9c0fc8046f1a84738c7e0497826fa06241e8942155475b7b3613",
+        "cd8444885feab13a9984051b23fc307dd9b9dcb8d4f6e4d829be2dd492aae39d",
     "fourwise-n37-k9-nomix":
-        "dee39ad966d2cb29ba56f793e93b3a087a746c38cc85b06f607b6cb8061ff7f2",
+        "5a940f75f902ea2b45a1e3e9818bc5c13d60301f6366733652189e24f07c4c41",
     "fourwise-n64-k12-lam1-mix":
-        "c1d5ba4f2ed0d006119f195aa8dc1c9254d91720f616a3f56c06f7ba665d6ec4",
+        "9e3f4acf4f06d2524b77c7f82649c6c16de24ee90973bb06f477a996876baa5b",
     "fourwise-n64-k12-lam5-mix":
-        "c1d5ba4f2ed0d006119f195aa8dc1c9254d91720f616a3f56c06f7ba665d6ec4",
+        "9e3f4acf4f06d2524b77c7f82649c6c16de24ee90973bb06f477a996876baa5b",
     "fourwise-n64-k12-lam20-mix":
-        "c1d5ba4f2ed0d006119f195aa8dc1c9254d91720f616a3f56c06f7ba665d6ec4",
+        "9e3f4acf4f06d2524b77c7f82649c6c16de24ee90973bb06f477a996876baa5b",
     "fourwise-n64-k12-nomix":
-        "744e603be1d7c711fe257168fccb833d2746d45cd502365df1ced0a9688b7fa4",
+        "9e3f4acf4f06d2524b77c7f82649c6c16de24ee90973bb06f477a996876baa5b",
     "fourwise-n100-k17-lam1-mix":
-        "e4324d2fc7c0041183ad6975e7703233baa64f82951b04e598dbc66c42f5b6c1",
+        "758f0f6f4825e83f68821d85125e8c7b422f432cedcb95dfe0e65daacecc4c30",
     "fourwise-n100-k17-lam5-mix":
-        "eb1108912dd4eb99253c8d808d7c1ae2dab299bc5974bc209ea6c27893bd86b8",
+        "2f1134b0680c6e203fdebf080f928df00d096053989005e82137b809936f126c",
     "fourwise-n100-k17-lam20-mix":
-        "eb1108912dd4eb99253c8d808d7c1ae2dab299bc5974bc209ea6c27893bd86b8",
+        "2f1134b0680c6e203fdebf080f928df00d096053989005e82137b809936f126c",
     "fourwise-n100-k17-nomix":
-        "fd1f19485bd15696e26eacd31844067c0120aea2292a084da45aa8e769d5364d",
+        "97fcf6188412b04edfe9df4c5af80f72ed9730b1f8ae90094ce4a15118075bfe",
     "bitonic_sel-n5-k2-lam1-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "bitonic_sel-n5-k2-lam5-mix":
@@ -509,126 +526,126 @@ GOLDEN = {
     "bitonic_sel-n5-k2-lam20-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "bitonic_sel-n5-k2-nomix":
-        "ab5a69bc6a9081bef0c3d9bcd6613cef1fed953bdf7d0aa1b4c9b24c46202db5",
+        "9284b0ba7b39afcbf99cb4f9c79fe2068737a551298e38a593a7fc7625f85af3",
     "bitonic_sel-n8-k3-lam1-mix":
-        "b88c03a5facacf7577e361660316e1fa2da42c2dad8138dd96bd193599903a85",
+        "5ff94544cb49ee5f8872c8ea48a7c228352db62bcac1257a9dcf38e32a9407af",
     "bitonic_sel-n8-k3-lam5-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "bitonic_sel-n8-k3-lam20-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "bitonic_sel-n8-k3-nomix":
-        "b88c03a5facacf7577e361660316e1fa2da42c2dad8138dd96bd193599903a85",
+        "5ff94544cb49ee5f8872c8ea48a7c228352db62bcac1257a9dcf38e32a9407af",
     "bitonic_sel-n13-k4-lam1-mix":
-        "12ba79503ceb73c9a29345045c5f793ebacc6bf5f11c742ea7e6d9ace2120ea9",
+        "436729c217af0dfd7ff2a207d3db489fc21ddc05a1040635314e1014d74bef6c",
     "bitonic_sel-n13-k4-lam5-mix":
-        "12ba79503ceb73c9a29345045c5f793ebacc6bf5f11c742ea7e6d9ace2120ea9",
+        "436729c217af0dfd7ff2a207d3db489fc21ddc05a1040635314e1014d74bef6c",
     "bitonic_sel-n13-k4-lam20-mix":
-        "12ba79503ceb73c9a29345045c5f793ebacc6bf5f11c742ea7e6d9ace2120ea9",
+        "436729c217af0dfd7ff2a207d3db489fc21ddc05a1040635314e1014d74bef6c",
     "bitonic_sel-n13-k4-nomix":
-        "12ba79503ceb73c9a29345045c5f793ebacc6bf5f11c742ea7e6d9ace2120ea9",
+        "436729c217af0dfd7ff2a207d3db489fc21ddc05a1040635314e1014d74bef6c",
     "bitonic_sel-n16-k7-lam1-mix":
-        "dd0d17d2ff1fefa25dae0c6701540bf0725fcf40cafe28def75d8238b1fffee9",
+        "6f5fc07fd70d9ed25dab1fd3eb2830e12f197abf18ed3697abdd45691e9e8089",
     "bitonic_sel-n16-k7-lam5-mix":
-        "dd0d17d2ff1fefa25dae0c6701540bf0725fcf40cafe28def75d8238b1fffee9",
+        "6f5fc07fd70d9ed25dab1fd3eb2830e12f197abf18ed3697abdd45691e9e8089",
     "bitonic_sel-n16-k7-lam20-mix":
-        "dd0d17d2ff1fefa25dae0c6701540bf0725fcf40cafe28def75d8238b1fffee9",
+        "6f5fc07fd70d9ed25dab1fd3eb2830e12f197abf18ed3697abdd45691e9e8089",
     "bitonic_sel-n16-k7-nomix":
-        "dd0d17d2ff1fefa25dae0c6701540bf0725fcf40cafe28def75d8238b1fffee9",
+        "6f5fc07fd70d9ed25dab1fd3eb2830e12f197abf18ed3697abdd45691e9e8089",
     "bitonic_sel-n24-k5-lam1-mix":
-        "56ccc47c49c4862a4ddbdee4b094d316bb0924ef5e1aa36810c9506785441aea",
+        "7eedd67723bd02bafcaab8465280ec9099bd2fc6761ca1f67ec86b65de650a86",
     "bitonic_sel-n24-k5-lam5-mix":
-        "56ccc47c49c4862a4ddbdee4b094d316bb0924ef5e1aa36810c9506785441aea",
+        "7eedd67723bd02bafcaab8465280ec9099bd2fc6761ca1f67ec86b65de650a86",
     "bitonic_sel-n24-k5-lam20-mix":
-        "56ccc47c49c4862a4ddbdee4b094d316bb0924ef5e1aa36810c9506785441aea",
+        "7eedd67723bd02bafcaab8465280ec9099bd2fc6761ca1f67ec86b65de650a86",
     "bitonic_sel-n24-k5-nomix":
-        "56ccc47c49c4862a4ddbdee4b094d316bb0924ef5e1aa36810c9506785441aea",
+        "7eedd67723bd02bafcaab8465280ec9099bd2fc6761ca1f67ec86b65de650a86",
     "bitonic_sel-n37-k9-lam1-mix":
-        "24d3d3111a96038573fe4d4402cc8ad3d59d807d31bd11365d571a28ce6cdd37",
+        "d65255cb91d62cd96f822b631aee74c9be41234ac3770bd8aabd70ffec9db24c",
     "bitonic_sel-n37-k9-lam5-mix":
-        "24d3d3111a96038573fe4d4402cc8ad3d59d807d31bd11365d571a28ce6cdd37",
+        "d65255cb91d62cd96f822b631aee74c9be41234ac3770bd8aabd70ffec9db24c",
     "bitonic_sel-n37-k9-lam20-mix":
-        "24d3d3111a96038573fe4d4402cc8ad3d59d807d31bd11365d571a28ce6cdd37",
+        "d65255cb91d62cd96f822b631aee74c9be41234ac3770bd8aabd70ffec9db24c",
     "bitonic_sel-n37-k9-nomix":
-        "24d3d3111a96038573fe4d4402cc8ad3d59d807d31bd11365d571a28ce6cdd37",
+        "d65255cb91d62cd96f822b631aee74c9be41234ac3770bd8aabd70ffec9db24c",
     "bitonic_sel-n64-k12-lam1-mix":
-        "ac47f917b5580af4b1d47cf3e382c315d8e538c0714d9795134539e731b89ae1",
+        "b28da12e936ab27a78c7c666e8769722ef92b1055927fd3a3bc335f9eb9bd994",
     "bitonic_sel-n64-k12-lam5-mix":
-        "ac47f917b5580af4b1d47cf3e382c315d8e538c0714d9795134539e731b89ae1",
+        "b28da12e936ab27a78c7c666e8769722ef92b1055927fd3a3bc335f9eb9bd994",
     "bitonic_sel-n64-k12-lam20-mix":
-        "ac47f917b5580af4b1d47cf3e382c315d8e538c0714d9795134539e731b89ae1",
+        "b28da12e936ab27a78c7c666e8769722ef92b1055927fd3a3bc335f9eb9bd994",
     "bitonic_sel-n64-k12-nomix":
-        "ac47f917b5580af4b1d47cf3e382c315d8e538c0714d9795134539e731b89ae1",
+        "b28da12e936ab27a78c7c666e8769722ef92b1055927fd3a3bc335f9eb9bd994",
     "bitonic_sel-n100-k17-lam1-mix":
-        "ad384042ee51d87a2a36c7e99153f18d31f1bb83fc3ae2b6479cf3f8da41ec81",
+        "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
     "bitonic_sel-n100-k17-lam5-mix":
-        "ad384042ee51d87a2a36c7e99153f18d31f1bb83fc3ae2b6479cf3f8da41ec81",
+        "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
     "bitonic_sel-n100-k17-lam20-mix":
-        "ad384042ee51d87a2a36c7e99153f18d31f1bb83fc3ae2b6479cf3f8da41ec81",
+        "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
     "bitonic_sel-n100-k17-nomix":
-        "ad384042ee51d87a2a36c7e99153f18d31f1bb83fc3ae2b6479cf3f8da41ec81",
+        "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
     "oe4-n256-k33-lam5-mix":
-        "5662f968fae93a423b0bb32d117f81bb0da01a79df598bc72d89cd20e5224058",
+        "10baa60203ef9daa08bfcb65e2522d13b77514ce6feb4ad278b73aa0cca72d57",
     "oe4-n300-k17-lam5-mix":
-        "3deed255f85084f4b3597389b213fdec23a13b23dbf874e5434d2d2a1ca4c74d",
+        "1862390b10101081919843396d0ec12c3ec6c26f70a433dfcab180b7b621970f",
     "queens8-oe4":
-        "fe58b43d6179580810d54c5601cb5a9f21f5ac54e6a7d6a3a5370ebd24b376a8",
+        "5315c3a28dfd2470a70b300d3c98f0bdad80e362f9742f8da84370600f306f56",
     "oe2-n256-k33-lam5-mix":
-        "25d74626ff86f67e4453beb0dc06f10ae0370a4b5b494f4cdd22dc2fc6c15703",
+        "57d0aa9a8fb6d7963c67bb35d2fe165183d56d08c74eeaef01ada1c9d7aed178",
     "oe2-n300-k17-lam5-mix":
-        "6f61045bbbdffaf93a17dfd5c62c3a7cb311575640935e9a6d17c359f6c69e62",
+        "0d8eb7bbef67da46e06ead29d66276f56d98c6acdff4c4d8e65d6570d1375be8",
     "queens8-oe2":
-        "1b442c41818f597c182d11b54fd5ba5501c0cdf58d73db8386e374d5be716303",
+        "ca51583690bbbec5749639c66f34391a91d50e9b1a2cd1bf725ebfa178430986",
     "fourwise-n256-k33-lam5-mix":
-        "85f943920c150d2c70c12f9b827dad6dd35212b86b9d9a228b0eb451b266e7a0",
+        "3bc408ea365feb9eea4bf70bffc089503a49077870e4a371969e570f05897d1a",
     "fourwise-n300-k17-lam5-mix":
-        "85902d5900fb29660567a3131c639845aa04b437b358cdfa4d49044ec812d576",
+        "e7ddc6037ac3ed7cda0f831c0a3e4f7dad9a7859823e27e03ee17a2af29207b1",
     "queens8-fourwise":
-        "4692283ec34517b17d62b5b7d58cc146335adfb77b60910af021d9a57c1905c3",
+        "030eec85eefee3d154a43d9ba040870729e862c1ab36545f802c2d6a45f45b2e",
     "opb-a-oe4":
-        "6e3332bfaace03d36f48484e50aaf1d7ee274adc5c9eac76eaed2fd42af1a297",
+        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
     "opb-a-oe2":
-        "6e3332bfaace03d36f48484e50aaf1d7ee274adc5c9eac76eaed2fd42af1a297",
+        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
     "opb-a-fourwise":
-        "6e3332bfaace03d36f48484e50aaf1d7ee274adc5c9eac76eaed2fd42af1a297",
+        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
     "opb-a-pairwise_half_bitonic":
-        "6e3332bfaace03d36f48484e50aaf1d7ee274adc5c9eac76eaed2fd42af1a297",
+        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
     "opb-b-oe4":
-        "556ec90e9dbd6407b72d7333cfc32ad71adddf2bd12d25500f786ec1a7806307",
+        "aeacca0b1a0d8f6844b8882d402953d15aa853688655421287b60f8810a90763",
     "opb-b-oe2":
-        "58a8e80cd292901fad825ddd952c4f1b11fe991bf309b65ed9329793ad0242b6",
+        "ddecbebf3a5b09d8a7d9db79fc3a1bc25a99bb61eb5484acc7ad1136374dba4d",
     "opb-b-fourwise":
-        "8021152d0429682eaf8ea2ea8d02c840c27ce54f42d14cfb010d2d324edf712f",
+        "fc58e0fb6cb8766bf510c4b057d100611bf716262e19045625c7e47a97d35fe1",
     "opb-b-pairwise_half_bitonic":
-        "8021152d0429682eaf8ea2ea8d02c840c27ce54f42d14cfb010d2d324edf712f",
+        "fc58e0fb6cb8766bf510c4b057d100611bf716262e19045625c7e47a97d35fe1",
     # flagged goal bounds
     "goal-w-oe4":
-        "c490be7a9066e41aa74cd697fa07ead2dccd4cfa9bad21ed8da9b2dc4a36c0bf",
+        "68c3cbb0b41e21ac29aae8513b26a5bdbf62a9c3edc1040cf307eddaf126efa5",
     "goal-w-oe2":
-        "2dd40bea51908ad519a04e17fb053e6dc577d8f46bc389af3fcaabfb62e83097",
+        "2f85dc3f55014141c8dc84de54c41fe17d623949a583a830346b0b86e819ee3b",
     "goal-w-pairwise_classic":
-        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
     "goal-w-pairwise_bitonic":
-        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
     "goal-w-pairwise_half_bitonic":
-        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
     "goal-w-fourwise":
-        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
     "goal-w-bitonic_sel":
-        "1debded0d5f590bb10f2a99df2959280c0e3aab2ff64d4bcfe17cb30a391743c",
+        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
     "goal-u-oe4":
-        "e9d4b54bef91339bff967d648f05f4339a458f9489812ba655b4194f82aeff5b",
+        "ed307f0e295fc62023215b8dcad71d2dd35a62a44e60b472f7b83eb8dc93dfa3",
     "goal-u-oe2":
-        "1223eed7faaf127d2d44dee6015dc0d89b20757c4b429df18077dbf58f7ab795",
+        "5b528fc21a006437e72757012ead6f892b3a43ad7bd41077e446c8c3034d0bff",
     "goal-u-pairwise_classic":
-        "4e6ccdfa3809b6e4e79374c47131a36d47117d1f53888c97ed89afc5c4176fd1",
+        "27fd195a04a0ef91330ef206bee7d57fef8289edb67ee642d6b05321236c69f3",
     "goal-u-pairwise_bitonic":
-        "72980fa3567bf2ac2e3c8673456fda237028c7eff95ca58fb64e8fa95e904ad2",
+        "da29378efc5ac7425036d60c0def0880da979a7116b5f96e15cb574eab22ced0",
     "goal-u-pairwise_half_bitonic":
-        "8da508600af26fb5c89156568a1443bc12ceb4173cc39143592343fe22e7f7cf",
+        "64ec2e58c6e15317e376dca3e1f8b4daf5463ad68117dbaaa04b5b79806cba4b",
     "goal-u-fourwise":
-        "ac2f5b5bccac5c6cfdb1992b8cf93e2c58ab045747fd3e2df09894ccfec61d68",
+        "3f18e9f989718fbefd7c54e168cdc3953b233469b24aa995dc5e15e421cb1f9f",
     "goal-u-bitonic_sel":
-        "0c1b50ac5584ecbec60b30ba2267916c4fbee04c9900d5475860e718bf94bd48",
+        "eefccc55d178aaa8ff094d44166479c347fcb2503c6b83861894d40a7beb294a",
     "goal-u-sequential":
         "93403b0577f2689296cdb38903ffdc096298c74fc7d7889ea76aad5ba5293bfd",
     "goal-u-totalizer":
@@ -656,19 +673,19 @@ GOLDEN = {
     "goal-neg-binomial":
         "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
     "goal-wide-oe4":
-        "a4e6c83286983db6f8ef0d5879b18ceba5209caeef7a2f283668b585180ded3c",
+        "2255d312dcd44a6b8490a3178ba4ec2bc32b10e743d14251abecfbafd7560d02",
     "goal-wide-oe2":
-        "8580d013db57ed4f00675ac168129c8a9877c242b5c04b017d29e1d2d6bc6501",
+        "d58d12f2f92032a13168e006757672afc91a9ee749b7c21c30a5478bd99c8e77",
     "goal-wide-pairwise_classic":
-        "d95238914b212320aa0e4c6acd18d2bbf837b27f41a108ed3310030081f55354",
+        "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
     "goal-wide-pairwise_bitonic":
-        "d95238914b212320aa0e4c6acd18d2bbf837b27f41a108ed3310030081f55354",
+        "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
     "goal-wide-pairwise_half_bitonic":
-        "d95238914b212320aa0e4c6acd18d2bbf837b27f41a108ed3310030081f55354",
+        "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
     "goal-wide-fourwise":
-        "7b9ac7cc9fe9753d9f0a57c156afa47d522ae153e04f0c97cca2a335ec9b36f6",
+        "d86ff5a03a0678c2e04a5d509077d7714b5189ec2983441f8e9dbb2fd3d59dd2",
     "goal-wide-bitonic_sel":
-        "d95238914b212320aa0e4c6acd18d2bbf837b27f41a108ed3310030081f55354",
+        "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
 }
 
 
@@ -676,11 +693,66 @@ def test_golden_grid_is_complete():
     assert sorted(GOLDEN) == sorted(case_id for case_id, _ in cases())
 
 
-@pytest.mark.parametrize("method", NETWORK_METHODS + ("queens8", "opb", "goal"))
+def _group(method):
+    """The golden cases of one test group."""
+    prefix = "opb-" if method == "opb" else method + "-"
+    group = [(case_id, thunk) for case_id, thunk in cases() if case_id.startswith(prefix)]
+    assert group
+    return group
+
+
+GROUPS = NETWORK_METHODS + ("queens8", "opb", "goal")
+
+
+@pytest.mark.parametrize("method", GROUPS)
 def test_golden_dimacs(method):
-    checked = 0
-    for case_id, thunk in cases():
-        if case_id.startswith(method + "-") or (method == "opb" and case_id.startswith("opb-")):
-            assert thunk() == GOLDEN[case_id], case_id
-            checked += 1
-    assert checked
+    for case_id, thunk in _group(method):
+        assert _sha(thunk()) == GOLDEN[case_id], case_id
+
+
+def _without_dead_gates(formula, aux, exposed):
+    """formula after deleting, repeatedly, every clause that holds a literal
+    of an auxiliary variable, not exposed, whose complement occurs nowhere,
+    with the surviving variables renumbered in order."""
+    clauses = formula.clauses
+    while True:
+        occurs = Counter(lit for clause in clauses for lit in clause)
+        pure = {lit for lit in occurs
+                if abs(lit) in aux and abs(lit) not in exposed and -lit not in occurs}
+        if not pure:
+            break
+        clauses = [clause for clause in clauses if pure.isdisjoint(clause)]
+    used = {abs(lit) for clause in clauses for lit in clause}
+    kept = [v for v in range(1, formula.next_var) if v not in aux or v in used or v in exposed]
+    new = {v: i for i, v in enumerate(kept, 1)}
+    return CnfFormula(len(kept) + 1,
+                      [tuple(new[lit] if lit > 0 else -new[-lit] for lit in clause)
+                       for clause in clauses],
+                      formula.trivially_unsat)
+
+
+@pytest.mark.parametrize("method", GROUPS)
+def test_pruning_matches_dead_gate_elimination(method, monkeypatch):
+    # every network emitted in full, whatever its caller reads: the variables
+    # it allocates are auxiliary, those of the read outputs exposed
+    real = encode.emit_network
+    aux, exposed = set(), set()
+
+    def emit_everything(formula, net, input_lits, polarity="atmost", reads=None):
+        start = formula.next_var
+        outs = real(formula, net, input_lits, polarity)
+        aux.update(range(start, formula.next_var))
+        read = outs if reads is None else [outs[i] for i in reads]
+        exposed.update(abs(lit) for lit in read if not is_const(lit))
+        return read
+
+    for case_id, thunk in _group(method):
+        pruned = thunk()
+        aux.clear()
+        exposed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(encode, "emit_network", emit_everything)
+            patch.setattr(pb, "emit_network", emit_everything)
+            full = thunk()
+        assert (_without_dead_gates(full, aux, exposed).write_dimacs()
+                == pruned.write_dimacs()), case_id

@@ -65,6 +65,13 @@ def test_normalize_pb_merges_duplicates():
     assert dict((abs(l), a) for a, l in c.terms) == {1: 5, 2: 1}
 
 
+def test_normalize_pb_merges_complementary_terms():
+    # 3 x + 2 ~x is 2 + x, and 3 x + 3 ~x is the constant 3
+    (c,) = normalize_pb(PbConstraint(((3, 1), (2, -1), (1, 2)), ">=", 4))
+    assert c.terms == ((1, 1), (1, 2)) and c.k == 2
+    assert normalize_pb(PbConstraint(((3, 1), (3, -1)), ">=", 3)) == []
+
+
 def test_normalize_pb_truth_table_equivalence():
     rng = random.Random(23)
     for _ in range(120):

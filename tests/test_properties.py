@@ -13,12 +13,19 @@ arc-consistency and forward-propagation harnesses on random scenarios.
 `encode_card`, whose forms may take either polarity, is also checked on
 every full fixing of up to 12 inputs: unit propagation conflicts exactly on
 the violating ones.
+
+No encoding leaves a dead auxiliary variable: each one occurs in both
+polarities or is an exposed output, so the emitter builds no gate output
+that nothing reads.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardnet.cnf import FALSE, TRUE, CnfFormula
+from cardnet import pb
+from cardnet.cnf import FALSE, TRUE, CnfFormula, is_const
 from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions,
                             encode_atmost, encode_card)
 from cardnet.pb import PbConstraint, encode_goal_bound, encode_pb, normalize_pb
@@ -197,3 +204,68 @@ def test_encode_card_on_every_full_fixing(method, mixing, n, rel, data):
             scenario = data.draw(st.lists(positions, min_size=enc.k, max_size=enc.k,
                                           unique=True))
             assert check_arc_consistency(enc, enc.k, scenario, prop=prop).passed
+
+
+def _dead_variables(formula, first_aux, encodings):
+    """Variables from first_aux on that occur in at most one polarity and
+    are no exposed output of the encodings."""
+    exposed = {abs(lit) for enc in encodings for lit in enc.output_lits if not is_const(lit)}
+    signs = {lit for clause in formula.clauses for lit in clause}
+    return [v for v in range(first_aux, formula.next_var)
+            if v not in exposed and not (v in signs and -v in signs)]
+
+
+def test_encode_card_leaves_no_dead_variable():
+    # every network method, relation and bound at n <= 12, mixed and not
+    for method in NETWORK_METHODS:
+        for opts in (EncodeOptions(method=method), EncodeOptions(method=method,
+                                                                 direct_mixing=False)):
+            for rel in ("<", "<=", "=", ">=", ">"):
+                for n in range(1, 13):
+                    for k in range(-1, n + 2):
+                        f = CnfFormula()
+                        lits = [v if v % 3 else -v for v in f.fresh_vars(n)]
+                        encs = encode_card(f, CardConstraint(tuple(lits), rel, k), opts)
+                        assert not _dead_variables(f, n + 1, encs), (opts, rel, n, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lits=lit_lists, rel=st.sampled_from(("<", "<=", "=", ">=", ">")),
+       k=st.integers(-1, 8), opts=pb_options)
+def test_encode_card_on_repeated_literals_leaves_no_dead_variable(lits, rel, k, opts):
+    # network methods only: the sequential counter's s[0][j], j >= 1, are
+    # fixed false by units and occur in no positive literal
+    f = CnfFormula()
+    f.fresh_vars(NUM_VARS)
+    encs = encode_card(f, CardConstraint(tuple(lits), rel, k), opts)
+    assert not _dead_variables(f, NUM_VARS + 1, encs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(st.tuples(st.integers(-9, 9), literals), min_size=1, max_size=6),
+       rel=st.sampled_from(("<=", ">=", "=")), k=st.integers(-10, 30), opts=pb_options)
+def test_encode_pb_leaves_no_dead_variable(terms, rel, k, opts):
+    f = CnfFormula()
+    f.fresh_vars(NUM_VARS)
+    norms = normalize_pb(PbConstraint(tuple(terms), rel, k))
+    encs = [encode_pb(f, norm, opts=opts) for norm in norms]
+    assert not _dead_variables(f, NUM_VARS + 1, encs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(objective=st.lists(st.tuples(st.integers(-9, 9), literals), min_size=1, max_size=6),
+       bound=st.integers(-20, 30), flag=st.booleans(), opts=pb_options)
+def test_encode_goal_bound_leaves_no_dead_variable(objective, bound, flag, opts):
+    # the bound's own encodings expose their outputs; encode_goal_bound drops them
+    f = CnfFormula()
+    f.fresh_vars(NUM_VARS)
+    flag_var = f.fresh_var() if flag else None
+    encs = []
+
+    def recording(*args, **kwargs):
+        encs.append(encode_pb(*args, **kwargs))
+        return encs[-1]
+
+    with mock.patch.object(pb, "encode_pb", recording):
+        encode_goal_bound(f, objective, bound, flag_var, opts)
+    assert not _dead_variables(f, NUM_VARS + 2 if flag else NUM_VARS + 1, encs)

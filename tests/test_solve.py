@@ -79,6 +79,13 @@ def test_run_external_solver_timeout():
     assert "timeout" in res.diagnostic
 
 
+@pytest.mark.parametrize("limit", [1e6, 1e10, 1e300])
+def test_run_external_solver_takes_any_finite_time_limit(limit):
+    # a limit past what the wait can take is no limit, not an OverflowError
+    res = send(1, [(1,)], config=MinimizeConfig(solver_cmd=solver_cmd(), time_limit=limit))
+    assert res.status == "SAT", res.diagnostic
+
+
 @pytest.mark.parametrize("limit", [-1.0, 0.0, float("nan"), float("inf")])
 def test_minimize_config_rejects_bad_time_limit(limit):
     with pytest.raises(ValueError, match="time limit"):
