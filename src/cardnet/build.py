@@ -468,30 +468,13 @@ def oe4_merge(col_lens: Sequence[int], k: int) -> Network:
     return net
 
 
-def _oe4_columns(n: int, k: int) -> tuple[int, int, int, int]:
-    """Column sizes for the four-way odd-even selection network.
-
-    Small or full-selection instances split evenly; otherwise the three tail
-    columns share a power of two near k/4 (clamped below by 1, since the
-    expression is fractional for k < 6), falling back to floor(k/4) when that
-    power would overshoot n/4.
-    """
-    if n < 8 or k == n:
-        n2, n3, n4 = (n + 2) // 4, (n + 1) // 4, n // 4
-    else:
-        p = 1
-        while 6 * p < k:
-            p *= 2
-        if p <= n // 4:
-            n2 = n3 = n4 = p
-        else:
-            n2 = n3 = n4 = k // 4
-    return n - n2 - n3 - n4, n2, n3, n4
-
-
 def _oe4_split(n: int, k: int) -> list[tuple[int, int]]:
-    """(length, selected) of each column one four-way odd-even level recurses into."""
-    return [(s, min(k, s)) for s in _oe4_columns(n, k)]
+    """(length, selected) of each non-empty column one four-way odd-even
+    level recurses into: the even split, whatever k.  Any split gives an
+    arc-consistent network, so the split is chosen by size under lam*V + C
+    (measured in docs/encoding-guide.md); this one also recurses only about
+    log4(n) deep."""
+    return [(s, min(k, s)) for s in even_split4(n) if s]
 
 
 # ---------------------------------------------------------------------------
@@ -523,53 +506,31 @@ def _select_columns(net: Network, wires: list[int], k: int, split, merge, sub=No
     direct selector, or the free wires when a level is priced on its own);
     when sub is None or returns None, the column recurses.  merge(net,
     prefixes, k) merges the columns' selected prefixes, and the columns'
-    leftovers follow in column order.
-
-    A level's first column is the input of the next level, and at small k an
-    oe4 chain is about n/3 levels deep, so that chain runs as a loop: down to
-    the first column that is a base case or that sub builds, then back up,
-    each level adding its other columns and its merger.  Gates come out in
-    the order of the plain recursion.
+    leftovers follow in column order.  Every split in use shrinks the longest
+    column to about n/2 or less, so the recursion is about log n deep.
     """
-    levels = []
-    while True:
-        n = len(wires)
-        if k == 0 or n <= 1:
-            res = list(wires)
-            break
-        if k == 1:
-            res = list(net.add_selector(tuple(wires), 1))
-            break
-        sizes = split(n, k)
-        cols, at = [], 0
-        for s, _ in sizes:
-            cols.append(wires[at:at + s])
-            at += s
-        if sort_rows:
-            for row in range(sizes[0][0]):
-                members = [i for i, (s, _) in enumerate(sizes) if s > row]
-                if len(members) >= 2:
-                    outs = _sortm(net, [cols[i][row] for i in members])
-                    for i, wire in zip(members, outs):
-                        cols[i][row] = wire
-        levels.append((k, cols, sizes))
-        wires, k = cols[0], sizes[0][1]
-        if sub is not None:
-            res = sub(net, wires, k)
-            if res is not None:
-                break
-    for k, cols, sizes in reversed(levels):
-        k0 = sizes[0][1]
-        prefixes, leftovers = [res[:k0]], res[k0:]
-        for i in range(1, len(cols)):
-            ki = sizes[i][1]
-            sel = sub(net, cols[i], ki) if sub is not None else None
-            if sel is None:
-                sel = _select_columns(net, cols[i], ki, split, merge, sub, sort_rows)
-            prefixes.append(sel[:ki])
-            leftovers += sel[ki:]
-        res = merge(net, prefixes, k) + leftovers
-    return res
+    n = len(wires)
+    if k == 0 or n <= 1:
+        return list(wires)
+    if k == 1:
+        return list(net.add_selector(tuple(wires), 1))
+    sizes = split(n, k)
+    cols = _columns(wires, [s for s, _ in sizes])
+    if sort_rows:
+        for row in range(sizes[0][0]):
+            members = [i for i, (s, _) in enumerate(sizes) if s > row]
+            if len(members) >= 2:
+                outs = _sortm(net, [cols[i][row] for i in members])
+                for i, wire in zip(members, outs):
+                    cols[i][row] = wire
+    prefixes, leftovers = [], []
+    for col, (_, ki) in zip(cols, sizes):
+        sel = sub(net, col, ki) if sub is not None else None
+        if sel is None:
+            sel = _select_columns(net, col, ki, split, merge, sub, sort_rows)
+        prefixes.append(sel[:ki])
+        leftovers += sel[ki:]
+    return merge(net, prefixes, k) + leftovers
 
 
 # ---------------------------------------------------------------------------

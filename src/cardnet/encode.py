@@ -505,10 +505,7 @@ def _level_cost(method: str, n: int, m: int,
     return _LEVEL_COSTS[key]
 
 
-# (method, lam, n, m) -> recursive_cost
-_COSTS: dict[tuple[str, int, int, int], tuple[int, int]] = {}
-
-
+@functools.cache
 def recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, int]:
     """(V, C) of method_network(method, n, m) mixed under lam: the level's own
     gates plus, per sub-selection, a direct selector or its own recursive
@@ -517,25 +514,6 @@ def recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, i
     cost is one dry run."""
     if method not in NETWORK_METHODS:
         raise ValueError(f"{method!r} is not a network method")
-    key = (method, lam, n, m)
-    if key in _COSTS:
-        return _COSTS[key]
-    # A level's first sub-selection is the next level's input: at small m an
-    # oe4 chain is about n/3 levels deep, so price the chain bottom-up and
-    # every level finds its first child already priced.
-    split = _TABLE[method].split
-    chain = [(n, m)]
-    while split is not None and chain[-1][0] > 1 and chain[-1][1] > 1:
-        child = split(*chain[-1])[0]
-        if (method, lam, *child) in _COSTS:
-            break
-        chain.append(child)
-    for cn, cm in reversed(chain):
-        _COSTS[(method, lam, cn, cm)] = _level_recursive_cost(method, lam, cn, cm)
-    return _COSTS[key]
-
-
-def _level_recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, int]:
     split = _TABLE[method].split
     if split is None:
         return cnf_cost(method_network(method, n, m), range(m))
@@ -680,12 +658,16 @@ def _forbid_all(formula: CnfFormula, lits: Sequence[Lit]) -> EncodedConstraint:
 
 
 def _encode_sequential(formula: CnfFormula, lits: Sequence[Lit], k: int) -> EncodedConstraint:
-    # unary running counter with the overflow bits simplified away
+    # unary running counter: s[i][j] says at least j+1 of lits[0..i] are
+    # true.  Only the band i+k+1-n <= j <= i gets a variable.  Above it the
+    # count is impossible: FALSE.  Below it the remaining literals cannot
+    # carry the count past k, so no overflow clause depends on it: TRUE.
+    # A clause holding a count above the band holds one negatively, and one
+    # holding a count below it holds one positively, so both fold away.
     n = len(lits)
-    s = [[formula.fresh_var() for _ in range(k)] for _ in range(n - 1)]
+    s = [[formula.fresh_var() if i + k + 1 - n <= j <= i else FALSE if j > i else TRUE
+          for j in range(k)] for i in range(n - 1)]
     formula.add_clause([neg(lits[0]), s[0][0]])
-    for j in range(1, k):
-        formula.add_clause([-s[0][j]])
     for i in range(1, n - 1):
         xi = lits[i]
         formula.add_clause([neg(xi), s[i][0]])

@@ -170,10 +170,11 @@ def dsv_lower_bound(n: int, k: int) -> Fraction:
 
 
 def sequential_clauses(n: int, k: int) -> int:
-    """Clause count of the sequential counter at-most-k encoding: 2nk + n - 3k - 1."""
+    """Clause count of the sequential counter at-most-k encoding, which keeps
+    only the counter's k(n-k) live variables: 2k(n-k) + n - 2k."""
     if not 1 <= k < n:
         raise ValueError("sequential counter needs 1 <= k < n")
-    return 2 * n * k + n - 3 * k - 1
+    return 2 * k * (n - k) + n - 2 * k
 
 
 def binomial_clauses(n: int, k: int) -> int:
@@ -321,7 +322,7 @@ def _registry() -> list[FormulaInfo]:
         FormulaInfo("dsv_lower_bound", "upper_bound", "k <= n/4, both powers of 4",
                     "(n-k)(5k+2)/(3k)*log(k/2) + 3(n/k-1)", dsv_lower_bound, None),
         FormulaInfo("sequential_clauses", "exact", "1 <= k < n",
-                    "2nk + n - 3k - 1", sequential_clauses, chk_seq),
+                    "2k(n-k) + n - 2k", sequential_clauses, chk_seq),
         FormulaInfo("binomial_clauses", "exact", "0 <= k < n",
                     "C(n, k+1)", binomial_clauses, chk_binom),
     ]

@@ -9,7 +9,7 @@ import pytest
 from cardnet import build
 from cardnet.formulas import (bit_sel_size, oe_merge_size, oe_sort_size,
                               pw_merge_size, pw_sel_size, pw_variant_gap)
-from cardnet.encode import cnf_cost, method_network
+from cardnet.encode import DirectMixer, cnf_cost, method_network
 from cardnet.verify import run_zero_one, selection_failures
 
 from conftest import check_selection_output, is_top_k_sorted, sorted_runs
@@ -340,10 +340,22 @@ def test_oe4_merge_valid_sweep():
 
 
 def test_oe4_sel_column_rule():
-    assert build._oe4_columns(100, 20) == (88, 4, 4, 4)
-    assert build._oe4_columns(7, 3) == (2, 2, 2, 1)
-    assert build._oe4_columns(11, 3) == (8, 1, 1, 1)
-    assert build._oe4_columns(16, 16) == (4, 4, 4, 4)  # even split at k == n
+    # the even split at every level, whatever k, without empty columns
+    assert build._oe4_split(100, 20) == [(25, 20)] * 4
+    assert build._oe4_split(7, 3) == [(2, 2), (2, 2), (2, 2), (1, 1)]
+    assert build._oe4_split(11, 3) == [(3, 3), (3, 3), (3, 3), (2, 2)]
+    assert build._oe4_split(16, 16) == [(4, 4)] * 4
+    assert build._oe4_split(2, 2) == [(1, 1), (1, 1)]
+
+
+def test_oe4_selects_on_every_zero_one_input_to_n12():
+    # beyond run_zero_one's n <= 8, where the even split first differs from
+    # the old tail-column rule: every (n, m), unmixed and mixed at each lam
+    for mixer in (None, DirectMixer("oe4", 1), DirectMixer("oe4", 5), DirectMixer("oe4", 20)):
+        for n in range(1, 13):
+            for m in range(n + 1):
+                assert selection_failures(method_network("oe4", n, m, mixer), n, m) is None, \
+                    (mixer, n, m)
 
 
 def test_oe4_sel_examples():

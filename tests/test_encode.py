@@ -162,11 +162,12 @@ def test_direct_cost_comparison():
 # row-major order).  First recorded from the pricing that rebuilt and dry-ran
 # the whole recursive network for every sub-problem; re-recorded once when the
 # emitter began to skip gate outputs no read output depends on, so that each
-# side of a decision is the exact size of what is emitted for its m-prefix
+# side of a decision is the exact size of what is emitted for its m-prefix;
+# oe4 re-recorded when its levels began to split evenly into four columns
 SEED_DECISIONS = {
     ("oe4", 1): (77, "6f5f005be2c305aecec0b34b8d11dc70eab21ff496ff4a44304cd2d117e86b3c"),
-    ("oe4", 5): (90, "9c04b338ed7ddf52c8f37cbf3ead29167113fbc8ff8d2bd762bfa82e011b8dd7"),
-    ("oe4", 20): (133, "1d6a586af82392464cc2c9bba3544652a1006fb2cd43b085eb3d980cf5f99ac4"),
+    ("oe4", 5): (89, "54d0d2b7c68076168246e22e9afe690f56dacf0bd0276f9ab95c574cb995d453"),
+    ("oe4", 20): (121, "c86ef92a350f391fa1dab4e46a5d4f05ad950500aca7d568f885d949c28b866c"),
     ("oe2", 1): (75, "31626c1ec09e3f5933fda8b78ec2c745a0044f8a599fca89a3d8a6f532c9879d"),
     ("oe2", 5): (86, "767cebaf1529b1ce38882fb9efbb4091a56621b5774ab26bae6f405c5ee42019"),
     ("oe2", 20): (115, "bd6c10eb83032b06970ca152ad4861e35f93a5731a2ecd75e46a0a4fd6e34bb1"),
@@ -222,8 +223,8 @@ def test_sequential_counts():
     f = CnfFormula()
     lits = f.fresh_vars(4)
     encode_baseline(f, lits, 2, "sequential")
-    assert f.num_clauses == 13
-    assert f.num_vars == 4 + 2 * 3  # k(n-1) aux
+    assert f.num_clauses == 8
+    assert f.num_vars == 4 + 2 * 2  # k(n-k) aux
 
 
 def test_binomial_counts():
@@ -351,8 +352,9 @@ def test_no_gate_reads_a_wire_twice():
 @pytest.mark.parametrize("k", (1, 2))
 @pytest.mark.parametrize("mixing", (True, False))
 def test_oe4_long_column_chain(k, mixing):
-    # about n/3 oe4 levels; network construction, mixing cost and solver
-    # run them as loops, so this needs no raised recursion limit
+    # 5000 literals: the even four-column split recurses seven levels deep
+    # (before it, a first-column chain of n/3 levels), and the solver
+    # decides in a loop, so this needs no raised recursion limit
     n = 5000
     f = CnfFormula()
     lits = f.fresh_vars(n)
@@ -378,7 +380,7 @@ def test_atleast_forms_take_the_small_network():
     f = CnfFormula()
     lits = f.fresh_vars(256)
     (enc,) = encode_card(f, CardConstraint(tuple(lits), ">=", 8))
-    assert (f.num_vars - 256, f.num_clauses) == (1698, 3626)
+    assert (f.num_vars - 256, f.num_clauses) == (989, 2758)
     assert enc.input_lits == tuple(-l for l in lits) and enc.k == 248
     assert enc.output_lits == ()
     with pytest.raises(ValueError, match="no exposed outputs"):
@@ -421,6 +423,30 @@ def test_cheaper_side_is_never_larger(method):
                 emit_network(h, net, h.fresh_vars(n), "atleast", (n - k - 1,))
                 price = _selection_cost(n, n - k, opts)
                 assert h.num_vars - n <= price[0] and h.num_clauses <= price[1], (opts, n, k)
+
+
+@pytest.mark.parametrize("mixing", (True, False))
+def test_oe4_atmost_propagates_at_scale(mixing):
+    # <= 8 over 256 and <= 32 over 1024 in one formula on one propagator: k
+    # true inputs force every other input false, k+1 true inputs conflict
+    rng = random.Random(15)
+    f = CnfFormula()
+    cases = []
+    for n, k in ((256, 8), (1024, 32)):
+        lits = f.fresh_vars(n)
+        (enc,) = encode_card(f, CardConstraint(tuple(lits), "<=", k),
+                             EncodeOptions(method="oe4", direct_mixing=mixing))
+        assert len(enc.output_lits) == k + 1
+        cases.append((lits, k))
+    prop = Propagator(f)
+    for lits, k in cases:
+        for count in (k, k + 1, k, k + 1):
+            chosen = set(rng.sample(lits, count))
+            result = prop.propagate(Assignment(), sorted(chosen))
+            assert result.status == ("fixpoint" if count <= k else "conflict"), (len(lits), count)
+            if count <= k:
+                values = result.assignment.values
+                assert all(values.get(l) is False for l in lits if l not in chosen)
 
 
 @pytest.mark.parametrize("method", ("oe4", "oe2", "fourwise"))

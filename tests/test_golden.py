@@ -29,6 +29,13 @@ the carries of a PB position below the top).  230 of the 275 cases changed:
   goal-u cases and every goal-neg case.
 test_pruning_matches_dead_gate_elimination ties every case's pruned bytes to
 its full emission, so the pruning itself is checked, not only pinned.
+
+32 cases were re-recorded when oe4 began to split every level evenly into
+four columns and the sequential counter began to keep only its live band of
+counts: 29 of the 34 oe4 grid cases, queens8-oe4, goal-u-oe4 and
+goal-u-sequential.  The oe4-n5-k2 cases kept their bytes (below n = 8 the
+split was even before), as did oe4-n8-k3-lam20-mix (one direct selector)
+and every other case.
 """
 
 import hashlib
@@ -46,7 +53,7 @@ from cardnet.solve import encode_problem
 
 SIZES = ((5, 2), (8, 3), (13, 4), (16, 7), (24, 5), (37, 9), (64, 12), (100, 17))
 LAMBDAS = (1, 5, 20)
-# long oe4 column chains and deep recursion, for the three mixing methods
+# large n and deeper recursion, for the three mixing methods
 LARGE = ((256, 33), (300, 17))
 
 OPB_FILES = {
@@ -144,61 +151,61 @@ GOLDEN = {
     "oe4-n5-k2-nomix":
         "faa7df91f6dbc44071585768ccc3eca71079c6e23e5e457a5d6c8827a14f3692",
     "oe4-n8-k3-lam1-mix":
-        "ea05814bc73655a02a42b48797ca2dd3d04f61bb589b864b9a86fcc9a89a4d61",
+        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
     "oe4-n8-k3-lam5-mix":
-        "ea05814bc73655a02a42b48797ca2dd3d04f61bb589b864b9a86fcc9a89a4d61",
+        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
     "oe4-n8-k3-lam20-mix":
         "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
     "oe4-n8-k3-nomix":
-        "9d7629b01a0b87edd89bda638c236a7fc14ba8e9a996b1d3e6a316870cb10f86",
+        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
     "oe4-n13-k4-lam1-mix":
-        "c5fb813082bad062aa59ba8a8f11209f3a8bbf3dc5ee9a39b3247978f59684ab",
+        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
     "oe4-n13-k4-lam5-mix":
-        "c5fb813082bad062aa59ba8a8f11209f3a8bbf3dc5ee9a39b3247978f59684ab",
+        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
     "oe4-n13-k4-lam20-mix":
-        "1b481d2b363d2b4d23dc67e3dc26680be8dffa25334226c308f8d255998b6f45",
+        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
     "oe4-n13-k4-nomix":
-        "c5fb813082bad062aa59ba8a8f11209f3a8bbf3dc5ee9a39b3247978f59684ab",
+        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
     "oe4-n16-k7-lam1-mix":
-        "0d2babb3019009ceae878dfe9672a2cf85363e5f17de0b2c56791b45809ee953",
+        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
     "oe4-n16-k7-lam5-mix":
-        "0d2babb3019009ceae878dfe9672a2cf85363e5f17de0b2c56791b45809ee953",
+        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
     "oe4-n16-k7-lam20-mix":
-        "0d2babb3019009ceae878dfe9672a2cf85363e5f17de0b2c56791b45809ee953",
+        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
     "oe4-n16-k7-nomix":
-        "0d2babb3019009ceae878dfe9672a2cf85363e5f17de0b2c56791b45809ee953",
+        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
     "oe4-n24-k5-lam1-mix":
-        "88e8d6684b5911d6b10440c1ba929f7de4e46b4262e8c9b23d78856dd90a277b",
+        "c7a404de693c81316ff6f4f32202fe5ed71c5515643dbe56dfe829b5aa7f66d6",
     "oe4-n24-k5-lam5-mix":
-        "55d16a95e8b0d6d9f89f1b2756cd3297296fe964d25461acb50d9aedda262e6c",
+        "79d934dbbeb17e3d5e337430a1e04ae0de8defd5536a5d0b1b4ec586e8a125b0",
     "oe4-n24-k5-lam20-mix":
-        "32eba4c8b8315b7fb7804f75e65da1cddbb6f2780283bc7613c41cd9d3861444",
+        "79d934dbbeb17e3d5e337430a1e04ae0de8defd5536a5d0b1b4ec586e8a125b0",
     "oe4-n24-k5-nomix":
-        "88e8d6684b5911d6b10440c1ba929f7de4e46b4262e8c9b23d78856dd90a277b",
+        "c7a404de693c81316ff6f4f32202fe5ed71c5515643dbe56dfe829b5aa7f66d6",
     "oe4-n37-k9-lam1-mix":
-        "280dd3cb0e73128996bc76ea0293bac7a13896a2614db533c331be93aa01aed5",
+        "9a8377c8f5106ad1fe7fbdb4ec035e93cd562a7a0f21a52ffb95a193ded9289d",
     "oe4-n37-k9-lam5-mix":
-        "280dd3cb0e73128996bc76ea0293bac7a13896a2614db533c331be93aa01aed5",
+        "9a8377c8f5106ad1fe7fbdb4ec035e93cd562a7a0f21a52ffb95a193ded9289d",
     "oe4-n37-k9-lam20-mix":
-        "d60c91181b91f1221f3c2899d4faca46f9753fca5f9b5d0e6b7e4d313906d57b",
+        "acfd55a2d6b1808ed9ef00a99bea78fd1bb118466d8924ff88ced2a2033335a8",
     "oe4-n37-k9-nomix":
-        "280dd3cb0e73128996bc76ea0293bac7a13896a2614db533c331be93aa01aed5",
+        "9a8377c8f5106ad1fe7fbdb4ec035e93cd562a7a0f21a52ffb95a193ded9289d",
     "oe4-n64-k12-lam1-mix":
-        "c000569ba9ca57247997ce432a6609343d4388d11cf49744747ebbdfb449df52",
+        "71da27fe98d1a26c354a414b5380375307c9e576c30c6cd6ddcc95aa208686e8",
     "oe4-n64-k12-lam5-mix":
-        "c000569ba9ca57247997ce432a6609343d4388d11cf49744747ebbdfb449df52",
+        "71da27fe98d1a26c354a414b5380375307c9e576c30c6cd6ddcc95aa208686e8",
     "oe4-n64-k12-lam20-mix":
-        "c000569ba9ca57247997ce432a6609343d4388d11cf49744747ebbdfb449df52",
+        "71da27fe98d1a26c354a414b5380375307c9e576c30c6cd6ddcc95aa208686e8",
     "oe4-n64-k12-nomix":
-        "c000569ba9ca57247997ce432a6609343d4388d11cf49744747ebbdfb449df52",
+        "71da27fe98d1a26c354a414b5380375307c9e576c30c6cd6ddcc95aa208686e8",
     "oe4-n100-k17-lam1-mix":
-        "18c09f1e8f37ed621bfc49ca02c4fc9c4329cffdaed1c4143e77d907951644e6",
+        "63d7789647f6654b42b0a6c09c049a8ff729c468036dcbaf704d793a92227314",
     "oe4-n100-k17-lam5-mix":
-        "18c09f1e8f37ed621bfc49ca02c4fc9c4329cffdaed1c4143e77d907951644e6",
+        "e77e6946c95b06e5f18ba34dfb0752d78c041484ed192fe82b9bba1cc77f2a29",
     "oe4-n100-k17-lam20-mix":
-        "18c09f1e8f37ed621bfc49ca02c4fc9c4329cffdaed1c4143e77d907951644e6",
+        "aa12bb4852693cc8fc40794df21802d0605ff0d82188192c549e1451aa6ea41e",
     "oe4-n100-k17-nomix":
-        "18c09f1e8f37ed621bfc49ca02c4fc9c4329cffdaed1c4143e77d907951644e6",
+        "63d7789647f6654b42b0a6c09c049a8ff729c468036dcbaf704d793a92227314",
     "oe2-n5-k2-lam1-mix":
         "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
     "oe2-n5-k2-lam5-mix":
@@ -584,11 +591,11 @@ GOLDEN = {
     "bitonic_sel-n100-k17-nomix":
         "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
     "oe4-n256-k33-lam5-mix":
-        "10baa60203ef9daa08bfcb65e2522d13b77514ce6feb4ad278b73aa0cca72d57",
+        "5c5e3213346686a933dfda58fc7fe886a0ec90def0bad53d91e5bc55f3e5277e",
     "oe4-n300-k17-lam5-mix":
-        "1862390b10101081919843396d0ec12c3ec6c26f70a433dfcab180b7b621970f",
+        "fd127f946618dcdbaa1326b41872b26aca77e39937ad2b5966542ab4f2d9f59f",
     "queens8-oe4":
-        "5315c3a28dfd2470a70b300d3c98f0bdad80e362f9742f8da84370600f306f56",
+        "a88db318dcf2c6b7f5c4b5e9136c5556665c846f5b9359c3a92296ee411df54b",
     "oe2-n256-k33-lam5-mix":
         "57d0aa9a8fb6d7963c67bb35d2fe165183d56d08c74eeaef01ada1c9d7aed178",
     "oe2-n300-k17-lam5-mix":
@@ -633,7 +640,7 @@ GOLDEN = {
     "goal-w-bitonic_sel":
         "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
     "goal-u-oe4":
-        "ed307f0e295fc62023215b8dcad71d2dd35a62a44e60b472f7b83eb8dc93dfa3",
+        "4a57e5c00e3280b15fb5e61d748383dc36385e65fefa124cc83213ccc0056dac",
     "goal-u-oe2":
         "5b528fc21a006437e72757012ead6f892b3a43ad7bd41077e446c8c3034d0bff",
     "goal-u-pairwise_classic":
@@ -647,7 +654,7 @@ GOLDEN = {
     "goal-u-bitonic_sel":
         "eefccc55d178aaa8ff094d44166479c347fcb2503c6b83861894d40a7beb294a",
     "goal-u-sequential":
-        "93403b0577f2689296cdb38903ffdc096298c74fc7d7889ea76aad5ba5293bfd",
+        "126172491c1672015c762115c42c07f6b9f07514116a163326f6b2f341fd9600",
     "goal-u-totalizer":
         "908a2aa45f5eb73f278a5458da826a926448a3cca7cc25bd49416971a81b4708",
     "goal-u-binomial":

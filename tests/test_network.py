@@ -116,7 +116,7 @@ def test_closed_form_values():
     assert bit_sel_size(n=8, k=2) == 13
     assert pw_variant_gap(n=16) == 6
     assert binomial_clauses(n=4, k=1) == 6
-    assert sequential_clauses(n=4, k=2) == 13
+    assert sequential_clauses(n=4, k=2) == 8
     assert all(registry()[f.__name__].fn is f for f in (oe_sort_size, pw_merge_size,
                                                        bit_sel_size, sequential_clauses))
 

@@ -216,8 +216,8 @@ def _dead_variables(formula, first_aux, encodings):
 
 
 def test_encode_card_leaves_no_dead_variable():
-    # every network method, relation and bound at n <= 12, mixed and not
-    for method in NETWORK_METHODS:
+    # every method, relation and bound at n <= 12, mixed and not
+    for method in METHODS:
         for opts in (EncodeOptions(method=method), EncodeOptions(method=method,
                                                                  direct_mixing=False)):
             for rel in ("<", "<=", "=", ">=", ">"):
@@ -231,10 +231,8 @@ def test_encode_card_leaves_no_dead_variable():
 
 @settings(max_examples=150, deadline=None)
 @given(lits=lit_lists, rel=st.sampled_from(("<", "<=", "=", ">=", ">")),
-       k=st.integers(-1, 8), opts=pb_options)
+       k=st.integers(-1, 8), opts=options)
 def test_encode_card_on_repeated_literals_leaves_no_dead_variable(lits, rel, k, opts):
-    # network methods only: the sequential counter's s[0][j], j >= 1, are
-    # fixed false by units and occur in no positive literal
     f = CnfFormula()
     f.fresh_vars(NUM_VARS)
     encs = encode_card(f, CardConstraint(tuple(lits), rel, k), opts)
