@@ -3,8 +3,10 @@
 All builders are deterministic pure functions: identical parameters produce
 identical gate lists and wire numbering, so downstream CNF output is
 byte-identical across runs.  Internal helpers operate on (network, wire-list)
-pairs.  The column-recursive selection methods (oe4, oe2, fourwise) are one
-recursion, _select_columns, run over a method's column split and merger; the
+pairs.  The column-recursive selection methods (oe4, oe2, fourwise) share one
+level builder, _select_columns, run over a method's column split and merger,
+whose columns recurse through the caller's select (encode.select_wires, which
+may pick another method's level or a direct selector for each); the
 power-of-two methods are their own recursions (_emit_pw_sel, _emit_bit_sel).
 encode.method_network alone turns either into a method's network.  The
 public functions here wrap the sub-constructions (mergers, splitters, the
@@ -383,12 +385,12 @@ def mw_sel(n: int, k: int, col_sizes: Sequence[int]) -> Network:
             or sizes[0] >= n or sizes[-1] < 0:
         raise ValueError(f"invalid column profile {sizes} for n={n}")
 
-    def split(m: int, j: int) -> list[tuple[int, int]]:
-        # every column is shorter than n, so only the top level has length n
-        return _mw_split(m, j, sizes if m == n else None)
+    def select(net: Network, wires: list[int], j: int) -> list[int]:
+        return _select_columns(net, wires, j, _mw_split, _mw_merge, select, sort_rows=True)
 
     net = Network(n)
-    net.set_outputs(_select_columns(net, net.input_wires(), k, split, _mw_merge,
+    net.set_outputs(_select_columns(net, net.input_wires(), k,
+                                    lambda m, j: _mw_split(m, j, sizes), _mw_merge, select,
                                     sort_rows=True))
     return net
 
@@ -496,18 +498,19 @@ def _oe2_merge(net: Network, cols: list[list[int]], k: int) -> list[int]:
 # column-recursive selection (oe4, oe2, fourwise)
 # ---------------------------------------------------------------------------
 
-def _select_columns(net: Network, wires: list[int], k: int, split, merge, sub=None,
+def _select_columns(net: Network, wires: list[int], k: int, split, merge, select,
                     sort_rows: bool = False) -> list[int]:
-    """Select the k largest of wires by columns.
+    """Select the k largest of wires by one level of columns.
 
     split(n, k) gives each column's (length, selected).  With sort_rows the
     rows across the columns are sorted first, so that the columns' one-counts
-    are non-increasing.  sub(net, wires, k) may build a column's selection (a
-    direct selector, or the free wires when a level is priced on its own);
-    when sub is None or returns None, the column recurses.  merge(net,
-    prefixes, k) merges the columns' selected prefixes, and the columns'
-    leftovers follow in column order.  Every split in use shrinks the longest
-    column to about n/2 or less, so the recursion is about log n deep.
+    are non-increasing.  select(net, wires, k) builds each column's
+    selection, whose k-prefix holds the column's k largest sorted: any
+    selection network, or the free wires when a level is priced on its own.
+    merge(net, prefixes, k) merges the columns' selected prefixes, and the
+    columns' leftovers follow in column order.  Every split in use shrinks
+    the longest column to about n/2 or less, so a recursion through select
+    is about log n deep.
     """
     n = len(wires)
     if k == 0 or n <= 1:
@@ -525,9 +528,7 @@ def _select_columns(net: Network, wires: list[int], k: int, split, merge, sub=No
                     cols[i][row] = wire
     prefixes, leftovers = [], []
     for col, (_, ki) in zip(cols, sizes):
-        sel = sub(net, col, ki) if sub is not None else None
-        if sel is None:
-            sel = _select_columns(net, col, ki, split, merge, sub, sort_rows)
+        sel = select(net, col, ki)
         prefixes.append(sel[:ki])
         leftovers += sel[ki:]
     return merge(net, prefixes, k) + leftovers

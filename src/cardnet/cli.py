@@ -53,12 +53,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_encode_flags(parser, default_method="oe4"):
+def _add_encode_flags(parser):
     from .encode import METHODS
 
-    parser.add_argument("--method", default=default_method, choices=METHODS)
+    parser.add_argument("--method", default="auto", choices=METHODS)
     parser.add_argument("--lambda", dest="lam", type=_positive_int, default=5,
-                        help="variable weight for direct-network mixing")
+                        help="weight of a variable against a clause when choosing "
+                             "each sub-network's construction")
     parser.add_argument("--no-direct", action="store_true",
                         help="disable direct-network mixing")
 

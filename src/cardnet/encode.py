@@ -53,8 +53,8 @@ class CardConstraint:
 
 @dataclass
 class EncodeOptions:
-    method: str = "oe4"
-    lam: int = 5                 # weight of a variable vs a clause when mixing
+    method: str = "auto"
+    lam: int = 5                 # weight of a variable vs a clause when choosing
     direct_mixing: bool = True
 
     def __post_init__(self):
@@ -405,17 +405,19 @@ def cnf_cost(net: Network, reads: Sequence[int] | None = None) -> tuple[int, int
 
 
 # ---------------------------------------------------------------------------
-# selection-network construction per method
+# selection-network construction and the per-(n, m) chooser
 # ---------------------------------------------------------------------------
 
 def _next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
-def _method_wires(net: Network, wires: list[int], m: int, method: str,
-                  mixer: DirectMixer | None) -> list[int]:
-    """Add to net the method's own selection of the m largest of wires."""
-    entry = _TABLE[method]
+def _level_wires(net: Network, wires: list[int], m: int, level: str,
+                 chooser: Chooser) -> list[int]:
+    """Add to net one level of the named method's construction selecting the
+    m largest of wires.  A column-recursive level selects each column
+    through the chooser; a padded level is its method's whole recursion."""
+    entry = _TABLE[level]
     if entry.split is None:
         n_pad = _next_pow2(len(wires))
         m = min(_next_pow2(m), n_pad)
@@ -423,45 +425,42 @@ def _method_wires(net: Network, wires: list[int], m: int, method: str,
             wires = wires + [net.const_wire(0)] * (n_pad - len(wires))
         return entry.level(net, wires, m)
     return build._select_columns(net, wires, m, entry.split, entry.merge,
-                                 mixer.sub if mixer is not None else None, entry.sorts_rows)
+                                 functools.partial(select_wires, chooser=chooser),
+                                 entry.sorts_rows)
 
 
-def select_wires(net: Network, wires: list[int], m: int, method: str,
-                 mixer: DirectMixer | None = None) -> list[int]:
-    """Add to net a selection of the m largest of wires: a direct selector
-    when the mixer picks one, else the method's own construction.  The
-    result's m-prefix holds them sorted."""
-    if mixer is not None and mixer.use_direct(len(wires), m):
-        return list(net.add_selector(tuple(wires), m))
-    return _method_wires(net, wires, m, method, mixer)
+def select_wires(net: Network, wires: list[int], m: int, chooser: Chooser) -> list[int]:
+    """Add to net a selection of the m largest of wires, built as the chooser
+    picks: a direct selector (its outputs padded with constant 0 to the
+    length of wires) or the cheapest level.  The result's m-prefix holds
+    them sorted."""
+    n = len(wires)
+    if chooser.use_direct(n, m):
+        return list(net.add_selector(tuple(wires), m)) + [net.const_wire(0)] * (n - m)
+    return _level_wires(net, wires, m, chooser.best_level(n, m)[0], chooser)
 
 
-def method_network(method: str, n: int, m: int,
-                   mixer: DirectMixer | None = None) -> Network:
-    """The method's own construction for (n, m).  With a mixer, each of its
-    sub-selections may be a direct selector; the whole never is.  A method
-    without a column split is built for powers of two: its inputs get
-    constant-0 wires up to one, and m rounds up to one."""
-    if method not in NETWORK_METHODS:
-        raise ValueError(f"{method!r} is not a network method")
+def method_network(method: str, n: int, m: int, chooser: Chooser | None = None) -> Network:
+    """The method's own construction for (n, m): its cheapest level, each
+    sub-selection as the chooser picks (by default no direct selector); the
+    whole is never a direct selector.  A method without a column split is
+    built for powers of two: its inputs get constant-0 wires up to one, and
+    m rounds up to one."""
+    chooser = chooser or Chooser(method, direct=False)
     net = Network(n)
-    net.set_outputs(_method_wires(net, net.input_wires(), m, method, mixer))
+    net.set_outputs(_level_wires(net, net.input_wires(), m, chooser.best_level(n, m)[0], chooser))
     return net
 
 
 def build_selection_network(method: str, n: int, m: int,
-                            mixer: DirectMixer | None = None) -> Network:
-    """Network whose output prefix of length m is the sorted m largest inputs."""
-    if method not in NETWORK_METHODS:
-        raise ValueError(f"{method!r} is not a network method")
+                            chooser: Chooser | None = None) -> Network:
+    """Network whose output prefix of length m is the sorted m largest inputs,
+    built by select_wires (by default with no direct selector)."""
+    chooser = chooser or Chooser(method, direct=False)
     net = Network(n)
-    net.set_outputs(select_wires(net, net.input_wires(), m, method, mixer))
+    net.set_outputs(select_wires(net, net.input_wires(), m, chooser))
     return net
 
-
-# ---------------------------------------------------------------------------
-# direct-network mixing
-# ---------------------------------------------------------------------------
 
 def _direct_cost(n: int, m: int, cap: int | None = None) -> tuple[int, int] | None:
     """Cost of a single m-selector of order n; None when the clause count
@@ -482,10 +481,10 @@ def _level_cost(method: str, n: int, m: int,
                 children: list[tuple[int, int]]) -> tuple[int, int]:
     """(V, C) of the gates one level adds besides its sub-selections: the
     odd-even mergers, or the four-wise row sorters, merger and zero padding.
-    Priced by dry-running the level with a sub that gives every column its
-    free input wires, once per level shape.  The dry run reads the level's
-    m-prefix and every wire handed to a column that selects any, since
-    such a column's selection reads its whole column."""
+    Priced by dry-running the level with every column handed its free input
+    wires, once per level shape.  The dry run reads the level's m-prefix and
+    every wire handed to a column that selects any, since such a column's
+    selection reads its whole column."""
     entry = _TABLE[method]
     shape = tuple(children) if entry.sorts_rows else tuple(k for _, k in children)
     key = (method, m, shape)
@@ -493,90 +492,104 @@ def _level_cost(method: str, n: int, m: int,
         net = Network(n)
         handed: list[int] = []
 
-        def sub(net, wires, k):
+        def select(net, wires, k):
             if k:
                 handed.extend(wires)
             return wires
 
         res = build._select_columns(net, net.input_wires(), m, entry.split, entry.merge,
-                                    sub, entry.sorts_rows)
+                                    select, entry.sorts_rows)
         net.set_outputs(res[:m] + handed)
         _LEVEL_COSTS[key] = cnf_cost(net, range(len(net.outputs)))
     return _LEVEL_COSTS[key]
 
 
-@functools.cache
-def recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, int]:
-    """(V, C) of method_network(method, n, m) mixed under lam: the level's own
-    gates plus, per sub-selection, a direct selector or its own recursive
-    cost, whichever mixing picks; lam None prices the unmixed construction.
-    The padded power-of-two methods mix only the whole constraint, so their
-    cost is one dry run."""
-    if method not in NETWORK_METHODS:
-        raise ValueError(f"{method!r} is not a network method")
-    split = _TABLE[method].split
-    if split is None:
-        return cnf_cost(method_network(method, n, m), range(m))
-    if n <= 1 or m == 0:
-        return 0, 0
-    if m == 1:  # build._select_columns emits one (n, 1)-selector
-        return _direct_cost(n, 1)
-    children = split(n, m)
-    v, c = _level_cost(method, n, m, children)
-    for cn, cm in children:
-        cv, cc = (_direct_cost(cn, cm) if lam is not None and _use_direct(method, lam, cn, cm)
-                  else recursive_cost(method, lam, cn, cm))
-        v += cv
-        c += cc
-    return v, c
-
-
-@functools.cache
-def _use_direct(method: str, lam: int, n: int, m: int) -> bool:
-    if n <= 1 or m < 1:
-        return False
-    rv, rc = recursive_cost(method, lam, n, m)
-    cap = lam * rv + rc
-    direct = _direct_cost(n, m, cap=cap)
-    return direct is not None and lam * direct[0] + direct[1] <= cap
-
-
 @dataclass(frozen=True)
-class DirectMixer:
-    """Mixing policy of one network method: a (n, m) sub-selection becomes a
-    single direct selector when that costs no more than the method's own
-    construction under lam*V + C (always priced in at-most polarity)."""
+class Chooser:
+    """How a network method builds each (n, m) selection, and what that
+    costs.  The candidates are a single direct selector (when direct) and a
+    level of each of the method's constructions: oe4, oe2 and fourwise for
+    auto, the method's own for the others.  A level selects each of its
+    columns by the same choice, so the choice is a dynamic program over
+    (n, m), memoized per chooser (after Abio, Nieuwenhuis, Oliveras and
+    Rodriguez-Carbonell, CP 2013).  The cheapest under lam*V + C wins,
+    priced in at-most polarity; a direct selector wins ties, then the
+    earlier construction in table order.  Every candidate is a selection
+    network, so any mix of them is arc-consistent."""
 
     method: str
-    lam: int
+    lam: int = 5
+    direct: bool = True
 
     def __post_init__(self):
         if self.method not in NETWORK_METHODS:
-            raise ValueError(f"mixing applies to network methods, not {self.method!r}")
+            raise ValueError(f"{self.method!r} is not a network method")
 
+    @functools.cache
+    def best_level(self, n: int, m: int) -> tuple[str, tuple[int, int]]:
+        """The cheapest of the method's constructions for (n, m), with the
+        (V, C) of its network read to its m-prefix: the level's own gates
+        plus each column's cost.  A padded method's is one dry run of its
+        whole network."""
+        entry = _TABLE[self.method]
+        if entry.level is not None:
+            net = Network(n)
+            net.set_outputs(_level_wires(net, net.input_wires(), m, self.method, self))
+            return self.method, cnf_cost(net, range(m))
+        names = entry.levels or (self.method,)
+        if n <= 1 or m == 0:
+            return names[0], (0, 0)
+        if m == 1:  # build._select_columns emits one (n, 1)-selector
+            return names[0], _direct_cost(n, 1)
+        best = None
+        for name in names:
+            children = _TABLE[name].split(n, m)
+            v, c = _level_cost(name, n, m, children)
+            for cn, cm in children:
+                cv, cc = self.cost(cn, cm)
+                v += cv
+                c += cc
+            if best is None or self.lam * v + c < self.lam * best[1][0] + best[1][1]:
+                best = name, (v, c)
+        return best
+
+    @functools.cache
     def use_direct(self, n: int, m: int) -> bool:
-        return _use_direct(self.method, self.lam, n, m)
+        """True when a single direct selector builds (n, m)."""
+        if not self.direct or n <= 1 or m < 1:
+            return False
+        rv, rc = self.best_level(n, m)[1]
+        cap = self.lam * rv + rc
+        direct = _direct_cost(n, m, cap=cap)
+        return direct is not None and self.lam * direct[0] + direct[1] <= cap
 
-    def sub(self, net: Network, wires: list[int], k: int) -> list[int] | None:
-        """Column hook of build._select_columns: a direct sub-selection as a
-        full-length sequence, or None to keep the method's own construction."""
-        if self.use_direct(len(wires), k):
-            outs = list(net.add_selector(tuple(wires), k))
-            return outs + [net.const_wire(0)] * (len(wires) - k)
-        return None
+    def cost(self, n: int, m: int) -> tuple[int, int]:
+        """(V, C) of the selection select_wires builds for (n, m), read to
+        its m-prefix."""
+        return _direct_cost(n, m) if self.use_direct(n, m) else self.best_level(n, m)[1]
 
 
-def _mixer_for(opts: EncodeOptions) -> DirectMixer | None:
-    if not opts.direct_mixing or opts.method not in NETWORK_METHODS:
-        return None
-    return DirectMixer(opts.method, opts.lam)
+# the benchmark's tracer (perfbench/spans.py) records each decision by
+# wrapping DirectMixer.use_direct, so the chooser keeps this name too
+DirectMixer = Chooser
+
+
+def recursive_cost(method: str, lam: int | None, n: int, m: int) -> tuple[int, int]:
+    """(V, C) of method_network(method, n, m, Chooser(method, lam)), read to
+    its m-prefix; lam None prices it with no direct selector."""
+    chooser = Chooser(method, direct=False) if lam is None else Chooser(method, lam)
+    return chooser.best_level(n, m)[1]
+
+
+def _chooser(opts: EncodeOptions) -> Chooser:
+    return Chooser(opts.method, opts.lam, opts.direct_mixing)
 
 
 def choose_direct(n: int, m: int, opts: EncodeOptions) -> bool:
-    """True when a single direct selector beats the method's recursive
-    construction for (n, m) under the lam*V + C measure.  Raises ValueError
-    for methods that are not selection networks."""
-    return DirectMixer(opts.method, opts.lam).use_direct(n, m)
+    """True when the chooser builds (n, m) as a single direct selector under
+    the lam*V + C measure.  Raises ValueError for methods that are not
+    selection networks."""
+    return Chooser(opts.method, opts.lam).use_direct(n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -595,19 +608,10 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
         return encode_baseline(formula, lits, k, opts.method)
     if k == 0:
         return _forbid_all(formula, lits)
-    net = build_selection_network(opts.method, n, k + 1, _mixer_for(opts))
+    net = build_selection_network(opts.method, n, k + 1, _chooser(opts))
     outs = emit_network(formula, net, list(lits), "atmost", range(k + 1))
     formula.add_clause([neg(outs[k])])
     return EncodedConstraint(formula, tuple(lits), k, tuple(outs))
-
-
-def _selection_cost(n: int, m: int, opts: EncodeOptions) -> tuple[int, int]:
-    """(V, C) of the (n, m)-selection network build_selection_network gives
-    under opts, priced in at-most polarity by the cost model mixing uses."""
-    mixer = _mixer_for(opts)
-    if mixer is not None and mixer.use_direct(n, m):
-        return _direct_cost(n, m)
-    return recursive_cost(opts.method, None if mixer is None else opts.lam, n, m)
 
 
 def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
@@ -621,11 +625,11 @@ def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
     cannot deepen the at-most bound, so none are exposed."""
     n = len(lits)
     if opts.method in NETWORK_METHODS and n - k < k + 1:
-        lam = opts.lam
-        v, c = _selection_cost(n, k + 1, opts)
-        lv, lc = _selection_cost(n, n - k, opts)
+        lam, chooser = opts.lam, _chooser(opts)
+        v, c = chooser.cost(n, k + 1)
+        lv, lc = chooser.cost(n, n - k)
         if lam * lv + lc < lam * v + c:
-            net = build_selection_network(opts.method, n, n - k, _mixer_for(opts))
+            net = build_selection_network(opts.method, n, n - k, chooser)
             out, = emit_network(formula, net, [neg(l) for l in lits], "atleast", (n - k - 1,))
             formula.add_clause([out])
             return EncodedConstraint(formula, tuple(lits), k)
@@ -753,9 +757,11 @@ class _NetworkMethod(NamedTuple):
     """A selection-network method.  A column-recursive one is data for
     build._select_columns: its column split (n, m) -> [(length, selected)],
     the merge (net, prefixes, m) of the columns' selected prefixes, and
-    whether a level sorts_rows across the columns first.  Mixing may replace
-    any column's selection.  Any other method is a level (net, wires, m) ->
-    wires that exists for powers of two only (see method_network).
+    whether a level sorts_rows across the columns first.  The chooser picks
+    each column's selection.  A padded method is a level (net, wires, m) ->
+    wires that exists for powers of two only (see method_network).  A method
+    with levels builds each (n, m) with whichever of those column-recursive
+    methods' levels the chooser finds cheapest.
 
     An odd-even level only merges each column's selected prefix, so the
     gates it adds follow from the selected counts; a level that sorts_rows
@@ -765,11 +771,13 @@ class _NetworkMethod(NamedTuple):
     merge: Callable | None = None
     sorts_rows: bool = False
     level: Callable | None = None
+    levels: tuple[str, ...] = ()
 
 
 # method name -> network method, or a baseline's encoder (formula, lits, k);
 # the order is the order of the CLI's --method choices
 _TABLE: dict[str, _NetworkMethod | Callable] = {
+    "auto": _NetworkMethod(levels=("oe4", "oe2", "fourwise")),
     "oe4": _NetworkMethod(build._oe4_split, build._emit_oe4_merge),
     "oe2": _NetworkMethod(build._oe2_split, build._oe2_merge),
     "pairwise_classic": _NetworkMethod(level=functools.partial(build._emit_pw_sel,
@@ -787,5 +795,5 @@ _TABLE: dict[str, _NetworkMethod | Callable] = {
 METHODS = tuple(_TABLE)
 NETWORK_METHODS = tuple(m for m in METHODS if isinstance(_TABLE[m], _NetworkMethod))
 BASELINE_METHODS = tuple(m for m in METHODS if m not in NETWORK_METHODS)
-MIXED_METHODS = tuple(m for m in NETWORK_METHODS if _TABLE[m].split is not None)
-PADDED_METHODS = tuple(m for m in NETWORK_METHODS if _TABLE[m].split is None)
+PADDED_METHODS = tuple(m for m in NETWORK_METHODS if _TABLE[m].level is not None)
+MIXED_METHODS = tuple(m for m in NETWORK_METHODS if m not in PADDED_METHODS)

@@ -22,8 +22,8 @@ from typing import Sequence
 
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
-from .encode import (EncodeOptions, EncodedConstraint, _encode_form, _mixer_for,
-                     emit_network, select_wires)
+from .encode import (EncodeOptions, EncodedConstraint, _chooser, _encode_form, emit_network,
+                     select_wires)
 
 MAX_COEFF_MAGNITUDE = 2 ** 62  # 63-bit magnitudes; larger coefficients are rejected
 PRIMES_UNDER_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -340,7 +340,7 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     net = build.carry_chain(
         [(sum(mult for _, mult in pos.bundles), pos.t_outputs, pos.radix)
          for pos in plan.positions],
-        functools.partial(select_wires, method=opts.method, mixer=_mixer_for(opts)))
+        functools.partial(select_wires, chooser=_chooser(opts)))
     outs = net.outputs
     if plan.assert_index > len(outs):
         formula.add_clause([])

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from . import build
 from .cnf import CnfFormula
-from .encode import (METHODS, MIXED_METHODS, NETWORK_METHODS, CardConstraint, DirectMixer,
+from .encode import (METHODS, MIXED_METHODS, NETWORK_METHODS, CardConstraint, Chooser,
                      EncodeOptions, build_selection_network, cnf_cost, encode_atmost,
                      encode_card, method_network, recursive_cost)
 from .formulas import registry
@@ -78,11 +78,11 @@ def run_zero_one(limit: int = 8, log=print) -> bool:
         if n <= limit:
             check(f"oe_sort({n})", build.oe_sort(n), n, n)
     for method in NETWORK_METHODS:
-        for mixer in (None, DirectMixer(method, 5)):
-            name = method if mixer is None else f"{method} mixed"
+        for chooser in (None, Chooser(method, 5)):
+            name = method if chooser is None else f"{method} mixed"
             for n in range(1, limit + 1):
                 for k in range(0, n + 1):
-                    check(f"{name}({n},{k})", build_selection_network(method, n, k, mixer),
+                    check(f"{name}({n},{k})", build_selection_network(method, n, k, chooser),
                           n, k)
     log(f"zero-one suite: {'PASS' if ok else 'FAIL'}")
     return ok
@@ -108,7 +108,7 @@ def run_ac(limit: int = 6, log=print) -> bool:
     20 scenarios each, for the at-most encoder and encode_card."""
     ok = True
     rng = random.Random(2024)
-    for method in ("oe4", "oe2"):
+    for method in ("auto", "oe4", "oe2"):
         for n in range(2, limit + 1):
             for label, formula, encs, _ in _card_encodings(n, EncodeOptions(method=method)):
                 prop = Propagator(formula)
@@ -152,10 +152,10 @@ def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
     fails = []
     for method in MIXED_METHODS:
         for mix_lam in (lam, None):
-            mixer = DirectMixer(method, mix_lam) if mix_lam else None
+            chooser = Chooser(method, mix_lam) if mix_lam else None
             for n in range(2, limit + 1):
                 for m in range(1, n + 1):
-                    net = method_network(method, n, m, mixer)
+                    net = method_network(method, n, m, chooser)
                     if recursive_cost(method, mix_lam, n, m) != cnf_cost(net, range(m)):
                         fails.append(f"{method} lam={mix_lam} n={n} m={m}")
     return fails

@@ -9,7 +9,7 @@ import pytest
 from cardnet import build
 from cardnet.formulas import (bit_sel_size, oe_merge_size, oe_sort_size,
                               pw_merge_size, pw_sel_size, pw_variant_gap)
-from cardnet.encode import DirectMixer, cnf_cost, method_network
+from cardnet.encode import Chooser, cnf_cost, method_network
 from cardnet.verify import run_zero_one, selection_failures
 
 from conftest import check_selection_output, is_top_k_sorted, sorted_runs
@@ -351,11 +351,11 @@ def test_oe4_sel_column_rule():
 def test_oe4_selects_on_every_zero_one_input_to_n12():
     # beyond run_zero_one's n <= 8, where the even split first differs from
     # the old tail-column rule: every (n, m), unmixed and mixed at each lam
-    for mixer in (None, DirectMixer("oe4", 1), DirectMixer("oe4", 5), DirectMixer("oe4", 20)):
+    for chooser in (None, Chooser("oe4", 1), Chooser("oe4", 5), Chooser("oe4", 20)):
         for n in range(1, 13):
             for m in range(n + 1):
-                assert selection_failures(method_network("oe4", n, m, mixer), n, m) is None, \
-                    (mixer, n, m)
+                assert selection_failures(method_network("oe4", n, m, chooser), n, m) is None, \
+                    (chooser, n, m)
 
 
 def test_oe4_sel_examples():

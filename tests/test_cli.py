@@ -12,7 +12,7 @@ from cardnet.cli import run_cli, stats_report, _parse_grid
 from cardnet.cnf import CnfFormula
 from cardnet.cnfp import encode_cnfp, parse_cnfp, queens_cnfp, write_cnfp, CnfpSyntaxError
 from cardnet.docs import formula_ledger
-from cardnet.encode import EncodeOptions
+from cardnet.encode import EncodeOptions, cnf_cost, method_network
 from cardnet.sat import dpll_sat
 
 from conftest import parse_dimacs, planted_binary_formula, solver_cmd
@@ -84,6 +84,15 @@ def test_cli_binomial_too_large_fails_fast(tmp_path, capsys):
     code = run_cli(["encode", str(src), "--method", "binomial", "-o", str(tmp_path / "x.cnf")])
     assert code == 3 and time.monotonic() - started < 1.0
     assert "342700125300 clauses" in capsys.readouterr().err
+
+
+def test_cli_pbencode_weighted_baseline_is_encoding_error(tmp_path, capsys):
+    # a weighted line needs a selection network; a baseline method has none
+    src = tmp_path / "w.opb"
+    src.write_text("+3 x1 +5 x2 +7 x3 +2 x4 >= 6 ;\n")
+    code = run_cli(["pbencode", str(src), "--method", "sequential", "-o", str(tmp_path / "x.cnf")])
+    assert code == 3
+    assert "'sequential' is not a network method" in capsys.readouterr().err
 
 
 def test_cli_encode_parse_error_exit_code(tmp_path, capsys):
@@ -338,15 +347,33 @@ def test_stats_report_golden():
     # sha256 of the CSV recorded before the stats rows were built from the
     # method table, and again when oe4 began to split each level evenly
     # (only oe4 rows changed); any change to a row, an NA cell or the row
-    # order fails
+    # order fails.  The paper's methods only: auto's rows are checked below
     from cardnet.encode import NETWORK_METHODS
 
-    text = stats_report(list(NETWORK_METHODS), {"n": [1, 5, 8, 13, 16, 37, 64],
-                                                "k": [0, 1, 2, 3, 8, 16, 40]})
+    methods = [m for m in NETWORK_METHODS if m != "auto"]
+    text = stats_report(methods, {"n": [1, 5, 8, 13, 16, 37, 64],
+                                  "k": [0, 1, 2, 3, 8, 16, 40]})
     rows = text.splitlines()[1:]
     assert (len(rows), sum(",NA," in row for row in rows)) == (343, 190)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "f720e43c8d92df7e652cd27894e40433448d23b8712ddeb160a63878d1750115"
+
+
+def test_stats_auto_rows(capsys):
+    # auto is defined on every (n, k) that oe4 is, and its whole network,
+    # every output emitted, is what stats reports for it
+    grid = "n=1;5;13;37,k=0;1;3;8;16"
+    assert run_cli(["stats", "--methods", "auto,oe4", "--grid", grid]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    auto = [row for row in rows if row[0] == "auto"]
+    assert [row[1:3] for row in auto] == [row[1:3] for row in rows if row[0] == "oe4"]
+    assert len(auto) == 20
+    for _, n, k, v, c, *_ in auto:
+        if int(k) > int(n):
+            assert (v, c) == ("NA", "NA")
+        else:
+            net = method_network("auto", int(n), int(k))
+            assert (int(v), int(c)) == cnf_cost(net), (n, k)
 
 
 def test_cli_verify_sizes(tmp_path, monkeypatch):

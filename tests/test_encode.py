@@ -9,13 +9,14 @@ import pytest
 from cardnet import build
 from cardnet.cnf import FALSE, TRUE, CnfFormula
 from cardnet.encode import (MIXED_METHODS, NETWORK_METHODS, AtMostForm, CardConstraint,
-                            DirectMixer, EncodeOptions, _mixer_for, _selection_cost,
+                            Chooser, EncodeOptions, _chooser,
                             build_selection_network, choose_direct, cnf_cost, emit_network,
                             encode_atmost, encode_baseline, encode_card, method_network,
                             normalize_card, recursive_cost, select_wires, strengthen)
 from cardnet.network import Network
 from cardnet.pb import PbConstraint, encode_pb, normalize_pb
 from cardnet.sat import Assignment, Propagator, dpll_sat
+from test_golden import LARGE, SIZES
 
 
 def test_normalize_card_examples():
@@ -163,8 +164,13 @@ def test_direct_cost_comparison():
 # the whole recursive network for every sub-problem; re-recorded once when the
 # emitter began to skip gate outputs no read output depends on, so that each
 # side of a decision is the exact size of what is emitted for its m-prefix;
-# oe4 re-recorded when its levels began to split evenly into four columns
+# oe4 re-recorded when its levels began to split evenly into four columns;
+# auto recorded when it came in, its direct selectors chosen against the
+# cheapest of the oe4, oe2 and fourwise levels
 SEED_DECISIONS = {
+    ("auto", 1): (75, "31626c1ec09e3f5933fda8b78ec2c745a0044f8a599fca89a3d8a6f532c9879d"),
+    ("auto", 5): (86, "767cebaf1529b1ce38882fb9efbb4091a56621b5774ab26bae6f405c5ee42019"),
+    ("auto", 20): (114, "8e37c72488d3d3b391af0d28ebd628e064685b674f1143954c58c5e18b54703f"),
     ("oe4", 1): (77, "6f5f005be2c305aecec0b34b8d11dc70eab21ff496ff4a44304cd2d117e86b3c"),
     ("oe4", 5): (89, "54d0d2b7c68076168246e22e9afe690f56dacf0bd0276f9ab95c574cb995d453"),
     ("oe4", 20): (121, "c86ef92a350f391fa1dab4e46a5d4f05ad950500aca7d568f885d949c28b866c"),
@@ -181,21 +187,21 @@ LARGE_POINTS = ((256, 33), (300, 17), (129, 128), (200, 3))
 @pytest.mark.parametrize("method", MIXED_METHODS)
 def test_mixing_decisions_match_seed(method):
     for lam in (1, 5, 20):
-        mixer = DirectMixer(method, lam)
-        bits = "".join("1" if mixer.use_direct(n, m) else "0"
+        chooser = Chooser(method, lam)
+        bits = "".join("1" if chooser.use_direct(n, m) else "0"
                        for n in range(2, 65) for m in range(1, n + 1))
         digest = hashlib.sha256(bits.encode()).hexdigest()
         assert (bits.count("1"), digest) == SEED_DECISIONS[method, lam]
-        assert not any(mixer.use_direct(n, m) for n, m in LARGE_POINTS)
+        assert not any(chooser.use_direct(n, m) for n, m in LARGE_POINTS)
 
 
 @pytest.mark.parametrize("lam", (1, 5, 20))
 @pytest.mark.parametrize("method", MIXED_METHODS)
 def test_recursive_cost_matches_dry_run(method, lam):
-    mixer = DirectMixer(method, lam)
+    chooser = Chooser(method, lam)
     points = [(n, m) for n in range(2, 65) for m in range(1, n + 1)]
     for n, m in points + list(LARGE_POINTS[:2]):
-        net = method_network(method, n, m, mixer)
+        net = method_network(method, n, m, chooser)
         assert recursive_cost(method, lam, n, m) == cnf_cost(net, range(m)), (n, m)
 
 
@@ -336,10 +342,10 @@ def test_bulk_emission_matches_per_clause_emission(method, monkeypatch):
 def test_no_gate_reads_a_wire_twice():
     # emit_network checks its input literals for distinct variables once and
     # relies on this for every gate: gate outputs get fresh variables
-    nets = [method_network(method, n, m, mixer)
+    nets = [method_network(method, n, m, chooser)
             for method in NETWORK_METHODS for n in range(2, 17) for m in range(1, n + 1)
-            for mixer in ((None, DirectMixer(method, 5)) if method in MIXED_METHODS else (None,))]
-    select = functools.partial(select_wires, method="oe4", mixer=DirectMixer("oe4", 5))
+            for chooser in ((None, Chooser(method, 5)) if method in MIXED_METHODS else (None,))]
+    select = functools.partial(select_wires, chooser=Chooser("oe4", 5))
     nets += [build.carry_chain([(6, 7, 2), (5, 5, 3), (4, 3, None)], select),
              build.carry_chain([(1, 1, 2), (9, 4, 5), (0, 2, None)], select)]
     for net in nets:
@@ -376,22 +382,27 @@ def test_oe4_long_column_chain(k, mixing):
 # -- each bound on its cheaper side ----------------------------------------------
 
 def test_atleast_forms_take_the_small_network():
-    # >= 8 over 256: a top-8 network instead of a 249-selection network
+    # >= 8 over 256: a top-8 network instead of a 249-selection network, the
+    # figures of oe4 (the default method until auto); auto's top-8 is smaller
+    oe4 = EncodeOptions(method="oe4")
     f = CnfFormula()
     lits = f.fresh_vars(256)
-    (enc,) = encode_card(f, CardConstraint(tuple(lits), ">=", 8))
+    (enc,) = encode_card(f, CardConstraint(tuple(lits), ">=", 8), oe4)
     assert (f.num_vars - 256, f.num_clauses) == (989, 2758)
+    g = CnfFormula()
+    encode_card(g, CardConstraint(tuple(g.fresh_vars(256)), ">=", 8))
+    assert (g.num_vars - 256, g.num_clauses) == (689, 2212)
     assert enc.input_lits == tuple(-l for l in lits) and enc.k == 248
     assert enc.output_lits == ()
     with pytest.raises(ValueError, match="no exposed outputs"):
         strengthen(enc, 100)
     # >= 1 over 64: one selector output, its clause and the unit
     f = CnfFormula()
-    encode_card(f, CardConstraint(tuple(f.fresh_vars(64)), ">=", 1))
+    encode_card(f, CardConstraint(tuple(f.fresh_vars(64)), ">=", 1), oe4)
     assert (f.num_vars - 64, f.num_clauses) == (1, 2)
     # the at-most encoder keeps its contract
     f = CnfFormula()
-    enc = encode_atmost(f, [-l for l in f.fresh_vars(256)], 248)
+    enc = encode_atmost(f, [-l for l in f.fresh_vars(256)], 248, oe4)
     assert (f.num_vars - 256, f.num_clauses) == (4072, 10804)
     assert len(enc.output_lits) == 249
 
@@ -419,14 +430,13 @@ def test_cheaper_side_is_never_larger(method):
                     continue
                 assert n - k < k + 1
                 h = CnfFormula()
-                net = build_selection_network(method, n, n - k, _mixer_for(opts))
+                net = build_selection_network(method, n, n - k, _chooser(opts))
                 emit_network(h, net, h.fresh_vars(n), "atleast", (n - k - 1,))
-                price = _selection_cost(n, n - k, opts)
+                price = _chooser(opts).cost(n, n - k)
                 assert h.num_vars - n <= price[0] and h.num_clauses <= price[1], (opts, n, k)
 
 
-@pytest.mark.parametrize("mixing", (True, False))
-def test_oe4_atmost_propagates_at_scale(mixing):
+def _atmost_propagates_at_scale(method, mixing):
     # <= 8 over 256 and <= 32 over 1024 in one formula on one propagator: k
     # true inputs force every other input false, k+1 true inputs conflict
     rng = random.Random(15)
@@ -435,7 +445,7 @@ def test_oe4_atmost_propagates_at_scale(mixing):
     for n, k in ((256, 8), (1024, 32)):
         lits = f.fresh_vars(n)
         (enc,) = encode_card(f, CardConstraint(tuple(lits), "<=", k),
-                             EncodeOptions(method="oe4", direct_mixing=mixing))
+                             EncodeOptions(method=method, direct_mixing=mixing))
         assert len(enc.output_lits) == k + 1
         cases.append((lits, k))
     prop = Propagator(f)
@@ -449,7 +459,18 @@ def test_oe4_atmost_propagates_at_scale(mixing):
                 assert all(values.get(l) is False for l in lits if l not in chosen)
 
 
-@pytest.mark.parametrize("method", ("oe4", "oe2", "fourwise"))
+@pytest.mark.parametrize("mixing", (True, False))
+def test_oe4_atmost_propagates_at_scale(mixing):
+    _atmost_propagates_at_scale("oe4", mixing)
+
+
+@pytest.mark.parametrize("mixing", (True, False))
+@pytest.mark.parametrize("method", ("oe2", "fourwise", "auto"))
+def test_atmost_propagates_at_scale(method, mixing):
+    _atmost_propagates_at_scale(method, mixing)
+
+
+@pytest.mark.parametrize("method", ("oe4", "oe2", "fourwise", "auto"))
 def test_atleast_side_propagates_at_scale(method):
     # >= 8 over 256 and >= 32 over 1024 in one formula on one propagator: k-1
     # true inputs (the rest false) conflict, k true inputs do not
@@ -468,3 +489,23 @@ def test_atleast_side_propagates_at_scale(method):
             fixing = [l if i in chosen else -l for i, l in enumerate(lits)]
             status = prop.propagate(Assignment(), fixing).status
             assert status == ("conflict" if count < k else "fixpoint"), (len(lits), count)
+
+
+# -- auto: the cheapest construction per level ------------------------------------
+
+@pytest.mark.parametrize("lam", (1, 5, 20, None))
+def test_auto_is_never_larger(lam):
+    # by emission, on the golden grid (LARGE at lambda 5 only): the at-most
+    # encoder under auto costs no more under lam*V + C than under any of the
+    # three methods it picks from; lam None is mixing off, where auto weighs
+    # its levels at lambda 5
+    weight = lam or 5
+    points = SIZES + (LARGE if weight == 5 else ())
+    for n, k in points:
+        sizes = {}
+        for method in ("auto", "oe4", "oe2", "fourwise"):
+            f = CnfFormula()
+            encode_atmost(f, f.fresh_vars(n), k,
+                          EncodeOptions(method=method, lam=weight, direct_mixing=lam is not None))
+            sizes[method] = weight * (f.num_vars - n) + f.num_clauses
+        assert sizes["auto"] == min(sizes.values()), (n, k, sizes)

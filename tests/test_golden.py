@@ -36,6 +36,11 @@ counts: 29 of the 34 oe4 grid cases, queens8-oe4, goal-u-oe4 and
 goal-u-sequential.  The oe4-n5-k2 cases kept their bytes (below n = 8 the
 split was even before), as did oe4-n8-k3-lam20-mix (one direct selector)
 and every other case.
+
+The 41 `auto` cases (its grid cases, queens8-auto, opb-*-auto and
+goal-*-auto) were added when the method came in, without changing any other
+hash: each of the paper's methods keeps its own two-way choice between its
+level and a direct selector.
 """
 
 import hashlib
@@ -53,7 +58,7 @@ from cardnet.solve import encode_problem
 
 SIZES = ((5, 2), (8, 3), (13, 4), (16, 7), (24, 5), (37, 9), (64, 12), (100, 17))
 LAMBDAS = (1, 5, 20)
-# large n and deeper recursion, for the three mixing methods
+# large n and deeper recursion, for auto and the three methods it picks from
 LARGE = ((256, 33), (300, 17))
 
 OPB_FILES = {
@@ -127,13 +132,13 @@ def cases():
                             lambda m=method, n=n, k=k, lam=lam: _card_case(m, n, k, lam, True)))
             out.append((f"{method}-n{n}-k{k}-nomix",
                         lambda m=method, n=n, k=k: _card_case(m, n, k, 5, False)))
-    for method in ("oe4", "oe2", "fourwise"):
+    for method in ("auto", "oe4", "oe2", "fourwise"):
         for n, k in LARGE:
             out.append((f"{method}-n{n}-k{k}-lam5-mix",
                         lambda m=method, n=n, k=k: _card_case(m, n, k, 5, True)))
         out.append((f"queens8-{method}", lambda m=method: _queens_case(m)))
     for name in OPB_FILES:
-        for method in ("oe4", "oe2", "fourwise", "pairwise_half_bitonic"):
+        for method in ("auto", "oe4", "oe2", "fourwise", "pairwise_half_bitonic"):
             out.append((f"{name}-{method}", lambda nm=name, m=method: _opb_case(nm, m)))
     for name in GOAL_OBJECTIVES:
         for method in NETWORK_METHODS if name in ("goal-w", "goal-wide") else METHODS:
@@ -693,6 +698,88 @@ GOLDEN = {
         "d86ff5a03a0678c2e04a5d509077d7714b5189ec2983441f8e9dbb2fd3d59dd2",
     "goal-wide-bitonic_sel":
         "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
+    "auto-n5-k2-lam1-mix":
+        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+    "auto-n5-k2-lam5-mix":
+        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+    "auto-n5-k2-lam20-mix":
+        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+    "auto-n5-k2-nomix":
+        "0ab841407ad1dc84150455b1f3837b41902416f057cae4c882ff288e14fc4514",
+    "auto-n8-k3-lam1-mix":
+        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+    "auto-n8-k3-lam5-mix":
+        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+    "auto-n8-k3-lam20-mix":
+        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+    "auto-n8-k3-nomix":
+        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+    "auto-n13-k4-lam1-mix":
+        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
+    "auto-n13-k4-lam5-mix":
+        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
+    "auto-n13-k4-lam20-mix":
+        "e2a4ade911d278fde9fa00d1f33103e93113b168ff6380c7d1c2d8847b829628",
+    "auto-n13-k4-nomix":
+        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
+    "auto-n16-k7-lam1-mix":
+        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+    "auto-n16-k7-lam5-mix":
+        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+    "auto-n16-k7-lam20-mix":
+        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+    "auto-n16-k7-nomix":
+        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+    "auto-n24-k5-lam1-mix":
+        "13904a06975493e0b40999eea6f025347fd4072910d8059649f2e3c31858a955",
+    "auto-n24-k5-lam5-mix":
+        "91934e8d9c7674a07159b2e01f31c20740d51f38c5f6b8b4d5bfa4316297cf13",
+    "auto-n24-k5-lam20-mix":
+        "91934e8d9c7674a07159b2e01f31c20740d51f38c5f6b8b4d5bfa4316297cf13",
+    "auto-n24-k5-nomix":
+        "e2ae00e720c208ebeb9454dc5b6038d44ccd04c1fad9664b90993d455c304a51",
+    "auto-n37-k9-lam1-mix":
+        "1d7963802369b78cf1a3631e516e21663c694e1db55c947aa9888577f54a6477",
+    "auto-n37-k9-lam5-mix":
+        "1522bec1320cdbced7e3ae9b4fba128a20b73ca628129c74ef10a0a115226b4e",
+    "auto-n37-k9-lam20-mix":
+        "7dbfeec0fca1d1a54462dc901eae43ced892a23bdd9089c961689a3f6ca616b6",
+    "auto-n37-k9-nomix":
+        "1d7963802369b78cf1a3631e516e21663c694e1db55c947aa9888577f54a6477",
+    "auto-n64-k12-lam1-mix":
+        "b2b8e551e45718a612830d9d7dc20b44bee9a68a23d7972318ccbf5ccd6bb70a",
+    "auto-n64-k12-lam5-mix":
+        "b2b8e551e45718a612830d9d7dc20b44bee9a68a23d7972318ccbf5ccd6bb70a",
+    "auto-n64-k12-lam20-mix":
+        "8afd49214b257583864e88f69ea5f43e99847a46b50b8b492b82c08ccd3bff63",
+    "auto-n64-k12-nomix":
+        "b2b8e551e45718a612830d9d7dc20b44bee9a68a23d7972318ccbf5ccd6bb70a",
+    "auto-n100-k17-lam1-mix":
+        "a17f059839c7426571059b78661648d65736eda564e4fe4aabe34b7813e6358d",
+    "auto-n100-k17-lam5-mix":
+        "4fbfa1be031289f697fc785845cfbe9a4afae18c0ba62f4cc9fa59f98b7d270c",
+    "auto-n100-k17-lam20-mix":
+        "71d32658715852f13a03837a174eb58871ff7c65695d9eb1dc52635b65158016",
+    "auto-n100-k17-nomix":
+        "46feef84d8ee4fabe083b4df3a6a1a176cf21e555cbb2dc8145777649cff28d1",
+    "auto-n256-k33-lam5-mix":
+        "b599ec80632a991b15f8adff6bd44d7b3ab2a30645a725e7a0535dbdf94d4294",
+    "auto-n300-k17-lam5-mix":
+        "af137b77285014365cf7eae296c4c7d642972baffd04d8c8f9f4fa29a5611441",
+    "queens8-auto":
+        "030eec85eefee3d154a43d9ba040870729e862c1ab36545f802c2d6a45f45b2e",
+    "opb-a-auto":
+        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
+    "opb-b-auto":
+        "aeacca0b1a0d8f6844b8882d402953d15aa853688655421287b60f8810a90763",
+    "goal-w-auto":
+        "68c3cbb0b41e21ac29aae8513b26a5bdbf62a9c3edc1040cf307eddaf126efa5",
+    "goal-u-auto":
+        "4a57e5c00e3280b15fb5e61d748383dc36385e65fefa124cc83213ccc0056dac",
+    "goal-neg-auto":
+        "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
+    "goal-wide-auto":
+        "2255d312dcd44a6b8490a3178ba4ec2bc32b10e743d14251abecfbafd7560d02",
 }
 
 
