@@ -152,10 +152,10 @@ def normalize_card(c: CardConstraint) -> NormalizedCard:
 
 def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequence[int],
                       polarity: str, distinct: bool = False) -> list[Lit]:
-    """The literals of one selector's outputs of the given ranks p (output p
-    is true once p inputs are): a constant-forced output folds, every other
-    gets a fresh variable and its clause family.  distinct says the free
-    inputs are known to be over distinct variables."""
+    """Fresh variables and clause families for one selector's outputs of the
+    given ranks p (output p is true once p inputs are), none of which
+    _constant_wires folds.  distinct says the free inputs are known to be
+    over distinct variables."""
     trues = in_lits.count(TRUE)
     free = [l for l in in_lits if l is not TRUE and l is not FALSE]
     negs = [-l for l in free] if polarity == "atmost" else []
@@ -163,87 +163,49 @@ def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequen
     bulk = distinct or formula.distinct_vars(free)
     outs: list[Lit] = []
     for p in ranks:
-        if p <= trues:
-            outs.append(TRUE)
-        elif p > trues + len(free):
-            outs.append(FALSE)
+        y = formula.fresh_var()
+        need = p - trues
+        if polarity == "atmost":
+            tail = (y,)
+            family = [s + tail for s in combinations(negs, need)]
         else:
-            y = formula.fresh_var()
-            need = p - trues
-            if polarity == "atmost":
-                tail = (y,)
-                family = [s + tail for s in combinations(negs, need)]
-            else:
-                head = (-y,)
-                family = [head + s for s in combinations(free, len(free) - need + 1)]
-            if bulk:
-                formula.add_clauses(family)
-            else:
-                for clause in family:
-                    formula.add_clause(clause)
-            outs.append(y)
+            head = (-y,)
+            family = [head + s for s in combinations(free, len(free) - need + 1)]
+        if bulk:
+            formula.add_clauses(family)
+        else:
+            for clause in family:
+                formula.add_clause(clause)
+        outs.append(y)
     return outs
-
-
-def _conj(a: Lit | None, b: Lit | None) -> Lit | None:
-    """Three-valued and of two literals: TRUE, FALSE, or None when free."""
-    if a is FALSE or b is FALSE:
-        return FALSE
-    if a is TRUE and b is TRUE:
-        return TRUE
-    return None
-
-
-def _combine_consts(ym2, ym1, yy, xx, xp1, xp2, atmost: bool) -> tuple[Lit | None, Lit | None]:
-    """The constants a combine pair's x and y fold to, None for a free one;
-    an input is a literal, or None for any free one.  In the at-least
-    polarity an output folds to TRUE only when every clause that would
-    define it holds."""
-    # x = (y_{i-1} & x_i) | (y_{i-2} & x_{i+1}),  y = y_i | x_{i+2} | (y_{i-1} & x_{i+1})
-    a, b, c = _conj(ym1, xx), _conj(ym2, xp1), _conj(ym1, xp1)
-    if a is TRUE or b is TRUE:
-        x = TRUE if atmost or xx is TRUE and ym2 is TRUE and (ym1 is TRUE or xp1 is TRUE) else None
-    else:
-        x = FALSE if a is FALSE and b is FALSE else None
-    if yy is TRUE or xp2 is TRUE or c is TRUE:
-        y = TRUE if atmost or (ym1 is TRUE or xp2 is TRUE) and (yy is TRUE or xp1 is TRUE) else None
-    else:
-        y = FALSE if yy is FALSE and xp2 is FALSE and c is FALSE else None
-    return x, y
 
 
 def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bool,
                      want_y: bool, polarity: str,
                      distinct: bool = False) -> tuple[Lit | None, Lit | None]:
+    """Fresh variables and clauses for the wanted outputs of one combine
+    pair, none of which _constant_wires folds."""
     atmost = polarity == "atmost"
     free = [l for l in (ym2, ym1, yy, xx, xp1, xp2) if l is not TRUE and l is not FALSE]
-    consts = len(free) < 6  # only then can an output be forced
-    fold_x, fold_y = _combine_consts(ym2, ym1, yy, xx, xp1, xp2, atmost) if consts else (None, None)
     out_x: Lit | None = None
     out_y: Lit | None = None
     clauses: list[tuple[Lit, ...]] = []
 
     if want_y:
-        if fold_y is not None:
-            out_y = fold_y
-        else:
-            out_y = y = formula.fresh_var()
-            clauses += ([(-yy, y), (-xp2, y), (-ym1, -xp1, y)] if atmost
-                        else [(-y, ym1, xp2), (-y, yy, xp1)])
+        out_y = y = formula.fresh_var()
+        clauses += ([(-yy, y), (-xp2, y), (-ym1, -xp1, y)] if atmost
+                    else [(-y, ym1, xp2), (-y, yy, xp1)])
 
     if want_x:
-        if fold_x is not None:
-            out_x = fold_x
-        else:
-            out_x = x = formula.fresh_var()
-            clauses += ([(-ym1, -xx, x), (-ym2, -xp1, x)] if atmost
-                        else [(-x, xx), (-x, ym2), (-x, ym1, xp1)])
+        out_x = x = formula.fresh_var()
+        clauses += ([(-ym1, -xx, x), (-ym2, -xp1, x)] if atmost
+                    else [(-x, xx), (-x, ym2), (-x, ym1, xp1)])
 
     if distinct or formula.distinct_vars(free):
         # every clause holds a fresh output, so over distinct variables none
         # can repeat a variable, be a tautology or become empty: only the
         # constants fold (TRUE satisfies a clause, FALSE drops out)
-        if consts:
+        if len(free) < 6:
             clauses = [tuple(l for l in c if l is not FALSE) for c in clauses
                        if TRUE not in c]
         formula.add_clauses(clauses)
@@ -253,33 +215,27 @@ def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bo
     return out_x, out_y
 
 
-def _constant_wires(net: Network, input_lits: Sequence[Lit], atmost: bool) -> dict[int, Lit]:
+def _constant_wires(net: Network, input_lits: Sequence[Lit]) -> dict[int, Lit]:
     """Wire -> TRUE or FALSE for every wire that emission folds to a
     constant: the constant wires, the constant input literals, and the gate
-    outputs they force."""
+    outputs they force.
+
+    Every gate is monotone, so a wire is constant exactly when it is 1 with
+    every free input 0, or 0 with every free input 1.  The gates' own masks
+    evaluate each wire on those two lanes: a constant is 0 or 3, a free wire
+    2.  A gate whose inputs are all free has free outputs and is skipped."""
     consts = {w: TRUE if bit else FALSE for w, bit in net.const_sources()}
     consts.update((w, l) for w, l in enumerate(input_lits) if l is TRUE or l is FALSE)
+    val = [2] * net.num_wires
+    for w, lit in consts.items():
+        val[w] = 3 if lit is TRUE else 0
     known = consts.keys()
     for gate in net.gates:
-        if type(gate) is Selector:
-            if known.isdisjoint(gate.inputs):
-                continue
-            ins = [consts.get(w) for w in gate.inputs]
-            trues, free = ins.count(TRUE), ins.count(None)
-            for p, w in enumerate(gate.outputs, 1):
-                if p <= trues:
-                    consts[w] = TRUE
-                elif p > trues + free:
-                    consts[w] = FALSE
-        else:
-            ins = (gate.ym2, gate.ym1, gate.yy, gate.xx, gate.xp1, gate.xp2)
-            if known.isdisjoint(ins):
-                continue
-            fold_x, fold_y = _combine_consts(*map(consts.get, ins), atmost)
-            if fold_x is not None and gate.out_x is not None:
-                consts[gate.out_x] = fold_x
-            if fold_y is not None and gate.out_y is not None:
-                consts[gate.out_y] = fold_y
+        if not known.isdisjoint(gate.inputs):
+            for w, v in gate.masks(val, 3):
+                if v != 2:
+                    val[w] = v
+                    consts[w] = TRUE if v else FALSE
     return consts
 
 
@@ -347,7 +303,7 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
     if len(input_lits) != net.num_inputs:
         raise ValueError("input literal count does not match the network")
     atmost = polarity == "atmost"
-    consts = _constant_wires(net, input_lits, atmost)
+    consts = _constant_wires(net, input_lits)
     live = None if reads is None else _live_wires(net, reads, consts, atmost)
     # wire id -> literal; inputs come first, gate outputs are filled in order.
     # An unread free wire keeps the constant that satisfies every clause that
@@ -362,20 +318,18 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
     for gate in net.gates:
         if type(gate) is Selector:
             outs = gate.outputs
-            if live is None:
-                ranks = range(1, len(outs) + 1)
-            else:
-                ranks = [p for p, w in enumerate(outs, 1) if live[w]]
-                if not ranks:
-                    continue
+            ranks = [p for p, w in enumerate(outs, 1)
+                     if (live is None or live[w]) and w not in consts]
+            if not ranks:
+                continue
             lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
                                      ranks, polarity, distinct)
             for p, lit in zip(ranks, lits):
                 wire_lits[outs[p - 1]] = lit
         else:
             ox, oy = gate.out_x, gate.out_y
-            want_x = ox is not None and (live is None or live[ox])
-            want_y = oy is not None and (live is None or live[oy])
+            want_x = ox is not None and (live is None or live[ox]) and ox not in consts
+            want_y = oy is not None and (live is None or live[oy]) and oy not in consts
             if not (want_x or want_y):
                 continue
             lx, ly = _combine_outputs(
@@ -586,10 +540,10 @@ def _chooser(opts: EncodeOptions) -> Chooser:
 
 
 def choose_direct(n: int, m: int, opts: EncodeOptions) -> bool:
-    """True when the chooser builds (n, m) as a single direct selector under
-    the lam*V + C measure.  Raises ValueError for methods that are not
-    selection networks."""
-    return Chooser(opts.method, opts.lam).use_direct(n, m)
+    """True when the encoder's chooser for opts builds (n, m) as a single
+    direct selector under the lam*V + C measure; never with direct_mixing
+    off.  Raises ValueError for methods that are not selection networks."""
+    return _chooser(opts).use_direct(n, m)
 
 
 # ---------------------------------------------------------------------------

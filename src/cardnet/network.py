@@ -9,6 +9,11 @@ combine step of the four-way odd-even merger:
     y''_i = y_i | x_{i+2} | (y_{i-1} & x_{i+1})
     x''_i = (y_{i-1} & x_i) | (y_{i-2} & x_{i+1})
 
+thresholds (a selector's outputs) and combine_masks (a combine pair's) are
+the one definition of gate semantics, bit-parallel over lane masks: both
+Network.eval_masks and the encoder's constant folding evaluate gates with
+them, through each gate's masks method.
+
 Networks are immutable once built (builders append gates, then freeze the
 designated output list); evaluation and cost queries are pure.  Gates are
 slotted records that nothing mutates after construction.
@@ -17,7 +22,7 @@ slotted records that nothing mutates after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(slots=True)
@@ -34,6 +39,10 @@ class Selector:
     @property
     def m(self) -> int:
         return len(self.outputs)
+
+    def masks(self, val: Sequence[int], full: int) -> Iterable[tuple[int, int]]:
+        """(wire, mask) of each output, val holding each wire's lane mask."""
+        return zip(self.outputs, thresholds([val[w] for w in self.inputs], self.m, full)[1:])
 
 
 @dataclass(slots=True)
@@ -68,6 +77,12 @@ class CombinePair:
             outs.append(self.out_y)
         return tuple(outs)
 
+    def masks(self, val: Sequence[int], full: int) -> Iterable[tuple[int, int]]:
+        """(wire, mask) of each output, val holding each wire's lane mask."""
+        x, y = combine_masks(val[self.ym2], val[self.ym1], val[self.yy],
+                             val[self.xx], val[self.xp1], val[self.xp2])
+        return [(w, v) for w, v in ((self.out_x, x), (self.out_y, y)) if w is not None]
+
 
 Gate = Selector | CombinePair
 
@@ -80,6 +95,12 @@ def thresholds(xs: Sequence[int], m: int, full: int) -> list[int]:
         for p in range(m, 0, -1):
             th[p] |= th[p - 1] & x
     return th
+
+
+def combine_masks(ym2: int, ym1: int, yy: int, xx: int, xp1: int,
+                  xp2: int) -> tuple[int, int]:
+    """(x''_i, y''_i) of a combine pair over lane masks of its inputs."""
+    return (ym1 & xx) | (ym2 & xp1), yy | xp2 | (ym1 & xp1)
 
 
 class Network:
@@ -166,17 +187,8 @@ class Network:
         for w, bit in self.const_sources():
             val[w] = full if bit else 0
         for gate in self.gates:
-            if type(gate) is Selector:
-                th = thresholds([val[w] for w in gate.inputs], gate.m, full)
-                for w, v in zip(gate.outputs, th[1:]):
-                    val[w] = v
-            else:
-                ym2, ym1, yy = val[gate.ym2], val[gate.ym1], val[gate.yy]
-                xx, xp1, xp2 = val[gate.xx], val[gate.xp1], val[gate.xp2]
-                if gate.out_x is not None:
-                    val[gate.out_x] = (ym1 & xx) | (ym2 & xp1)
-                if gate.out_y is not None:
-                    val[gate.out_y] = yy | xp2 | (ym1 & xp1)
+            for w, v in gate.masks(val, full):
+                val[w] = v
         return [val[w] for w in self.outputs]
 
     def gate_histogram(self) -> tuple[dict[tuple[int, int], int], int]:

@@ -9,12 +9,12 @@ import pytest
 from cardnet import build
 from cardnet.cnf import FALSE, TRUE, CnfFormula
 from cardnet.encode import (MIXED_METHODS, NETWORK_METHODS, AtMostForm, CardConstraint,
-                            Chooser, EncodeOptions, _chooser,
+                            Chooser, EncodeOptions, _chooser, _constant_wires,
                             build_selection_network, choose_direct, cnf_cost, emit_network,
                             encode_atmost, encode_baseline, encode_card, method_network,
                             normalize_card, recursive_cost, select_wires, strengthen)
 from cardnet.network import Network
-from cardnet.pb import PbConstraint, encode_pb, normalize_pb
+from cardnet.pb import PbConstraint, encode_pb, find_base, normalize_pb, plan_digits
 from cardnet.sat import Assignment, Propagator, dpll_sat
 from test_golden import LARGE, SIZES
 
@@ -144,6 +144,8 @@ def test_choose_direct_examples():
     assert choose_direct(2, 2, opts)
     assert choose_direct(4, 1, opts)
     assert not choose_direct(100, 2, opts)
+    # with direct mixing off the encoder never builds a direct selector
+    assert not choose_direct(2, 2, EncodeOptions(direct_mixing=False))
     # deterministic and cached
     assert choose_direct(9, 3, opts) == choose_direct(9, 3, opts)
 
@@ -353,6 +355,52 @@ def test_no_gate_reads_a_wire_twice():
         for gate in net.gates:
             wires = [w for w in gate.inputs if w not in consts]
             assert len(set(wires)) == len(wires), gate
+
+
+def _pb_chains(rng, count):
+    """Random digit/carry chains, built as encode_pb builds them."""
+    chains = []
+    while len(chains) < count:
+        terms = tuple((rng.randint(1, 40), v) for v in range(1, rng.randint(2, 6) + 1))
+        c = PbConstraint(terms, ">=", rng.randint(1, sum(a for a, _ in terms)))
+        plan = plan_digits(c, find_base([a for a, _ in terms]))
+        if plan.positions[-1].max_inputs < plan.assert_index or len(plan.positions) < 2:
+            continue
+        chains.append(build.carry_chain(
+            [(sum(mult for _, mult in pos.bundles), pos.t_outputs, pos.radix)
+             for pos in plan.positions],
+            functools.partial(select_wires, chooser=Chooser("auto", 5))))
+    return chains
+
+
+def test_constant_folding_is_exact():
+    # a wire folds to a constant exactly when it takes that value under
+    # every assignment of the free inputs, evaluated exhaustively
+    rng = random.Random(3)
+    nets = [method_network(method, n, m, chooser)
+            for method in NETWORK_METHODS for n in range(2, 11) for m in range(1, n + 1)
+            for chooser in ((None, Chooser(method, 5)) if method in MIXED_METHODS else (None,))]
+    nets += _pb_chains(rng, 60)
+    checked = 0
+    for net in nets:
+        net.set_outputs(range(net.num_wires))
+        for density in (0.2, 0.5, 0.8):
+            lits = [rng.choice((TRUE, FALSE)) if rng.random() < density else 1
+                    for _ in range(net.num_inputs)]
+            free = [i for i, lit in enumerate(lits) if lit is not TRUE and lit is not FALSE]
+            for i in free[10:]:
+                lits[i] = rng.choice((TRUE, FALSE))
+            free = free[:10]
+            # lane a assigns bit j of a to the j-th free input
+            full = (1 << (1 << len(free))) - 1
+            masks = [full if lit is TRUE else 0 for lit in lits]
+            for j, i in enumerate(free):
+                masks[i] = sum(1 << a for a in range(1 << len(free)) if a >> j & 1)
+            want = {w: TRUE if v == full else FALSE
+                    for w, v in enumerate(net.eval_masks(masks, full)) if v in (0, full)}
+            assert _constant_wires(net, lits) == want, (net.gates, lits)
+            checked += 1
+    assert checked > 1500
 
 
 @pytest.mark.parametrize("k", (1, 2))
