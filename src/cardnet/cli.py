@@ -287,11 +287,9 @@ def _cmd_dpll(args) -> int:
         return _fail(EXIT_PARSE, f"cannot read {args.input}: {exc}")
     except ValueError as exc:
         return _fail(EXIT_PARSE, f"{args.input}: {exc}")
-    formula = CnfFormula()
-    formula.fresh_vars(num_vars)
-    for clause in clauses:
-        formula.add_clause(clause)  # an empty clause line makes it unsatisfiable
-    status, model = dpll_sat(formula)
+    # the solver core takes the parsed clauses as they are: it drops
+    # duplicate literals and tautologies, and an empty clause is UNSAT
+    status, model = dpll_sat(CnfFormula(num_vars + 1, clauses))
     if status == "UNSAT":
         print("s UNSATISFIABLE")
         return 20

@@ -96,6 +96,12 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
+    @property
+    def guard(self) -> Lit | None:
+        """The literal a `guarded` scope disjoins into every clause, or None
+        outside one."""
+        return self._guard
+
     @contextmanager
     def guarded(self, lit: Lit) -> Iterator[None]:
         """Disjoin lit into every clause added inside the scope, so making

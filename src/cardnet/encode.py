@@ -4,33 +4,39 @@ The clause scheme per selector output p is the monotone implication family
 {x_{i1} & ... & x_{ip} => y_p} over all p-subsets of the inputs; a fused
 combine pair costs at most 5 clauses and 2 variables.  At-most-k constraints
 build a (k+1)-selection network over the literals in this one-propagating
-polarity and assert the unit ~y_{k+1}.  The mirrored zero-propagating polarity
-is emitted by the same walker with polarity="atleast"; its clauses y_p => (at
-least p inputs true) let a positive unit assert an at-least bound.  The walker
-emits only the gates that the outputs its caller reads depend on.
+polarity and assert ~y_{k+1}.  The mirrored zero-propagating polarity is
+emitted by the same walker with polarity="atleast"; its clauses y_p => (at
+least p inputs true) let a positive assertion state an at-least bound.  The
+walker emits only the gates that the outputs its caller reads depend on, and
+folds an asserted output into them instead of adding its unit: the output
+and every gate output root unit propagation of the unit fixes get no variable
+(emit_network).
 
 Every relation normalizes to at-most forms.  encode_card encodes each form on
 its cheaper side: sum(lits) <= k either as above, or as sum(~lits) >= n-k, an
 (n-k)-selection network over the negated literals in the zero-propagating
-polarity plus the unit y_{n-k}.  Both are arc-consistent (Asin, Nieuwenhuis,
+polarity asserting y_{n-k}.  Both are arc-consistent (Asin, Nieuwenhuis,
 Oliveras and Rodriguez-Carbonell, "Cardinality Networks: a theoretical and
-empirical study", Constraints 2011).  The pseudo-Boolean pipeline emits its
-digit networks in the zero-propagating polarity too, since it asserts an
-output positively.
+empirical study", Constraints 2011), and the fold keeps what unit
+propagation derives.  The pseudo-Boolean pipeline emits its digit networks
+in the zero-propagating polarity too, since it asserts an output positively.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import gc
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, NamedTuple, Sequence
 
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
-from .network import Network, Selector
+from .network import CombinePair, Network, Selector
 
 @dataclass(frozen=True)
 class CardConstraint:
@@ -69,10 +75,14 @@ class EncodedConstraint:
     """Result of encoding one at-most-k constraint sum(input_lits) <= k.
 
     output_lits are the unary counter outputs y_1..y_{k+1} (y_j true once j
-    inputs are true); the last one carries the asserted unit.  They stay
-    available for incremental strengthening with deeper unit clauses.  A form
-    encode_card put on the at-least side exposes none: its outputs count the
-    negated inputs and cannot deepen the at-most bound.
+    inputs are true).  The last one is asserted and folded into the network
+    (see emit_network), so output_lits[k] is FALSE and no unit clause
+    carries it; inside a guarded scope, which does not fold, it is a
+    variable with a guarded unit.  The others stay available for
+    incremental strengthening with deeper unit clauses.  A form encode_card
+    put on the at-least side exposes none: its outputs count the negated
+    inputs and cannot deepen the at-most bound.  A pseudo-Boolean encoding
+    exposes its top position's outputs, the asserted one TRUE.
     """
 
     formula: CnfFormula
@@ -151,61 +161,68 @@ def normalize_card(c: CardConstraint) -> NormalizedCard:
 # ---------------------------------------------------------------------------
 
 def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequence[int],
-                      polarity: str, distinct: bool = False) -> list[Lit]:
+                      polarity: str, distinct: bool = False,
+                      forced: Sequence[int] = ()) -> list[Lit]:
     """Fresh variables and clause families for one selector's outputs of the
     given ranks p (output p is true once p inputs are), none of which
-    _constant_wires folds.  distinct says the free inputs are known to be
-    over distinct variables."""
+    _constant_wires folds.  A rank in forced is an output the assertion
+    fixes (see _forced_wires): it gets no variable, and its clauses omit it.
+    distinct says the free inputs are known to be over distinct variables."""
+    atmost = polarity == "atmost"
     trues = in_lits.count(TRUE)
     free = [l for l in in_lits if l is not TRUE and l is not FALSE]
-    negs = [-l for l in free] if polarity == "atmost" else []
-    # over distinct variables no clause of the family needs simplification
-    bulk = distinct or formula.distinct_vars(free)
+    negs = [-l for l in free] if atmost else []
     outs: list[Lit] = []
+    clauses: list[tuple[Lit, ...]] = []
     for p in ranks:
-        y = formula.fresh_var()
         need = p - trues
-        if polarity == "atmost":
-            tail = (y,)
-            family = [s + tail for s in combinations(negs, need)]
-        else:
-            head = (-y,)
-            family = [head + s for s in combinations(free, len(free) - need + 1)]
-        if bulk:
-            formula.add_clauses(family)
-        else:
-            for clause in family:
-                formula.add_clause(clause)
+        family = combinations(negs, need) if atmost else combinations(free, len(free) - need + 1)
+        if p in forced:
+            outs.append(FALSE if atmost else TRUE)
+            clauses += family
+            continue
+        y = formula.fresh_var()
         outs.append(y)
+        clauses += [s + (y,) for s in family] if atmost else [(-y,) + s for s in family]
+    # over distinct variables no clause of the family needs simplification
+    if distinct or formula.distinct_vars(free):
+        formula.add_clauses(clauses)
+    else:
+        for clause in clauses:
+            formula.add_clause(clause)
     return outs
 
 
 def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bool,
-                     want_y: bool, polarity: str,
-                     distinct: bool = False) -> tuple[Lit | None, Lit | None]:
+                     want_y: bool, polarity: str, distinct: bool = False,
+                     forced_x: bool = False,
+                     forced_y: bool = False) -> tuple[Lit | None, Lit | None]:
     """Fresh variables and clauses for the wanted outputs of one combine
-    pair, none of which _constant_wires folds."""
+    pair, none of which _constant_wires folds.  A forced output is fixed by
+    the assertion (see _forced_wires): it gets no variable and its clauses
+    omit it."""
     atmost = polarity == "atmost"
+    fixed = FALSE if atmost else TRUE
     free = [l for l in (ym2, ym1, yy, xx, xp1, xp2) if l is not TRUE and l is not FALSE]
     out_x: Lit | None = None
     out_y: Lit | None = None
     clauses: list[tuple[Lit, ...]] = []
 
     if want_y:
-        out_y = y = formula.fresh_var()
+        out_y = y = fixed if forced_y else formula.fresh_var()
         clauses += ([(-yy, y), (-xp2, y), (-ym1, -xp1, y)] if atmost
                     else [(-y, ym1, xp2), (-y, yy, xp1)])
 
     if want_x:
-        out_x = x = formula.fresh_var()
+        out_x = x = fixed if forced_x else formula.fresh_var()
         clauses += ([(-ym1, -xx, x), (-ym2, -xp1, x)] if atmost
                     else [(-x, xx), (-x, ym2), (-x, ym1, xp1)])
 
     if distinct or formula.distinct_vars(free):
-        # every clause holds a fresh output, so over distinct variables none
-        # can repeat a variable, be a tautology or become empty: only the
-        # constants fold (TRUE satisfies a clause, FALSE drops out)
-        if len(free) < 6:
+        # every clause holds an output, so over distinct variables none can
+        # repeat a variable or be a tautology: only the constants fold (TRUE
+        # satisfies a clause, FALSE drops out)
+        if len(free) < 6 or forced_x or forced_y:
             clauses = [tuple(l for l in c if l is not FALSE) for c in clauses
                        if TRUE not in c]
         formula.add_clauses(clauses)
@@ -239,22 +256,146 @@ def _constant_wires(net: Network, input_lits: Sequence[Lit]) -> dict[int, Lit]:
     return consts
 
 
-def _live_wires(net: Network, reads: Sequence[int], consts: dict[int, Lit],
-                atmost: bool) -> bytearray:
-    """live[w] is 1 when a clause in the cone of some read output holds
-    wire w.
+def _combine_clauses(gate: CombinePair, x: bool, atmost: bool) -> tuple[tuple[int, int], ...]:
+    """The input wires of each clause that defines a combine pair's output
+    (x'' when x, else y''), as pairs, the output itself left out: at most
+    x: (y_{i-1}, x_i), (y_{i-2}, x_{i+1}) and y: y_i, x_{i+2}, (y_{i-1},
+    x_{i+1}); at least x: x_i, y_{i-2}, (y_{i-1}, x_{i+1}) and y: (y_{i-1},
+    x_{i+2}), (y_i, x_{i+1}).  A clause of one wire is that wire twice."""
+    ym2, ym1, yy, xx, xp1, xp2 = gate.ym2, gate.ym1, gate.yy, gate.xx, gate.xp1, gate.xp2
+    if x:
+        return ((ym1, xx), (ym2, xp1)) if atmost else ((xx, xx), (ym2, ym2), (ym1, xp1))
+    return ((yy, yy), (xp2, xp2), (ym1, xp1)) if atmost else ((ym1, xp2), (yy, xp1))
 
-    A selector output folded to a constant (see _constant_wires) reads
-    nothing, any other every input of its selector.  A free combine pair
-    output reads the wires of its clauses, in at-most polarity x: (y_{i-1},
-    x_i), (y_{i-2}, x_{i+1}) and y: y_i, x_{i+2}, (y_{i-1}, x_{i+1}); in
-    at-least polarity x: x_i, y_{i-2}, (y_{i-1}, x_{i+1}) and y: (y_{i-1},
-    x_{i+2}), (y_i, x_{i+1}).  A clause that a constant satisfies reads
-    nothing: one with a FALSE wire at most, a TRUE one at least.
+
+def _first_gate(net: Network, wire: int) -> int:
+    """Index of the first gate whose outputs come after wire: every gate
+    that reads wire is at or after it.  Gates are numbered as they are made,
+    so their first outputs increase."""
+    return bisect.bisect_right(net.gates, wire,
+                               key=lambda g: g.outputs[0] if type(g) is Selector else
+                               g.out_x if g.out_x is not None else g.out_y)
+
+
+def _forced_wires(net: Network, at: int, consts: dict[int, Lit], atmost: bool) -> set[int] | None:
+    """Every wire that root unit propagation of the assertion on output
+    position at fixes: FALSE at most, TRUE at least.  None when the
+    assertion contradicts a constant.
+
+    The assertion only ever fixes a wire to the asserted value, and every
+    clause reads its inputs in the polarity that value satisfies, so a fixed
+    input satisfies a clause and never shortens one.  A clause that defines
+    a fixed output therefore becomes a unit exactly when its other wires are
+    all constants of the other value, and no order of the gates misses one.
+    At most, a selector output p fixed FALSE fixes every free input when one
+    input is still needed (p minus the TRUE inputs is 1); at least, an
+    output fixed TRUE fixes them all when every free input is needed.  A
+    combine pair fixes the wire left in any of its clauses (_combine_clauses).
+    """
+    value = FALSE if atmost else TRUE
+    wire = net.outputs[at]
+    if wire in consts:
+        return set() if consts[wire] is value else None
+    forced = {wire}
+    known = consts.keys()
+    inputs = net.num_inputs
+    pending = wire >= inputs  # fixed gate outputs whose gate is still ahead
+    gates = net.gates
+    i = _first_gate(net, wire)
+    while pending and i:
+        i -= 1
+        gate = gates[i]
+        if type(gate) is Selector:
+            outs = gate.outputs
+            if forced.isdisjoint(outs):
+                continue
+            if known.isdisjoint(gate.inputs):
+                trues, free = 0, gate.inputs
+            else:
+                trues = sum(consts.get(w) is TRUE for w in gate.inputs)
+                free = [w for w in gate.inputs if w not in consts]
+            for p, w in enumerate(outs, 1):
+                if w in forced:
+                    pending -= 1
+                    if p - trues == (1 if atmost else len(free)):
+                        pending += sum(u >= inputs for u in free if u not in forced)
+                        forced.update(free)
+            continue
+        for x, w in ((True, gate.out_x), (False, gate.out_y)):
+            if w not in forced:
+                continue
+            pending -= 1
+            for a, b in _combine_clauses(gate, x, atmost):
+                if consts.get(a) is value or consts.get(b) is value or a in forced or b in forced:
+                    continue
+                left = {u for u in (a, b) if u not in consts}
+                if not left:
+                    return None
+                if len(left) == 1:
+                    u = left.pop()
+                    forced.add(u)
+                    pending += u >= inputs
+    return forced
+
+
+def _satisfied_wires(net: Network, consts: dict[int, Lit], forced: set[int],
+                     atmost: bool) -> dict[int, Lit]:
+    """consts, plus the forced gate outputs (see _forced_wires) and every
+    gate output whose defining clauses those constants all satisfy, each as
+    the asserted value: FALSE at most, TRUE at least.  A forced output whose
+    clauses are all satisfied leaves forced, which keeps the outputs whose
+    clauses must still be emitted.
+
+    Such an output occurs in no other clause with the sign of its defining
+    ones, so dropping it and every clause that reads it, which is what
+    folding it to that constant does, keeps what unit propagation derives.
+    A selector output p's clauses are all satisfied exactly when fewer than
+    p inputs are not FALSE (at most) or p are TRUE (at least); a combine
+    pair output's when each of its clauses (_combine_clauses) holds a wire
+    of that value.  At most that is the gate's own semantics; at least it
+    is not, since a combine pair's clauses rely on its inputs being sorted,
+    which fixed wires need not show.  Only a gate that reads a forced wire,
+    or one folded here, can change."""
+    value = FALSE if atmost else TRUE
+    folded = dict(consts)
+    folded.update(dict.fromkeys(forced, value))
+    known = folded.keys()
+    gates = net.gates
+    for i in range(_first_gate(net, min(forced)), len(gates)):
+        gate = gates[i]
+        if type(gate) is Selector:
+            if known.isdisjoint(gate.inputs):
+                continue
+            hits = sum(folded.get(w) is value for w in gate.inputs)
+            bound = gate.order - hits if atmost else hits
+            outs = [w for p, w in enumerate(gate.outputs, 1)
+                    if (p > bound if atmost else p <= bound)]
+        else:
+            outs = [w for x, w in ((True, gate.out_x), (False, gate.out_y))
+                    if w is not None and all(folded.get(a) is value or folded.get(b) is value
+                                             for a, b in _combine_clauses(gate, x, atmost))]
+        for w in outs:
+            folded[w] = value
+            forced.discard(w)
+    return folded
+
+
+def _live_wires(net: Network, reads: Sequence[int], consts: dict[int, Lit],
+                atmost: bool, forced: set[int] = frozenset()) -> bytearray:
+    """live[w] is 1 when a clause in the cone of some read output, or of a
+    forced gate output (see _forced_wires), holds wire w.
+
+    A selector output folded to a constant (see _constant_wires) and not
+    forced reads nothing, any other every input of its selector.  Such a
+    combine pair output reads the wires of its clauses (_combine_clauses).
+    A clause that a constant satisfies reads nothing: one with a FALSE wire
+    at most, a TRUE one at least.
     """
     live = bytearray(net.num_wires)
     for i in reads:
         live[net.outputs[i]] = 1
+    for w in forced:
+        live[w] = 1
     known = consts.keys()
     kill = FALSE if atmost else TRUE
     for gate in reversed(net.gates):
@@ -262,14 +403,15 @@ def _live_wires(net: Network, reads: Sequence[int], consts: dict[int, Lit],
             outs = gate.outputs  # consecutive wire ids
             if 1 not in live[outs[0]:outs[-1] + 1]:
                 continue
-            if not known.isdisjoint(outs) and all(w in consts for w in outs if live[w]):
+            if not known.isdisjoint(outs) and all(w in consts and w not in forced
+                                                  for w in outs if live[w]):
                 continue
             for w in gate.inputs:
                 live[w] = 1
             continue
         ox, oy = gate.out_x, gate.out_y
-        want_x = ox is not None and live[ox] and ox not in consts
-        want_y = oy is not None and live[oy] and oy not in consts
+        want_x = ox is not None and live[ox] and (ox not in consts or ox in forced)
+        want_y = oy is not None and live[oy] and (oy not in consts or oy in forced)
         if not (want_x or want_y):
             continue
         ym2, ym1, yy, xx, xp1, xp2 = gate.ym2, gate.ym1, gate.yy, gate.xx, gate.xp1, gate.xp2
@@ -279,82 +421,159 @@ def _live_wires(net: Network, reads: Sequence[int], consts: dict[int, Lit],
             if want_y:
                 live[ym1] = live[yy] = live[xp1] = live[xp2] = 1
             continue
-        if want_x:
-            pairs = ((ym1, xx), (ym2, xp1)) if atmost else ((xx, xx), (ym2, ym2), (ym1, xp1))
-        else:
-            pairs = ()
+        pairs = _combine_clauses(gate, True, atmost) if want_x else ()
         if want_y:
-            pairs += ((yy, yy), (xp2, xp2), (ym1, xp1)) if atmost else ((ym1, xp2), (yy, xp1))
+            pairs += _combine_clauses(gate, False, atmost)
         for a, b in pairs:
             if consts.get(a) is not kill and consts.get(b) is not kill:
                 live[a] = live[b] = 1
     return live
 
 
+class _Plan(NamedTuple):
+    """What emit_network derives from a network before it makes a clause."""
+
+    # per gate with an output to emit, in order: a selector's (gate, ranks of
+    # the outputs to emit, ranks among them the assertion fixes), or a
+    # combine pair's (gate, (want_x, want_y), (x fixed, y fixed))
+    steps: list[tuple]
+    # each gate output wire's constant, or, unread, the one that satisfies
+    # every clause that would read it, so that it folds nothing a read output
+    # depends on
+    gate_lits: list[Lit]
+    conflict: bool  # the assertion contradicts a constant
+
+
+# network -> {(reads, asserts, atmost, fold): plan} for emissions whose input
+# literals hold no constant, which share one plan per network and reads: so
+# every line of one shape, built once (build_selection_network), is planned
+# once
+_PLANS: weakref.WeakKeyDictionary[Network, dict[tuple, _Plan]] = weakref.WeakKeyDictionary()
+
+
+def _emission_plan(net: Network, input_lits: Sequence[Lit], atmost: bool,
+                   reads: Sequence[int] | None, asserts: int | None, fold: bool) -> _Plan:
+    value = FALSE if atmost else TRUE
+    consts = _constant_wires(net, input_lits)
+    forced: set[int] | None = _forced_wires(net, asserts, consts, atmost) if fold else set()
+    conflict = forced is None
+    if conflict:
+        forced = set()
+    elif fold:
+        forced = {w for w in forced if w >= net.num_inputs}
+        if forced:
+            consts = _satisfied_wires(net, consts, forced, atmost)
+    live = None if reads is None else _live_wires(net, reads, consts, atmost, forced)
+    steps: list[tuple] = []
+    for gate in net.gates:
+        if type(gate) is Selector:
+            outs = gate.outputs
+            ranks = [p for p, w in enumerate(outs, 1)
+                     if (live is None or live[w]) and (w not in consts or w in forced)]
+            if ranks:
+                fixed = () if forced.isdisjoint(outs) else [p for p in ranks
+                                                            if outs[p - 1] in forced]
+                steps.append((gate, ranks, fixed))
+            continue
+        ox, oy = gate.out_x, gate.out_y
+        fx, fy = ox in forced, oy in forced
+        want_x = ox is not None and (live is None or live[ox] == 1) and (fx or ox not in consts)
+        want_y = oy is not None and (live is None or live[oy] == 1) and (fy or oy not in consts)
+        if want_x or want_y:
+            steps.append((gate, (want_x, want_y), (fx, fy)))
+    gate_lits: list[Lit] = [value] * (net.num_wires - net.num_inputs)
+    for w, lit in consts.items():
+        if w >= net.num_inputs:
+            gate_lits[w - net.num_inputs] = lit
+    return _Plan(steps, gate_lits, conflict)
+
+
 def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
-                 polarity: str = "atmost", reads: Sequence[int] | None = None) -> list[Lit]:
+                 polarity: str = "atmost", reads: Sequence[int] | None = None,
+                 asserts: int | None = None) -> list[Lit]:
     """Walk the gates in topological order and return the literals of the
     outputs the caller reads: the output positions in reads, in that order,
     or every output when reads is None.
 
     With reads, a gate output that no clause of a read output's cone reads
     (see _live_wires) gets no variable and no clause.
+
+    asserts, one of the read positions, asserts that output: FALSE at most,
+    TRUE at least.  Outside a guarded scope the assertion is folded, as
+    root unit propagation of its unit over the unfolded emission would
+    leave it: the output and every gate output it fixes (see _forced_wires)
+    become that constant, with no variable and no unit clause.  Their
+    defining clauses are kept without them, their readers' clauses fold as
+    for any constant, and the gate outputs the constants fold go too
+    (_satisfied_wires).  An input literal it fixes keeps its literal; the
+    clause that fixes it is its unit.  Inside a guarded scope the assertion
+    is conditional, so the network is emitted as without it, plus the
+    guarded unit.
     """
     if len(input_lits) != net.num_inputs:
         raise ValueError("input literal count does not match the network")
     atmost = polarity == "atmost"
-    consts = _constant_wires(net, input_lits)
-    live = None if reads is None else _live_wires(net, reads, consts, atmost)
-    # wire id -> literal; inputs come first, gate outputs are filled in order.
-    # An unread free wire keeps the constant that satisfies every clause that
-    # would read it, so it folds nothing a read output depends on.
-    wire_lits: list[Lit] = list(input_lits) + [FALSE if atmost else TRUE] * (
-        net.num_wires - net.num_inputs)
-    for w, lit in consts.items():
-        wire_lits[w] = lit
-    # Gate outputs get fresh variables and no gate reads a wire twice, so
-    # when the input literals are over distinct variables, so is every gate.
-    distinct = formula.distinct_vars([l for l in input_lits if l is not TRUE and l is not FALSE])
-    for gate in net.gates:
-        if type(gate) is Selector:
-            outs = gate.outputs
-            ranks = [p for p, w in enumerate(outs, 1)
-                     if (live is None or live[w]) and w not in consts]
-            if not ranks:
-                continue
-            lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
-                                     ranks, polarity, distinct)
-            for p, lit in zip(ranks, lits):
-                wire_lits[outs[p - 1]] = lit
-        else:
-            ox, oy = gate.out_x, gate.out_y
-            want_x = ox is not None and (live is None or live[ox]) and ox not in consts
-            want_y = oy is not None and (live is None or live[oy]) and oy not in consts
-            if not (want_x or want_y):
+    fold = asserts is not None and formula.guard is None
+    # emission allocates a tuple per clause and keeps every one, and a plan
+    # or network may stay cached, so the cyclic collector's passes over the
+    # growing heap find nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if TRUE in input_lits or FALSE in input_lits:
+            plan = _emission_plan(net, input_lits, atmost, reads, asserts, fold)
+        else:  # the plan depends on the network alone
+            plans = _PLANS.setdefault(net, {})
+            key = (None if reads is None else tuple(reads), asserts, atmost, fold)
+            if key not in plans:
+                plans[key] = _emission_plan(net, input_lits, atmost, reads, asserts, fold)
+            plan = plans[key]
+        if plan.conflict:
+            formula.add_clause([])  # the assertion contradicts a constant
+        wire_lits: list[Lit] = list(input_lits) + plan.gate_lits
+        # Gate outputs get fresh variables and no gate reads a wire twice, so
+        # when the input literals are over distinct variables, so is every
+        # gate.
+        distinct = formula.distinct_vars([l for l in input_lits
+                                          if l is not TRUE and l is not FALSE])
+        for gate, wanted, fixed in plan.steps:
+            if type(gate) is Selector:
+                outs = gate.outputs
+                lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
+                                         wanted, polarity, distinct, fixed)
+                for p, lit in zip(wanted, lits):
+                    wire_lits[outs[p - 1]] = lit
                 continue
             lx, ly = _combine_outputs(
                 formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
-                wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2],
-                want_x, want_y, polarity, distinct)
-            if want_x:
-                wire_lits[ox] = lx
-            if want_y:
-                wire_lits[oy] = ly
+                wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2], *wanted, polarity,
+                distinct, *fixed)
+            if wanted[0]:
+                wire_lits[gate.out_x] = lx
+            if wanted[1]:
+                wire_lits[gate.out_y] = ly
+    finally:
+        if collecting:
+            gc.enable()
+    if asserts is not None and (not fold or net.outputs[asserts] < net.num_inputs):
+        lit = wire_lits[net.outputs[asserts]]  # the unit, or an asserted input's
+        formula.add_clause([neg(lit) if atmost else lit])
     outputs = net.outputs if reads is None else [net.outputs[i] for i in reads]
     return [wire_lits[w] for w in outputs]
 
 
-def cnf_cost(net: Network, reads: Sequence[int] | None = None) -> tuple[int, int]:
+def cnf_cost(net: Network, reads: Sequence[int] | None = None,
+             asserts: int | None = None) -> tuple[int, int]:
     """Exact (variables, clauses) the at-most encoder emits for this network
     when its caller reads the output positions in reads (every output when
-    reads is None).
+    reads is None) and asserts output position asserts (none when None).
 
     Computed by a dry-run emission (including constant simplification) with
-    free input literals and no output assertion.
+    free input literals.
     """
     formula = CnfFormula()
     inputs = formula.fresh_vars(net.num_inputs)
-    emit_network(formula, net, inputs, "atmost", reads)
+    emit_network(formula, net, inputs, "atmost", reads, asserts)
     return formula.num_vars - net.num_inputs, formula.num_clauses
 
 
@@ -366,11 +585,13 @@ def _next_pow2(x: int) -> int:
     return 1 << (x - 1).bit_length()
 
 
-def _level_wires(net: Network, wires: list[int], m: int, level: str,
-                 chooser: Chooser) -> list[int]:
+def _level_wires(net: Network, wires: list[int], m: int, level: str, chooser: Chooser,
+                 tops: frozenset[int] = frozenset()) -> list[int]:
     """Add to net one level of the named method's construction selecting the
     m largest of wires.  A column-recursive level selects each column
-    through the chooser; a padded level is its method's whole recursion."""
+    through the chooser, the columns in tops (whose top output the fold of
+    an asserted level fixes, see _level_cost) as asserted selections; a
+    padded level is its method's whole recursion."""
     entry = _TABLE[level]
     if entry.split is None:
         n_pad = _next_pow2(len(wires))
@@ -378,83 +599,130 @@ def _level_wires(net: Network, wires: list[int], m: int, level: str,
         if n_pad > len(wires):
             wires = wires + [net.const_wire(0)] * (n_pad - len(wires))
         return entry.level(net, wires, m)
-    return build._select_columns(net, wires, m, entry.split, entry.merge,
-                                 functools.partial(select_wires, chooser=chooser),
+    if tops:
+        column = count()  # _select_columns selects the columns in order
+
+        def select(net, col, k):
+            return select_wires(net, col, k, chooser, next(column) in tops)
+    else:
+        select = functools.partial(select_wires, chooser=chooser)
+    return build._select_columns(net, wires, m, entry.split, entry.merge, select,
                                  entry.sorts_rows)
 
 
-def select_wires(net: Network, wires: list[int], m: int, chooser: Chooser) -> list[int]:
+def select_wires(net: Network, wires: list[int], m: int, chooser: Chooser,
+                 asserted: bool = False) -> list[int]:
     """Add to net a selection of the m largest of wires, built as the chooser
-    picks: a direct selector (its outputs padded with constant 0 to the
-    length of wires) or the cheapest level.  The result's m-prefix holds
-    them sorted."""
+    picks for it, asserted at its m-th output or not: a direct selector (its
+    outputs padded with constant 0 to the length of wires) or the cheapest
+    level.  The result's m-prefix holds them sorted."""
     n = len(wires)
-    if chooser.use_direct(n, m):
+    if chooser.use_direct(n, m, asserted):
         return list(net.add_selector(tuple(wires), m)) + [net.const_wire(0)] * (n - m)
-    return _level_wires(net, wires, m, chooser.best_level(n, m)[0], chooser)
+    level, _, tops = chooser.best_level(n, m, asserted)
+    return _level_wires(net, wires, m, level, chooser, tops)
 
 
-def method_network(method: str, n: int, m: int, chooser: Chooser | None = None) -> Network:
+def method_network(method: str, n: int, m: int, chooser: Chooser | None = None,
+                   asserted: bool = False) -> Network:
     """The method's own construction for (n, m): its cheapest level, each
     sub-selection as the chooser picks (by default no direct selector); the
-    whole is never a direct selector.  A method without a column split is
-    built for powers of two: its inputs get constant-0 wires up to one, and
-    m rounds up to one."""
+    whole is never a direct selector.  asserted builds it as priced with its
+    m-th output asserted.  A method without a column split is built for
+    powers of two: its inputs get constant-0 wires up to one, and m rounds
+    up to one."""
     chooser = chooser or Chooser(method, direct=False)
     net = Network(n)
-    net.set_outputs(_level_wires(net, net.input_wires(), m, chooser.best_level(n, m)[0], chooser))
+    level, _, tops = chooser.best_level(n, m, asserted)
+    net.set_outputs(_level_wires(net, net.input_wires(), m, level, chooser, tops))
     return net
 
 
-def build_selection_network(method: str, n: int, m: int,
-                            chooser: Chooser | None = None) -> Network:
+def build_selection_network(method: str, n: int, m: int, chooser: Chooser | None = None,
+                            asserted: bool = False) -> Network:
     """Network whose output prefix of length m is the sorted m largest inputs,
-    built by select_wires (by default with no direct selector)."""
-    chooser = chooser or Chooser(method, direct=False)
+    built by select_wires (by default with no direct selector).  Each is
+    built once per (chooser, n, m, asserted) and shared, so a caller must
+    not modify it."""
+    return _selection_network(chooser or Chooser(method, direct=False), n, m, asserted)
+
+
+@functools.lru_cache(maxsize=256)
+def _selection_network(chooser: Chooser, n: int, m: int, asserted: bool) -> Network:
     net = Network(n)
-    net.set_outputs(select_wires(net, net.input_wires(), m, chooser))
+    net.set_outputs(select_wires(net, net.input_wires(), m, chooser, asserted))
     return net
 
 
-def _direct_cost(n: int, m: int, cap: int | None = None) -> tuple[int, int] | None:
+def _direct_cost(n: int, m: int, cap: int | None = None,
+                 asserted: bool = False) -> tuple[int, int] | None:
     """Cost of a single m-selector of order n; None when the clause count
-    already exceeds cap."""
+    already exceeds cap.  Asserted, its m-th output has no variable, and
+    its clauses are kept without it."""
     clauses = 0
     for p in range(1, m + 1):
         clauses += math.comb(n, p)
         if cap is not None and clauses > cap:
             return None
-    return m, clauses
+    return m - asserted, clauses
 
 
-# (method, m, level shape) -> (V, C) of that level's own gates
-_LEVEL_COSTS: dict[tuple, tuple[int, int]] = {}
+# (method, m, level shape, asserted) -> (V, C, tops) of that level's own gates
+_LEVEL_COSTS: dict[tuple, tuple[int, int, frozenset[int]]] = {}
 
 
-def _level_cost(method: str, n: int, m: int,
-                children: list[tuple[int, int]]) -> tuple[int, int]:
-    """(V, C) of the gates one level adds besides its sub-selections: the
-    odd-even mergers, or the four-wise row sorters, merger and zero padding.
-    Priced by dry-running the level with every column handed its free input
-    wires, once per level shape.  The dry run reads the level's m-prefix and
-    every wire handed to a column that selects any, since such a column's
-    selection reads its whole column."""
+def _level_cost(method: str, n: int, m: int, children: list[tuple[int, int]],
+                asserted: bool = False) -> tuple[int, int, frozenset[int]]:
+    """(V, C) of the gates one level adds besides the sub-selections of its
+    columns that select two or more: the odd-even mergers, or the four-wise
+    row sorters, merger, zero padding and the single selectors of columns
+    that select one.  With asserted the level's m-th output is asserted and
+    folded, and tops are the columns whose top output that fold fixes (see
+    _forced_wires): no other output of a column is ever fixed.
+
+    Priced by dry-running the level once per level shape, each column that
+    selects k >= 2 handed k fresh input wires for its selected outputs.  The
+    dry run reads the level's m-prefix and every wire handed to a column that
+    selects any, since such a column's selection reads its whole column.  A
+    column's top output that the fold fixes is a gate output of the column,
+    which the level reads as a constant: the dry run hands it FALSE."""
     entry = _TABLE[method]
-    shape = tuple(children) if entry.sorts_rows else tuple(k for _, k in children)
-    key = (method, m, shape)
+    shape = tuple(children) if entry.sorts_rows else tuple(k if k > 1 else (s, k)
+                                                            for s, k in children)
+    key = (method, m, shape, asserted)
     if key not in _LEVEL_COSTS:
-        net = Network(n)
+        selected = sum(k for _, k in children if k > 1)
+        net = Network(n + selected)
+        fresh = iter(range(n, n + selected))
         handed: list[int] = []
+        col_tops: list[int | None] = []
 
         def select(net, wires, k):
             if k:
                 handed.extend(wires)
-            return wires
+            col_tops.append(None)
+            if k == 1 and len(wires) > 1:
+                return list(net.add_selector(tuple(wires), 1))
+            if k < 2:
+                return wires
+            outs = [next(fresh) for _ in range(k)]
+            col_tops[-1] = outs[-1]
+            return outs + wires[k:]
 
-        res = build._select_columns(net, net.input_wires(), m, entry.split, entry.merge,
+        res = build._select_columns(net, net.input_wires()[:n], m, entry.split, entry.merge,
                                     select, entry.sorts_rows)
         net.set_outputs(res[:m] + handed)
-        _LEVEL_COSTS[key] = cnf_cost(net, range(len(net.outputs)))
+        formula = CnfFormula()
+        lits: list[Lit] = formula.fresh_vars(net.num_inputs)
+        tops: frozenset[int] = frozenset()
+        if asserted:
+            forced = _forced_wires(net, m - 1, _constant_wires(net, lits), True)
+            tops = frozenset(i for i, w in enumerate(col_tops) if w in forced)
+            for i in tops:
+                lits[col_tops[i]] = FALSE
+        emit_network(formula, net, lits, "atmost", range(len(net.outputs)),
+                     m - 1 if asserted else None)
+        _LEVEL_COSTS[key] = formula.num_vars - net.num_inputs, formula.num_clauses, tops
     return _LEVEL_COSTS[key]
 
 
@@ -469,7 +737,12 @@ class Chooser:
     Rodriguez-Carbonell, CP 2013).  The cheapest under lam*V + C wins,
     priced in at-most polarity; a direct selector wins ties, then the
     earlier construction in table order.  Every candidate is a selection
-    network, so any mix of them is arc-consistent."""
+    network, so any mix of them is arc-consistent.
+
+    A selection asserted at its m-th output, as encode_atmost asserts its
+    top, is priced and chosen apart (cost_asserted): the fold leaves that
+    output and every wire it fixes out.  A level passes the assertion on to
+    each column whose top output its fold fixes."""
 
     method: str
     lam: int = 5
@@ -480,47 +753,58 @@ class Chooser:
             raise ValueError(f"{self.method!r} is not a network method")
 
     @functools.cache
-    def best_level(self, n: int, m: int) -> tuple[str, tuple[int, int]]:
+    def best_level(self, n: int, m: int,
+                   asserted: bool = False) -> tuple[str, tuple[int, int], frozenset[int]]:
         """The cheapest of the method's constructions for (n, m), with the
-        (V, C) of its network read to its m-prefix: the level's own gates
-        plus each column's cost.  A padded method's is one dry run of its
-        whole network."""
+        (V, C) of its network read to its m-prefix and asserted at its m-th
+        output or not: the level's own gates plus each column's cost.  The
+        third item is the columns the level builds asserted (see
+        _level_cost).  A padded method's is one dry run of its whole
+        network."""
         entry = _TABLE[self.method]
         if entry.level is not None:
             net = Network(n)
             net.set_outputs(_level_wires(net, net.input_wires(), m, self.method, self))
-            return self.method, cnf_cost(net, range(m))
+            return self.method, cnf_cost(net, range(m), m - 1 if asserted else None), frozenset()
         names = entry.levels or (self.method,)
         if n <= 1 or m == 0:
-            return names[0], (0, 0)
+            return names[0], (0, 0), frozenset()
         if m == 1:  # build._select_columns emits one (n, 1)-selector
-            return names[0], _direct_cost(n, 1)
+            return names[0], _direct_cost(n, 1, asserted=asserted), frozenset()
         best = None
         for name in names:
             children = _TABLE[name].split(n, m)
-            v, c = _level_cost(name, n, m, children)
-            for cn, cm in children:
-                cv, cc = self.cost(cn, cm)
-                v += cv
-                c += cc
+            v, c, tops = _level_cost(name, n, m, children, asserted)
+            for i, (cn, cm) in enumerate(children):
+                if cm > 1:
+                    cv, cc = self.cost(cn, cm, i in tops)
+                    v += cv
+                    c += cc
             if best is None or self.lam * v + c < self.lam * best[1][0] + best[1][1]:
-                best = name, (v, c)
+                best = name, (v, c), tops
         return best
 
     @functools.cache
-    def use_direct(self, n: int, m: int) -> bool:
+    def use_direct(self, n: int, m: int, asserted: bool = False) -> bool:
         """True when a single direct selector builds (n, m)."""
         if not self.direct or n <= 1 or m < 1:
             return False
-        rv, rc = self.best_level(n, m)[1]
+        rv, rc = self.best_level(n, m, asserted)[1]
         cap = self.lam * rv + rc
-        direct = _direct_cost(n, m, cap=cap)
+        direct = _direct_cost(n, m, cap, asserted)
         return direct is not None and self.lam * direct[0] + direct[1] <= cap
 
-    def cost(self, n: int, m: int) -> tuple[int, int]:
+    def cost(self, n: int, m: int, asserted: bool = False) -> tuple[int, int]:
         """(V, C) of the selection select_wires builds for (n, m), read to
-        its m-prefix."""
-        return _direct_cost(n, m) if self.use_direct(n, m) else self.best_level(n, m)[1]
+        its m-prefix and asserted at its m-th output or not."""
+        if self.use_direct(n, m, asserted):
+            return _direct_cost(n, m, asserted=asserted)
+        return self.best_level(n, m, asserted)[1]
+
+    def cost_asserted(self, n: int, m: int) -> tuple[int, int]:
+        """(V, C) of the selection select_wires builds for (n, m) asserted at
+        its m-th output, emitted read to its m-prefix with the fold."""
+        return self.cost(n, m, True)
 
 
 # the benchmark's tracer (perfbench/spans.py) records each decision by
@@ -540,9 +824,11 @@ def _chooser(opts: EncodeOptions) -> Chooser:
 
 
 def choose_direct(n: int, m: int, opts: EncodeOptions) -> bool:
-    """True when the encoder's chooser for opts builds (n, m) as a single
-    direct selector under the lam*V + C measure; never with direct_mixing
-    off.  Raises ValueError for methods that are not selection networks."""
+    """True when the encoder's chooser for opts builds an unasserted (n, m)
+    selection as a single direct selector under the lam*V + C measure; never
+    with direct_mixing off.  encode_atmost's top selection is asserted and
+    chosen by its folded price (Chooser.use_direct(n, m, True)).  Raises
+    ValueError for methods that are not selection networks."""
     return _chooser(opts).use_direct(n, m)
 
 
@@ -553,7 +839,13 @@ def choose_direct(n: int, m: int, opts: EncodeOptions) -> bool:
 def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
                   opts: EncodeOptions | None = None) -> EncodedConstraint:
     """Standard encoding of sum(lits) <= k: a (k+1)-selection network over the
-    literals in at-most polarity plus the unit clause ~y_{k+1}."""
+    literals in at-most polarity whose output y_{k+1} is asserted FALSE.
+    The assertion is folded (see emit_network): y_{k+1} and every gate
+    output it fixes get no variable, and no unit clause is added.  The network is
+    built as the chooser prices it asserted (Chooser.cost_asserted).  Inside
+    a guarded scope the assertion is conditional, so the network is built
+    and emitted whole, as priced unasserted, plus the guarded unit
+    ~y_{k+1}."""
     opts = opts or EncodeOptions()
     n = len(lits)
     if not 0 <= k < n:
@@ -562,30 +854,48 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
         return encode_baseline(formula, lits, k, opts.method)
     if k == 0:
         return _forbid_all(formula, lits)
-    net = build_selection_network(opts.method, n, k + 1, _chooser(opts))
-    outs = emit_network(formula, net, list(lits), "atmost", range(k + 1))
-    formula.add_clause([neg(outs[k])])
+    net = build_selection_network(opts.method, n, k + 1, _chooser(opts), formula.guard is None)
+    outs = emit_network(formula, net, list(lits), "atmost", range(k + 1), k)
     return EncodedConstraint(formula, tuple(lits), k, tuple(outs))
+
+
+@functools.cache
+def _atleast_cost(chooser: Chooser, n: int, m: int) -> tuple[int, int]:
+    """(V, C) of the (n, m) selection select_wires builds for the chooser,
+    emitted in at-least polarity over free inputs, reading and asserting its
+    m-th output alone, with the fold."""
+    formula = CnfFormula()
+    inputs = formula.fresh_vars(n)
+    net = build_selection_network(chooser.method, n, m, chooser)
+    emit_network(formula, net, inputs, "atleast", (m - 1,), m - 1)
+    return formula.num_vars - n, formula.num_clauses
 
 
 def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
                  opts: EncodeOptions) -> EncodedConstraint:
     """sum(lits) <= k on its cheaper side.  The at-least side, sum(~lits) >=
     n-k, is an (n-k)-selection network over the negated literals in
-    zero-propagating polarity plus the unit y_{n-k}.  It is taken when it is
-    strictly cheaper under lam*V + C, both sides priced in at-most polarity;
-    a network emitted in at-least polarity was measured never to cost more
-    than that price (see test_cheaper_side_is_never_larger).  Its outputs
-    cannot deepen the at-most bound, so none are exposed."""
+    zero-propagating polarity whose output y_{n-k} is asserted TRUE, folded
+    as in encode_atmost.  It is taken when it is strictly cheaper under
+    lam*V + C, each side priced by its exact emission: the at-most side by
+    Chooser.cost_asserted, the at-least side by a dry run.  A guarded scope
+    does not fold and keeps the prices it always had: both sides priced
+    unasserted in at-most polarity, which a network emitted in at-least
+    polarity was measured never to exceed (see
+    test_cheaper_side_is_never_larger).  The at-least side's outputs cannot
+    deepen the at-most bound, so none are exposed."""
     n = len(lits)
     if opts.method in NETWORK_METHODS and n - k < k + 1:
         lam, chooser = opts.lam, _chooser(opts)
-        v, c = chooser.cost(n, k + 1)
-        lv, lc = chooser.cost(n, n - k)
+        if formula.guard is None:
+            v, c = chooser.cost_asserted(n, k + 1)
+            lv, lc = _atleast_cost(chooser, n, n - k)
+        else:
+            v, c = chooser.cost(n, k + 1)
+            lv, lc = chooser.cost(n, n - k)
         if lam * lv + lc < lam * v + c:
             net = build_selection_network(opts.method, n, n - k, chooser)
-            out, = emit_network(formula, net, [neg(l) for l in lits], "atleast", (n - k - 1,))
-            formula.add_clause([out])
+            emit_network(formula, net, [neg(l) for l in lits], "atleast", (n - k - 1,), n - k - 1)
             return EncodedConstraint(formula, tuple(lits), k)
     return encode_atmost(formula, lits, k, opts)
 

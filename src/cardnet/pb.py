@@ -7,9 +7,9 @@ digit position's literals (with multiplicity) into a selection network, and
 merging every r-th output of a position - the carries - into the next
 position with a dedicated merger.  After adding a constant to the right-hand
 side to make it a multiple of the top weight, the whole constraint reduces to
-one positive unit clause on the top position's m-th output.  Positive
-assertion needs the zero-propagating clause polarity, the mirror image of the
-at-most scheme.
+asserting the top position's m-th output, which emission folds into the
+chain instead of adding a positive unit.  Positive assertion needs the
+zero-propagating clause polarity, the mirror image of the at-most scheme.
 """
 
 from __future__ import annotations
@@ -315,8 +315,9 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     top outputs, and every r-th of them, the carries, is merged (not
     appended) into the next position.  It is emitted in zero-propagating
     polarity reading the top position's outputs, so a position below the
-    top emits only what its carries need, and one positive unit asserts the
-    top position's m-th output.
+    top emits only what its carries need, and asserting the top position's
+    m-th output, which the emission folds (see encode.emit_network) unless
+    a guarded scope makes the assertion a guarded unit.
     """
     opts = opts or EncodeOptions()
     if c.rel != ">=" or any(a <= 0 for a, _ in c.terms) or c.k < 1:
@@ -345,8 +346,7 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     if plan.assert_index > len(outs):
         formula.add_clause([])
         return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
-    top = emit_network(formula, net, in_lits, "atleast", range(len(outs)))
-    formula.add_clause([top[plan.assert_index - 1]])
+    top = emit_network(formula, net, in_lits, "atleast", range(len(outs)), plan.assert_index - 1)
     return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k, tuple(top))
 
 

@@ -181,14 +181,25 @@ class _Search:
         self.qhead = 0
         self.units: list[int] = []
         self.long: list[list[int]] = []    # the input clauses of 3+ literals
+        self.empty = False                 # an input clause is empty
         # indexing allocates a list or two per clause and frees none, so the
         # cyclic collector's passes over the growing heap find nothing
         collecting = gc.isenabled()
         gc.disable()
         try:
             for clause in clauses:
+                size = len(clause)
+                if (clause[0] == clause[1] or clause[0] == -clause[1] if size == 2
+                        else size > 2 and len({*map(abs, clause)}) < size):
+                    # a repeated variable: drop duplicate literals, and the
+                    # whole clause when it holds both polarities of one
+                    clause = tuple(dict.fromkeys(clause))
+                    if len({*map(abs, clause)}) < len(clause):
+                        continue
                 if len(clause) == 1:
                     self.units.append(clause[0])
+                elif not clause:
+                    self.empty = True
                 else:
                     clause = self._attach(list(clause))
                     if len(clause) > 2:
@@ -298,7 +309,11 @@ class _Search:
     def start(self, assumptions: Iterable[int] = ()) -> bool:
         """Assert the unit clauses and assumptions at the root and propagate
         them; on a conflict return False and keep the falsified clause, or
-        [lit] for a literal already false, in `root_conflict`."""
+        [lit] for a literal already false, in `root_conflict`.  An empty
+        input clause is a conflict at once, kept as []."""
+        if self.empty:
+            self.root_conflict = []
+            return False
         for lit in chain(self.units, assumptions):
             if not self.assign(lit, None):
                 self.root_conflict = [lit]

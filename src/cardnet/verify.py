@@ -64,7 +64,8 @@ def selection_failures(net: Network, n: int, k: int) -> str | None:
 def run_zero_one(limit: int = 8, log=print) -> bool:
     """The odd-even sorter, then every network method without and with direct
     mixing (lambda 5), for every 0 <= k <= n <= limit, built by
-    build_selection_network as the encoder builds it."""
+    build_selection_network as the encoder builds it: priced unasserted,
+    and priced asserted at its k-th output as encode_atmost builds its top."""
     ok = True
 
     def check(name: str, net: Network, n: int, k: int):
@@ -82,8 +83,9 @@ def run_zero_one(limit: int = 8, log=print) -> bool:
             name = method if chooser is None else f"{method} mixed"
             for n in range(1, limit + 1):
                 for k in range(0, n + 1):
-                    check(f"{name}({n},{k})", build_selection_network(method, n, k, chooser),
-                          n, k)
+                    for asserted in (False, True):
+                        net = build_selection_network(method, n, k, chooser, asserted)
+                        check(f"{name}({n},{k}){' asserted' * asserted}", net, n, k)
     log(f"zero-one suite: {'PASS' if ok else 'FAIL'}")
     return ok
 
@@ -148,16 +150,21 @@ def run_equisat(limit: int = 5, log=print) -> bool:
 def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
     """Sub-problems up to order limit where the mixing cost recurrence differs
     from a dry run of the network built with the same mixing decisions, or
-    with none (lam None), read to its m-prefix."""
+    with none (lam None), read to its m-prefix; and where the folded price
+    (Chooser.cost_asserted) differs from a dry run of the selection built
+    asserted at its m-th output, emitted with the fold."""
     fails = []
     for method in MIXED_METHODS:
         for mix_lam in (lam, None):
-            chooser = Chooser(method, mix_lam) if mix_lam else None
+            chooser = Chooser(method, mix_lam) if mix_lam else Chooser(method, direct=False)
             for n in range(2, limit + 1):
                 for m in range(1, n + 1):
                     net = method_network(method, n, m, chooser)
                     if recursive_cost(method, mix_lam, n, m) != cnf_cost(net, range(m)):
                         fails.append(f"{method} lam={mix_lam} n={n} m={m}")
+                    net = build_selection_network(method, n, m, chooser, asserted=True)
+                    if chooser.cost_asserted(n, m) != cnf_cost(net, range(m), m - 1):
+                        fails.append(f"{method} lam={mix_lam} n={n} m={m} asserted")
     return fails
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from cardnet import build
-from cardnet.cnf import CnfFormula, neg
+from cardnet.cnf import TRUE, CnfFormula, neg
 from cardnet.encode import (EncodeOptions, NETWORK_METHODS, cnf_cost, emit_network,
                             encode_atmost, method_network)
 from cardnet.formulas import (bit_sel_size, fourw_merge_vars, fourw_sorter_counts,
@@ -418,8 +418,10 @@ def test_c10_pb_end_to_end():
     c = PbConstraint(((5, 1), (7, 2)), ">=", 9)
     assert simplify_rhs(c, MixedRadixBase((2, 2))) == (3, 12)
     enc = encode_pb(f, c, MixedRadixBase((2, 2)))
-    units = [cl for cl in f.clauses if len(cl) == 1]
-    assert len(units) == 1 and units[0][0] == enc.output_lits[2]
+    # the asserted third top output is folded to TRUE; the only units are
+    # the two inputs, which the bound forces
+    assert enc.output_lits[2] is TRUE
+    assert [cl for cl in f.clauses if len(cl) == 1] == [(1,), (2,)]
 
     rng = random.Random(77)
     for _ in range(200):

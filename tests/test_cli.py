@@ -190,6 +190,14 @@ def test_cli_dpll_empty_clause_line_is_unsat(tmp_path):
     assert "s UNSATISFIABLE" in proc.stdout
 
 
+def test_cli_dpll_repeated_literal_and_tautology(tmp_path):
+    # parsed clauses reach the solver unchecked: `1 1` is the unit 1,
+    # `-1 2 -1` the clause (-1 2), and `2 -2` constrains nothing
+    proc = _run_dpll(tmp_path, "p cnf 3 3\n1 1 0\n-1 2 -1 0\n3 -3 0\n")
+    assert proc.returncode == 10
+    assert "v 1 2 -3 0" in proc.stdout.splitlines()
+
+
 def test_cli_dpll_model_covers_header_vars(tmp_path):
     proc = _run_dpll(tmp_path, "p cnf 4 1\n-2 0\n")
     assert proc.returncode == 10

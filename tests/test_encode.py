@@ -115,13 +115,15 @@ def test_combine_emission_boundaries():
 
 
 def test_encode_atmost_direct_selector_counts():
-    # 3 literals, bound 1: a direct (3,2)-selector plus one assertion unit
+    # 3 literals, bound 1: a direct (3,2)-selector whose asserted second
+    # output is folded: it keeps its three clauses without it, and there is
+    # no unit
     f = CnfFormula()
     lits = f.fresh_vars(3)
     enc = encode_atmost(f, lits, 1, EncodeOptions(method="oe4"))
-    assert f.num_clauses == 7
-    assert f.num_vars == 5  # 2 aux
-    assert len(enc.output_lits) == 2
+    assert f.clauses == [(-1, 4), (-2, 4), (-3, 4), (-1, -2), (-1, -3), (-2, -3)]
+    assert f.num_vars == 4  # 1 aux
+    assert enc.output_lits == (4, FALSE)
 
 
 def test_encode_atmost_k0_units():
@@ -205,6 +207,22 @@ def test_recursive_cost_matches_dry_run(method, lam):
     for n, m in points + list(LARGE_POINTS[:2]):
         net = method_network(method, n, m, chooser)
         assert recursive_cost(method, lam, n, m) == cnf_cost(net, range(m)), (n, m)
+
+
+@pytest.mark.parametrize("lam", (1, 5, 20))
+@pytest.mark.parametrize("method", MIXED_METHODS)
+def test_cost_asserted_matches_dry_run(method, lam):
+    # the folded price of each (n, m) selection asserted at its m-th output,
+    # and of each level, against a dry run of the network built as priced,
+    # emitted with the fold; mixed and with no direct selector
+    for chooser in (Chooser(method, lam), Chooser(method, lam, direct=False)):
+        for n in range(2, 41):
+            for m in range(1, n + 1):
+                net = build_selection_network(method, n, m, chooser, asserted=True)
+                assert chooser.cost_asserted(n, m) == cnf_cost(net, range(m), m - 1), (n, m)
+                if chooser.use_direct(n, m, True):  # the level it was weighed against
+                    net = method_network(method, n, m, chooser, asserted=True)
+                    assert chooser.best_level(n, m, True)[1] == cnf_cost(net, range(m), m - 1)
 
 
 @pytest.mark.parametrize("method", MIXED_METHODS)
@@ -415,8 +433,8 @@ def test_oe4_long_column_chain(k, mixing):
     enc = encode_atmost(f, lits, k, EncodeOptions(method="oe4", direct_mixing=mixing))
     assert len(enc.output_lits) == k + 1
     if mixing:
-        assert not choose_direct(n, k + 1, EncodeOptions(method="oe4"))
-        assert (f.num_vars - n, f.num_clauses - 1) == recursive_cost("oe4", 5, n, k + 1)
+        assert not Chooser("oe4", 5).use_direct(n, k + 1, True)
+        assert (f.num_vars - n, f.num_clauses) == Chooser("oe4", 5).cost_asserted(n, k + 1)
     prop = Propagator(f)
     for count in (k, k + 1):
         fixing = [l if i < count else -l for i, l in enumerate(lits)]
@@ -436,23 +454,23 @@ def test_atleast_forms_take_the_small_network():
     f = CnfFormula()
     lits = f.fresh_vars(256)
     (enc,) = encode_card(f, CardConstraint(tuple(lits), ">=", 8), oe4)
-    assert (f.num_vars - 256, f.num_clauses) == (989, 2758)
+    assert (f.num_vars - 256, f.num_clauses) == (988, 2757)
     g = CnfFormula()
     encode_card(g, CardConstraint(tuple(g.fresh_vars(256)), ">=", 8))
-    assert (g.num_vars - 256, g.num_clauses) == (689, 2212)
+    assert (g.num_vars - 256, g.num_clauses) == (688, 2211)
     assert enc.input_lits == tuple(-l for l in lits) and enc.k == 248
     assert enc.output_lits == ()
     with pytest.raises(ValueError, match="no exposed outputs"):
         strengthen(enc, 100)
-    # >= 1 over 64: one selector output, its clause and the unit
+    # >= 1 over 64: one selector output, asserted and folded into its clause
     f = CnfFormula()
     encode_card(f, CardConstraint(tuple(f.fresh_vars(64)), ">=", 1), oe4)
-    assert (f.num_vars - 64, f.num_clauses) == (1, 2)
-    # the at-most encoder keeps its contract
+    assert (f.num_vars - 64, f.clauses) == (0, [tuple(range(1, 65))])
+    # the at-most encoder keeps its contract, its asserted output folded
     f = CnfFormula()
     enc = encode_atmost(f, [-l for l in f.fresh_vars(256)], 248, oe4)
-    assert (f.num_vars - 256, f.num_clauses) == (4072, 10804)
-    assert len(enc.output_lits) == 249
+    assert (f.num_vars - 256, f.num_clauses) == (4071, 10803)
+    assert len(enc.output_lits) == 249 and enc.output_lits[248] is FALSE
 
 
 def _weight(f, n, lam):
@@ -461,9 +479,10 @@ def _weight(f, n, lam):
 
 @pytest.mark.parametrize("method", NETWORK_METHODS)
 def test_cheaper_side_is_never_larger(method):
-    # encode_card's side costs no more than the at-most encoder under
-    # lam*V + C, and a network emitted in at-least polarity no more than the
-    # at-most price the choice is made on
+    # encode_card's side is the cheaper of the two sides' folded emissions
+    # under lam*V + C; in a guarded scope, which does not fold, a network
+    # emitted in at-least polarity costs no more than the at-most price that
+    # side is chosen on there
     for opts in [EncodeOptions(method=method, lam=lam) for lam in (1, 5, 20)] + [
             EncodeOptions(method=method, direct_mixing=False)]:
         for n in range(2, 13):
@@ -472,16 +491,22 @@ def test_cheaper_side_is_never_larger(method):
                 (enc,) = encode_card(f, CardConstraint(tuple(f.fresh_vars(n)), "<=", k), opts)
                 g = CnfFormula()
                 encode_atmost(g, g.fresh_vars(n), k, opts)
-                assert _weight(f, n, opts.lam) <= _weight(g, n, opts.lam), (opts, n, k)
-                if enc.output_lits:
-                    assert f.clauses == g.clauses
+                if n - k >= k + 1:
+                    assert f.clauses == g.clauses and enc.output_lits
                     continue
-                assert n - k < k + 1
                 h = CnfFormula()
                 net = build_selection_network(method, n, n - k, _chooser(opts))
-                emit_network(h, net, h.fresh_vars(n), "atleast", (n - k - 1,))
+                emit_network(h, net, [-l for l in h.fresh_vars(n)], "atleast", (n - k - 1,),
+                             n - k - 1)
+                atmost, atleast = _weight(g, n, opts.lam), _weight(h, n, opts.lam)
+                if enc.output_lits:
+                    assert f.clauses == g.clauses and atmost <= atleast, (opts, n, k)
+                else:
+                    assert f.clauses == h.clauses and atleast < atmost, (opts, n, k)
+                u = CnfFormula()
+                emit_network(u, net, u.fresh_vars(n), "atleast", (n - k - 1,))
                 price = _chooser(opts).cost(n, n - k)
-                assert h.num_vars - n <= price[0] and h.num_clauses <= price[1], (opts, n, k)
+                assert u.num_vars - n <= price[0] and u.num_clauses <= price[1], (opts, n, k)
 
 
 def _atmost_propagates_at_scale(method, mixing):

@@ -41,15 +41,29 @@ The 41 `auto` cases (its grid cases, queens8-auto, opb-*-auto and
 goal-*-auto) were added when the method came in, without changing any other
 hash: each of the paper's methods keeps its own two-way choice between its
 level and a direct selector.
+
+278 cases were re-recorded when every asserted network output began to be
+folded into its cone instead of getting a unit clause: all 264 card cases
+(the grid and LARGE), the four queens8 cases and the ten opb cases.  The
+asserted output, and every gate output root propagation of its unit fixes,
+lost its variable, its unit and the clauses that propagation satisfies.
+6 card cases also build a different network, because encode_atmost now
+builds its top selection by the folded price (Chooser.cost_asserted):
+auto-n5-k2-lam1-mix, auto-n8-k3-lam1-mix, auto-n8-k3-lam5-mix,
+auto-n8-k3-nomix, pairwise_classic-n8-k3-lam5-mix and
+fourwise-n5-k2-lam1-mix.  The 38 goal cases kept their bytes: each is
+flagged, and a guarded scope does not fold.  test_fold_matches_root_propagation
+ties every folded case to its unfolded emission, so the fold itself is
+checked, not only pinned.
 """
 
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
 from cardnet import encode, pb
-from cardnet.cnf import CnfFormula, is_const
+from cardnet.cnf import CnfFormula, is_const, neg
 from cardnet.cnfp import encode_cnfp, queens_cnfp
 from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions,
                             encode_atmost)
@@ -148,487 +162,487 @@ def cases():
 
 GOLDEN = {
     "oe4-n5-k2-lam1-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "oe4-n5-k2-lam5-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "oe4-n5-k2-lam20-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "oe4-n5-k2-nomix":
-        "faa7df91f6dbc44071585768ccc3eca71079c6e23e5e457a5d6c8827a14f3692",
+        "63819ac0d1c0770a3213337ebe4c8402666217888a3c713e6a8c184ec3b5f549",
     "oe4-n8-k3-lam1-mix":
-        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+        "0ccd8ad47997ce4df11aab6eeb6fe57cd9bbbc2530aec7cd32def5b26bdc89d0",
     "oe4-n8-k3-lam5-mix":
-        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+        "0ccd8ad47997ce4df11aab6eeb6fe57cd9bbbc2530aec7cd32def5b26bdc89d0",
     "oe4-n8-k3-lam20-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "oe4-n8-k3-nomix":
-        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+        "0ccd8ad47997ce4df11aab6eeb6fe57cd9bbbc2530aec7cd32def5b26bdc89d0",
     "oe4-n13-k4-lam1-mix":
-        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
+        "84ea52523e0fe88bf9caf8f5560a91efb58b842530eeb8059dedd9080bfbf2a9",
     "oe4-n13-k4-lam5-mix":
-        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
+        "84ea52523e0fe88bf9caf8f5560a91efb58b842530eeb8059dedd9080bfbf2a9",
     "oe4-n13-k4-lam20-mix":
-        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
+        "84ea52523e0fe88bf9caf8f5560a91efb58b842530eeb8059dedd9080bfbf2a9",
     "oe4-n13-k4-nomix":
-        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
+        "84ea52523e0fe88bf9caf8f5560a91efb58b842530eeb8059dedd9080bfbf2a9",
     "oe4-n16-k7-lam1-mix":
-        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+        "4b52748e2c1368e3ec4a47198a08bf5641009eaff7cc4abfcf92c2fd77eb38d2",
     "oe4-n16-k7-lam5-mix":
-        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+        "4b52748e2c1368e3ec4a47198a08bf5641009eaff7cc4abfcf92c2fd77eb38d2",
     "oe4-n16-k7-lam20-mix":
-        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+        "4b52748e2c1368e3ec4a47198a08bf5641009eaff7cc4abfcf92c2fd77eb38d2",
     "oe4-n16-k7-nomix":
-        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+        "4b52748e2c1368e3ec4a47198a08bf5641009eaff7cc4abfcf92c2fd77eb38d2",
     "oe4-n24-k5-lam1-mix":
-        "c7a404de693c81316ff6f4f32202fe5ed71c5515643dbe56dfe829b5aa7f66d6",
+        "313ca6e9e595c38d5a90b58f15088463b27b201070caea43e5940f2ffd07d021",
     "oe4-n24-k5-lam5-mix":
-        "79d934dbbeb17e3d5e337430a1e04ae0de8defd5536a5d0b1b4ec586e8a125b0",
+        "b6ee5da6dc8322c04cda092d99a14a3ced176fdf2b24aac4b4719a500f41b88a",
     "oe4-n24-k5-lam20-mix":
-        "79d934dbbeb17e3d5e337430a1e04ae0de8defd5536a5d0b1b4ec586e8a125b0",
+        "b6ee5da6dc8322c04cda092d99a14a3ced176fdf2b24aac4b4719a500f41b88a",
     "oe4-n24-k5-nomix":
-        "c7a404de693c81316ff6f4f32202fe5ed71c5515643dbe56dfe829b5aa7f66d6",
+        "313ca6e9e595c38d5a90b58f15088463b27b201070caea43e5940f2ffd07d021",
     "oe4-n37-k9-lam1-mix":
-        "9a8377c8f5106ad1fe7fbdb4ec035e93cd562a7a0f21a52ffb95a193ded9289d",
+        "14790231bceeda01fe37ec6bebd6ff1496f2769318469879da448efa879fd359",
     "oe4-n37-k9-lam5-mix":
-        "9a8377c8f5106ad1fe7fbdb4ec035e93cd562a7a0f21a52ffb95a193ded9289d",
+        "14790231bceeda01fe37ec6bebd6ff1496f2769318469879da448efa879fd359",
     "oe4-n37-k9-lam20-mix":
-        "acfd55a2d6b1808ed9ef00a99bea78fd1bb118466d8924ff88ced2a2033335a8",
+        "922c176120a6d1e7e323da48e87c301e171f1064e7f52544867307c4286cd12f",
     "oe4-n37-k9-nomix":
-        "9a8377c8f5106ad1fe7fbdb4ec035e93cd562a7a0f21a52ffb95a193ded9289d",
+        "14790231bceeda01fe37ec6bebd6ff1496f2769318469879da448efa879fd359",
     "oe4-n64-k12-lam1-mix":
-        "71da27fe98d1a26c354a414b5380375307c9e576c30c6cd6ddcc95aa208686e8",
+        "abc957ef19c74d36a3c6f6dd5426c14a231e5c1f70160956cc7f1db2758145fc",
     "oe4-n64-k12-lam5-mix":
-        "71da27fe98d1a26c354a414b5380375307c9e576c30c6cd6ddcc95aa208686e8",
+        "abc957ef19c74d36a3c6f6dd5426c14a231e5c1f70160956cc7f1db2758145fc",
     "oe4-n64-k12-lam20-mix":
-        "71da27fe98d1a26c354a414b5380375307c9e576c30c6cd6ddcc95aa208686e8",
+        "abc957ef19c74d36a3c6f6dd5426c14a231e5c1f70160956cc7f1db2758145fc",
     "oe4-n64-k12-nomix":
-        "71da27fe98d1a26c354a414b5380375307c9e576c30c6cd6ddcc95aa208686e8",
+        "abc957ef19c74d36a3c6f6dd5426c14a231e5c1f70160956cc7f1db2758145fc",
     "oe4-n100-k17-lam1-mix":
-        "63d7789647f6654b42b0a6c09c049a8ff729c468036dcbaf704d793a92227314",
+        "e401554bedf3f566a43af542e329d4bc278e6aa9a1b72e0d84c44eaf21f4b090",
     "oe4-n100-k17-lam5-mix":
-        "e77e6946c95b06e5f18ba34dfb0752d78c041484ed192fe82b9bba1cc77f2a29",
+        "b5b6bb20106f0935a1cc947687917643cc8004820bd5ed8b0736a64f0087afce",
     "oe4-n100-k17-lam20-mix":
-        "aa12bb4852693cc8fc40794df21802d0605ff0d82188192c549e1451aa6ea41e",
+        "e55ecaf5ab1e8b9fa6da0e2bc8410a5f23396ee468e429d5e4624ee309afacc0",
     "oe4-n100-k17-nomix":
-        "63d7789647f6654b42b0a6c09c049a8ff729c468036dcbaf704d793a92227314",
+        "e401554bedf3f566a43af542e329d4bc278e6aa9a1b72e0d84c44eaf21f4b090",
     "oe2-n5-k2-lam1-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "oe2-n5-k2-lam5-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "oe2-n5-k2-lam20-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "oe2-n5-k2-nomix":
-        "860b3dd36a5c4040722e52db9ed351635cd81e5734e1bebafc1471337ac61f56",
+        "4ced4d1eae83b38e7be6c9ee3cb1bc6eeac4932595a8f4ced12cb7111c2cc970",
     "oe2-n8-k3-lam1-mix":
-        "2e44ee52fe24bee977fa84f895b678581dc77dfe1476b3e93436975297fcc44a",
+        "5b5ce270d3b9cacd39979b6ead7b4492006d8e644b4215fa53a803243d429e2a",
     "oe2-n8-k3-lam5-mix":
-        "2e44ee52fe24bee977fa84f895b678581dc77dfe1476b3e93436975297fcc44a",
+        "5b5ce270d3b9cacd39979b6ead7b4492006d8e644b4215fa53a803243d429e2a",
     "oe2-n8-k3-lam20-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "oe2-n8-k3-nomix":
-        "efe529e1c6a1bb2a1ea6cf46f8a2c908dee3f5b680188a5086f0fbecfabdf556",
+        "024c275ccd4aa7aeb2bbace51fa6798a167636aae501163e2cce70ad5a929928",
     "oe2-n13-k4-lam1-mix":
-        "357b09f7bf5bbdcd2f1cfaf03d917e0a6ca94d1b8e00561cffde0b0185719941",
+        "9fde198c8142eaa855a3de8d251b6952875ffe1e461dc76f81a85b4ea56ae980",
     "oe2-n13-k4-lam5-mix":
-        "4ba47128642ec2a6ad9cfde837cdcf07032818cb8b4900ff3272f3562fe4162b",
+        "0de3bd211f737f75ebf4a0d72792b20a1b8cd87fca611a5fa9c50c89304cbf34",
     "oe2-n13-k4-lam20-mix":
-        "e2a4ade911d278fde9fa00d1f33103e93113b168ff6380c7d1c2d8847b829628",
+        "583599747f1d206ff4ba197720fb6acf3062d76f0cb023f07c4d3df3e43593f5",
     "oe2-n13-k4-nomix":
-        "4a52186a59d2ada9d9cf2e2656edbab37484b55f8e6ae4bf8a223b5ecc5ea390",
+        "53e8b51f4e0b3f03f732867cf51b36007f6b52d6650284be31e7f1fba97f9c58",
     "oe2-n16-k7-lam1-mix":
-        "d147e976ba3f4f236ea5bb5a6aae98efdcbe96969ec225001f9fec7cd4bc3bf5",
+        "a2c741b0cfeb018df23d95212fc1a8e417d934feff222b04b1e958e108957473",
     "oe2-n16-k7-lam5-mix":
-        "d147e976ba3f4f236ea5bb5a6aae98efdcbe96969ec225001f9fec7cd4bc3bf5",
+        "a2c741b0cfeb018df23d95212fc1a8e417d934feff222b04b1e958e108957473",
     "oe2-n16-k7-lam20-mix":
-        "c88ce8bca310052f40e9388a0c72a10487729ea935c68c4ed7d9119c6468100d",
+        "c3503e8dc3f24ec40f5569b6d4d5f0182de96d740e9f0a8423ae3817c16ba4d9",
     "oe2-n16-k7-nomix":
-        "14078ac59570ea702c9ff24a90c6420cbc0cc63c005e193d5a29678b6fea3c35",
+        "6436fa60a9a6be07e870663ef79d4149bd5c836360be78623a620fa5d85ecbda",
     "oe2-n24-k5-lam1-mix":
-        "c07148a8f255f2d339edd21c4dde94efd3a8818d53ca2ee782e1e143bfd7fd45",
+        "becbcb18b8cad13169d51d1023a607758d9e6178843b44f619cfd968c821493c",
     "oe2-n24-k5-lam5-mix":
-        "6627e41c182e35146cd3838c42c47bfd0e0516143f29efc8a75accfc6d598201",
+        "656f7d1115a421b761a99f50503b8a8ac37b00f7ba484ee2dc792f900ae91f05",
     "oe2-n24-k5-lam20-mix":
-        "6627e41c182e35146cd3838c42c47bfd0e0516143f29efc8a75accfc6d598201",
+        "656f7d1115a421b761a99f50503b8a8ac37b00f7ba484ee2dc792f900ae91f05",
     "oe2-n24-k5-nomix":
-        "41d8445b9ba669933a60f18315fecdc85686edb301cc75ba923b5921a9029620",
+        "f8d1e88725685d90a509ca76765acda7460d7e356237ac7daefd7f8c0f4d6524",
     "oe2-n37-k9-lam1-mix":
-        "c9c3743fef1d37e4378d132e68cd5de4f2159b2ee11eec7e7827767f2c878f07",
+        "773c5ef2392213b05e97b3ea32f1f4440da894caea5c05e6abbd0aecb851b9b5",
     "oe2-n37-k9-lam5-mix":
-        "c9c3743fef1d37e4378d132e68cd5de4f2159b2ee11eec7e7827767f2c878f07",
+        "773c5ef2392213b05e97b3ea32f1f4440da894caea5c05e6abbd0aecb851b9b5",
     "oe2-n37-k9-lam20-mix":
-        "a69715822dbbf7dda9c68d84c3e35654f56a5217fef5b5a29adb8905dd0e4fc1",
+        "05c66a1909d08c622206f447c7cc228a7ae57e2618f36a5bce91158e4417bc6e",
     "oe2-n37-k9-nomix":
-        "88b8cf80bd0ace61395fd3974fa58e7b43f2903180604562ffe851bb9ba5652d",
+        "8e7f47df908e673bd25e3f362e381ed9befb133182d2dea09fdc6c3cc4ed5e8b",
     "oe2-n64-k12-lam1-mix":
-        "d3cc88e0e4a963c5ab653d7afed376a2d2ec74b361cba1964a025e4f11dc0450",
+        "e3dea0d6d8b18785c229b77a6a51e1497b051328a1924bf166606ccf918ca482",
     "oe2-n64-k12-lam5-mix":
-        "d3cc88e0e4a963c5ab653d7afed376a2d2ec74b361cba1964a025e4f11dc0450",
+        "e3dea0d6d8b18785c229b77a6a51e1497b051328a1924bf166606ccf918ca482",
     "oe2-n64-k12-lam20-mix":
-        "c5476735277c0038a85def62e5d55d74c1b684238306931ce3bb30ec2bf215f1",
+        "683dfbd29fc0a201d285328fc336e0a28569f6ac1bd6282d600b4871cc59bc36",
     "oe2-n64-k12-nomix":
-        "ebb2e8a185b88f5c77dc9795938883b27752644bc9f43b134a90eed7c4bff0ee",
+        "268a5a914e1ed77d6aca84ba301004c97e45f02d54e206f34af1d388790db0cb",
     "oe2-n100-k17-lam1-mix":
-        "c8f35b770321315504f176cfdb60e9109f1627f51e15154fad023506720a1437",
+        "46492d21e8f14a1eb0c0b736262dab17e544e3711d66061c84c93b7da1350cf4",
     "oe2-n100-k17-lam5-mix":
-        "14608d5372900694ab6b6052b245386f429f1a769acc1b48646346fa7a0def08",
+        "38d2e738c23bbc4a0c336ddf7e5bda76ed443eae093cd49e4076a5d30a18cc67",
     "oe2-n100-k17-lam20-mix":
-        "3b7834456382ddd52b90d05e34c8acd6e60438b363c2356c2d9c208589156a9a",
+        "1d444346f35a0281511e7a60cc6e46f883f2d3493f81083d2435446ae5aae32e",
     "oe2-n100-k17-nomix":
-        "8c9f478159dff73caae3ffabe8b1a3402f3b34fcc460b747a54a57b7cc6a307a",
+        "fd220a5ffbb9ba261fb66a9ca1b3268a561433313fa17c6aad05300fc1b65114",
     "pairwise_classic-n5-k2-lam1-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_classic-n5-k2-lam5-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_classic-n5-k2-lam20-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_classic-n5-k2-nomix":
-        "fa9ea456da21a513d12de3a3a7017388c504fca9dafe96be95b953456d4ae954",
+        "21a8e085be0e4708c498e03d27685f3fe9226cb331b7eb7b1e89f0434fb08897",
     "pairwise_classic-n8-k3-lam1-mix":
-        "dc368b9c7d49726d414a7203dd52cc0e8cfda332ea5e04bcabdf9bb90b237581",
+        "5b65defcf1aa8b9118baa834899757eadf5c526e67b58a032c0695abab18b809",
     "pairwise_classic-n8-k3-lam5-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "5b65defcf1aa8b9118baa834899757eadf5c526e67b58a032c0695abab18b809",
     "pairwise_classic-n8-k3-lam20-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "pairwise_classic-n8-k3-nomix":
-        "dc368b9c7d49726d414a7203dd52cc0e8cfda332ea5e04bcabdf9bb90b237581",
+        "5b65defcf1aa8b9118baa834899757eadf5c526e67b58a032c0695abab18b809",
     "pairwise_classic-n13-k4-lam1-mix":
-        "15b3fabb799dfb30243ed618e6317dbd06f54673b7d13400db6a17002ea6556f",
+        "cc4f506e070666343988b7ce536f8b917f2f144033e0a759d4825ed8fe9e8cc6",
     "pairwise_classic-n13-k4-lam5-mix":
-        "15b3fabb799dfb30243ed618e6317dbd06f54673b7d13400db6a17002ea6556f",
+        "cc4f506e070666343988b7ce536f8b917f2f144033e0a759d4825ed8fe9e8cc6",
     "pairwise_classic-n13-k4-lam20-mix":
-        "15b3fabb799dfb30243ed618e6317dbd06f54673b7d13400db6a17002ea6556f",
+        "cc4f506e070666343988b7ce536f8b917f2f144033e0a759d4825ed8fe9e8cc6",
     "pairwise_classic-n13-k4-nomix":
-        "15b3fabb799dfb30243ed618e6317dbd06f54673b7d13400db6a17002ea6556f",
+        "cc4f506e070666343988b7ce536f8b917f2f144033e0a759d4825ed8fe9e8cc6",
     "pairwise_classic-n16-k7-lam1-mix":
-        "3effff10e85abf3382ecb6c7ff0bf5314f6606f458491e658c7e6bec6b9ad6c5",
+        "3c9d49cb67594539a9be8400af06851f24c31127ba7689f361a7058e8faada4c",
     "pairwise_classic-n16-k7-lam5-mix":
-        "3effff10e85abf3382ecb6c7ff0bf5314f6606f458491e658c7e6bec6b9ad6c5",
+        "3c9d49cb67594539a9be8400af06851f24c31127ba7689f361a7058e8faada4c",
     "pairwise_classic-n16-k7-lam20-mix":
-        "3effff10e85abf3382ecb6c7ff0bf5314f6606f458491e658c7e6bec6b9ad6c5",
+        "3c9d49cb67594539a9be8400af06851f24c31127ba7689f361a7058e8faada4c",
     "pairwise_classic-n16-k7-nomix":
-        "3effff10e85abf3382ecb6c7ff0bf5314f6606f458491e658c7e6bec6b9ad6c5",
+        "3c9d49cb67594539a9be8400af06851f24c31127ba7689f361a7058e8faada4c",
     "pairwise_classic-n24-k5-lam1-mix":
-        "a7dbb00f93a2c79b4a4f98aa369f2b886d08aa6dc5d54fab2c6f8a68f30b195c",
+        "03b488e185aa6b57cb5e9a42db3748d4996484e59208cd6f4d18cf87f0d1aebf",
     "pairwise_classic-n24-k5-lam5-mix":
-        "a7dbb00f93a2c79b4a4f98aa369f2b886d08aa6dc5d54fab2c6f8a68f30b195c",
+        "03b488e185aa6b57cb5e9a42db3748d4996484e59208cd6f4d18cf87f0d1aebf",
     "pairwise_classic-n24-k5-lam20-mix":
-        "a7dbb00f93a2c79b4a4f98aa369f2b886d08aa6dc5d54fab2c6f8a68f30b195c",
+        "03b488e185aa6b57cb5e9a42db3748d4996484e59208cd6f4d18cf87f0d1aebf",
     "pairwise_classic-n24-k5-nomix":
-        "a7dbb00f93a2c79b4a4f98aa369f2b886d08aa6dc5d54fab2c6f8a68f30b195c",
+        "03b488e185aa6b57cb5e9a42db3748d4996484e59208cd6f4d18cf87f0d1aebf",
     "pairwise_classic-n37-k9-lam1-mix":
-        "cd16be8943b4c91e20c0dde3a25c37664590ccb63e400cb003d096b68208d6e7",
+        "1218b0726852821ea6caeb7a3121dfeed93d2583ec6ac70b6bc30ba85f5c9857",
     "pairwise_classic-n37-k9-lam5-mix":
-        "cd16be8943b4c91e20c0dde3a25c37664590ccb63e400cb003d096b68208d6e7",
+        "1218b0726852821ea6caeb7a3121dfeed93d2583ec6ac70b6bc30ba85f5c9857",
     "pairwise_classic-n37-k9-lam20-mix":
-        "cd16be8943b4c91e20c0dde3a25c37664590ccb63e400cb003d096b68208d6e7",
+        "1218b0726852821ea6caeb7a3121dfeed93d2583ec6ac70b6bc30ba85f5c9857",
     "pairwise_classic-n37-k9-nomix":
-        "cd16be8943b4c91e20c0dde3a25c37664590ccb63e400cb003d096b68208d6e7",
+        "1218b0726852821ea6caeb7a3121dfeed93d2583ec6ac70b6bc30ba85f5c9857",
     "pairwise_classic-n64-k12-lam1-mix":
-        "3bca31ad36cba2e2f24485e9cb718e337b7b0d69520208e25f63209a28491ca4",
+        "e04a16a872c51b26f33744d3ce56f5c0a1a03c22e04e737bec4e2bb10cafb392",
     "pairwise_classic-n64-k12-lam5-mix":
-        "3bca31ad36cba2e2f24485e9cb718e337b7b0d69520208e25f63209a28491ca4",
+        "e04a16a872c51b26f33744d3ce56f5c0a1a03c22e04e737bec4e2bb10cafb392",
     "pairwise_classic-n64-k12-lam20-mix":
-        "3bca31ad36cba2e2f24485e9cb718e337b7b0d69520208e25f63209a28491ca4",
+        "e04a16a872c51b26f33744d3ce56f5c0a1a03c22e04e737bec4e2bb10cafb392",
     "pairwise_classic-n64-k12-nomix":
-        "3bca31ad36cba2e2f24485e9cb718e337b7b0d69520208e25f63209a28491ca4",
+        "e04a16a872c51b26f33744d3ce56f5c0a1a03c22e04e737bec4e2bb10cafb392",
     "pairwise_classic-n100-k17-lam1-mix":
-        "b12962fcbd83a41827711fa355db2c84ccf8f49e580a3e519635c2e89ccf87aa",
+        "4ddfc7df93bb1aeb08355c3c480a7ec0dcc8ed272da7b75a9e63cd1b1825eb83",
     "pairwise_classic-n100-k17-lam5-mix":
-        "b12962fcbd83a41827711fa355db2c84ccf8f49e580a3e519635c2e89ccf87aa",
+        "4ddfc7df93bb1aeb08355c3c480a7ec0dcc8ed272da7b75a9e63cd1b1825eb83",
     "pairwise_classic-n100-k17-lam20-mix":
-        "b12962fcbd83a41827711fa355db2c84ccf8f49e580a3e519635c2e89ccf87aa",
+        "4ddfc7df93bb1aeb08355c3c480a7ec0dcc8ed272da7b75a9e63cd1b1825eb83",
     "pairwise_classic-n100-k17-nomix":
-        "b12962fcbd83a41827711fa355db2c84ccf8f49e580a3e519635c2e89ccf87aa",
+        "4ddfc7df93bb1aeb08355c3c480a7ec0dcc8ed272da7b75a9e63cd1b1825eb83",
     "pairwise_bitonic-n5-k2-lam1-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_bitonic-n5-k2-lam5-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_bitonic-n5-k2-lam20-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_bitonic-n5-k2-nomix":
-        "ef363634748ba3040ef7be82ed5b568e0eac9e1cc197020f4a1a5ca722ccff4f",
+        "582260013cd13824d5cfb7815b5ea118d066c9d40c6bc3f5d4f35f639a821860",
     "pairwise_bitonic-n8-k3-lam1-mix":
-        "6e604a7e67dee37772dc1b834b6f449cf714990ac60997dc58cf06bfdc89f12c",
+        "4ce09425ad00c2c3d7dc121d8a5f48851de7ca73a368f068e1ea004e52dfcca3",
     "pairwise_bitonic-n8-k3-lam5-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "pairwise_bitonic-n8-k3-lam20-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "pairwise_bitonic-n8-k3-nomix":
-        "6e604a7e67dee37772dc1b834b6f449cf714990ac60997dc58cf06bfdc89f12c",
+        "4ce09425ad00c2c3d7dc121d8a5f48851de7ca73a368f068e1ea004e52dfcca3",
     "pairwise_bitonic-n13-k4-lam1-mix":
-        "bc5b4ba26204395423e0bf2aac257146bf6d9c3059cc8620636b6e1dd440023c",
+        "9326f099f52f62e434b513b588b3ead5c656abd94f5e77ad3d1a42faad9d5fac",
     "pairwise_bitonic-n13-k4-lam5-mix":
-        "bc5b4ba26204395423e0bf2aac257146bf6d9c3059cc8620636b6e1dd440023c",
+        "9326f099f52f62e434b513b588b3ead5c656abd94f5e77ad3d1a42faad9d5fac",
     "pairwise_bitonic-n13-k4-lam20-mix":
-        "bc5b4ba26204395423e0bf2aac257146bf6d9c3059cc8620636b6e1dd440023c",
+        "9326f099f52f62e434b513b588b3ead5c656abd94f5e77ad3d1a42faad9d5fac",
     "pairwise_bitonic-n13-k4-nomix":
-        "bc5b4ba26204395423e0bf2aac257146bf6d9c3059cc8620636b6e1dd440023c",
+        "9326f099f52f62e434b513b588b3ead5c656abd94f5e77ad3d1a42faad9d5fac",
     "pairwise_bitonic-n16-k7-lam1-mix":
-        "d8d85b5af191ded01dfaeea05dd304b0bf72ba16eee73ed75c7c9f7b9faa27b7",
+        "6496d0701464e0ee98beea90f694c8a32f6bfdc7a8da4d5badc0fb3ab00bb659",
     "pairwise_bitonic-n16-k7-lam5-mix":
-        "d8d85b5af191ded01dfaeea05dd304b0bf72ba16eee73ed75c7c9f7b9faa27b7",
+        "6496d0701464e0ee98beea90f694c8a32f6bfdc7a8da4d5badc0fb3ab00bb659",
     "pairwise_bitonic-n16-k7-lam20-mix":
-        "d8d85b5af191ded01dfaeea05dd304b0bf72ba16eee73ed75c7c9f7b9faa27b7",
+        "6496d0701464e0ee98beea90f694c8a32f6bfdc7a8da4d5badc0fb3ab00bb659",
     "pairwise_bitonic-n16-k7-nomix":
-        "d8d85b5af191ded01dfaeea05dd304b0bf72ba16eee73ed75c7c9f7b9faa27b7",
+        "6496d0701464e0ee98beea90f694c8a32f6bfdc7a8da4d5badc0fb3ab00bb659",
     "pairwise_bitonic-n24-k5-lam1-mix":
-        "675299cb9617e64bee5143c9de5653f001fd115fec0a54e1bb4a904e16e860df",
+        "b09074178bed8a90d9dd71b0ab0e0ea5e21f3f55b9eab15b26b48eca2497ff1b",
     "pairwise_bitonic-n24-k5-lam5-mix":
-        "675299cb9617e64bee5143c9de5653f001fd115fec0a54e1bb4a904e16e860df",
+        "b09074178bed8a90d9dd71b0ab0e0ea5e21f3f55b9eab15b26b48eca2497ff1b",
     "pairwise_bitonic-n24-k5-lam20-mix":
-        "675299cb9617e64bee5143c9de5653f001fd115fec0a54e1bb4a904e16e860df",
+        "b09074178bed8a90d9dd71b0ab0e0ea5e21f3f55b9eab15b26b48eca2497ff1b",
     "pairwise_bitonic-n24-k5-nomix":
-        "675299cb9617e64bee5143c9de5653f001fd115fec0a54e1bb4a904e16e860df",
+        "b09074178bed8a90d9dd71b0ab0e0ea5e21f3f55b9eab15b26b48eca2497ff1b",
     "pairwise_bitonic-n37-k9-lam1-mix":
-        "34af83c5a3a95381dab826c855447b849399c681a59cf65cd1edb650ea8f4d93",
+        "5c7a25096ecdbac96f2c6951d78e8a0de24b68050b6a6024052631d3f181855f",
     "pairwise_bitonic-n37-k9-lam5-mix":
-        "34af83c5a3a95381dab826c855447b849399c681a59cf65cd1edb650ea8f4d93",
+        "5c7a25096ecdbac96f2c6951d78e8a0de24b68050b6a6024052631d3f181855f",
     "pairwise_bitonic-n37-k9-lam20-mix":
-        "34af83c5a3a95381dab826c855447b849399c681a59cf65cd1edb650ea8f4d93",
+        "5c7a25096ecdbac96f2c6951d78e8a0de24b68050b6a6024052631d3f181855f",
     "pairwise_bitonic-n37-k9-nomix":
-        "34af83c5a3a95381dab826c855447b849399c681a59cf65cd1edb650ea8f4d93",
+        "5c7a25096ecdbac96f2c6951d78e8a0de24b68050b6a6024052631d3f181855f",
     "pairwise_bitonic-n64-k12-lam1-mix":
-        "03aec1f908b497c79ce203c2a23008a1246fd8e4993ddc09a4fa3f3142ee0532",
+        "ede6c8a47048317ea8b75d32d0f5ceeb113708f40bad95fff24379e172357438",
     "pairwise_bitonic-n64-k12-lam5-mix":
-        "03aec1f908b497c79ce203c2a23008a1246fd8e4993ddc09a4fa3f3142ee0532",
+        "ede6c8a47048317ea8b75d32d0f5ceeb113708f40bad95fff24379e172357438",
     "pairwise_bitonic-n64-k12-lam20-mix":
-        "03aec1f908b497c79ce203c2a23008a1246fd8e4993ddc09a4fa3f3142ee0532",
+        "ede6c8a47048317ea8b75d32d0f5ceeb113708f40bad95fff24379e172357438",
     "pairwise_bitonic-n64-k12-nomix":
-        "03aec1f908b497c79ce203c2a23008a1246fd8e4993ddc09a4fa3f3142ee0532",
+        "ede6c8a47048317ea8b75d32d0f5ceeb113708f40bad95fff24379e172357438",
     "pairwise_bitonic-n100-k17-lam1-mix":
-        "d9bd111e65513aba671c7cd4b9400a7d4065b8e1ab82d9bf43227d1ef74fff63",
+        "9969c24ba715eefd7a963c3a6c156787ab471b3fbd098aa8a5852eb6c5dcd51a",
     "pairwise_bitonic-n100-k17-lam5-mix":
-        "d9bd111e65513aba671c7cd4b9400a7d4065b8e1ab82d9bf43227d1ef74fff63",
+        "9969c24ba715eefd7a963c3a6c156787ab471b3fbd098aa8a5852eb6c5dcd51a",
     "pairwise_bitonic-n100-k17-lam20-mix":
-        "d9bd111e65513aba671c7cd4b9400a7d4065b8e1ab82d9bf43227d1ef74fff63",
+        "9969c24ba715eefd7a963c3a6c156787ab471b3fbd098aa8a5852eb6c5dcd51a",
     "pairwise_bitonic-n100-k17-nomix":
-        "d9bd111e65513aba671c7cd4b9400a7d4065b8e1ab82d9bf43227d1ef74fff63",
+        "9969c24ba715eefd7a963c3a6c156787ab471b3fbd098aa8a5852eb6c5dcd51a",
     "pairwise_half_bitonic-n5-k2-lam1-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_half_bitonic-n5-k2-lam5-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_half_bitonic-n5-k2-lam20-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "pairwise_half_bitonic-n5-k2-nomix":
-        "58a9a8d324b5ba6f1b975980660f074a954b521678fd60fc22c1fcdb5d1bf402",
+        "ab7123927283d53733bb9f96c9ee00a966120ba92f3ff3b47ab7ac8b6f501b10",
     "pairwise_half_bitonic-n8-k3-lam1-mix":
-        "f4856819c58e60a04990e553346748a6ad09c1ff6dbb4d27c1a60e619b9d9af1",
+        "6d78ede1aa53d8c490c002a5ffa907425db00af49b0cacc45c62bfb2dd50464a",
     "pairwise_half_bitonic-n8-k3-lam5-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "pairwise_half_bitonic-n8-k3-lam20-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "pairwise_half_bitonic-n8-k3-nomix":
-        "f4856819c58e60a04990e553346748a6ad09c1ff6dbb4d27c1a60e619b9d9af1",
+        "6d78ede1aa53d8c490c002a5ffa907425db00af49b0cacc45c62bfb2dd50464a",
     "pairwise_half_bitonic-n13-k4-lam1-mix":
-        "a6037f6f3abc7dc62a88319059c07590d7e21103bdb3f185dddd29867187f484",
+        "5da2c5fe2d6d0cc7f781403d7b5fc4e85af89b5f2ea5ae07c7fdbd1efea4acd2",
     "pairwise_half_bitonic-n13-k4-lam5-mix":
-        "a6037f6f3abc7dc62a88319059c07590d7e21103bdb3f185dddd29867187f484",
+        "5da2c5fe2d6d0cc7f781403d7b5fc4e85af89b5f2ea5ae07c7fdbd1efea4acd2",
     "pairwise_half_bitonic-n13-k4-lam20-mix":
-        "a6037f6f3abc7dc62a88319059c07590d7e21103bdb3f185dddd29867187f484",
+        "5da2c5fe2d6d0cc7f781403d7b5fc4e85af89b5f2ea5ae07c7fdbd1efea4acd2",
     "pairwise_half_bitonic-n13-k4-nomix":
-        "a6037f6f3abc7dc62a88319059c07590d7e21103bdb3f185dddd29867187f484",
+        "5da2c5fe2d6d0cc7f781403d7b5fc4e85af89b5f2ea5ae07c7fdbd1efea4acd2",
     "pairwise_half_bitonic-n16-k7-lam1-mix":
-        "378d8d292fda9c427d6937ff358656c150a75c18151c3353055195c86da3cb51",
+        "8a1ba783ab61c67a1e60618fb215cc99f483068bb409851d2d654eaf596812ff",
     "pairwise_half_bitonic-n16-k7-lam5-mix":
-        "378d8d292fda9c427d6937ff358656c150a75c18151c3353055195c86da3cb51",
+        "8a1ba783ab61c67a1e60618fb215cc99f483068bb409851d2d654eaf596812ff",
     "pairwise_half_bitonic-n16-k7-lam20-mix":
-        "378d8d292fda9c427d6937ff358656c150a75c18151c3353055195c86da3cb51",
+        "8a1ba783ab61c67a1e60618fb215cc99f483068bb409851d2d654eaf596812ff",
     "pairwise_half_bitonic-n16-k7-nomix":
-        "378d8d292fda9c427d6937ff358656c150a75c18151c3353055195c86da3cb51",
+        "8a1ba783ab61c67a1e60618fb215cc99f483068bb409851d2d654eaf596812ff",
     "pairwise_half_bitonic-n24-k5-lam1-mix":
-        "11bb0ea06e5f5ff53070a02309e1e33f272adab589296023e1daba9713f90a07",
+        "d7c4f35bbecd8348eed25d5b77d561ecaac2f27bd3e464b2db531dff29b34bac",
     "pairwise_half_bitonic-n24-k5-lam5-mix":
-        "11bb0ea06e5f5ff53070a02309e1e33f272adab589296023e1daba9713f90a07",
+        "d7c4f35bbecd8348eed25d5b77d561ecaac2f27bd3e464b2db531dff29b34bac",
     "pairwise_half_bitonic-n24-k5-lam20-mix":
-        "11bb0ea06e5f5ff53070a02309e1e33f272adab589296023e1daba9713f90a07",
+        "d7c4f35bbecd8348eed25d5b77d561ecaac2f27bd3e464b2db531dff29b34bac",
     "pairwise_half_bitonic-n24-k5-nomix":
-        "11bb0ea06e5f5ff53070a02309e1e33f272adab589296023e1daba9713f90a07",
+        "d7c4f35bbecd8348eed25d5b77d561ecaac2f27bd3e464b2db531dff29b34bac",
     "pairwise_half_bitonic-n37-k9-lam1-mix":
-        "d205314ad97e9ebfe9ac42641a2c63aa3dfb05c18a2356ee2a5c1864d6d74a54",
+        "10e8403cdb113d51d92236e42337e5719ec3a752c76321b45d3656047c042706",
     "pairwise_half_bitonic-n37-k9-lam5-mix":
-        "d205314ad97e9ebfe9ac42641a2c63aa3dfb05c18a2356ee2a5c1864d6d74a54",
+        "10e8403cdb113d51d92236e42337e5719ec3a752c76321b45d3656047c042706",
     "pairwise_half_bitonic-n37-k9-lam20-mix":
-        "d205314ad97e9ebfe9ac42641a2c63aa3dfb05c18a2356ee2a5c1864d6d74a54",
+        "10e8403cdb113d51d92236e42337e5719ec3a752c76321b45d3656047c042706",
     "pairwise_half_bitonic-n37-k9-nomix":
-        "d205314ad97e9ebfe9ac42641a2c63aa3dfb05c18a2356ee2a5c1864d6d74a54",
+        "10e8403cdb113d51d92236e42337e5719ec3a752c76321b45d3656047c042706",
     "pairwise_half_bitonic-n64-k12-lam1-mix":
-        "a00e5d34be5635fd272d053efdd376b936f01f6c6400705e0fcac1fcba6ce1c3",
+        "024033b3d73f8945ea86812b176966ccd0aa299d44732a875e9c05af8e55a245",
     "pairwise_half_bitonic-n64-k12-lam5-mix":
-        "a00e5d34be5635fd272d053efdd376b936f01f6c6400705e0fcac1fcba6ce1c3",
+        "024033b3d73f8945ea86812b176966ccd0aa299d44732a875e9c05af8e55a245",
     "pairwise_half_bitonic-n64-k12-lam20-mix":
-        "a00e5d34be5635fd272d053efdd376b936f01f6c6400705e0fcac1fcba6ce1c3",
+        "024033b3d73f8945ea86812b176966ccd0aa299d44732a875e9c05af8e55a245",
     "pairwise_half_bitonic-n64-k12-nomix":
-        "a00e5d34be5635fd272d053efdd376b936f01f6c6400705e0fcac1fcba6ce1c3",
+        "024033b3d73f8945ea86812b176966ccd0aa299d44732a875e9c05af8e55a245",
     "pairwise_half_bitonic-n100-k17-lam1-mix":
-        "4e42c9fc60cedfee6aa1233ae2c85fdfe04fc5704e2c4bbf253a21b2d6b02378",
+        "c7ee96d4b371c2eff26bf7eb0cc7e03806c4fa1632b1002ebd4877ff34d2b97f",
     "pairwise_half_bitonic-n100-k17-lam5-mix":
-        "4e42c9fc60cedfee6aa1233ae2c85fdfe04fc5704e2c4bbf253a21b2d6b02378",
+        "c7ee96d4b371c2eff26bf7eb0cc7e03806c4fa1632b1002ebd4877ff34d2b97f",
     "pairwise_half_bitonic-n100-k17-lam20-mix":
-        "4e42c9fc60cedfee6aa1233ae2c85fdfe04fc5704e2c4bbf253a21b2d6b02378",
+        "c7ee96d4b371c2eff26bf7eb0cc7e03806c4fa1632b1002ebd4877ff34d2b97f",
     "pairwise_half_bitonic-n100-k17-nomix":
-        "4e42c9fc60cedfee6aa1233ae2c85fdfe04fc5704e2c4bbf253a21b2d6b02378",
+        "c7ee96d4b371c2eff26bf7eb0cc7e03806c4fa1632b1002ebd4877ff34d2b97f",
     "fourwise-n5-k2-lam1-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "151a570875b2f8a55d7e42dadb8ab1811c9eb2dc1025522b295ce9da703fb4e3",
     "fourwise-n5-k2-lam5-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "fourwise-n5-k2-lam20-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "fourwise-n5-k2-nomix":
-        "0ab841407ad1dc84150455b1f3837b41902416f057cae4c882ff288e14fc4514",
+        "151a570875b2f8a55d7e42dadb8ab1811c9eb2dc1025522b295ce9da703fb4e3",
     "fourwise-n8-k3-lam1-mix":
-        "b9a7897146938b487e5c481f3f70b21239c74e41de4b64e7b0ac0ef5730c9b81",
+        "df2c7b3920caba25e0b8593e664d861d1f74e8a7f61e3cbadf1ae01f750a6e53",
     "fourwise-n8-k3-lam5-mix":
-        "b9a7897146938b487e5c481f3f70b21239c74e41de4b64e7b0ac0ef5730c9b81",
+        "df2c7b3920caba25e0b8593e664d861d1f74e8a7f61e3cbadf1ae01f750a6e53",
     "fourwise-n8-k3-lam20-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "fourwise-n8-k3-nomix":
-        "b9a7897146938b487e5c481f3f70b21239c74e41de4b64e7b0ac0ef5730c9b81",
+        "df2c7b3920caba25e0b8593e664d861d1f74e8a7f61e3cbadf1ae01f750a6e53",
     "fourwise-n13-k4-lam1-mix":
-        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
+        "4be8d80b4a19d7ec8c64d950305c1011b2bc34ada2340910663dc4943a02209c",
     "fourwise-n13-k4-lam5-mix":
-        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
+        "4be8d80b4a19d7ec8c64d950305c1011b2bc34ada2340910663dc4943a02209c",
     "fourwise-n13-k4-lam20-mix":
-        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
+        "4be8d80b4a19d7ec8c64d950305c1011b2bc34ada2340910663dc4943a02209c",
     "fourwise-n13-k4-nomix":
-        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
+        "4be8d80b4a19d7ec8c64d950305c1011b2bc34ada2340910663dc4943a02209c",
     "fourwise-n16-k7-lam1-mix":
-        "b75d948c28800e792711e1bad961c9fe1384a44670a8521b6577936409f60128",
+        "597965bf6d5626e128ff5a6a072c78bd8fd40045b506f424e76602930f69ab9b",
     "fourwise-n16-k7-lam5-mix":
-        "b75d948c28800e792711e1bad961c9fe1384a44670a8521b6577936409f60128",
+        "597965bf6d5626e128ff5a6a072c78bd8fd40045b506f424e76602930f69ab9b",
     "fourwise-n16-k7-lam20-mix":
-        "b75d948c28800e792711e1bad961c9fe1384a44670a8521b6577936409f60128",
+        "597965bf6d5626e128ff5a6a072c78bd8fd40045b506f424e76602930f69ab9b",
     "fourwise-n16-k7-nomix":
-        "b75d948c28800e792711e1bad961c9fe1384a44670a8521b6577936409f60128",
+        "597965bf6d5626e128ff5a6a072c78bd8fd40045b506f424e76602930f69ab9b",
     "fourwise-n24-k5-lam1-mix":
-        "390dfb0150fdb3b1d3e456ad2aad89def6eeda7a64c05613c49b45630a886e70",
+        "56e828a169c606f153b48168746d1bfd9e32fe5e620de758e7bbb2f7bd6ec8d1",
     "fourwise-n24-k5-lam5-mix":
-        "91934e8d9c7674a07159b2e01f31c20740d51f38c5f6b8b4d5bfa4316297cf13",
+        "9e0515526c55b9bdbd690f099c7bfb7ad73e6aa237dd09b759498b1687ba3d0f",
     "fourwise-n24-k5-lam20-mix":
-        "91934e8d9c7674a07159b2e01f31c20740d51f38c5f6b8b4d5bfa4316297cf13",
+        "9e0515526c55b9bdbd690f099c7bfb7ad73e6aa237dd09b759498b1687ba3d0f",
     "fourwise-n24-k5-nomix":
-        "38e9e1c9b4e231a2db4f8e601c2e3c3e0972d98fa0eafb9b18d11c136052ca10",
+        "f788bea0c0769acbf301a4f3b63d6c6accdb1b2d4fce0176d208f3d4e9fd6498",
     "fourwise-n37-k9-lam1-mix":
-        "5a940f75f902ea2b45a1e3e9818bc5c13d60301f6366733652189e24f07c4c41",
+        "46c172be8ae100730c1a6efa3ac9fd2ef60cd321e012ce74f5648d99e38eca88",
     "fourwise-n37-k9-lam5-mix":
-        "228aef741c84bb2410bc38a29bb30d010b1965b995ec20c73433a1446b6a5b10",
+        "a1b60f7173604426805b427247ac86de50a4d4d12e5a99265f295e53594c827c",
     "fourwise-n37-k9-lam20-mix":
-        "cd8444885feab13a9984051b23fc307dd9b9dcb8d4f6e4d829be2dd492aae39d",
+        "5a0815634f2a4c46a463e297469cfc43ab9bd531190e97339472e90b2613beb9",
     "fourwise-n37-k9-nomix":
-        "5a940f75f902ea2b45a1e3e9818bc5c13d60301f6366733652189e24f07c4c41",
+        "46c172be8ae100730c1a6efa3ac9fd2ef60cd321e012ce74f5648d99e38eca88",
     "fourwise-n64-k12-lam1-mix":
-        "9e3f4acf4f06d2524b77c7f82649c6c16de24ee90973bb06f477a996876baa5b",
+        "3f30c1a155d8b49e2343ad9cb1cdf64e08b38342cc2f1eb8eaec2be61f1634cb",
     "fourwise-n64-k12-lam5-mix":
-        "9e3f4acf4f06d2524b77c7f82649c6c16de24ee90973bb06f477a996876baa5b",
+        "3f30c1a155d8b49e2343ad9cb1cdf64e08b38342cc2f1eb8eaec2be61f1634cb",
     "fourwise-n64-k12-lam20-mix":
-        "9e3f4acf4f06d2524b77c7f82649c6c16de24ee90973bb06f477a996876baa5b",
+        "3f30c1a155d8b49e2343ad9cb1cdf64e08b38342cc2f1eb8eaec2be61f1634cb",
     "fourwise-n64-k12-nomix":
-        "9e3f4acf4f06d2524b77c7f82649c6c16de24ee90973bb06f477a996876baa5b",
+        "3f30c1a155d8b49e2343ad9cb1cdf64e08b38342cc2f1eb8eaec2be61f1634cb",
     "fourwise-n100-k17-lam1-mix":
-        "758f0f6f4825e83f68821d85125e8c7b422f432cedcb95dfe0e65daacecc4c30",
+        "739abcf8043812a47da23142de2156582a22c29d5a085ab59ac0b25a2f5628a5",
     "fourwise-n100-k17-lam5-mix":
-        "2f1134b0680c6e203fdebf080f928df00d096053989005e82137b809936f126c",
+        "9be39cdddbc1d6b68bf5b18792d1c982fc06cb172f368bc8bd52b44153bfb46b",
     "fourwise-n100-k17-lam20-mix":
-        "2f1134b0680c6e203fdebf080f928df00d096053989005e82137b809936f126c",
+        "9be39cdddbc1d6b68bf5b18792d1c982fc06cb172f368bc8bd52b44153bfb46b",
     "fourwise-n100-k17-nomix":
-        "97fcf6188412b04edfe9df4c5af80f72ed9730b1f8ae90094ce4a15118075bfe",
+        "c395ca2a67d4b44b5caef0df62ac6a3237f89817fed35823b90f092d3f4fbb15",
     "bitonic_sel-n5-k2-lam1-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "bitonic_sel-n5-k2-lam5-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "bitonic_sel-n5-k2-lam20-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "bitonic_sel-n5-k2-nomix":
-        "9284b0ba7b39afcbf99cb4f9c79fe2068737a551298e38a593a7fc7625f85af3",
+        "6c4b8922c5d944b8b5257ccdc9a684ba5e1bc7432111e51cbdb61e440aa24d22",
     "bitonic_sel-n8-k3-lam1-mix":
-        "5ff94544cb49ee5f8872c8ea48a7c228352db62bcac1257a9dcf38e32a9407af",
+        "aeb4b848799e37a1cc152945443ae269638d9d603689d6d9b4a858f7d53033dc",
     "bitonic_sel-n8-k3-lam5-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "bitonic_sel-n8-k3-lam20-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "bitonic_sel-n8-k3-nomix":
-        "5ff94544cb49ee5f8872c8ea48a7c228352db62bcac1257a9dcf38e32a9407af",
+        "aeb4b848799e37a1cc152945443ae269638d9d603689d6d9b4a858f7d53033dc",
     "bitonic_sel-n13-k4-lam1-mix":
-        "436729c217af0dfd7ff2a207d3db489fc21ddc05a1040635314e1014d74bef6c",
+        "58ea760abc94de0b0cc139f9894c97ef9ee37c430d84b57326f7d8fe50e2921c",
     "bitonic_sel-n13-k4-lam5-mix":
-        "436729c217af0dfd7ff2a207d3db489fc21ddc05a1040635314e1014d74bef6c",
+        "58ea760abc94de0b0cc139f9894c97ef9ee37c430d84b57326f7d8fe50e2921c",
     "bitonic_sel-n13-k4-lam20-mix":
-        "436729c217af0dfd7ff2a207d3db489fc21ddc05a1040635314e1014d74bef6c",
+        "58ea760abc94de0b0cc139f9894c97ef9ee37c430d84b57326f7d8fe50e2921c",
     "bitonic_sel-n13-k4-nomix":
-        "436729c217af0dfd7ff2a207d3db489fc21ddc05a1040635314e1014d74bef6c",
+        "58ea760abc94de0b0cc139f9894c97ef9ee37c430d84b57326f7d8fe50e2921c",
     "bitonic_sel-n16-k7-lam1-mix":
-        "6f5fc07fd70d9ed25dab1fd3eb2830e12f197abf18ed3697abdd45691e9e8089",
+        "a751212d5745a5db73076d3edea6b52cba01ac6e78de56f706ab8a87bd73afa3",
     "bitonic_sel-n16-k7-lam5-mix":
-        "6f5fc07fd70d9ed25dab1fd3eb2830e12f197abf18ed3697abdd45691e9e8089",
+        "a751212d5745a5db73076d3edea6b52cba01ac6e78de56f706ab8a87bd73afa3",
     "bitonic_sel-n16-k7-lam20-mix":
-        "6f5fc07fd70d9ed25dab1fd3eb2830e12f197abf18ed3697abdd45691e9e8089",
+        "a751212d5745a5db73076d3edea6b52cba01ac6e78de56f706ab8a87bd73afa3",
     "bitonic_sel-n16-k7-nomix":
-        "6f5fc07fd70d9ed25dab1fd3eb2830e12f197abf18ed3697abdd45691e9e8089",
+        "a751212d5745a5db73076d3edea6b52cba01ac6e78de56f706ab8a87bd73afa3",
     "bitonic_sel-n24-k5-lam1-mix":
-        "7eedd67723bd02bafcaab8465280ec9099bd2fc6761ca1f67ec86b65de650a86",
+        "a5a2d1e7cf59a6eafbf7860910a2d159b0a2d7038fb52255eaab8590a7540abc",
     "bitonic_sel-n24-k5-lam5-mix":
-        "7eedd67723bd02bafcaab8465280ec9099bd2fc6761ca1f67ec86b65de650a86",
+        "a5a2d1e7cf59a6eafbf7860910a2d159b0a2d7038fb52255eaab8590a7540abc",
     "bitonic_sel-n24-k5-lam20-mix":
-        "7eedd67723bd02bafcaab8465280ec9099bd2fc6761ca1f67ec86b65de650a86",
+        "a5a2d1e7cf59a6eafbf7860910a2d159b0a2d7038fb52255eaab8590a7540abc",
     "bitonic_sel-n24-k5-nomix":
-        "7eedd67723bd02bafcaab8465280ec9099bd2fc6761ca1f67ec86b65de650a86",
+        "a5a2d1e7cf59a6eafbf7860910a2d159b0a2d7038fb52255eaab8590a7540abc",
     "bitonic_sel-n37-k9-lam1-mix":
-        "d65255cb91d62cd96f822b631aee74c9be41234ac3770bd8aabd70ffec9db24c",
+        "53cbf048e227b2f2a4fdcca3ad67decedfbae24eba94105622b46b4246c1009d",
     "bitonic_sel-n37-k9-lam5-mix":
-        "d65255cb91d62cd96f822b631aee74c9be41234ac3770bd8aabd70ffec9db24c",
+        "53cbf048e227b2f2a4fdcca3ad67decedfbae24eba94105622b46b4246c1009d",
     "bitonic_sel-n37-k9-lam20-mix":
-        "d65255cb91d62cd96f822b631aee74c9be41234ac3770bd8aabd70ffec9db24c",
+        "53cbf048e227b2f2a4fdcca3ad67decedfbae24eba94105622b46b4246c1009d",
     "bitonic_sel-n37-k9-nomix":
-        "d65255cb91d62cd96f822b631aee74c9be41234ac3770bd8aabd70ffec9db24c",
+        "53cbf048e227b2f2a4fdcca3ad67decedfbae24eba94105622b46b4246c1009d",
     "bitonic_sel-n64-k12-lam1-mix":
-        "b28da12e936ab27a78c7c666e8769722ef92b1055927fd3a3bc335f9eb9bd994",
+        "9b79f12d9fb66f4ba33bda85f520240f2525e0a209fac5018858ffef29c10176",
     "bitonic_sel-n64-k12-lam5-mix":
-        "b28da12e936ab27a78c7c666e8769722ef92b1055927fd3a3bc335f9eb9bd994",
+        "9b79f12d9fb66f4ba33bda85f520240f2525e0a209fac5018858ffef29c10176",
     "bitonic_sel-n64-k12-lam20-mix":
-        "b28da12e936ab27a78c7c666e8769722ef92b1055927fd3a3bc335f9eb9bd994",
+        "9b79f12d9fb66f4ba33bda85f520240f2525e0a209fac5018858ffef29c10176",
     "bitonic_sel-n64-k12-nomix":
-        "b28da12e936ab27a78c7c666e8769722ef92b1055927fd3a3bc335f9eb9bd994",
+        "9b79f12d9fb66f4ba33bda85f520240f2525e0a209fac5018858ffef29c10176",
     "bitonic_sel-n100-k17-lam1-mix":
-        "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
+        "661f820616afd457554d9c31bcfa58eac219428c66c1f99996f26c00e89fa901",
     "bitonic_sel-n100-k17-lam5-mix":
-        "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
+        "661f820616afd457554d9c31bcfa58eac219428c66c1f99996f26c00e89fa901",
     "bitonic_sel-n100-k17-lam20-mix":
-        "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
+        "661f820616afd457554d9c31bcfa58eac219428c66c1f99996f26c00e89fa901",
     "bitonic_sel-n100-k17-nomix":
-        "d324650c7856ddf06a4ac8108c5c6faffa7bad5708643cda425883dd16e3e352",
+        "661f820616afd457554d9c31bcfa58eac219428c66c1f99996f26c00e89fa901",
     "oe4-n256-k33-lam5-mix":
-        "5c5e3213346686a933dfda58fc7fe886a0ec90def0bad53d91e5bc55f3e5277e",
+        "bb476c65acfffdea09d967c86e6816a3059058ef9fe0eff3ef8ad4a051f6bd93",
     "oe4-n300-k17-lam5-mix":
-        "fd127f946618dcdbaa1326b41872b26aca77e39937ad2b5966542ab4f2d9f59f",
+        "40638e24ec647abba6e7f341ecdab7c7d182603c7b8454ea9861c606b5e08c75",
     "queens8-oe4":
-        "a88db318dcf2c6b7f5c4b5e9136c5556665c846f5b9359c3a92296ee411df54b",
+        "dbc38ae772e609c3ab9535638a255b88464f55e61838c23e8b9ed51d56583d30",
     "oe2-n256-k33-lam5-mix":
-        "57d0aa9a8fb6d7963c67bb35d2fe165183d56d08c74eeaef01ada1c9d7aed178",
+        "1f3a3618be7a3d41696b34ac8d3d1b43d69bcc53e842519aba27d1edc371ed67",
     "oe2-n300-k17-lam5-mix":
-        "0d8eb7bbef67da46e06ead29d66276f56d98c6acdff4c4d8e65d6570d1375be8",
+        "c899b8d1f104b0c8eae5b83ae70a7a3efb7b2612ba6d3e489b797c04d52dd27a",
     "queens8-oe2":
-        "ca51583690bbbec5749639c66f34391a91d50e9b1a2cd1bf725ebfa178430986",
+        "c95353858cd64463b5b8fbec1f9d9a1a73e88748621e7638df1432abfa7889e0",
     "fourwise-n256-k33-lam5-mix":
-        "3bc408ea365feb9eea4bf70bffc089503a49077870e4a371969e570f05897d1a",
+        "728f0d070a9e477994cf4563137e62a9c69e52b08b398d188b9ea9ed2a9176cc",
     "fourwise-n300-k17-lam5-mix":
-        "e7ddc6037ac3ed7cda0f831c0a3e4f7dad9a7859823e27e03ee17a2af29207b1",
+        "fc1fcf050c42a5e4551772d546ba3bb9b3ac275f05ed1cabaa447f4004762bc2",
     "queens8-fourwise":
-        "030eec85eefee3d154a43d9ba040870729e862c1ab36545f802c2d6a45f45b2e",
+        "d84d446a0b5c1eb81eb93a4b5ee31baa67f0bfe09aa50276542d6f8129c960ff",
     "opb-a-oe4":
-        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
+        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
     "opb-a-oe2":
-        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
+        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
     "opb-a-fourwise":
-        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
+        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
     "opb-a-pairwise_half_bitonic":
-        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
+        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
     "opb-b-oe4":
-        "aeacca0b1a0d8f6844b8882d402953d15aa853688655421287b60f8810a90763",
+        "693545558d89023cf3300e49bd14ec3ab60217c4f5587ca878a6910002f9a98b",
     "opb-b-oe2":
-        "ddecbebf3a5b09d8a7d9db79fc3a1bc25a99bb61eb5484acc7ad1136374dba4d",
+        "9d14474192413bceb1ec454cb200235bb6885adaed626182a61f136cfafde8d2",
     "opb-b-fourwise":
-        "fc58e0fb6cb8766bf510c4b057d100611bf716262e19045625c7e47a97d35fe1",
+        "08ec68a77c2e839d72d84d0c24c0cb1bde968caa8edfbb1940911fed85cba573",
     "opb-b-pairwise_half_bitonic":
-        "fc58e0fb6cb8766bf510c4b057d100611bf716262e19045625c7e47a97d35fe1",
+        "08ec68a77c2e839d72d84d0c24c0cb1bde968caa8edfbb1940911fed85cba573",
     # flagged goal bounds
     "goal-w-oe4":
         "68c3cbb0b41e21ac29aae8513b26a5bdbf62a9c3edc1040cf307eddaf126efa5",
@@ -699,79 +713,79 @@ GOLDEN = {
     "goal-wide-bitonic_sel":
         "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
     "auto-n5-k2-lam1-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "151a570875b2f8a55d7e42dadb8ab1811c9eb2dc1025522b295ce9da703fb4e3",
     "auto-n5-k2-lam5-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "auto-n5-k2-lam20-mix":
-        "5eb181e2ddb1efa0dfb6d4e6e8fe0cb5d92193850e2798e2ac6007a479648a93",
+        "60ce109334d3da873196d3c87a59008da0e8a2871193894fc29ca4404b8ca78a",
     "auto-n5-k2-nomix":
-        "0ab841407ad1dc84150455b1f3837b41902416f057cae4c882ff288e14fc4514",
+        "151a570875b2f8a55d7e42dadb8ab1811c9eb2dc1025522b295ce9da703fb4e3",
     "auto-n8-k3-lam1-mix":
-        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+        "5b5ce270d3b9cacd39979b6ead7b4492006d8e644b4215fa53a803243d429e2a",
     "auto-n8-k3-lam5-mix":
-        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+        "5b5ce270d3b9cacd39979b6ead7b4492006d8e644b4215fa53a803243d429e2a",
     "auto-n8-k3-lam20-mix":
-        "4522a8ea3de97e6fb2275bb2e69c74bb92ba7181406ee2c3030c8c0324c636fa",
+        "ae5a96d7e51de3bc9801f7095438605252074bcb42c7d9461ce0df55af3f300a",
     "auto-n8-k3-nomix":
-        "02b8385766ebdc73a7cab65e2875cd4fd7da6f4b6fdfd086fe0a6ea533c73d43",
+        "5b5ce270d3b9cacd39979b6ead7b4492006d8e644b4215fa53a803243d429e2a",
     "auto-n13-k4-lam1-mix":
-        "f4a91eb2026b0c2e19a055095eb5f068d1a5ea6bfcbdfd362efe118ef46c1e63",
+        "84ea52523e0fe88bf9caf8f5560a91efb58b842530eeb8059dedd9080bfbf2a9",
     "auto-n13-k4-lam5-mix":
-        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
+        "4be8d80b4a19d7ec8c64d950305c1011b2bc34ada2340910663dc4943a02209c",
     "auto-n13-k4-lam20-mix":
-        "e2a4ade911d278fde9fa00d1f33103e93113b168ff6380c7d1c2d8847b829628",
+        "583599747f1d206ff4ba197720fb6acf3062d76f0cb023f07c4d3df3e43593f5",
     "auto-n13-k4-nomix":
-        "e69f95dec8cb4d441810a558799d8aa611d237bc3ee9d02b2b9e53ff0e0e4ca1",
+        "4be8d80b4a19d7ec8c64d950305c1011b2bc34ada2340910663dc4943a02209c",
     "auto-n16-k7-lam1-mix":
-        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+        "4b52748e2c1368e3ec4a47198a08bf5641009eaff7cc4abfcf92c2fd77eb38d2",
     "auto-n16-k7-lam5-mix":
-        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+        "4b52748e2c1368e3ec4a47198a08bf5641009eaff7cc4abfcf92c2fd77eb38d2",
     "auto-n16-k7-lam20-mix":
-        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+        "4b52748e2c1368e3ec4a47198a08bf5641009eaff7cc4abfcf92c2fd77eb38d2",
     "auto-n16-k7-nomix":
-        "10b93118f0450e3432762fdf499cfbc4e81bffd13e5d85fca36f501371f571e3",
+        "4b52748e2c1368e3ec4a47198a08bf5641009eaff7cc4abfcf92c2fd77eb38d2",
     "auto-n24-k5-lam1-mix":
-        "13904a06975493e0b40999eea6f025347fd4072910d8059649f2e3c31858a955",
+        "94babedd1e2876cec8d421dd06d52242a2ae77d9cb2b37c72df210978810e4db",
     "auto-n24-k5-lam5-mix":
-        "91934e8d9c7674a07159b2e01f31c20740d51f38c5f6b8b4d5bfa4316297cf13",
+        "9e0515526c55b9bdbd690f099c7bfb7ad73e6aa237dd09b759498b1687ba3d0f",
     "auto-n24-k5-lam20-mix":
-        "91934e8d9c7674a07159b2e01f31c20740d51f38c5f6b8b4d5bfa4316297cf13",
+        "9e0515526c55b9bdbd690f099c7bfb7ad73e6aa237dd09b759498b1687ba3d0f",
     "auto-n24-k5-nomix":
-        "e2ae00e720c208ebeb9454dc5b6038d44ccd04c1fad9664b90993d455c304a51",
+        "9e17f0d026e096461dc76918c02967e217713e3e3810faaf1e984c26d99b7b48",
     "auto-n37-k9-lam1-mix":
-        "1d7963802369b78cf1a3631e516e21663c694e1db55c947aa9888577f54a6477",
+        "6667b44b0d32a7774cf1234d85e2ad0cb972378132d1a483c0e13d129676db84",
     "auto-n37-k9-lam5-mix":
-        "1522bec1320cdbced7e3ae9b4fba128a20b73ca628129c74ef10a0a115226b4e",
+        "770ae0fab7df3d8e03d6facca55faed7caf6932c4b38d3d114ecbbb3c8e34a75",
     "auto-n37-k9-lam20-mix":
-        "7dbfeec0fca1d1a54462dc901eae43ced892a23bdd9089c961689a3f6ca616b6",
+        "ed5cc927d5c2cc6335a3e82a76b86e259c098337dacdb648e2b0f646836a3b80",
     "auto-n37-k9-nomix":
-        "1d7963802369b78cf1a3631e516e21663c694e1db55c947aa9888577f54a6477",
+        "6667b44b0d32a7774cf1234d85e2ad0cb972378132d1a483c0e13d129676db84",
     "auto-n64-k12-lam1-mix":
-        "b2b8e551e45718a612830d9d7dc20b44bee9a68a23d7972318ccbf5ccd6bb70a",
+        "024a4a4f1d61a0ee1d7d8a3b63c24d3b6b7644186f55578012c97857729753c2",
     "auto-n64-k12-lam5-mix":
-        "b2b8e551e45718a612830d9d7dc20b44bee9a68a23d7972318ccbf5ccd6bb70a",
+        "024a4a4f1d61a0ee1d7d8a3b63c24d3b6b7644186f55578012c97857729753c2",
     "auto-n64-k12-lam20-mix":
-        "8afd49214b257583864e88f69ea5f43e99847a46b50b8b492b82c08ccd3bff63",
+        "ba30023f437f6f999026d8df80af469538c115da76ed2567582fa2d6c0d5102c",
     "auto-n64-k12-nomix":
-        "b2b8e551e45718a612830d9d7dc20b44bee9a68a23d7972318ccbf5ccd6bb70a",
+        "024a4a4f1d61a0ee1d7d8a3b63c24d3b6b7644186f55578012c97857729753c2",
     "auto-n100-k17-lam1-mix":
-        "a17f059839c7426571059b78661648d65736eda564e4fe4aabe34b7813e6358d",
+        "8e22722398ae9961b17661e9a92da0888cfd11044a044972fd4dc1c32a509af8",
     "auto-n100-k17-lam5-mix":
-        "4fbfa1be031289f697fc785845cfbe9a4afae18c0ba62f4cc9fa59f98b7d270c",
+        "149938a790092784d5876a7cf7121b34ac1f0fa3b122736f168b2cd3e0f87091",
     "auto-n100-k17-lam20-mix":
-        "71d32658715852f13a03837a174eb58871ff7c65695d9eb1dc52635b65158016",
+        "755cb07fd5fa680afab785bff1db8d4b0e882343187c6f6d054c88540bc73aba",
     "auto-n100-k17-nomix":
-        "46feef84d8ee4fabe083b4df3a6a1a176cf21e555cbb2dc8145777649cff28d1",
+        "8e6d3a55387beae4a9bdad60f3e1a7274b738b8418bcf067d1aac13dbd2c994a",
     "auto-n256-k33-lam5-mix":
-        "b599ec80632a991b15f8adff6bd44d7b3ab2a30645a725e7a0535dbdf94d4294",
+        "ce4d890626006cc157a1bcea2acad0bfca093899bb1c9b533db6db6d9f27dcc8",
     "auto-n300-k17-lam5-mix":
-        "af137b77285014365cf7eae296c4c7d642972baffd04d8c8f9f4fa29a5611441",
+        "a0c71a47f52d2e7b4fb79768b7125591e53af0b07074ab52a691d304efa67466",
     "queens8-auto":
-        "030eec85eefee3d154a43d9ba040870729e862c1ab36545f802c2d6a45f45b2e",
+        "1b871fbf0c8ef0ab85f9d214f3774d6c9248141bfc8f53f84a39100a6f7a8c48",
     "opb-a-auto":
-        "48c2fd0564c543502081536bd982d91f5c707b282090a47c278c2e9e3d99c192",
+        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
     "opb-b-auto":
-        "aeacca0b1a0d8f6844b8882d402953d15aa853688655421287b60f8810a90763",
+        "693545558d89023cf3300e49bd14ec3ab60217c4f5587ca878a6910002f9a98b",
     "goal-w-auto":
         "68c3cbb0b41e21ac29aae8513b26a5bdbf62a9c3edc1040cf307eddaf126efa5",
     "goal-u-auto":
@@ -804,10 +818,11 @@ def test_golden_dimacs(method):
         assert _sha(thunk()) == GOLDEN[case_id], case_id
 
 
-def _without_dead_gates(formula, aux, exposed):
+def _without_dead_gates(formula, aux, exposed, keep_exposed=True):
     """formula after deleting, repeatedly, every clause that holds a literal
     of an auxiliary variable, not exposed, whose complement occurs nowhere,
-    with the surviving variables renumbered in order."""
+    with the surviving variables renumbered in order.  keep_exposed False
+    also drops an exposed auxiliary variable that no clause holds."""
     clauses = formula.clauses
     while True:
         occurs = Counter(lit for clause in clauses for lit in clause)
@@ -817,7 +832,8 @@ def _without_dead_gates(formula, aux, exposed):
             break
         clauses = [clause for clause in clauses if pure.isdisjoint(clause)]
     used = {abs(lit) for clause in clauses for lit in clause}
-    kept = [v for v in range(1, formula.next_var) if v not in aux or v in used or v in exposed]
+    kept = [v for v in range(1, formula.next_var)
+            if v not in aux or v in used or keep_exposed and v in exposed]
     new = {v: i for i, v in enumerate(kept, 1)}
     return CnfFormula(len(kept) + 1,
                       [tuple(new[lit] if lit > 0 else -new[-lit] for lit in clause)
@@ -828,13 +844,14 @@ def _without_dead_gates(formula, aux, exposed):
 @pytest.mark.parametrize("method", GROUPS)
 def test_pruning_matches_dead_gate_elimination(method, monkeypatch):
     # every network emitted in full, whatever its caller reads: the variables
-    # it allocates are auxiliary, those of the read outputs exposed
+    # it allocates are auxiliary, those of the read outputs exposed; an
+    # asserted output is folded on both sides
     real = encode.emit_network
     aux, exposed = set(), set()
 
-    def emit_everything(formula, net, input_lits, polarity="atmost", reads=None):
+    def emit_everything(formula, net, input_lits, polarity="atmost", reads=None, asserts=None):
         start = formula.next_var
-        outs = real(formula, net, input_lits, polarity)
+        outs = real(formula, net, input_lits, polarity, None, asserts)
         aux.update(range(start, formula.next_var))
         read = outs if reads is None else [outs[i] for i in reads]
         exposed.update(abs(lit) for lit in read if not is_const(lit))
@@ -850,3 +867,77 @@ def test_pruning_matches_dead_gate_elimination(method, monkeypatch):
             full = thunk()
         assert (_without_dead_gates(full, aux, exposed).write_dimacs()
                 == pruned.write_dimacs()), case_id
+
+
+def _propagated(formula, aux, units):
+    """formula after root unit propagation of units over the auxiliary
+    variables aux: every clause a propagated literal satisfies dropped, and
+    every literal it falsifies removed.  An input variable is never
+    assigned, so a clause left with one input literal stays, as a unit.
+    Returns the formula and the assigned variables."""
+    occurs = defaultdict(list)
+    for clause in formula.clauses:
+        for lit in clause:
+            occurs[-lit].append(clause)
+    value = {}
+
+    def satisfied(clause):
+        return any(value.get(abs(lit)) == (lit > 0) for lit in clause)
+
+    queue = list(units)
+    while queue:
+        lit = queue.pop()
+        if abs(lit) in value:
+            assert value[abs(lit)] == (lit > 0), "conflict at the root"
+            continue
+        value[abs(lit)] = lit > 0
+        for clause in occurs[lit]:
+            if not satisfied(clause):
+                left = [l for l in clause if abs(l) not in value]
+                assert left, "conflict at the root"
+                if len(left) == 1 and abs(left[0]) in aux:
+                    queue.append(left[0])
+    clauses = [tuple(lit for lit in clause if abs(lit) not in value)
+               for clause in formula.clauses if not satisfied(clause)]
+    return CnfFormula(formula.next_var, clauses, formula.trivially_unsat), set(value)
+
+
+@pytest.mark.parametrize("method", GROUPS)
+def test_fold_matches_root_propagation(method, monkeypatch):
+    # each network emitted as before the fold: pruned to what its caller
+    # reads, plus the unit of the asserted output; the variables it allocates
+    # are auxiliary, those of the other read outputs exposed.  Root unit
+    # propagation of those units, then dead-gate elimination, gives the
+    # folded bytes: the fold assigns what propagation assigns and keeps every
+    # other clause.  An exposed output left in no clause (a PB top output the
+    # fold makes constant) is dropped as well.  A guarded scope does not fold.
+    real = encode.emit_network
+    aux, exposed, units = set(), set(), []
+
+    def emit_unfolded(formula, net, input_lits, polarity="atmost", reads=None, asserts=None):
+        start = formula.next_var
+        fold = asserts is not None and formula.guard is None
+        outs = real(formula, net, input_lits, polarity, reads, None if fold else asserts)
+        aux.update(range(start, formula.next_var))
+        asserted = outs[list(reads).index(asserts)] if fold else None
+        exposed.update(abs(lit) for lit in outs if not is_const(lit) and lit is not asserted)
+        if fold:
+            unit = neg(asserted) if polarity == "atmost" else asserted
+            formula.add_clause([unit])
+            if not is_const(unit):
+                units.append(unit)
+        return outs
+
+    for case_id, thunk in _group(method):
+        folded = thunk()  # first, so that every price is cached from real emission
+        aux.clear()
+        exposed.clear()
+        units.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(encode, "emit_network", emit_unfolded)
+            patch.setattr(pb, "emit_network", emit_unfolded)
+            unfolded = thunk()
+        propagated, assigned = _propagated(unfolded, aux, units)
+        assert assigned <= aux, case_id
+        assert (_without_dead_gates(propagated, aux, exposed - assigned, False).write_dimacs()
+                == folded.write_dimacs()), case_id

@@ -1,16 +1,18 @@
 """OPB parsing, base search, digit planning, and the PB encoding chain."""
 
 import random
+from unittest import mock
 
 import pytest
 
+from cardnet import pb
 from cardnet.cnf import TRUE, CnfFormula
 from cardnet.encode import METHODS, NETWORK_METHODS, EncodeOptions
 from cardnet.pb import (MixedRadixBase, PbConstraint, PbSyntaxError, base_cost,
                         encode_goal_bound, encode_pb, find_base,
                         normalize_pb, parse_opb, plan_digits, simplify_rhs,
                         to_digits, value_of)
-from cardnet.sat import dpll_sat
+from cardnet.sat import Assignment, Propagator, dpll_sat
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -182,14 +184,17 @@ def test_plan_digit_accounting_random():
         assert plan.adjusted_k % base.weights[-1] == 0
 
 
-def test_encode_pb_single_assertion_unit():
+def test_encode_pb_folds_the_assertion():
+    # 5 x1 + 7 x2 >= 9 asserts the third top output, which the fold makes
+    # TRUE with no unit of its own; propagating it reaches both inputs, whose
+    # units are the clauses that fixed them
     f = CnfFormula()
     f.fresh_vars(2)
     c = PbConstraint(((5, 1), (7, 2)), ">=", 9)
     enc = encode_pb(f, c, MixedRadixBase((2, 2)))
-    units = [cl for cl in f.clauses if len(cl) == 1]
-    assert len(units) == 1 and units[0][0] > 0
-    assert units[0][0] == enc.output_lits[2]  # third top output
+    assert enc.output_lits[2] is TRUE
+    assert [cl for cl in f.clauses if len(cl) == 1] == [(1,), (2,)]
+    assert f.num_vars == 5 and f.num_clauses == 7  # 3 aux
     for bits in range(4):
         model = {1: bool(bits & 1), 2: bool(bits & 2)}
         fixing = [v if model[v] else -v for v in (1, 2)]
@@ -319,3 +324,63 @@ def test_goal_bound_negative_coefficients():
         val = 2 * model[1] - 3 * model[2]
         fixing = [v if model[v] else -v for v in (1, 2)]
         assert dpll_sat(f, fixing)[0] == ("SAT" if val <= 0 else "UNSAT")
+
+
+# -- scaled: 40-60 terms with coefficients up to 1e6 -------------------------------
+
+def _boundary_fixings(rng, coeffs):
+    """(satisfying, violating, k): a random full fixing, as signs per term,
+    whose value k is the bound of a tight at-least constraint, and the same
+    fixing with its cheapest true term dropped, which misses k."""
+    signs = [True, False] + [rng.random() < 0.5 for _ in coeffs[2:]]
+    k = sum(c for c, s in zip(coeffs, signs) if s)
+    cheapest = min((c, i) for i, (c, s) in enumerate(zip(coeffs, signs)) if s)[1]
+    violating = list(signs)
+    violating[cheapest] = False
+    return signs, violating, k
+
+
+def _assumptions(lits, signs):
+    return [lit if s else -lit for lit, s in zip(lits, signs)]
+
+
+@pytest.mark.parametrize("method", ("auto", "oe4"))
+def test_scaled_pb_boundary_fixings(method):
+    # at a tight bound a violating full fixing propagates to a conflict and a
+    # satisfying one is SAT under its units: encode_pb, and encode_goal_bound
+    # unflagged and flagged (the flag on; off, the bound is vacuous).  The
+    # base is given, so that no base search runs
+    rng = random.Random(18)
+    base = MixedRadixBase((2,) * 19)
+    opts = EncodeOptions(method=method)
+    for trial in range(3):
+        n = rng.randint(40, 60)
+        coeffs = [rng.randint(1, 10 ** 6) for _ in range(n)]
+        f = CnfFormula()
+        lits = [v if rng.random() < 0.5 else -v for v in f.fresh_vars(n)]
+        signs, violating, k = _boundary_fixings(rng, coeffs)
+        # sum(c * l) >= k, the fixing being the literals' values
+        for norm in normalize_pb(PbConstraint(tuple(zip(coeffs, lits)), ">=", k)):
+            encode_pb(f, norm, base, opts)
+        prop = Propagator(f)
+        assert prop.propagate(Assignment(), _assumptions(lits, violating)).status == "conflict"
+        assert dpll_sat(f, _assumptions(lits, signs))[0] == "SAT"
+        # sum(c * l) <= bound - 1 with bound - 1 = k, violated by adding the
+        # cheapest term the tight fixing leaves out
+        left_out = [i for i, s in enumerate(signs) if not s]
+        over = list(signs)
+        over[min(left_out, key=coeffs.__getitem__)] = True
+        for flagged in (False, True):
+            g = CnfFormula()
+            g_lits = g.fresh_vars(n)
+            flag = g.fresh_var() if flagged else None
+            objective = list(zip(coeffs, g_lits))
+            with mock.patch.object(pb, "find_base", lambda coeffs: base):
+                encode_goal_bound(g, objective, k + 1, flag, opts)
+            on = [flag] if flagged else []
+            prop = Propagator(g)
+            status = prop.propagate(Assignment(), on + _assumptions(g_lits, over)).status
+            assert status == "conflict"
+            assert dpll_sat(g, on + _assumptions(g_lits, signs))[0] == "SAT"
+            if flagged:
+                assert dpll_sat(g, [-flag] + _assumptions(g_lits, over))[0] == "SAT"

@@ -105,6 +105,25 @@ def test_dpll_examples():
     assert dpll_sat(f)[0] == "UNSAT"
 
 
+def test_dpll_core_takes_raw_clauses():
+    # clauses handed over as parsed, past CnfFormula.add_clause: the core
+    # itself treats an empty clause, a repeated literal and a tautology
+    empty = CnfFormula(3, [(1, 2), ()])
+    assert dpll_sat(empty) == ("UNSAT", None)
+    assert Propagator(empty).propagate(Assignment()).status == "conflict"
+    # (1 1) is the unit 1, (-2 -2 3 -2) the clause (-2 3)
+    repeated = CnfFormula(4, [(1, 1), (-1, 2), (-2, -2, 3, -2)])
+    assert dpll_sat(repeated) == ("SAT", {1: True, 2: True, 3: True})
+    assert dpll_sat(repeated, [-3])[0] == "UNSAT"
+    assert unit_propagate(repeated).assignment.values == {1: True, 2: True, 3: True}
+    # a tautology constrains nothing, in a clause of two literals or more
+    tautology = CnfFormula(4, [(1, -1), (2, -3, -2), (-1,), (3, 3)])
+    status, model = dpll_sat(tautology)
+    assert status == "SAT" and model[1] is False and model[3] is True
+    assert dpll_sat(tautology, [2, -3])[0] == "UNSAT"
+    assert dpll_sat(CnfFormula(2, [(1, -1)]), [-1])[0] == "SAT"
+
+
 def test_dpll_model_satisfies():
     rng = random.Random(17)
     for _ in range(50):
