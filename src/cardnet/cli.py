@@ -6,7 +6,7 @@ suites), demo (instance generators), dpll (built-in reference solver with
 SAT-competition output), ledger (regenerate the formula ledger).
 
 Exit codes: 0 success, 1 usage, 2 parse error, 3 encoding error, 4 solver
-failure, 10 verification failure.
+failure, 5 output file not writable, 10 verification failure.
 
 Each command imports the modules it needs when it runs, and `run_cli`
 defines only the arguments of the command named on the command line, so a
@@ -31,12 +31,25 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_ENCODE = 3
 EXIT_SOLVER = 4
+EXIT_WRITE = 5
 EXIT_VERIFY = 10
 
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _write_output(path: str | None, text: str) -> int:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        return _fail(EXIT_WRITE, f"cannot write {path}: {exc}")
+    return EXIT_OK
 
 
 def _options(args) -> EncodeOptions:
@@ -77,8 +90,7 @@ def _cmd_encode(args) -> int:
         formula = encode_cnfp(problem, _options(args))
     except ValueError as exc:
         return _fail(EXIT_ENCODE, str(exc))
-    Path(args.output).write_text(formula.write_dimacs())
-    return EXIT_OK
+    return _write_output(args.output, formula.write_dimacs())
 
 
 def _cmd_pbencode(args) -> int:
@@ -95,8 +107,7 @@ def _cmd_pbencode(args) -> int:
         enc = encode_problem(problem, _options(args))
     except ValueError as exc:
         return _fail(EXIT_ENCODE, str(exc))
-    Path(args.output).write_text(enc.formula.write_dimacs())
-    return EXIT_OK
+    return _write_output(args.output, enc.formula.write_dimacs())
 
 
 def _load_problem(path: str):
@@ -246,12 +257,7 @@ def _cmd_stats(args) -> int:
         grid = _parse_grid(args.grid)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    text = stats_report(methods, grid)
-    if args.csv:
-        Path(args.csv).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_output(args.csv, stats_report(methods, grid))
 
 
 def _cmd_verify(args) -> int:
@@ -268,13 +274,7 @@ def _cmd_demo(args) -> int:
 
     if args.kind != "queens":
         return _fail(EXIT_USAGE, f"unknown demo {args.kind!r}")
-    problem = queens_cnfp(args.n)
-    text = write_cnfp(problem)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_output(args.output, write_cnfp(queens_cnfp(args.n)))
 
 
 def _cmd_dpll(args) -> int:
@@ -302,12 +302,7 @@ def _cmd_dpll(args) -> int:
 def _cmd_ledger(args) -> int:
     from .docs import formula_ledger
 
-    text = formula_ledger()
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_output(args.output, formula_ledger())
 
 
 def _encode_args(p) -> None:

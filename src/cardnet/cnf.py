@@ -8,15 +8,13 @@ eliminated at clause-add time.
 
 Clauses enter a formula in one of two ways: `add_clause` simplifies each one,
 and `add_clauses` appends whole clause families that an emitter has shown need
-no simplification, by checking once per gate with `distinct_vars`.  Both honour
-the guard literal of a `guarded` scope.
+no simplification, by checking once per gate with `distinct_vars`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class _Const:
@@ -69,8 +67,7 @@ class CnfFormula:
 
     Variable 0 is never used (DIMACS sign encoding).  `trivially_unsat` is set
     as soon as clause simplification ever produces the empty clause; the empty
-    clause itself is not stored.  Inside a `guarded(lit)` scope every added
-    clause gets lit disjoined.
+    clause itself is not stored.
     """
 
     def __init__(self, next_var: int = 1, clauses: list[tuple[int, ...]] | None = None,
@@ -78,7 +75,6 @@ class CnfFormula:
         self.next_var = next_var
         self.clauses = [] if clauses is None else clauses
         self.trivially_unsat = trivially_unsat
-        self._guard: Lit | None = None
 
     def fresh_var(self) -> int:
         v = self.next_var
@@ -96,33 +92,12 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    @property
-    def guard(self) -> Lit | None:
-        """The literal a `guarded` scope disjoins into every clause, or None
-        outside one."""
-        return self._guard
-
-    @contextmanager
-    def guarded(self, lit: Lit) -> Iterator[None]:
-        """Disjoin lit into every clause added inside the scope, so making
-        lit true switches all of them off.  A FALSE guard changes nothing; a
-        TRUE one drops every clause (fresh variables are still allocated)."""
-        if self._guard is not None:
-            raise ValueError("guarded scopes do not nest")
-        if not is_const(lit) and not (isinstance(lit, int) and 0 < abs(lit) < self.next_var):
-            raise ValueError(f"guard {lit!r} is not an allocated literal")
-        self._guard = None if lit is FALSE else lit
-        try:
-            yield
-        finally:
-            self._guard = None
-
     def distinct_vars(self, lits: Sequence[Lit]) -> bool:
-        """True when lits are ints over distinct allocated variables, none of
-        them the guard's.  Clauses built from such literals and fresh
-        variables, with no variable twice, need no simplification and may go
-        through add_clauses.  A Python bool raises ValueError, as in
-        add_clause: it is an int, so True would pass as variable 1."""
+        """True when lits are ints over distinct allocated variables.  Clauses
+        built from such literals and fresh variables, with no variable twice,
+        need no simplification and may go through add_clauses.  A Python
+        bool raises ValueError, as in add_clause: it is an int, so True would
+        pass as variable 1."""
         if any(map(bool.__instancecheck__, lits)):
             raise ValueError(f"malformed literal {next(l for l in lits if isinstance(l, bool))!r}")
         try:
@@ -131,20 +106,12 @@ class CnfFormula:
             return False
         if len(used) != len(lits) or 0 in used:
             return False
-        if used and max(used) >= self.next_var:
-            return False
-        guard = self._guard
-        return guard is None or (guard is not TRUE and abs(guard) not in used)
+        return not used or max(used) < self.next_var
 
     def add_clauses(self, clauses: Iterable[tuple[int, ...]]) -> None:
         """Append clauses that need no simplification (see distinct_vars),
-        as given and in order, each with the guard literal if one is set."""
-        guard = self._guard
-        if guard is None:
-            self.clauses.extend(clauses)
-        elif guard is not TRUE:
-            suffix = (guard,)
-            self.clauses.extend(clause + suffix for clause in clauses)
+        as given and in order."""
+        self.clauses.extend(clauses)
 
     def add_clause(self, lits: Iterable[Lit]) -> None:
         """Add a clause after constant/duplicate/tautology simplification.
@@ -152,11 +119,8 @@ class CnfFormula:
         FALSE literals are dropped, a TRUE literal satisfies the clause (it is
         not stored), duplicates collapse, and a clause with both polarities of
         a variable is a tautology and dropped.  A clause that simplifies to
-        the empty clause marks the formula trivially unsatisfiable.  The guard
-        literal, if set, is the clause's last literal.
+        the empty clause marks the formula trivially unsatisfiable.
         """
-        if self._guard is not None:
-            lits = [*lits, self._guard]
         seen: set[int] = set()
         out: list[int] = []
         for lit in lits:

@@ -77,12 +77,11 @@ class EncodedConstraint:
     output_lits are the unary counter outputs y_1..y_{k+1} (y_j true once j
     inputs are true).  The last one is asserted and folded into the network
     (see emit_network), so output_lits[k] is FALSE and no unit clause
-    carries it; inside a guarded scope, which does not fold, it is a
-    variable with a guarded unit.  The others stay available for
-    incremental strengthening with deeper unit clauses.  A form encode_card
-    put on the at-least side exposes none: its outputs count the negated
-    inputs and cannot deepen the at-most bound.  A pseudo-Boolean encoding
-    exposes its top position's outputs, the asserted one TRUE.
+    carries it.  The others stay available for incremental strengthening
+    with deeper unit clauses.  A form encode_card put on the at-least side
+    exposes none: its outputs count the negated inputs and cannot deepen the
+    at-most bound.  A pseudo-Boolean encoding exposes its top position's
+    outputs, the asserted one TRUE.
     """
 
     formula: CnfFormula
@@ -444,7 +443,7 @@ class _Plan(NamedTuple):
     conflict: bool  # the assertion contradicts a constant
 
 
-# network -> {(reads, asserts, atmost, fold): plan} for emissions whose input
+# network -> {(reads, asserts, atmost): plan} for emissions whose input
 # literals hold no constant, which share one plan per network and reads: so
 # every line of one shape, built once (build_selection_network), is planned
 # once
@@ -452,17 +451,14 @@ _PLANS: weakref.WeakKeyDictionary[Network, dict[tuple, _Plan]] = weakref.WeakKey
 
 
 def _emission_plan(net: Network, input_lits: Sequence[Lit], atmost: bool,
-                   reads: Sequence[int] | None, asserts: int | None, fold: bool) -> _Plan:
+                   reads: Sequence[int] | None, asserts: int | None) -> _Plan:
     value = FALSE if atmost else TRUE
     consts = _constant_wires(net, input_lits)
-    forced: set[int] | None = _forced_wires(net, asserts, consts, atmost) if fold else set()
+    forced = set() if asserts is None else _forced_wires(net, asserts, consts, atmost)
     conflict = forced is None
-    if conflict:
-        forced = set()
-    elif fold:
-        forced = {w for w in forced if w >= net.num_inputs}
-        if forced:
-            consts = _satisfied_wires(net, consts, forced, atmost)
+    forced = {w for w in forced or () if w >= net.num_inputs}
+    if forced:
+        consts = _satisfied_wires(net, consts, forced, atmost)
     live = None if reads is None else _live_wires(net, reads, consts, atmost, forced)
     steps: list[tuple] = []
     for gate in net.gates:
@@ -499,21 +495,17 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
     (see _live_wires) gets no variable and no clause.
 
     asserts, one of the read positions, asserts that output: FALSE at most,
-    TRUE at least.  Outside a guarded scope the assertion is folded, as
-    root unit propagation of its unit over the unfolded emission would
-    leave it: the output and every gate output it fixes (see _forced_wires)
-    become that constant, with no variable and no unit clause.  Their
-    defining clauses are kept without them, their readers' clauses fold as
-    for any constant, and the gate outputs the constants fold go too
-    (_satisfied_wires).  An input literal it fixes keeps its literal; the
-    clause that fixes it is its unit.  Inside a guarded scope the assertion
-    is conditional, so the network is emitted as without it, plus the
-    guarded unit.
+    TRUE at least.  The assertion is folded, as root unit propagation of
+    its unit over the unfolded emission would leave it: the output and every
+    gate output it fixes (see _forced_wires) become that constant, with no
+    variable and no unit clause.  Their defining clauses are kept without
+    them, their readers' clauses fold as for any constant, and the gate
+    outputs the constants fold go too (_satisfied_wires).  An input literal
+    it fixes keeps its literal; the clause that fixes it is its unit.
     """
     if len(input_lits) != net.num_inputs:
         raise ValueError("input literal count does not match the network")
     atmost = polarity == "atmost"
-    fold = asserts is not None and formula.guard is None
     # emission allocates a tuple per clause and keeps every one, and a plan
     # or network may stay cached, so the cyclic collector's passes over the
     # growing heap find nothing
@@ -521,12 +513,12 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
     gc.disable()
     try:
         if TRUE in input_lits or FALSE in input_lits:
-            plan = _emission_plan(net, input_lits, atmost, reads, asserts, fold)
+            plan = _emission_plan(net, input_lits, atmost, reads, asserts)
         else:  # the plan depends on the network alone
             plans = _PLANS.setdefault(net, {})
-            key = (None if reads is None else tuple(reads), asserts, atmost, fold)
+            key = (None if reads is None else tuple(reads), asserts, atmost)
             if key not in plans:
-                plans[key] = _emission_plan(net, input_lits, atmost, reads, asserts, fold)
+                plans[key] = _emission_plan(net, input_lits, atmost, reads, asserts)
             plan = plans[key]
         if plan.conflict:
             formula.add_clause([])  # the assertion contradicts a constant
@@ -555,8 +547,8 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
     finally:
         if collecting:
             gc.enable()
-    if asserts is not None and (not fold or net.outputs[asserts] < net.num_inputs):
-        lit = wire_lits[net.outputs[asserts]]  # the unit, or an asserted input's
+    if asserts is not None and net.outputs[asserts] < net.num_inputs:
+        lit = wire_lits[net.outputs[asserts]]  # an asserted input's unit
         formula.add_clause([neg(lit) if atmost else lit])
     outputs = net.outputs if reads is None else [net.outputs[i] for i in reads]
     return [wire_lits[w] for w in outputs]
@@ -740,7 +732,7 @@ class Chooser:
     network, so any mix of them is arc-consistent.
 
     A selection asserted at its m-th output, as encode_atmost asserts its
-    top, is priced and chosen apart (cost_asserted): the fold leaves that
+    top, is priced and chosen apart (cost(n, m, True)): the fold leaves that
     output and every wire it fixes out.  A level passes the assertion on to
     each column whose top output its fold fixes."""
 
@@ -801,11 +793,6 @@ class Chooser:
             return _direct_cost(n, m, asserted=asserted)
         return self.best_level(n, m, asserted)[1]
 
-    def cost_asserted(self, n: int, m: int) -> tuple[int, int]:
-        """(V, C) of the selection select_wires builds for (n, m) asserted at
-        its m-th output, emitted read to its m-prefix with the fold."""
-        return self.cost(n, m, True)
-
 
 # the benchmark's tracer (perfbench/spans.py) records each decision by
 # wrapping DirectMixer.use_direct, so the chooser keeps this name too
@@ -841,11 +828,9 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
     """Standard encoding of sum(lits) <= k: a (k+1)-selection network over the
     literals in at-most polarity whose output y_{k+1} is asserted FALSE.
     The assertion is folded (see emit_network): y_{k+1} and every gate
-    output it fixes get no variable, and no unit clause is added.  The network is
-    built as the chooser prices it asserted (Chooser.cost_asserted).  Inside
-    a guarded scope the assertion is conditional, so the network is built
-    and emitted whole, as priced unasserted, plus the guarded unit
-    ~y_{k+1}."""
+    output it fixes get no variable, and no unit clause is added.  The
+    network is built as the chooser prices it asserted (Chooser.cost(n,
+    k + 1, True))."""
     opts = opts or EncodeOptions()
     n = len(lits)
     if not 0 <= k < n:
@@ -854,7 +839,7 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
         return encode_baseline(formula, lits, k, opts.method)
     if k == 0:
         return _forbid_all(formula, lits)
-    net = build_selection_network(opts.method, n, k + 1, _chooser(opts), formula.guard is None)
+    net = build_selection_network(opts.method, n, k + 1, _chooser(opts), True)
     outs = emit_network(formula, net, list(lits), "atmost", range(k + 1), k)
     return EncodedConstraint(formula, tuple(lits), k, tuple(outs))
 
@@ -877,22 +862,15 @@ def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
     n-k, is an (n-k)-selection network over the negated literals in
     zero-propagating polarity whose output y_{n-k} is asserted TRUE, folded
     as in encode_atmost.  It is taken when it is strictly cheaper under
-    lam*V + C, each side priced by its exact emission: the at-most side by
-    Chooser.cost_asserted, the at-least side by a dry run.  A guarded scope
-    does not fold and keeps the prices it always had: both sides priced
-    unasserted in at-most polarity, which a network emitted in at-least
-    polarity was measured never to exceed (see
-    test_cheaper_side_is_never_larger).  The at-least side's outputs cannot
-    deepen the at-most bound, so none are exposed."""
+    lam*V + C, each side priced by its exact folded emission: the at-most
+    side by Chooser.cost(n, k + 1, True), the at-least side by a dry run
+    (_atleast_cost).  The at-least side's outputs cannot deepen the at-most
+    bound, so none are exposed."""
     n = len(lits)
     if opts.method in NETWORK_METHODS and n - k < k + 1:
         lam, chooser = opts.lam, _chooser(opts)
-        if formula.guard is None:
-            v, c = chooser.cost_asserted(n, k + 1)
-            lv, lc = _atleast_cost(chooser, n, n - k)
-        else:
-            v, c = chooser.cost(n, k + 1)
-            lv, lc = chooser.cost(n, n - k)
+        v, c = chooser.cost(n, k + 1, True)
+        lv, lc = _atleast_cost(chooser, n, n - k)
         if lam * lv + lc < lam * v + c:
             net = build_selection_network(opts.method, n, n - k, chooser)
             emit_network(formula, net, [neg(l) for l in lits], "atleast", (n - k - 1,), n - k - 1)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import re
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -316,8 +315,7 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     appended) into the next position.  It is emitted in zero-propagating
     polarity reading the top position's outputs, so a position below the
     top emits only what its carries need, and asserting the top position's
-    m-th output, which the emission folds (see encode.emit_network) unless
-    a guarded scope makes the assertion a guarded unit.
+    m-th output, which the emission folds (see encode.emit_network).
     """
     opts = opts or EncodeOptions()
     if c.rel != ">=" or any(a <= 0 for a, _ in c.terms) or c.k < 1:
@@ -353,8 +351,25 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
 def encode_goal_bound(formula: CnfFormula, objective: Sequence[tuple[int, Lit]],
                       bound: int, flag: Lit | None,
                       opts: EncodeOptions | None = None) -> None:
-    """Encode f(x) <= bound - 1; with a flag literal every emitted clause gets
-    ~flag disjoined, so fixing flag to 0 disables the bound."""
-    with nullcontext() if flag is None else formula.guarded(neg(flag)):
-        for norm in normalize_pb(PbConstraint(tuple(objective), "<=", bound - 1)):
+    """Encode f(x) <= bound - 1.  With a flag literal the bound is encoded as
+    without one into a formula of its own, whose clauses are added with
+    ~flag appended (the unit ~flag first if it is trivially unsatisfiable),
+    so fixing flag to 0 disables it.  A flag must be an allocated variable's
+    literal over no objective variable, or ValueError is raised."""
+    forms = normalize_pb(PbConstraint(tuple(objective), "<=", bound - 1))
+    if flag is None:
+        for norm in forms:
             encode_pb(formula, norm, opts=opts)
+        return
+    if type(flag) is not int or not 0 < abs(flag) < formula.next_var:
+        raise ValueError(f"flag {flag!r} is not an allocated literal")
+    if any(lit in (flag, -flag) for _, lit in objective):
+        raise ValueError(f"flag {flag!r} is over an objective variable")
+    bound_formula = CnfFormula(formula.next_var)
+    for norm in forms:
+        encode_pb(bound_formula, norm, opts=opts)
+    formula.next_var = bound_formula.next_var
+    off = (-flag,)
+    if bound_formula.trivially_unsat:
+        formula.add_clauses([off])
+    formula.add_clauses(clause + off for clause in bound_formula.clauses)

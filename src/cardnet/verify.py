@@ -151,7 +151,7 @@ def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
     """Sub-problems up to order limit where the mixing cost recurrence differs
     from a dry run of the network built with the same mixing decisions, or
     with none (lam None), read to its m-prefix; and where the folded price
-    (Chooser.cost_asserted) differs from a dry run of the selection built
+    (Chooser.cost(n, m, True)) differs from a dry run of the selection built
     asserted at its m-th output, emitted with the fold."""
     fails = []
     for method in MIXED_METHODS:
@@ -163,7 +163,7 @@ def mixing_cost_failures(limit: int = 16, lam: int = 5) -> list[str]:
                     if recursive_cost(method, mix_lam, n, m) != cnf_cost(net, range(m)):
                         fails.append(f"{method} lam={mix_lam} n={n} m={m}")
                     net = build_selection_network(method, n, m, chooser, asserted=True)
-                    if chooser.cost_asserted(n, m) != cnf_cost(net, range(m), m - 1):
+                    if chooser.cost(n, m, True) != cnf_cost(net, range(m), m - 1):
                         fails.append(f"{method} lam={mix_lam} n={n} m={m} asserted")
     return fails
 

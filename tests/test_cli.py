@@ -131,6 +131,22 @@ def test_cli_missing_file_exit_code(tmp_path):
                     "-o", str(tmp_path / "x.cnf")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["encode", "{cnfp}", "-o"], ["pbencode", "{opb}", "-o"], ["demo", "queens", "4", "-o"],
+    ["ledger", "-o"], ["stats", "--methods", "oe4", "--grid", "n=4..4,k=1..1", "--csv"]],
+    ids=["encode", "pbencode", "demo", "ledger", "stats"])
+def test_cli_unwritable_output_exit_code(tmp_path, capsys, command):
+    cnfp, opb = tmp_path / "q.cnfp", tmp_path / "q.opb"
+    cnfp.write_text("p cnf+ 4 1\n1 2 3 4 <= 2\n")
+    opb.write_text("+2 x1 +3 x2 +1 x3 >= 3 ;\n")
+    out = tmp_path / "missing" / "out"
+    argv = [arg.format(cnfp=cnfp, opb=opb) for arg in command] + [str(out)]
+    assert run_cli(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_cli_usage_error():
     assert run_cli(["encode"]) == 1
     assert run_cli(["stats", "--methods", "bogus", "--grid", "n=4..4,k=1..1"]) == 1
@@ -268,7 +284,7 @@ def test_cli_method_choices_and_exit_codes(tmp_path, capsys):
     from cardnet.encode import METHODS
 
     assert (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_PARSE, cli.EXIT_ENCODE,
-            cli.EXIT_SOLVER, cli.EXIT_VERIFY) == (0, 1, 2, 3, 4, 10)
+            cli.EXIT_SOLVER, cli.EXIT_WRITE, cli.EXIT_VERIFY) == (0, 1, 2, 3, 4, 5, 10)
     src = tmp_path / "inst.cnfp"
     src.write_text("p cnf+ 4 1\n1 2 3 4 <= 2\n")
     for method in METHODS:

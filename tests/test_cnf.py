@@ -153,49 +153,7 @@ def test_simplification_soundness_exhaustive():
             assert raw_value == simr
 
 
-# -- guard scope and the bulk path ------------------------------------------------
-
-def test_guarded_scope_disjoins_the_guard():
-    f = CnfFormula()
-    x1, x2, g = f.fresh_vars(3)
-    with f.guarded(-g):
-        f.add_clause([x1, x2])
-        f.add_clause([x1, FALSE])
-        f.add_clause([])           # the empty clause becomes the guard alone
-        f.add_clause([x1, g])      # a tautology with the guard
-        f.add_clauses([(x1, -x2), (x2,)])
-    f.add_clause([x2])
-    assert f.clauses == [(1, 2, -3), (1, -3), (-3,), (1, -2, -3), (2, -3), (2,)]
-    assert not f.trivially_unsat
-
-
-def test_guarded_scope_constant_guards():
-    f = CnfFormula()
-    x1, x2 = f.fresh_vars(2)
-    with f.guarded(FALSE):         # disjoining FALSE changes nothing
-        f.add_clause([x1])
-        f.add_clauses([(x1, x2)])
-    with f.guarded(TRUE):          # every clause is satisfied
-        f.add_clause([x2])
-        f.add_clauses([(x2,)])
-        assert not f.distinct_vars([x1, x2])
-    assert f.clauses == [(1,), (1, 2)]
-
-
-def test_guarded_scope_rejects_bad_guards_and_nesting():
-    f = CnfFormula()
-    g = f.fresh_var()
-    for bad in (0, 2, -2, "x"):
-        with pytest.raises(ValueError):
-            with f.guarded(bad):
-                pass
-    with f.guarded(g):
-        with pytest.raises(ValueError):
-            with f.guarded(-g):
-                pass
-    f.add_clause([g])
-    assert f.clauses == [(1,)]     # the scope ended, also after the error
-
+# -- the bulk path ----------------------------------------------------------------
 
 def test_distinct_vars_preconditions():
     f = CnfFormula()
@@ -210,9 +168,6 @@ def test_distinct_vars_preconditions():
     assert not f.distinct_vars([1, TRUE])
     assert not f.distinct_vars([1, FALSE])
     assert not f.distinct_vars([1, 2.0])
-    with f.guarded(4):
-        assert f.distinct_vars([1, 2])
-        assert not f.distinct_vars([1, -4])   # the guard's variable
 
 
 def test_add_clauses_appends_as_given():

@@ -3,8 +3,8 @@
 Every refactor of network construction, direct mixing or clause emission
 must keep these hashes.  A changed hash means the encoder now writes
 different bytes, which is a behaviour change and never a reason to
-re-record.  The flagged goal-bound cases (`goal-*`) pin the guard literal
-that `encode_goal_bound` disjoins into every clause it adds.
+re-record.  The flagged goal-bound cases (`goal-*`) pin the flag literal
+that `encode_goal_bound` appends to every clause of the bound.
 
 The seven cases `queens8-{oe4,oe2,fourwise}` and `opb-a-*` were re-recorded
 once, when `encode_card` and the unit-coefficient branch of `encode_pb` began
@@ -48,13 +48,22 @@ folded into its cone instead of getting a unit clause: all 264 card cases
 asserted output, and every gate output root propagation of its unit fixes,
 lost its variable, its unit and the clauses that propagation satisfies.
 6 card cases also build a different network, because encode_atmost now
-builds its top selection by the folded price (Chooser.cost_asserted):
+builds its top selection by the folded price (Chooser.cost(n, m, True)):
 auto-n5-k2-lam1-mix, auto-n8-k3-lam1-mix, auto-n8-k3-lam5-mix,
 auto-n8-k3-nomix, pairwise_classic-n8-k3-lam5-mix and
 fourwise-n5-k2-lam1-mix.  The 38 goal cases kept their bytes: each is
-flagged, and a guarded scope does not fold.  test_fold_matches_root_propagation
-ties every folded case to its unfolded emission, so the fold itself is
-checked, not only pinned.
+flagged, and a flagged bound was then still emitted unfolded.
+test_fold_matches_root_propagation ties every folded case to its unfolded
+emission, so the fold itself is checked, not only pinned.
+
+24 goal cases were re-recorded when a flagged bound began to be encoded as
+the unflagged one, folded, with the flag's literal appended to each clause:
+goal-w-*, goal-wide-* and goal-u-* of the eight network methods.  Each
+loses the asserted outputs' units and what their root propagation fixes,
+and goal-u's at-most form is also built, and its side chosen, by the
+folded price.  The other 14 kept their bytes: goal-u of sequential, totalizer and
+binomial emits no network, and every goal-neg case is an impossible bound,
+the unit ~flag alone.
 """
 
 import hashlib
@@ -125,7 +134,7 @@ def _opb_case(name, method):
 
 
 def _goal_case(name, method):
-    # goal-wide runs with mixing off so the full networks carry the guard
+    # goal-wide runs with mixing off so the full networks carry the flag
     coeffs, bound = GOAL_OBJECTIVES[name]
     f = CnfFormula()
     xs = f.fresh_vars(len(coeffs))
@@ -645,33 +654,33 @@ GOLDEN = {
         "08ec68a77c2e839d72d84d0c24c0cb1bde968caa8edfbb1940911fed85cba573",
     # flagged goal bounds
     "goal-w-oe4":
-        "68c3cbb0b41e21ac29aae8513b26a5bdbf62a9c3edc1040cf307eddaf126efa5",
+        "6a14b670785bdc422e063b9c2a73c6547d30652dd24eac2d040b76c38559dacb",
     "goal-w-oe2":
-        "2f85dc3f55014141c8dc84de54c41fe17d623949a583a830346b0b86e819ee3b",
+        "0eb5c9b1a0f5f8428501ca62ccbd9eb3c00118b9f1e23c57ffac0d1eecb04808",
     "goal-w-pairwise_classic":
-        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
+        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
     "goal-w-pairwise_bitonic":
-        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
+        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
     "goal-w-pairwise_half_bitonic":
-        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
+        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
     "goal-w-fourwise":
-        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
+        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
     "goal-w-bitonic_sel":
-        "3e1d9483cf3518fc283c923ae2759dad162981db9ee447f4c4ee422db4466fcd",
+        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
     "goal-u-oe4":
-        "4a57e5c00e3280b15fb5e61d748383dc36385e65fefa124cc83213ccc0056dac",
+        "5d3591ca6bba180a06ff7f82c778aff6c6197ec5bf6e391f9c48b2bd4f9a0a40",
     "goal-u-oe2":
-        "5b528fc21a006437e72757012ead6f892b3a43ad7bd41077e446c8c3034d0bff",
+        "3e50d118f04cb34f6ec88a654c99990f705159fbdeee36926cc9fbdeb337cd09",
     "goal-u-pairwise_classic":
-        "27fd195a04a0ef91330ef206bee7d57fef8289edb67ee642d6b05321236c69f3",
+        "decd73111a0ef1ebda93ece1b5ba709edb69281654e70a8dacf53a2c86860fd0",
     "goal-u-pairwise_bitonic":
-        "da29378efc5ac7425036d60c0def0880da979a7116b5f96e15cb574eab22ced0",
+        "cbf22752fa6b25c5ff8743de91b4ddb2ded3b4149d6a1a3f34031a3d17351eb4",
     "goal-u-pairwise_half_bitonic":
-        "64ec2e58c6e15317e376dca3e1f8b4daf5463ad68117dbaaa04b5b79806cba4b",
+        "4dba4f2fd4534e22e0919f401aac29eba0e9a6e1ddea58068109e3592c5f3b6e",
     "goal-u-fourwise":
-        "3f18e9f989718fbefd7c54e168cdc3953b233469b24aa995dc5e15e421cb1f9f",
+        "e6bfc9d4f6f29f7b0380d1f3ff4cb996690b9206b46cf57fb929eb5c3b391140",
     "goal-u-bitonic_sel":
-        "eefccc55d178aaa8ff094d44166479c347fcb2503c6b83861894d40a7beb294a",
+        "e927efb8321ef5c971802a845aefd5283b8a5a31b397fbb0e39d29cd64e3a7d5",
     "goal-u-sequential":
         "126172491c1672015c762115c42c07f6b9f07514116a163326f6b2f341fd9600",
     "goal-u-totalizer":
@@ -699,19 +708,19 @@ GOLDEN = {
     "goal-neg-binomial":
         "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
     "goal-wide-oe4":
-        "2255d312dcd44a6b8490a3178ba4ec2bc32b10e743d14251abecfbafd7560d02",
+        "c45231088fa6d1306cebefae7b7b7e51086428cf0f862bb9b45a8df4e874a331",
     "goal-wide-oe2":
-        "d58d12f2f92032a13168e006757672afc91a9ee749b7c21c30a5478bd99c8e77",
+        "bb53122524446a2bd2c700a11ef6d61992a36fd9ea23c96e82660d896930708a",
     "goal-wide-pairwise_classic":
-        "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
+        "bbad1ec2974c5f8d62775ca51a03b4e87341bdcf99d31d6a3424c28743840ee4",
     "goal-wide-pairwise_bitonic":
-        "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
+        "bbad1ec2974c5f8d62775ca51a03b4e87341bdcf99d31d6a3424c28743840ee4",
     "goal-wide-pairwise_half_bitonic":
-        "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
+        "bbad1ec2974c5f8d62775ca51a03b4e87341bdcf99d31d6a3424c28743840ee4",
     "goal-wide-fourwise":
-        "d86ff5a03a0678c2e04a5d509077d7714b5189ec2983441f8e9dbb2fd3d59dd2",
+        "ff436f4b17dadafeca34d0d64b04d338a65cd6968905329c5dcaf2802e5a3b27",
     "goal-wide-bitonic_sel":
-        "c59374709a614ee8a91b555e8ffbc8bb2558952567f956bde33c9d21cc1b435c",
+        "bbad1ec2974c5f8d62775ca51a03b4e87341bdcf99d31d6a3424c28743840ee4",
     "auto-n5-k2-lam1-mix":
         "151a570875b2f8a55d7e42dadb8ab1811c9eb2dc1025522b295ce9da703fb4e3",
     "auto-n5-k2-lam5-mix":
@@ -787,13 +796,13 @@ GOLDEN = {
     "opb-b-auto":
         "693545558d89023cf3300e49bd14ec3ab60217c4f5587ca878a6910002f9a98b",
     "goal-w-auto":
-        "68c3cbb0b41e21ac29aae8513b26a5bdbf62a9c3edc1040cf307eddaf126efa5",
+        "6a14b670785bdc422e063b9c2a73c6547d30652dd24eac2d040b76c38559dacb",
     "goal-u-auto":
-        "4a57e5c00e3280b15fb5e61d748383dc36385e65fefa124cc83213ccc0056dac",
+        "5d3591ca6bba180a06ff7f82c778aff6c6197ec5bf6e391f9c48b2bd4f9a0a40",
     "goal-neg-auto":
         "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
     "goal-wide-auto":
-        "2255d312dcd44a6b8490a3178ba4ec2bc32b10e743d14251abecfbafd7560d02",
+        "c45231088fa6d1306cebefae7b7b7e51086428cf0f862bb9b45a8df4e874a331",
 }
 
 
@@ -841,6 +850,16 @@ def _without_dead_gates(formula, aux, exposed, keep_exposed=True):
                       formula.trivially_unsat)
 
 
+def _price_caches():
+    """Entry counts of the price caches.  The tests below patch emit_network
+    module-wide, so a price computed during a patched run would come from
+    the patched emission; each case first runs unpatched to fill them, and
+    its patched run must add no entry."""
+    return (len(encode._LEVEL_COSTS), encode.Chooser.best_level.cache_info().currsize,
+            encode.Chooser.use_direct.cache_info().currsize,
+            encode._atleast_cost.cache_info().currsize)
+
+
 @pytest.mark.parametrize("method", GROUPS)
 def test_pruning_matches_dead_gate_elimination(method, monkeypatch):
     # every network emitted in full, whatever its caller reads: the variables
@@ -859,12 +878,14 @@ def test_pruning_matches_dead_gate_elimination(method, monkeypatch):
 
     for case_id, thunk in _group(method):
         pruned = thunk()
+        priced = _price_caches()
         aux.clear()
         exposed.clear()
         with monkeypatch.context() as patch:
             patch.setattr(encode, "emit_network", emit_everything)
             patch.setattr(pb, "emit_network", emit_everything)
             full = thunk()
+        assert _price_caches() == priced, case_id
         assert (_without_dead_gates(full, aux, exposed).write_dimacs()
                 == pruned.write_dimacs()), case_id
 
@@ -902,6 +923,13 @@ def _propagated(formula, aux, units):
     return CnfFormula(formula.next_var, clauses, formula.trivially_unsat), set(value)
 
 
+def _assumed(formula, lit):
+    """formula with lit assumed true: ~lit removed from every clause."""
+    return CnfFormula(formula.next_var,
+                      [tuple(l for l in clause if l != -lit) for clause in formula.clauses],
+                      formula.trivially_unsat)
+
+
 @pytest.mark.parametrize("method", GROUPS)
 def test_fold_matches_root_propagation(method, monkeypatch):
     # each network emitted as before the fold: pruned to what its caller
@@ -910,18 +938,18 @@ def test_fold_matches_root_propagation(method, monkeypatch):
     # propagation of those units, then dead-gate elimination, gives the
     # folded bytes: the fold assigns what propagation assigns and keeps every
     # other clause.  An exposed output left in no clause (a PB top output the
-    # fold makes constant) is dropped as well.  A guarded scope does not fold.
+    # fold makes constant) is dropped as well.  A goal case's flag is assumed
+    # true on both sides: ~flag is stripped from every clause.
     real = encode.emit_network
     aux, exposed, units = set(), set(), []
 
     def emit_unfolded(formula, net, input_lits, polarity="atmost", reads=None, asserts=None):
         start = formula.next_var
-        fold = asserts is not None and formula.guard is None
-        outs = real(formula, net, input_lits, polarity, reads, None if fold else asserts)
+        outs = real(formula, net, input_lits, polarity, reads, None)
         aux.update(range(start, formula.next_var))
-        asserted = outs[list(reads).index(asserts)] if fold else None
+        asserted = None if asserts is None else outs[list(reads).index(asserts)]
         exposed.update(abs(lit) for lit in outs if not is_const(lit) and lit is not asserted)
-        if fold:
+        if asserts is not None:
             unit = neg(asserted) if polarity == "atmost" else asserted
             formula.add_clause([unit])
             if not is_const(unit):
@@ -930,6 +958,7 @@ def test_fold_matches_root_propagation(method, monkeypatch):
 
     for case_id, thunk in _group(method):
         folded = thunk()  # first, so that every price is cached from real emission
+        priced = _price_caches()
         aux.clear()
         exposed.clear()
         units.clear()
@@ -937,6 +966,10 @@ def test_fold_matches_root_propagation(method, monkeypatch):
             patch.setattr(encode, "emit_network", emit_unfolded)
             patch.setattr(pb, "emit_network", emit_unfolded)
             unfolded = thunk()
+        assert _price_caches() == priced, case_id
+        if case_id.startswith("goal-"):  # _goal_case's flag follows the objective
+            flag = len(GOAL_OBJECTIVES[case_id.rsplit("-", 1)[0]][0]) + 1
+            folded, unfolded = _assumed(folded, flag), _assumed(unfolded, flag)
         propagated, assigned = _propagated(unfolded, aux, units)
         assert assigned <= aux, case_id
         assert (_without_dead_gates(propagated, aux, exposed - assigned, False).write_dimacs()

@@ -276,15 +276,21 @@ def test_goal_bound_flagged():
     assert dpll_sat(f, [-flag, x1, x2])[0] == "SAT"
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_goal_bound_guards_every_clause(method):
-    # weighted objectives need a selection network; unit ones run everywhere
+def _goal_objectives(method):
+    """(coefficients, bound) of unit, negative, weighted and impossible
+    objectives; weighted ones need a selection network, unit ones run
+    everywhere."""
     objectives = [((1,) * 12, 5), ((1, 1, -1, 1, 1, 1, -1, 1), 3)]
     if method in NETWORK_METHODS:
         objectives += [((3, 5, -2, 7, 4, 6, 1, -4, 9, 2, 8, 5), 14),
                        ((1, 2, 3, 1, 2, 3, 5, 1, 2, 3, 1, 2, 3, 5, 1, 2, 3, 1, 2, 3), 17),
                        ((2, 3, 4), -1)]
-    for coeffs, bound in objectives:
+    return objectives
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_goal_bound_guards_every_clause(method):
+    for coeffs, bound in _goal_objectives(method):
         for mixing in (True, False):
             f = CnfFormula()
             xs = f.fresh_vars(len(coeffs))
@@ -297,6 +303,37 @@ def test_goal_bound_guards_every_clause(method):
             missing = [c for c in added if -flag not in c]
             assert not missing, (coeffs, mixing, len(missing), len(added))
             assert flag not in f.clauses[0]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_flagged_goal_bound_is_the_bound_with_the_flag_appended(method):
+    # the same clauses as the unflagged bound, each with ~flag last, and the
+    # same variables; an unflagged bound that is trivially unsatisfiable
+    # becomes the unit ~flag, first
+    for coeffs, bound in _goal_objectives(method):
+        for mixing in (True, False):
+            opts = EncodeOptions(method=method, direct_mixing=mixing)
+            bare, flagged = CnfFormula(), CnfFormula()
+            for f in (bare, flagged):
+                xs = f.fresh_vars(len(coeffs))
+                flag = f.fresh_var()
+                f.add_clause([xs[0], xs[1]])
+            encode_goal_bound(bare, list(zip(coeffs, xs)), bound, None, opts)
+            encode_goal_bound(flagged, list(zip(coeffs, xs)), bound, flag, opts)
+            want = bare.clauses[:1] + [(-flag,)] * bare.trivially_unsat
+            want += [clause + (-flag,) for clause in bare.clauses[1:]]
+            assert flagged.clauses == want, (coeffs, mixing)
+            assert flagged.num_vars == bare.num_vars and not flagged.trivially_unsat
+
+
+def test_goal_bound_rejects_bad_flags():
+    # a flag is an allocated variable's literal, over no objective variable
+    f = CnfFormula()
+    x1, x2 = f.fresh_vars(2)
+    for bad in (0, 3, -3, True, "x", TRUE, x1, -x2):
+        with pytest.raises(ValueError, match="flag"):
+            encode_goal_bound(f, [(1, x1), (2, x2)], 2, bad)
+    assert f.clauses == [] and f.next_var == 3
 
 
 def test_goal_bound_trivial_cases():
