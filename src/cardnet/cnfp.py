@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cnf import CnfFormula
-from .encode import CardConstraint, EncodeOptions, encode_card
+from .encode import CardConstraint, EncodeOptions, encode_cards
 
 
 class CnfpSyntaxError(ValueError):
@@ -101,13 +101,14 @@ def write_cnfp(problem: CnfpProblem) -> str:
 
 
 def encode_cnfp(problem: CnfpProblem, opts: EncodeOptions | None = None) -> CnfFormula:
-    """Pass clauses through and encode every cardinality line."""
+    """Pass clauses through and encode every cardinality line; a <= line
+    and a >= line over one literal multiset may share a network (see
+    encode_cards)."""
     formula = CnfFormula()
     formula.fresh_vars(problem.num_vars)
     for clause in problem.clauses:
         formula.add_clause(clause)
-    for card in problem.card_lines:
-        encode_card(formula, card, opts)
+    encode_cards(formula, problem.card_lines, opts)
     return formula
 
 

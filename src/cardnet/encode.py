@@ -13,13 +13,16 @@ and every gate output root unit propagation of the unit fixes get no variable
 (emit_network).
 
 Every relation normalizes to at-most forms.  encode_card encodes each form on
-its cheaper side: sum(lits) <= k either as above, or as sum(~lits) >= n-k, an
-(n-k)-selection network over the negated literals in the zero-propagating
-polarity asserting y_{n-k}.  Both are arc-consistent (Asin, Nieuwenhuis,
-Oliveras and Rodriguez-Carbonell, "Cardinality Networks: a theoretical and
-empirical study", Constraints 2011), and the fold keeps what unit
-propagation derives.  The pseudo-Boolean pipeline emits its digit networks
-in the zero-propagating polarity too, since it asserts an output positively.
+its cheaper side, reading its asserted output alone: sum(lits) <= k either as
+above, or as sum(~lits) >= n-k, an (n-k)-selection network over the negated
+literals in the zero-propagating polarity asserting y_{n-k}.  Both are
+arc-consistent (Asin, Nieuwenhuis, Oliveras and Rodriguez-Carbonell,
+"Cardinality Networks: a theoretical and empirical study", Constraints 2011),
+and the fold keeps what unit propagation derives.  The two forms of
+j <= sum(lits) <= k may instead share one network that carries the upper
+bound in one polarity and the lower in the other (emit_bounds).  The
+pseudo-Boolean pipeline emits its digit networks in the zero-propagating
+polarity too, since it asserts an output positively.
 """
 
 from __future__ import annotations
@@ -74,14 +77,13 @@ class EncodeOptions:
 class EncodedConstraint:
     """Result of encoding one at-most-k constraint sum(input_lits) <= k.
 
-    output_lits are the unary counter outputs y_1..y_{k+1} (y_j true once j
-    inputs are true).  The last one is asserted and folded into the network
-    (see emit_network), so output_lits[k] is FALSE and no unit clause
-    carries it.  The others stay available for incremental strengthening
-    with deeper unit clauses.  A form encode_card put on the at-least side
-    exposes none: its outputs count the negated inputs and cannot deepen the
-    at-most bound.  A pseudo-Boolean encoding exposes its top position's
-    outputs, the asserted one TRUE.
+    Only encode_atmost (and the totalizer baseline) exposes output_lits,
+    the unary counter outputs y_1..y_{k+1} (y_j true once j inputs are
+    true).  The last one is asserted and folded into the network (see
+    emit_network), so output_lits[k] is FALSE and no unit clause carries
+    it.  The others stay available for incremental strengthening with
+    deeper unit clauses.  encode_card and encode_pb read their asserted
+    output alone and expose none.
     """
 
     formula: CnfFormula
@@ -161,26 +163,29 @@ def normalize_card(c: CardConstraint) -> NormalizedCard:
 
 def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequence[int],
                       polarity: str, distinct: bool = False,
-                      forced: Sequence[int] = ()) -> list[Lit]:
+                      forced: Sequence[int] = (),
+                      ys: Sequence[Lit] | None = None) -> list[Lit]:
     """Fresh variables and clause families for one selector's outputs of the
     given ranks p (output p is true once p inputs are), none of which
     _constant_wires folds.  A rank in forced is an output the assertion
     fixes (see _forced_wires): it gets no variable, and its clauses omit it.
-    distinct says the free inputs are known to be over distinct variables."""
+    distinct says the free inputs are known to be over distinct variables.
+    ys, when given, holds the variable of the rank at each index (see
+    emit_network's wires) in place of a fresh one."""
     atmost = polarity == "atmost"
     trues = in_lits.count(TRUE)
     free = [l for l in in_lits if l is not TRUE and l is not FALSE]
     negs = [-l for l in free] if atmost else []
     outs: list[Lit] = []
     clauses: list[tuple[Lit, ...]] = []
-    for p in ranks:
+    for i, p in enumerate(ranks):
         need = p - trues
         family = combinations(negs, need) if atmost else combinations(free, len(free) - need + 1)
         if p in forced:
             outs.append(FALSE if atmost else TRUE)
             clauses += family
             continue
-        y = formula.fresh_var()
+        y = formula.fresh_var() if ys is None else ys[i]
         outs.append(y)
         clauses += [s + (y,) for s in family] if atmost else [(-y,) + s for s in family]
     # over distinct variables no clause of the family needs simplification
@@ -194,12 +199,14 @@ def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequen
 
 def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bool,
                      want_y: bool, polarity: str, distinct: bool = False,
-                     forced_x: bool = False,
-                     forced_y: bool = False) -> tuple[Lit | None, Lit | None]:
+                     forced_x: bool = False, forced_y: bool = False,
+                     vx: Lit | None = None,
+                     vy: Lit | None = None) -> tuple[Lit | None, Lit | None]:
     """Fresh variables and clauses for the wanted outputs of one combine
     pair, none of which _constant_wires folds.  A forced output is fixed by
     the assertion (see _forced_wires): it gets no variable and its clauses
-    omit it."""
+    omit it.  vx and vy, when given, are the outputs' variables (see
+    emit_network's wires) in place of fresh ones."""
     atmost = polarity == "atmost"
     fixed = FALSE if atmost else TRUE
     free = [l for l in (ym2, ym1, yy, xx, xp1, xp2) if l is not TRUE and l is not FALSE]
@@ -208,12 +215,12 @@ def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bo
     clauses: list[tuple[Lit, ...]] = []
 
     if want_y:
-        out_y = y = fixed if forced_y else formula.fresh_var()
+        out_y = y = fixed if forced_y else vy if vy is not None else formula.fresh_var()
         clauses += ([(-yy, y), (-xp2, y), (-ym1, -xp1, y)] if atmost
                     else [(-y, ym1, xp2), (-y, yy, xp1)])
 
     if want_x:
-        out_x = x = fixed if forced_x else formula.fresh_var()
+        out_x = x = fixed if forced_x else vx if vx is not None else formula.fresh_var()
         clauses += ([(-ym1, -xx, x), (-ym2, -xp1, x)] if atmost
                     else [(-x, xx), (-x, ym2), (-x, ym1, xp1)])
 
@@ -486,7 +493,8 @@ def _emission_plan(net: Network, input_lits: Sequence[Lit], atmost: bool,
 
 def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
                  polarity: str = "atmost", reads: Sequence[int] | None = None,
-                 asserts: int | None = None) -> list[Lit]:
+                 asserts: int | None = None,
+                 wires: list[Lit | None] | None = None) -> list[Lit]:
     """Walk the gates in topological order and return the literals of the
     outputs the caller reads: the output positions in reads, in that order,
     or every output when reads is None.
@@ -502,6 +510,11 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
     them, their readers' clauses fold as for any constant, and the gate
     outputs the constants fold go too (_satisfied_wires).  An input literal
     it fixes keeps its literal; the clause that fixes it is its unit.
+
+    wires, a variable per wire past the inputs, lets emissions of one
+    network share their gate outputs, say one emission per polarity (see
+    emit_bounds): a gate output this emission gives a variable takes its
+    entry there instead of a fresh one.
     """
     if len(input_lits) != net.num_inputs:
         raise ValueError("input literal count does not match the network")
@@ -532,18 +545,23 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
             if type(gate) is Selector:
                 outs = gate.outputs
                 lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
-                                         wanted, polarity, distinct, fixed)
+                                         wanted, polarity, distinct, fixed,
+                                         None if wires is None else
+                                         [wires[outs[p - 1]] for p in wanted])
                 for p, lit in zip(wanted, lits):
                     wire_lits[outs[p - 1]] = lit
                 continue
+            ox, oy = gate.out_x, gate.out_y
+            given = () if wires is None else (wires[ox] if wanted[0] else None,
+                                              wires[oy] if wanted[1] else None)
             lx, ly = _combine_outputs(
                 formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
                 wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2], *wanted, polarity,
-                distinct, *fixed)
+                distinct, *fixed, *given)
             if wanted[0]:
-                wire_lits[gate.out_x] = lx
+                wire_lits[ox] = lx
             if wanted[1]:
-                wire_lits[gate.out_y] = ly
+                wire_lits[oy] = ly
     finally:
         if collecting:
             gc.enable()
@@ -552,6 +570,114 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
         formula.add_clause([neg(lit) if atmost else lit])
     outputs = net.outputs if reads is None else [net.outputs[i] for i in reads]
     return [wire_lits[w] for w in outputs]
+
+
+class _Bounds(NamedTuple):
+    """What emit_bounds emits for a network over free inputs, as clauses of
+    indices into [None, x_1..x_n, a_1..a_aux, ~x_1..~x_n, ~a_1..~a_aux]:
+    the n input literals and the aux gate outputs it keeps, allocated in
+    that order (the gate outputs in wire order), then their complements."""
+
+    clauses: list[tuple[int, ...]]
+    aux: int
+    conflict: bool
+
+
+# network -> {(upper, lower): the bounds emission over free inputs}
+_BOUNDS: weakref.WeakKeyDictionary[Network, dict[tuple, _Bounds]] = weakref.WeakKeyDictionary()
+
+
+def _bounds_emission(net: Network, upper: int, lower: int) -> _Bounds:
+    """The two polarities emitted unfolded over shared variables, each with
+    the unit of its assertion (a unit over an input stays a clause), then
+    root unit propagation of the units over both clause sets: every clause
+    an assigned gate output satisfies goes, and every literal it falsifies.
+    On 2,100 random pairs oriented as encode_cards orients them (n <= 130,
+    seven network methods, mixed and not), dead-gate elimination after that
+    found nothing to remove, so none is made."""
+    n = net.num_inputs
+    # variable w + 1 for wire w, so that the kept gate outputs are numbered
+    # in wire order, whichever emission reads them first
+    scratch = CnfFormula(net.num_wires + 1)
+    inputs = list(range(1, n + 1))
+    wires: list[Lit | None] = [None] * n + list(range(n + 1, net.num_wires + 1))
+    units: list[int] = []
+    for polarity, at in (("atmost", upper), ("atleast", lower)):
+        (out,) = emit_network(scratch, net, inputs, polarity, (at,), None, wires)
+        unit = neg(out) if polarity == "atmost" else out
+        if unit is FALSE:
+            scratch.trivially_unsat = True
+        elif unit is not TRUE:
+            if abs(unit) > n:
+                units.append(unit)
+            else:
+                scratch.add_clause([unit])
+    if scratch.trivially_unsat:
+        return _Bounds([], 0, True)
+    # propagation in waves: few clauses hold the complement of a new
+    # literal, and one pass over the clauses finds them all
+    clauses = scratch.clauses
+    true: set[int] = set()
+    wave = set(units)
+    while wave:
+        if any(-lit in true or -lit in wave for lit in wave):
+            return _Bounds([], 0, True)
+        true |= wave
+        falsified = {-lit for lit in wave}
+        wave = set()
+        for clause in clauses:
+            if not falsified.isdisjoint(clause) and true.isdisjoint(clause):
+                left = [l for l in clause if -l not in true]
+                if not left:
+                    return _Bounds([], 0, True)
+                if len(left) == 1 and abs(left[0]) > n:
+                    wave.add(left[0])
+        wave -= true
+    false = {-lit for lit in true}
+    kept = [clause if false.isdisjoint(clause) else tuple(l for l in clause if l not in false)
+            for clause in clauses if true.isdisjoint(clause)]
+    used = sorted({abs(l) for l in set().union(*kept) if not -n <= l <= n})
+    size = n + len(used)
+    index = {v: v for v in range(1, n + 1)}
+    index.update(zip(used, range(n + 1, size + 1)))
+    index.update([(-v, size + i) for v, i in index.items()])
+    return _Bounds([tuple(map(index.__getitem__, clause)) for clause in kept], len(used), False)
+
+
+def _bounds_plan(net: Network, upper: int, lower: int) -> _Bounds:
+    plans = _BOUNDS.setdefault(net, {})
+    if (upper, lower) not in plans:
+        plans[upper, lower] = _bounds_emission(net, upper, lower)
+    return plans[upper, lower]
+
+
+def emit_bounds(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
+                upper: int, lower: int) -> None:
+    """Assert both output position upper FALSE and output position lower
+    TRUE (lower <= upper): the at-most polarity's clauses of upper's cone
+    and the at-least polarity's of lower's, over shared gate-output
+    variables (emit_network's wires).  Each clause set is arc-consistent for
+    its own bound, so together they are for both.
+
+    Both assertions are folded as root unit propagation of their units over
+    the two clause sets together leaves them (_bounds_emission): a wire
+    either fixes is that constant in both.  The result depends on the
+    network alone, so it is made once per network and positions and
+    instantiated over the input literals."""
+    if len(input_lits) != net.num_inputs:
+        raise ValueError("input literal count does not match the network")
+    plan = _bounds_plan(net, upper, lower)
+    if plan.conflict:
+        formula.add_clause([])
+        return
+    lits = [*input_lits, *formula.fresh_vars(plan.aux)]
+    table = [None, *lits, *map(neg, lits)]
+    clauses = [tuple(map(table.__getitem__, clause)) for clause in plan.clauses]
+    if formula.distinct_vars(input_lits):
+        formula.add_clauses(clauses)
+    else:
+        for clause in clauses:
+            formula.add_clause(clause)
 
 
 def cnf_cost(net: Network, reads: Sequence[int] | None = None,
@@ -823,6 +949,12 @@ def choose_direct(n: int, m: int, opts: EncodeOptions) -> bool:
 # at-most-k encoders
 # ---------------------------------------------------------------------------
 
+def _atmost_network(chooser: Chooser, n: int, k: int) -> Network:
+    """The (k+1)-selection network of sum(lits) <= k over n literals, built
+    as the chooser prices it asserted (Chooser.cost(n, k + 1, True))."""
+    return build_selection_network(chooser.method, n, k + 1, chooser, True)
+
+
 def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
                   opts: EncodeOptions | None = None) -> EncodedConstraint:
     """Standard encoding of sum(lits) <= k: a (k+1)-selection network over the
@@ -830,7 +962,8 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
     The assertion is folded (see emit_network): y_{k+1} and every gate
     output it fixes get no variable, and no unit clause is added.  The
     network is built as the chooser prices it asserted (Chooser.cost(n,
-    k + 1, True))."""
+    k + 1, True)).  It reads and exposes y_1..y_{k+1}, for strengthen; the
+    other encoders read their asserted output alone."""
     opts = opts or EncodeOptions()
     n = len(lits)
     if not 0 <= k < n:
@@ -839,43 +972,66 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
         return encode_baseline(formula, lits, k, opts.method)
     if k == 0:
         return _forbid_all(formula, lits)
-    net = build_selection_network(opts.method, n, k + 1, _chooser(opts), True)
+    net = _atmost_network(_chooser(opts), n, k)
     outs = emit_network(formula, net, list(lits), "atmost", range(k + 1), k)
     return EncodedConstraint(formula, tuple(lits), k, tuple(outs))
 
 
+def _emit_side(formula: CnfFormula, chooser: Chooser, lits: Sequence[Lit], m: int,
+               atmost: bool) -> None:
+    """An (n, m) selection over lits asserting its m-th output and reading
+    it alone: FALSE in at-most polarity, over encode_atmost's network, or
+    TRUE in at-least polarity."""
+    n = len(lits)
+    net = (_atmost_network(chooser, n, m - 1) if atmost
+           else build_selection_network(chooser.method, n, m, chooser))
+    emit_network(formula, net, list(lits), "atmost" if atmost else "atleast", (m - 1,), m - 1)
+
+
 @functools.cache
-def _atleast_cost(chooser: Chooser, n: int, m: int) -> tuple[int, int]:
-    """(V, C) of the (n, m) selection select_wires builds for the chooser,
-    emitted in at-least polarity over free inputs, reading and asserting its
-    m-th output alone, with the fold."""
+def _side_cost(chooser: Chooser, n: int, m: int, atmost: bool) -> tuple[int, int]:
+    """(V, C) of _emit_side over n free input literals, by a dry run."""
     formula = CnfFormula()
-    inputs = formula.fresh_vars(n)
-    net = build_selection_network(chooser.method, n, m, chooser)
-    emit_network(formula, net, inputs, "atleast", (m - 1,), m - 1)
+    _emit_side(formula, chooser, formula.fresh_vars(n), m, atmost)
     return formula.num_vars - n, formula.num_clauses
+
+
+def _form_side(chooser: Chooser, n: int, k: int) -> bool:
+    """Whether _encode_form takes the at-most side of sum(lits) <= k over n
+    literals."""
+    if n - k >= k + 1:
+        return True
+    hi = _side_cost(chooser, n, k + 1, True)
+    lo = _side_cost(chooser, n, n - k, False)
+    return chooser.lam * hi[0] + hi[1] <= chooser.lam * lo[0] + lo[1]
+
+
+def _form_cost(chooser: Chooser, n: int, k: int) -> tuple[int, int]:
+    """(V, C) of what _encode_form emits for sum(lits) <= k over n literals."""
+    if _form_side(chooser, n, k):
+        return _side_cost(chooser, n, k + 1, True)
+    return _side_cost(chooser, n, n - k, False)
 
 
 def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
                  opts: EncodeOptions) -> EncodedConstraint:
-    """sum(lits) <= k on its cheaper side.  The at-least side, sum(~lits) >=
-    n-k, is an (n-k)-selection network over the negated literals in
-    zero-propagating polarity whose output y_{n-k} is asserted TRUE, folded
-    as in encode_atmost.  It is taken when it is strictly cheaper under
-    lam*V + C, each side priced by its exact folded emission: the at-most
-    side by Chooser.cost(n, k + 1, True), the at-least side by a dry run
-    (_atleast_cost).  The at-least side's outputs cannot deepen the at-most
-    bound, so none are exposed."""
+    """sum(lits) <= k on its cheaper side, with no outputs exposed.  The
+    at-most side is encode_atmost's network read at y_{k+1} alone.  The
+    at-least side, sum(~lits) >= n-k, is an (n-k)-selection network over
+    the negated literals in zero-propagating polarity whose output y_{n-k}
+    is asserted TRUE and read alone, folded as in encode_atmost.  It can
+    only be smaller when n-k < k+1, and is taken when it is strictly cheaper
+    under lam*V + C, each side priced by a dry run of exactly what it
+    emits."""
     n = len(lits)
-    if opts.method in NETWORK_METHODS and n - k < k + 1:
-        lam, chooser = opts.lam, _chooser(opts)
-        v, c = chooser.cost(n, k + 1, True)
-        lv, lc = _atleast_cost(chooser, n, n - k)
-        if lam * lv + lc < lam * v + c:
-            net = build_selection_network(opts.method, n, n - k, chooser)
-            emit_network(formula, net, [neg(l) for l in lits], "atleast", (n - k - 1,), n - k - 1)
-            return EncodedConstraint(formula, tuple(lits), k)
-    return encode_atmost(formula, lits, k, opts)
+    if opts.method not in NETWORK_METHODS or k == 0:
+        return encode_atmost(formula, lits, k, opts)
+    chooser = _chooser(opts)
+    if _form_side(chooser, n, k):
+        _emit_side(formula, chooser, lits, k + 1, True)
+    else:
+        _emit_side(formula, chooser, [neg(l) for l in lits], n - k, False)
+    return EncodedConstraint(formula, tuple(lits), k)
 
 
 def strengthen(enc: EncodedConstraint, new_k: int) -> None:
@@ -979,16 +1135,83 @@ def encode_baseline(formula: CnfFormula, lits: Sequence[Lit], k: int,
     return _TABLE[which](formula, lits, k)
 
 
+@functools.cache
+def _pair_bounds(chooser: Chooser, n: int, ka: int, kb: int) -> tuple[bool, int, int] | None:
+    """For sum(lits) <= ka and sum(~lits) <= kb over n literals, (over the
+    negations, k, j) when j <= sum <= k over the literals, or their
+    negations, on one (k+1)-selection network (emit_bounds) is cheaper under
+    lam*V + C than the two forms on their own sides; else None.  The network
+    selects the fewer outputs: ka+1 over the literals, or kb+1 over the
+    negations, the literals on a tie."""
+    if ka + kb < n:  # no count meets both bounds: leave it to the forms
+        return None
+    flip = kb < ka
+    k, j = (kb, n - ka) if flip else (ka, n - kb)
+    lam = chooser.lam
+    pair = _bounds_plan(_atmost_network(chooser, n, k), k, j - 1)
+    pv, pc = pair.aux, len(pair.clauses)
+    (av, ac), (bv, bc) = _form_cost(chooser, n, ka), _form_cost(chooser, n, kb)
+    return (flip, k, j) if lam * pv + pc < lam * (av + bv) + ac + bc else None
+
+
+def _distinct_free(lits: Sequence[Lit]) -> bool:
+    """True when lits are ints over distinct variables, as the dry runs that
+    price a pair assume.  Unlike CnfFormula.distinct_vars, which only picks
+    how clauses are added, this decides what is emitted."""
+    return all(type(l) is int for l in lits) and len(set(map(abs, lits))) == len(lits)
+
+
+def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
+                 opts: EncodeOptions | None = None) -> list[EncodedConstraint]:
+    """Normalize and encode the constraints in order, each at-most form on
+    its cheaper side (see _encode_form), except that an at-most form over
+    the negations of an earlier form's literals, as an = constraint gives,
+    or a <= and a >= constraint over one literal multiset, shares that
+    form's network where this is cheaper (_pair_bounds): both bounds on one
+    selection network (emit_bounds), emitted where the earlier form is.
+    A pair is over distinct variables, with no bound 0, for a network
+    method.  Returns the forms' encodings, a pair's together, none with
+    outputs exposed."""
+    opts = opts or EncodeOptions()
+    forms: list[AtMostForm] = []
+    for c in cards:
+        norm = normalize_card(c)
+        if norm.trivially_unsat:
+            formula.add_clause([])
+        forms += norm.atmosts
+    chooser = _chooser(opts) if opts.method in NETWORK_METHODS else None
+    mates: dict[int, tuple[int, tuple[bool, int, int]]] = {}
+    if chooser:
+        waiting: dict[frozenset, list[int]] = {}
+        for i, form in enumerate(forms):
+            if form.k == 0 or not _distinct_free(form.lits):
+                continue
+            earlier = waiting.get(frozenset([-l for l in form.lits]))
+            pair = earlier and _pair_bounds(chooser, len(form.lits), forms[earlier[0]].k, form.k)
+            if pair:
+                mates[earlier.pop(0)] = i, pair
+            else:
+                waiting.setdefault(frozenset(form.lits), []).append(i)
+    paired = {i for i, _ in mates.values()}
+    encs = []
+    for i, form in enumerate(forms):
+        if i in mates:
+            other, (flip, k, j) = mates[i]
+            lits = forms[other].lits if flip else form.lits
+            emit_bounds(formula, _atmost_network(chooser, len(lits), k), lits, k, j - 1)
+            encs += [EncodedConstraint(formula, form.lits, form.k),
+                     EncodedConstraint(formula, forms[other].lits, forms[other].k)]
+        elif i not in paired:
+            encs.append(_encode_form(formula, form.lits, form.k, opts))
+    return encs
+
+
 def encode_card(formula: CnfFormula, c: CardConstraint,
                 opts: EncodeOptions | None = None) -> list[EncodedConstraint]:
     """Normalize and encode a constraint with any relation, each at-most form
-    on its cheaper side (see _encode_form)."""
-    opts = opts or EncodeOptions()
-    norm = normalize_card(c)
-    if norm.trivially_unsat:
-        formula.add_clause([])
-        return []
-    return [_encode_form(formula, form.lits, form.k, opts) for form in norm.atmosts]
+    on its cheaper side (see _encode_form), an = constraint's two forms on
+    one network where that is cheaper (see encode_cards)."""
+    return encode_cards(formula, [c], opts)
 
 
 # ---------------------------------------------------------------------------

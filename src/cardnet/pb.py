@@ -23,6 +23,7 @@ from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
 from .encode import (EncodeOptions, EncodedConstraint, _chooser, _encode_form, emit_network,
                      select_wires)
+from .network import Network
 
 MAX_COEFF_MAGNITUDE = 2 ** 62  # 63-bit magnitudes; larger coefficients are rejected
 PRIMES_UNDER_50 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -313,9 +314,9 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     the chain is one network (build.carry_chain): each position selects its
     top outputs, and every r-th of them, the carries, is merged (not
     appended) into the next position.  It is emitted in zero-propagating
-    polarity reading the top position's outputs, so a position below the
-    top emits only what its carries need, and asserting the top position's
-    m-th output, which the emission folds (see encode.emit_network).
+    polarity reading the top position's m-th output alone, so a position
+    emits only what that output needs, and asserting it, which the emission
+    folds (see encode.emit_network).  No output is exposed.
     """
     opts = opts or EncodeOptions()
     if c.rel != ">=" or any(a <= 0 for a, _ in c.terms) or c.k < 1:
@@ -334,18 +335,25 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     if plan.positions[-1].max_inputs < plan.assert_index:
         formula.add_clause([])
         return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
-    # every digit occurrence is one network input, position by position
+    net, in_lits = _digit_chain(plan, opts)
+    if plan.assert_index > len(net.outputs):
+        formula.add_clause([])
+        return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
+    at = plan.assert_index - 1
+    emit_network(formula, net, in_lits, "atleast", (at,), at)
+    return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
+
+
+def _digit_chain(plan: DigitPlan, opts: EncodeOptions) -> tuple[Network, list[Lit]]:
+    """The carry chain of a digit plan (build.carry_chain), whose outputs
+    count the top position, and its input literals: every digit occurrence,
+    position by position."""
     in_lits = [lit for pos in plan.positions for lit, mult in pos.bundles for _ in range(mult)]
     net = build.carry_chain(
         [(sum(mult for _, mult in pos.bundles), pos.t_outputs, pos.radix)
          for pos in plan.positions],
         functools.partial(select_wires, chooser=_chooser(opts)))
-    outs = net.outputs
-    if plan.assert_index > len(outs):
-        formula.add_clause([])
-        return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
-    top = emit_network(formula, net, in_lits, "atleast", range(len(outs)), plan.assert_index - 1)
-    return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k, tuple(top))
+    return net, in_lits
 
 
 def encode_goal_bound(formula: CnfFormula, objective: Sequence[tuple[int, Lit]],

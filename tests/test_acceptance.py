@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from cardnet import build
-from cardnet.cnf import TRUE, CnfFormula, neg
+from cardnet.cnf import CnfFormula, neg
 from cardnet.encode import (EncodeOptions, NETWORK_METHODS, cnf_cost, emit_network,
                             encode_atmost, method_network)
 from cardnet.formulas import (bit_sel_size, fourw_merge_vars, fourw_sorter_counts,
@@ -265,7 +265,8 @@ def test_c06_arc_consistency():
                     rep = check_arc_consistency(enc, k, scenario, prop=prop)
                     if not rep.passed:
                         failures.append((method, n, k, scenario, rep.detail))
-                if enc.output_lits:
+                assert len(enc.output_lits) == (k + 1 if k else 0)
+                if k:
                     for i in range(0, min(k + 1, n) + 1):
                         pool = list(combinations(range(n), i))
                         if len(pool) > 12:
@@ -418,9 +419,10 @@ def test_c10_pb_end_to_end():
     c = PbConstraint(((5, 1), (7, 2)), ">=", 9)
     assert simplify_rhs(c, MixedRadixBase((2, 2))) == (3, 12)
     enc = encode_pb(f, c, MixedRadixBase((2, 2)))
-    # the asserted third top output is folded to TRUE; the only units are
-    # the two inputs, which the bound forces
-    assert enc.output_lits[2] is TRUE
+    # the asserted third top output is folded to TRUE and read alone, so no
+    # output is exposed; the only units are the two inputs, which the bound
+    # forces
+    assert enc.output_lits == ()
     assert [cl for cl in f.clauses if len(cl) == 1] == [(1,), (2,)]
 
     rng = random.Random(77)

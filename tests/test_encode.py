@@ -6,13 +6,14 @@ import random
 
 import pytest
 
-from cardnet import build
+from cardnet import build, encode
 from cardnet.cnf import FALSE, TRUE, CnfFormula
 from cardnet.encode import (MIXED_METHODS, NETWORK_METHODS, AtMostForm, CardConstraint,
                             Chooser, EncodeOptions, _chooser, _constant_wires,
                             build_selection_network, choose_direct, cnf_cost, emit_network,
-                            encode_atmost, encode_baseline, encode_card, method_network,
-                            normalize_card, recursive_cost, select_wires, strengthen)
+                            encode_atmost, encode_baseline, encode_card, encode_cards,
+                            method_network, normalize_card, recursive_cost, select_wires,
+                            strengthen)
 from cardnet.network import Network
 from cardnet.pb import PbConstraint, encode_pb, find_base, normalize_pb, plan_digits
 from cardnet.sat import Assignment, Propagator, dpll_sat
@@ -477,43 +478,60 @@ def _weight(f, n, lam):
     return lam * (f.num_vars - n) + f.num_clauses
 
 
+def _lone_side(method, opts, n, k, atmost):
+    """sum(x_1..x_n) <= k on one side, its asserted output read alone: the
+    at-most side over encode_atmost's network, or the at-least side over the
+    negations."""
+    f = CnfFormula()
+    lits = f.fresh_vars(n)
+    m = k + 1 if atmost else n - k
+    net = build_selection_network(method, n, m, _chooser(opts), atmost)
+    emit_network(f, net, lits if atmost else [-l for l in lits],
+                 "atmost" if atmost else "atleast", (m - 1,), m - 1)
+    return f
+
+
 @pytest.mark.parametrize("method", NETWORK_METHODS)
 def test_cheaper_side_is_never_larger(method):
-    # encode_card's side is the cheaper of the two sides' folded emissions
-    # under lam*V + C
+    # encode_card emits one side, read at its asserted output alone, and
+    # exposes no output: the at-most side whenever n-k >= k+1, else the
+    # cheaper of the two sides under lam*V + C, the at-most side on a tie
     for opts in [EncodeOptions(method=method, lam=lam) for lam in (1, 5, 20)] + [
             EncodeOptions(method=method, direct_mixing=False)]:
         for n in range(2, 13):
             for k in range(1, n):
                 f = CnfFormula()
                 (enc,) = encode_card(f, CardConstraint(tuple(f.fresh_vars(n)), "<=", k), opts)
-                g = CnfFormula()
-                encode_atmost(g, g.fresh_vars(n), k, opts)
+                assert enc.output_lits == ()
+                g = _lone_side(method, opts, n, k, True)
                 if n - k >= k + 1:
-                    assert f.clauses == g.clauses and enc.output_lits
+                    assert f.clauses == g.clauses, (opts, n, k)
                     continue
-                h = CnfFormula()
-                net = build_selection_network(method, n, n - k, _chooser(opts))
-                emit_network(h, net, [-l for l in h.fresh_vars(n)], "atleast", (n - k - 1,),
-                             n - k - 1)
+                h = _lone_side(method, opts, n, k, False)
                 atmost, atleast = _weight(g, n, opts.lam), _weight(h, n, opts.lam)
-                if enc.output_lits:
-                    assert f.clauses == g.clauses and atmost <= atleast, (opts, n, k)
+                if f.clauses == g.clauses:
+                    assert atmost <= atleast, (opts, n, k)
                 else:
                     assert f.clauses == h.clauses and atleast < atmost, (opts, n, k)
 
 
 def _atmost_propagates_at_scale(method, mixing):
-    # <= 8 over 256 and <= 32 over 1024 in one formula on one propagator: k
-    # true inputs force every other input false, k+1 true inputs conflict
+    # <= 8 over 256 and <= 32 over 1024 in one formula on one propagator, by
+    # encode_atmost, which exposes its outputs, and by encode_card, which
+    # reads the asserted one alone: k true inputs force every other input
+    # false, k+1 true inputs conflict
     rng = random.Random(15)
     f = CnfFormula()
+    opts = EncodeOptions(method=method, direct_mixing=mixing)
     cases = []
     for n, k in ((256, 8), (1024, 32)):
         lits = f.fresh_vars(n)
-        (enc,) = encode_card(f, CardConstraint(tuple(lits), "<=", k),
-                             EncodeOptions(method=method, direct_mixing=mixing))
-        assert len(enc.output_lits) == k + 1
+        enc = encode_atmost(f, lits, k, opts)
+        assert len(enc.output_lits) == k + 1 and enc.output_lits[k] is FALSE
+        cases.append((lits, k))
+        lits = f.fresh_vars(n)
+        (enc,) = encode_card(f, CardConstraint(tuple(lits), "<=", k), opts)
+        assert enc.output_lits == ()
         cases.append((lits, k))
     prop = Propagator(f)
     for lits, k in cases:
@@ -556,6 +574,52 @@ def test_atleast_side_propagates_at_scale(method):
             fixing = [l if i in chosen else -l for i, l in enumerate(lits)]
             status = prop.propagate(Assignment(), fixing).status
             assert status == ("conflict" if count < k else "fixpoint"), (len(lits), count)
+
+
+# -- both bounds on one network ------------------------------------------------------
+
+@pytest.mark.parametrize("mixing", (True, False))
+@pytest.mark.parametrize("method", ("auto", "oe4", "oe2", "fourwise"))
+def test_paired_bounds_propagate_at_scale(method, mixing):
+    # = 8 over 256, <= 40 with >= 24 over 256 (the >= listed in another
+    # order) and = 32 over 1024 in one formula on one propagator, each pair
+    # on one network (its size is the paired emission's): with j <= sum <= k,
+    # k true inputs force the rest false, n-j false inputs force the rest
+    # true, and one more of either conflicts
+    rng = random.Random(20)
+    opts = EncodeOptions(method=method, direct_mixing=mixing)
+    chooser = _chooser(opts)
+    f = CnfFormula()
+    cases = []
+    for n, j, k in ((256, 8, 8), (256, 24, 40), (1024, 32, 32)):
+        lits = [v if rng.random() < 0.5 else -v for v in f.fresh_vars(n)]
+        cards = ([CardConstraint(tuple(lits), "=", k)] if j == k else
+                 [CardConstraint(tuple(lits), "<=", k),
+                  CardConstraint(tuple(rng.sample(lits, n)), ">=", j)])
+        size = f.num_vars, f.num_clauses
+        encs = encode_cards(f, cards, opts)
+        bounds = [n - j, k] if j == k else [k, n - j]  # in the order of the forms
+        assert [(enc.k, enc.output_lits) for enc in encs] == [(b, ()) for b in bounds]
+        assert encode._pair_bounds(chooser, n, k, n - j) == (False, k, j)
+        pair = encode._bounds_plan(encode._atmost_network(chooser, n, k), k, j - 1)
+        assert (f.num_vars - size[0], f.num_clauses - size[1]) == (pair.aux, len(pair.clauses))
+        cases.append((lits, j, k))
+    prop = Propagator(f)
+    for lits, j, k in cases:
+        n = len(lits)
+        for _ in range(2):
+            for value, count in ((True, k), (False, n - j), (True, k + 1), (False, n - j + 1)):
+                chosen = set(rng.sample(lits, count))
+                fixing = sorted(l if value else -l for l in chosen)
+                result = prop.propagate(Assignment(), fixing)
+                bound = k if value else n - j
+                assert result.status == ("fixpoint" if count <= bound else "conflict"), (
+                    n, j, k, value, count)
+                if count <= bound:
+                    values = result.assignment.values
+                    # every other literal takes the opposite value
+                    assert all(values.get(abs(l)) is ((l > 0) != value) for l in lits
+                               if l not in chosen), (n, j, k, value)
 
 
 # -- auto: the cheapest construction per level ------------------------------------

@@ -64,6 +64,23 @@ and goal-u's at-most form is also built, and its side chosen, by the
 folded price.  The other 14 kept their bytes: goal-u of sequential, totalizer and
 binomial emits no network, and every goal-neg case is an impossible bound,
 the unit ~flag alone.
+
+38 cases were re-recorded when encode_card and encode_pb began to read
+their asserted output alone: the four queens8 cases, the ten opb cases, and
+goal-w-*, goal-u-* and goal-wide-* of the eight network methods.  Each loses
+the gates that only the outputs nobody read needed.  9 of them also change
+a network choice, because each side of a form is now priced by that lone
+read: the at-most side of the length-2 diagonals of queens8-* (`<= 1` over
+two literals) and of opb-a-*'s `<= 4` over six unit terms now costs what the
+at-least side costs, and a tie takes the at-most side.  The card grid and
+LARGE cases kept their bytes: they call encode_atmost, which reads every
+output, as does every goal-neg case and goal-u of the three baselines.
+
+The 128 `eq-*` and `pair-*` cases were added when the two forms of an `=`
+constraint, and a `<=` line and a `>=` line over one literal multiset in a
+CNFP file, began to share one network where that is cheaper
+(encode.emit_bounds); 92 of them take it.  test_fold_matches_root_propagation
+ties each shared network to its two clause sets emitted unfolded.
 """
 
 import hashlib
@@ -73,9 +90,9 @@ import pytest
 
 from cardnet import encode, pb
 from cardnet.cnf import CnfFormula, is_const, neg
-from cardnet.cnfp import encode_cnfp, queens_cnfp
+from cardnet.cnfp import encode_cnfp, parse_cnfp, queens_cnfp
 from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions,
-                            encode_atmost)
+                            encode_atmost, encode_card)
 from cardnet.pb import encode_goal_bound, parse_opb
 from cardnet.solve import encode_problem
 
@@ -119,6 +136,25 @@ def _card_case(method, n, k, lam, mixing):
     return f
 
 
+def _signed(n):
+    return [v if v % 3 else -v for v in range(1, n + 1)]
+
+
+def _eq_case(method, n, k):
+    f = CnfFormula()
+    f.fresh_vars(n)
+    encode_card(f, CardConstraint(tuple(_signed(n)), "=", k), EncodeOptions(method=method))
+    return f
+
+
+def _pair_case(method, n, j, k):
+    # a <= line and a >= line over one literal multiset, listed in two orders
+    lits = _signed(n)
+    text = (f"p cnf+ {n} 2\n" + " ".join(map(str, lits)) + f" <= {k}\n"
+            + " ".join(map(str, reversed(lits))) + f" >= {j}\n")
+    return encode_cnfp(parse_cnfp(text), EncodeOptions(method=method))
+
+
 def _queens_case(method):
     # queens 8 plus `=` and `>=` lines, which the CNFP text grammar cannot carry
     problem = queens_cnfp(8)
@@ -160,6 +196,12 @@ def cases():
             out.append((f"{method}-n{n}-k{k}-lam5-mix",
                         lambda m=method, n=n, k=k: _card_case(m, n, k, 5, True)))
         out.append((f"queens8-{method}", lambda m=method: _queens_case(m)))
+    for method in NETWORK_METHODS:
+        for n, k in SIZES:
+            out.append((f"eq-{method}-n{n}-k{k}", lambda m=method, n=n, k=k: _eq_case(m, n, k)))
+            j = (k + 1) // 2
+            out.append((f"pair-{method}-n{n}-j{j}-k{k}",
+                        lambda m=method, n=n, j=j, k=k: _pair_case(m, n, j, k)))
     for name in OPB_FILES:
         for method in ("auto", "oe4", "oe2", "fourwise", "pairwise_half_bitonic"):
             out.append((f"{name}-{method}", lambda nm=name, m=method: _opb_case(nm, m)))
@@ -623,64 +665,64 @@ GOLDEN = {
     "oe4-n300-k17-lam5-mix":
         "40638e24ec647abba6e7f341ecdab7c7d182603c7b8454ea9861c606b5e08c75",
     "queens8-oe4":
-        "dbc38ae772e609c3ab9535638a255b88464f55e61838c23e8b9ed51d56583d30",
+        "c7fced821974bd433086e7453ffd6867fb0058f6dca5bbdcee0c03c33c0253e8",
     "oe2-n256-k33-lam5-mix":
         "1f3a3618be7a3d41696b34ac8d3d1b43d69bcc53e842519aba27d1edc371ed67",
     "oe2-n300-k17-lam5-mix":
         "c899b8d1f104b0c8eae5b83ae70a7a3efb7b2612ba6d3e489b797c04d52dd27a",
     "queens8-oe2":
-        "c95353858cd64463b5b8fbec1f9d9a1a73e88748621e7638df1432abfa7889e0",
+        "50c953ab5d8f1f15e3a6d25fcbb87348129d58cb5f012c377e7b2b8f87da9b87",
     "fourwise-n256-k33-lam5-mix":
         "728f0d070a9e477994cf4563137e62a9c69e52b08b398d188b9ea9ed2a9176cc",
     "fourwise-n300-k17-lam5-mix":
         "fc1fcf050c42a5e4551772d546ba3bb9b3ac275f05ed1cabaa447f4004762bc2",
     "queens8-fourwise":
-        "d84d446a0b5c1eb81eb93a4b5ee31baa67f0bfe09aa50276542d6f8129c960ff",
+        "c676416581d9d3c3d26520471eff7df402f6e75bcf87c38bd18f97c3ea9b1186",
     "opb-a-oe4":
-        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
+        "fc12e77dafe00862b251081706d5aa97b9a0f169eb036a52e831d10dcd8a1eac",
     "opb-a-oe2":
-        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
+        "fc12e77dafe00862b251081706d5aa97b9a0f169eb036a52e831d10dcd8a1eac",
     "opb-a-fourwise":
-        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
+        "fc12e77dafe00862b251081706d5aa97b9a0f169eb036a52e831d10dcd8a1eac",
     "opb-a-pairwise_half_bitonic":
-        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
+        "fc12e77dafe00862b251081706d5aa97b9a0f169eb036a52e831d10dcd8a1eac",
     "opb-b-oe4":
-        "693545558d89023cf3300e49bd14ec3ab60217c4f5587ca878a6910002f9a98b",
+        "185253dd470d9473f653b6de92e2ffdc95a2514a969da3afd09b632b923385b1",
     "opb-b-oe2":
-        "9d14474192413bceb1ec454cb200235bb6885adaed626182a61f136cfafde8d2",
+        "942e4e4959be97ecc4d004b21c332344a31f16de90ef4b5a7a03e1921ac45a6d",
     "opb-b-fourwise":
-        "08ec68a77c2e839d72d84d0c24c0cb1bde968caa8edfbb1940911fed85cba573",
+        "155cc2e10f9600d83f0dc598c4b3b367149508f9c60ea79ac9f1527317401222",
     "opb-b-pairwise_half_bitonic":
-        "08ec68a77c2e839d72d84d0c24c0cb1bde968caa8edfbb1940911fed85cba573",
+        "155cc2e10f9600d83f0dc598c4b3b367149508f9c60ea79ac9f1527317401222",
     # flagged goal bounds
     "goal-w-oe4":
-        "6a14b670785bdc422e063b9c2a73c6547d30652dd24eac2d040b76c38559dacb",
+        "0357171926b503d23fd5af390ac777dd361642c447ad92b67eea28f93f15b917",
     "goal-w-oe2":
-        "0eb5c9b1a0f5f8428501ca62ccbd9eb3c00118b9f1e23c57ffac0d1eecb04808",
+        "8d3069a4a826c0fc26bbc235d799fc4a5f48fd0dd8f36bc92130fa29dac5394a",
     "goal-w-pairwise_classic":
-        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
+        "d31b40901d9e3204dbcb3b95943bb3701bde116525f1b756e65d25a4b7f1a8d4",
     "goal-w-pairwise_bitonic":
-        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
+        "d31b40901d9e3204dbcb3b95943bb3701bde116525f1b756e65d25a4b7f1a8d4",
     "goal-w-pairwise_half_bitonic":
-        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
+        "d31b40901d9e3204dbcb3b95943bb3701bde116525f1b756e65d25a4b7f1a8d4",
     "goal-w-fourwise":
-        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
+        "d31b40901d9e3204dbcb3b95943bb3701bde116525f1b756e65d25a4b7f1a8d4",
     "goal-w-bitonic_sel":
-        "907865c1f8e7df42bf77c6c39a544790949d3231c8e75f8a4c29c50d35e1298a",
+        "d31b40901d9e3204dbcb3b95943bb3701bde116525f1b756e65d25a4b7f1a8d4",
     "goal-u-oe4":
-        "5d3591ca6bba180a06ff7f82c778aff6c6197ec5bf6e391f9c48b2bd4f9a0a40",
+        "9053fb2f7111ae7636a477a7493c4e8345e7db5b40dbc91181058596f08eb82d",
     "goal-u-oe2":
-        "3e50d118f04cb34f6ec88a654c99990f705159fbdeee36926cc9fbdeb337cd09",
+        "1b5512701b7cf119836595f36d47f6e7a9e7bc8a20f621726bfcffc9b4b22fa1",
     "goal-u-pairwise_classic":
-        "decd73111a0ef1ebda93ece1b5ba709edb69281654e70a8dacf53a2c86860fd0",
+        "03dafb53d58955694c48806e17553ee8b4f7adcf04e968fc3d42976dd4456942",
     "goal-u-pairwise_bitonic":
-        "cbf22752fa6b25c5ff8743de91b4ddb2ded3b4149d6a1a3f34031a3d17351eb4",
+        "064a06a271a0e888980efee6e6ef02b0ff267b45206ae2e49d53d3d68ffb5244",
     "goal-u-pairwise_half_bitonic":
-        "4dba4f2fd4534e22e0919f401aac29eba0e9a6e1ddea58068109e3592c5f3b6e",
+        "634b904a9652c9f34e845057ffc717d46d2c76f0a6ff01b88dfcfb43d9d9c8ab",
     "goal-u-fourwise":
-        "e6bfc9d4f6f29f7b0380d1f3ff4cb996690b9206b46cf57fb929eb5c3b391140",
+        "0e54ba1cbf90fd9e3bf75b9f6591faa94cffa7a99b887f4ce7edfb71ee6bf319",
     "goal-u-bitonic_sel":
-        "e927efb8321ef5c971802a845aefd5283b8a5a31b397fbb0e39d29cd64e3a7d5",
+        "aaf2c16508532a90cf06b9d162d3189db370f08cfd7569fc28078aa96c9ef756",
     "goal-u-sequential":
         "126172491c1672015c762115c42c07f6b9f07514116a163326f6b2f341fd9600",
     "goal-u-totalizer":
@@ -708,19 +750,19 @@ GOLDEN = {
     "goal-neg-binomial":
         "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
     "goal-wide-oe4":
-        "c45231088fa6d1306cebefae7b7b7e51086428cf0f862bb9b45a8df4e874a331",
+        "879fe21bf71427c8ae54119ed47965499c84023f5ef1493f66b2edbcf8fa52f5",
     "goal-wide-oe2":
-        "bb53122524446a2bd2c700a11ef6d61992a36fd9ea23c96e82660d896930708a",
+        "bd9aaa1f5301ca710c8aed3ce8beb1d0cfa21d924b1cb23dd5760fb00a6a3aec",
     "goal-wide-pairwise_classic":
-        "bbad1ec2974c5f8d62775ca51a03b4e87341bdcf99d31d6a3424c28743840ee4",
+        "0636c0f7620643d0c2a4f2127f9a64ed19ace5cee6f88f224f6b96ec958f906e",
     "goal-wide-pairwise_bitonic":
-        "bbad1ec2974c5f8d62775ca51a03b4e87341bdcf99d31d6a3424c28743840ee4",
+        "0636c0f7620643d0c2a4f2127f9a64ed19ace5cee6f88f224f6b96ec958f906e",
     "goal-wide-pairwise_half_bitonic":
-        "bbad1ec2974c5f8d62775ca51a03b4e87341bdcf99d31d6a3424c28743840ee4",
+        "0636c0f7620643d0c2a4f2127f9a64ed19ace5cee6f88f224f6b96ec958f906e",
     "goal-wide-fourwise":
-        "ff436f4b17dadafeca34d0d64b04d338a65cd6968905329c5dcaf2802e5a3b27",
+        "4a5a658cd1fbb8c37cd03baacd22cb2a22a30a834421231293d0ed05263e9c21",
     "goal-wide-bitonic_sel":
-        "bbad1ec2974c5f8d62775ca51a03b4e87341bdcf99d31d6a3424c28743840ee4",
+        "0636c0f7620643d0c2a4f2127f9a64ed19ace5cee6f88f224f6b96ec958f906e",
     "auto-n5-k2-lam1-mix":
         "151a570875b2f8a55d7e42dadb8ab1811c9eb2dc1025522b295ce9da703fb4e3",
     "auto-n5-k2-lam5-mix":
@@ -790,19 +832,276 @@ GOLDEN = {
     "auto-n300-k17-lam5-mix":
         "a0c71a47f52d2e7b4fb79768b7125591e53af0b07074ab52a691d304efa67466",
     "queens8-auto":
-        "1b871fbf0c8ef0ab85f9d214f3774d6c9248141bfc8f53f84a39100a6f7a8c48",
+        "b02e5d8a90624df528dc072fbc1c0734965767d7ad62c0ea9b44241bd91bb93b",
     "opb-a-auto":
-        "fb12c3dcc1d6a3c77813e84188e1b175046df933dbd6c42ed0f911eb7fbe131a",
+        "fc12e77dafe00862b251081706d5aa97b9a0f169eb036a52e831d10dcd8a1eac",
     "opb-b-auto":
-        "693545558d89023cf3300e49bd14ec3ab60217c4f5587ca878a6910002f9a98b",
+        "185253dd470d9473f653b6de92e2ffdc95a2514a969da3afd09b632b923385b1",
     "goal-w-auto":
-        "6a14b670785bdc422e063b9c2a73c6547d30652dd24eac2d040b76c38559dacb",
+        "0357171926b503d23fd5af390ac777dd361642c447ad92b67eea28f93f15b917",
     "goal-u-auto":
-        "5d3591ca6bba180a06ff7f82c778aff6c6197ec5bf6e391f9c48b2bd4f9a0a40",
+        "9053fb2f7111ae7636a477a7493c4e8345e7db5b40dbc91181058596f08eb82d",
     "goal-neg-auto":
         "ad39d322de4d6430d3f5fdb327f1a19861f42880c6deaa5c8c737d1131d699f3",
     "goal-wide-auto":
-        "c45231088fa6d1306cebefae7b7b7e51086428cf0f862bb9b45a8df4e874a331",
+        "879fe21bf71427c8ae54119ed47965499c84023f5ef1493f66b2edbcf8fa52f5",
+    # = lines and <= / >= pairs over one literal multiset
+    "eq-auto-n5-k2":
+        "c63940fbb059046a6e48dc909bcf24894d48da80def52cf7b2b0a56b862fe877",
+    "pair-auto-n5-j1-k2":
+        "4d93c42d67ccc599059573ebc82bf543848d04baa2aee7ca74b7c92e3edbee2b",
+    "eq-auto-n8-k3":
+        "a6dc6517d2911102ca1c290e39ed9154c82067e9f6bb64382ceaa89d9d729784",
+    "pair-auto-n8-j2-k3":
+        "08255feec6a6c922048929b1b3958fd46b2ea5f53f5863b91369b72793cc323a",
+    "eq-auto-n13-k4":
+        "dc6b82cd09548b19e07c4624d9dbbf94c92f9cadb23b9b958d5c58b5525d0c4e",
+    "pair-auto-n13-j2-k4":
+        "b80e403f21061d6011fb1d83e45032a6f140c8315659bdd79f347cf3cb867d2e",
+    "eq-auto-n16-k7":
+        "0050d6b276995aed52e0ac01d0a075d7eb7e3a56c9aa54ac32950c25ced1fda5",
+    "pair-auto-n16-j4-k7":
+        "88b75c70f6ab0ce7a9783b3ea76f22e22652f886fb9b4193270fb20e99ae21bb",
+    "eq-auto-n24-k5":
+        "bb2349be04ee3746d0f5214d5dbe1ee19dfd9613221ee139465645d23d261914",
+    "pair-auto-n24-j3-k5":
+        "a8e682818e2bbb15f0fea5df390eaf65352c71de4332135182f25a6aaa4b16c7",
+    "eq-auto-n37-k9":
+        "27e3b81b7df772291d4e035707f74636f5ffcc102faa090b50ef287591644ed2",
+    "pair-auto-n37-j5-k9":
+        "5d4027dfb76bc5df2b383df0dd4ee406a4c5db2799840e9888fb1701b2a9416a",
+    "eq-auto-n64-k12":
+        "0dc87aec8d089cb3ee67fbcdb86f1df35229de503a0f001b9fda13b5b01f027f",
+    "pair-auto-n64-j6-k12":
+        "9ece5c889e1130d8e01a5c0d8bbee551ee1c796ea49a9e78074b193bc6c7bf8e",
+    "eq-auto-n100-k17":
+        "b967afde5e1f7c40fd6861e1e708559d307abe28ca3ed73d33c6f1f6836f489e",
+    "pair-auto-n100-j9-k17":
+        "5dfb0e9a40732526a8eedfc256ba58b9dbdacfce639283963c3bc918fd306886",
+    "eq-oe4-n5-k2":
+        "c63940fbb059046a6e48dc909bcf24894d48da80def52cf7b2b0a56b862fe877",
+    "pair-oe4-n5-j1-k2":
+        "4d93c42d67ccc599059573ebc82bf543848d04baa2aee7ca74b7c92e3edbee2b",
+    "eq-oe4-n8-k3":
+        "5e0dbfa902e5f33f46d071e8f8a9ec2a90f811a982f910ca00c25c4551294e64",
+    "pair-oe4-n8-j2-k3":
+        "38daeddbd4cde0f7d1f00a7ef4dd1df0da7e13010c4f6954c298e5fbb92b750e",
+    "eq-oe4-n13-k4":
+        "0a12fb3198951a439f9e565387860bf4bca85665e03498bef8ba4eedb5759b32",
+    "pair-oe4-n13-j2-k4":
+        "cdedb7a83078e903cd7bd97531f9eb9e09da6003f4427adaed80a4fff3837c4a",
+    "eq-oe4-n16-k7":
+        "0050d6b276995aed52e0ac01d0a075d7eb7e3a56c9aa54ac32950c25ced1fda5",
+    "pair-oe4-n16-j4-k7":
+        "88b75c70f6ab0ce7a9783b3ea76f22e22652f886fb9b4193270fb20e99ae21bb",
+    "eq-oe4-n24-k5":
+        "dce5b36aaefe3ce84d1487992ddb31b132a3e268b3fbc956af74c9763286489b",
+    "pair-oe4-n24-j3-k5":
+        "46b247f57b8f91091239b78490a0352e6da85c4e371ca5454956ac2da7a73de2",
+    "eq-oe4-n37-k9":
+        "b15ee585da78e92343a67dcd97258690d2ed689fae8efc654a2784cd6ae3006e",
+    "pair-oe4-n37-j5-k9":
+        "111d65568c9942c0efa29cdd30bd3e7e64f350619772adf400c4a4615c07a31c",
+    "eq-oe4-n64-k12":
+        "541aa98030d873b1755055dc06dd47b3e4d4cc073998e4385e924239a5caf155",
+    "pair-oe4-n64-j6-k12":
+        "90814d85fa705c4c01756a839585390a9aa94be497cabe44b95af4a961923ba9",
+    "eq-oe4-n100-k17":
+        "54e85f7e2fbd1fbf8946f84b54740af17131e622829f06dfa97a5b4e8c8e8e0e",
+    "pair-oe4-n100-j9-k17":
+        "6ef8958e24b243e4897fb7e2d78e214141871ebfc1500ee7794e9da66671a0a5",
+    "eq-oe2-n5-k2":
+        "c63940fbb059046a6e48dc909bcf24894d48da80def52cf7b2b0a56b862fe877",
+    "pair-oe2-n5-j1-k2":
+        "4d93c42d67ccc599059573ebc82bf543848d04baa2aee7ca74b7c92e3edbee2b",
+    "eq-oe2-n8-k3":
+        "a6dc6517d2911102ca1c290e39ed9154c82067e9f6bb64382ceaa89d9d729784",
+    "pair-oe2-n8-j2-k3":
+        "08255feec6a6c922048929b1b3958fd46b2ea5f53f5863b91369b72793cc323a",
+    "eq-oe2-n13-k4":
+        "f97f66c051775a6966b2158f4ae05106d557030effdd4ca7dceb8b0d2d894b2e",
+    "pair-oe2-n13-j2-k4":
+        "f50f0ef1643d0cf5d9b2535dc8c795d44dd709bd56c9a4dd331409d05458f9bf",
+    "eq-oe2-n16-k7":
+        "83476f60b84e1199b590f26b0a76982b7ec52a7587006e350ddac38940d7fdd6",
+    "pair-oe2-n16-j4-k7":
+        "dac48ff8270b9ad13829ff5a3ad5a31e448df9ef4430a6700b68c1d7e78bacf6",
+    "eq-oe2-n24-k5":
+        "ad17acc99e2735e820f1574627cbddfa45fb6a2f694625047fc6b6fc39ce8f90",
+    "pair-oe2-n24-j3-k5":
+        "1c155883370f6b9ea8d57bd884427f231db153a62e174f26d1a825955aa138eb",
+    "eq-oe2-n37-k9":
+        "55f1926c731bc8438d1f5ad4d6520e22a95493f7d4437bd73d8622c519de4401",
+    "pair-oe2-n37-j5-k9":
+        "b5cf19d034483cdd5499535a99ad786df6cf9e5df9a0d7679375f9f6242a4233",
+    "eq-oe2-n64-k12":
+        "d5ec59cbd8f971390e1ed090dd989c7790325614a2638d3710d86b3c2e416854",
+    "pair-oe2-n64-j6-k12":
+        "a25a75e81a6e99b87c402433f93dbd3af57db6e26c3aec04bc7cc7f4648fbf65",
+    "eq-oe2-n100-k17":
+        "2da781b9308add1570f222469a7c79c0689f103fa18d84fa4287d60c8fd5c21d",
+    "pair-oe2-n100-j9-k17":
+        "c58f2261d6162f859c7a40a3222c7a77cb74f2157a3efe3a7c2cf5df651fe4ba",
+    "eq-pairwise_classic-n5-k2":
+        "c63940fbb059046a6e48dc909bcf24894d48da80def52cf7b2b0a56b862fe877",
+    "pair-pairwise_classic-n5-j1-k2":
+        "4d93c42d67ccc599059573ebc82bf543848d04baa2aee7ca74b7c92e3edbee2b",
+    "eq-pairwise_classic-n8-k3":
+        "aebc9e8bc061849d063728c494df88b26c3e2ab6d91be44919c052fbb4ded1ac",
+    "pair-pairwise_classic-n8-j2-k3":
+        "886103831895850321167477e10c6d98c5e467465418f1af439e5c2f41a064ff",
+    "eq-pairwise_classic-n13-k4":
+        "8dc0c00c9de76127c9248535f0fa4e490adb1fd6d6783f5a9491ca55c7f58236",
+    "pair-pairwise_classic-n13-j2-k4":
+        "e7f47e885891b216e48d367e52d7fc877122556dae83c2a58be96a55e1be7069",
+    "eq-pairwise_classic-n16-k7":
+        "d2856bc22dfb5aeafe39deaa3cdb9377f7e212ff77a1b3a52783c04497c721b6",
+    "pair-pairwise_classic-n16-j4-k7":
+        "d26256fe62eed470c37c3c13cd06dfc028a17891ae1f67bd61c8df010bc42773",
+    "eq-pairwise_classic-n24-k5":
+        "cd41b341e2641ff9f6242b6e2d1bbc068704354b3d71ded3460acef143794893",
+    "pair-pairwise_classic-n24-j3-k5":
+        "38af526a0c1afef430a9de32ccf83810c81936140b9ac68a8805295a675025cd",
+    "eq-pairwise_classic-n37-k9":
+        "b5354489f699a1eee7f4956251aeff38f4b7487b54f7bdd907b46f6930fc023b",
+    "pair-pairwise_classic-n37-j5-k9":
+        "067e02422bb73b9e5fd2558184a3db14425b118e8e0876a8f5a8f4b13f3bc40b",
+    "eq-pairwise_classic-n64-k12":
+        "66782af2dd7b8cdaeb26480ff4b52e07e0a45ee59e51df6e2c98819e97a03102",
+    "pair-pairwise_classic-n64-j6-k12":
+        "8943138d28fd7d849f75635b9c570d9779f9635cfe4ba9f373d77f15b18f19e4",
+    "eq-pairwise_classic-n100-k17":
+        "8a86e51aa720cf4b438efc68a6fac4c63cd948fa250c192e0f90ea33294e93f4",
+    "pair-pairwise_classic-n100-j9-k17":
+        "8fe1263c7d69e32c78ee0a57340ff60ca0b1987f3737e1413d73e2209ec6bb6b",
+    "eq-pairwise_bitonic-n5-k2":
+        "c63940fbb059046a6e48dc909bcf24894d48da80def52cf7b2b0a56b862fe877",
+    "pair-pairwise_bitonic-n5-j1-k2":
+        "4d93c42d67ccc599059573ebc82bf543848d04baa2aee7ca74b7c92e3edbee2b",
+    "eq-pairwise_bitonic-n8-k3":
+        "57071b423e8306e64b93d160ae8391a41a5c74b3d8913e6af449684c9ab24edb",
+    "pair-pairwise_bitonic-n8-j2-k3":
+        "6e5091a21e5b68fa59fa629da5257a7f31fb6ffbd5782ef8a6076b0881144371",
+    "eq-pairwise_bitonic-n13-k4":
+        "1c9878264f4d95c802020a1ff5c9238908defbc9e8176150f0c12b5f1bd097d4",
+    "pair-pairwise_bitonic-n13-j2-k4":
+        "468b01c7c41ed3a9ba68193b1ff97095a6258a41709fcab990ee0dbd5e9ef3ba",
+    "eq-pairwise_bitonic-n16-k7":
+        "b88a25c6176dcfad4e5fe17eb12fd564cb044dda11d7ffb00d50edef2bfdb020",
+    "pair-pairwise_bitonic-n16-j4-k7":
+        "d4c112fcf690eb8113527fdc51e148cc43a3da228dfc7787402fefac6a000977",
+    "eq-pairwise_bitonic-n24-k5":
+        "c7b9afb7afc479ac8b7e1fd36bb836261ad79af445ced7baf97a8d56fb9f7f32",
+    "pair-pairwise_bitonic-n24-j3-k5":
+        "2819983e7ebb72f051b9b4fad180198bcf5829b99dc2df46cf5fce8a5ed185d1",
+    "eq-pairwise_bitonic-n37-k9":
+        "fbe468e9a8d7b527f7d3c40057407bd45bd9354ec0a65e10cf97c594125c1dbe",
+    "pair-pairwise_bitonic-n37-j5-k9":
+        "49590cb8c8d30768330476419640870b6fd875c4bccf155a6155009ea613087e",
+    "eq-pairwise_bitonic-n64-k12":
+        "395718300bd89ef9a5e4df106df49f993bf94c9370788d030c49a8575d5044f7",
+    "pair-pairwise_bitonic-n64-j6-k12":
+        "e96fec75c036813fcc09a5629550131d376b975609913fe036ce9d5ba955ed2c",
+    "eq-pairwise_bitonic-n100-k17":
+        "ef04460bf24a45218effbd27ce9aa2e10a5a89d82de25c0e1eea05959bb2edca",
+    "pair-pairwise_bitonic-n100-j9-k17":
+        "76d52162440cba143bf6bc59e80655f450e86307478f03ccc486cacca9931e67",
+    "eq-pairwise_half_bitonic-n5-k2":
+        "c63940fbb059046a6e48dc909bcf24894d48da80def52cf7b2b0a56b862fe877",
+    "pair-pairwise_half_bitonic-n5-j1-k2":
+        "4d93c42d67ccc599059573ebc82bf543848d04baa2aee7ca74b7c92e3edbee2b",
+    "eq-pairwise_half_bitonic-n8-k3":
+        "57071b423e8306e64b93d160ae8391a41a5c74b3d8913e6af449684c9ab24edb",
+    "pair-pairwise_half_bitonic-n8-j2-k3":
+        "6e5091a21e5b68fa59fa629da5257a7f31fb6ffbd5782ef8a6076b0881144371",
+    "eq-pairwise_half_bitonic-n13-k4":
+        "ec11d0221099df2b0dca99762fcc1007d5b91a3d57c311e5b8e8a193dd68b661",
+    "pair-pairwise_half_bitonic-n13-j2-k4":
+        "9c51df90a32b5e77a6f21f91b3bdd04833bf5151daf73e498003fed896169b20",
+    "eq-pairwise_half_bitonic-n16-k7":
+        "923c407ffca77c8e8e9e4d5d2c80018dafc2ae10585497ad03c7cb1df495e9fb",
+    "pair-pairwise_half_bitonic-n16-j4-k7":
+        "22efb5f269c6bff444f00427d6928e4e948f66306e312c0d34db1773a63a6bcb",
+    "eq-pairwise_half_bitonic-n24-k5":
+        "b06b2d1a08bc83f36451d18832b2d63236c851ea1e9d838c0872bc7c7b045b7b",
+    "pair-pairwise_half_bitonic-n24-j3-k5":
+        "58b910afd1d348b0c1d7814d880e2264915e711563b43af7ff6be802102dac10",
+    "eq-pairwise_half_bitonic-n37-k9":
+        "6174b68f43c59e6efd2bd9c2a245a5bb7918dfcb7a5d49f791b8db40178ab4dd",
+    "pair-pairwise_half_bitonic-n37-j5-k9":
+        "58029b29f3127b1c37daa045b780db08ee27a9105138460ddd89c03667bb7afe",
+    "eq-pairwise_half_bitonic-n64-k12":
+        "8636520a99c12a86e365ea8a477d0114b66c38789fa547e5e65c53301146e835",
+    "pair-pairwise_half_bitonic-n64-j6-k12":
+        "00b48d3d59ad1ea9d6cb39fd085a42e716e3d025269a195892e3f1170bad7222",
+    "eq-pairwise_half_bitonic-n100-k17":
+        "52958814b8d90bebc492d493a14d32eec9050d6df859dc60e855b0d2d7735a60",
+    "pair-pairwise_half_bitonic-n100-j9-k17":
+        "364068f34220dc2d5d722c1e74aa6964fb7dc59a853fc188bb2dd859b6d1d748",
+    "eq-fourwise-n5-k2":
+        "c63940fbb059046a6e48dc909bcf24894d48da80def52cf7b2b0a56b862fe877",
+    "pair-fourwise-n5-j1-k2":
+        "4d93c42d67ccc599059573ebc82bf543848d04baa2aee7ca74b7c92e3edbee2b",
+    "eq-fourwise-n8-k3":
+        "d624ea0a4cd5ca24c16dad0c66a27f9b68618f7e810fc925a2938795198fdd6d",
+    "pair-fourwise-n8-j2-k3":
+        "7b75a0ffbc5a3ab133a9fde1cb263dddce78156a93ed94f2a52402937b86ed61",
+    "eq-fourwise-n13-k4":
+        "dc6b82cd09548b19e07c4624d9dbbf94c92f9cadb23b9b958d5c58b5525d0c4e",
+    "pair-fourwise-n13-j2-k4":
+        "b80e403f21061d6011fb1d83e45032a6f140c8315659bdd79f347cf3cb867d2e",
+    "eq-fourwise-n16-k7":
+        "75e8d4f039514f15d7d8ca2fd7caa75c3fe8a24b47cebce9fae1825524dc822c",
+    "pair-fourwise-n16-j4-k7":
+        "a7c0654bbac40241b5ab6f438a3ccc976b48e8891cf7a3114e9c73283c48c032",
+    "eq-fourwise-n24-k5":
+        "bb2349be04ee3746d0f5214d5dbe1ee19dfd9613221ee139465645d23d261914",
+    "pair-fourwise-n24-j3-k5":
+        "a8e682818e2bbb15f0fea5df390eaf65352c71de4332135182f25a6aaa4b16c7",
+    "eq-fourwise-n37-k9":
+        "ba7cfd7ac9cc74f180ea093051364f73df7bd6f7aa6fd34b2f013954277276e1",
+    "pair-fourwise-n37-j5-k9":
+        "c1a54ad7f23ad18c1ec1255112dc3cbb45666b59370232eb988030bb31ee754c",
+    "eq-fourwise-n64-k12":
+        "bbedc563a80bfb974db2a9c08843909962775348febdb622dd8eb7da3231cdac",
+    "pair-fourwise-n64-j6-k12":
+        "edce7bafe605f7b7c1ec7453f0ac2e8cf0819286358086313e8a3e4ac5d30b81",
+    "eq-fourwise-n100-k17":
+        "7617f014d534f2371ce5ffdb95336ed05b47e63304414d2a38e1cdcdeafc37ce",
+    "pair-fourwise-n100-j9-k17":
+        "c5ebc240ba4cc442984984138e5576047cdf4889b01cb6cc3382c8468971f823",
+    "eq-bitonic_sel-n5-k2":
+        "c63940fbb059046a6e48dc909bcf24894d48da80def52cf7b2b0a56b862fe877",
+    "pair-bitonic_sel-n5-j1-k2":
+        "4d93c42d67ccc599059573ebc82bf543848d04baa2aee7ca74b7c92e3edbee2b",
+    "eq-bitonic_sel-n8-k3":
+        "57071b423e8306e64b93d160ae8391a41a5c74b3d8913e6af449684c9ab24edb",
+    "pair-bitonic_sel-n8-j2-k3":
+        "6e5091a21e5b68fa59fa629da5257a7f31fb6ffbd5782ef8a6076b0881144371",
+    "eq-bitonic_sel-n13-k4":
+        "3c48ca498bd0f4fd57ef59b0f4785a0b208dcf69273b7864938e64e5a94aaa3b",
+    "pair-bitonic_sel-n13-j2-k4":
+        "eddb887de2ec62525efcad5e80f84a159c8c3fdc2fa44bdda39d6346a30db8f2",
+    "eq-bitonic_sel-n16-k7":
+        "09fe3bf9fa756c6d80784f70bccc0d91f3adb0b18a408dbeaeb89c81d41b9ca7",
+    "pair-bitonic_sel-n16-j4-k7":
+        "54d41621a6a01e4784f9f0251e81d6d7fca9428f97d06fdb1910656beaae4ec6",
+    "eq-bitonic_sel-n24-k5":
+        "6360ffa8a2da5d731eb5b4fdce282113e3fd32baba5905e5340c1d7c92261e2d",
+    "pair-bitonic_sel-n24-j3-k5":
+        "022f3e30fa452882df0f9d90f3b4becb114640b9a6e739846fdf5a45fdd9a531",
+    "eq-bitonic_sel-n37-k9":
+        "f768562c497161bb059b8daae27ab5f22a6cd6b6346fda76e9ebae476435f124",
+    "pair-bitonic_sel-n37-j5-k9":
+        "ead183ce98fd6226c3dfdc474628b7832da4f2e89859339c1c810a65cc1498ad",
+    "eq-bitonic_sel-n64-k12":
+        "fbb3dcc90b472174963fa00698b0ce68db868a7388d03e06218f2e0bc190644a",
+    "pair-bitonic_sel-n64-j6-k12":
+        "48cfebd0fb0f6a289773d3da69ee35c45382d8230277dd8a57e9b3bce4a63aab",
+    "eq-bitonic_sel-n100-k17":
+        "c8b0b76dedd9e2a225392edd6e67d1f2b58a5fa79a44480c71ff69010cc901ee",
+    "pair-bitonic_sel-n100-j9-k17":
+        "8c7995bb1d95279d77778a78a27e1ebd5f0b295e9b29e9750a72ebcb3d157d26",
 }
 
 
@@ -818,7 +1117,7 @@ def _group(method):
     return group
 
 
-GROUPS = NETWORK_METHODS + ("queens8", "opb", "goal")
+GROUPS = NETWORK_METHODS + ("queens8", "opb", "goal", "eq", "pair")
 
 
 @pytest.mark.parametrize("method", GROUPS)
@@ -857,18 +1156,24 @@ def _price_caches():
     its patched run must add no entry."""
     return (len(encode._LEVEL_COSTS), encode.Chooser.best_level.cache_info().currsize,
             encode.Chooser.use_direct.cache_info().currsize,
-            encode._atleast_cost.cache_info().currsize)
+            encode._side_cost.cache_info().currsize, encode._pair_bounds.cache_info().currsize)
 
 
 @pytest.mark.parametrize("method", GROUPS)
 def test_pruning_matches_dead_gate_elimination(method, monkeypatch):
     # every network emitted in full, whatever its caller reads: the variables
     # it allocates are auxiliary, those of the read outputs exposed; an
-    # asserted output is folded on both sides
+    # asserted output is folded on both sides.  A network that carries both
+    # bounds of a pair (emit_bounds) stays pruned: its emission is defined on
+    # the cones of its two assertions, since root propagation over the whole
+    # network in both polarities can derive more and keep more.
     real = encode.emit_network
     aux, exposed = set(), set()
 
-    def emit_everything(formula, net, input_lits, polarity="atmost", reads=None, asserts=None):
+    def emit_everything(formula, net, input_lits, polarity="atmost", reads=None, asserts=None,
+                        wires=None):
+        if wires is not None:  # emit_bounds' own emission
+            return real(formula, net, input_lits, polarity, reads, asserts, wires)
         start = formula.next_var
         outs = real(formula, net, input_lits, polarity, None, asserts)
         aux.update(range(start, formula.next_var))
@@ -938,8 +1243,11 @@ def test_fold_matches_root_propagation(method, monkeypatch):
     # propagation of those units, then dead-gate elimination, gives the
     # folded bytes: the fold assigns what propagation assigns and keeps every
     # other clause.  An exposed output left in no clause (a PB top output the
-    # fold makes constant) is dropped as well.  A goal case's flag is assumed
-    # true on both sides: ~flag is stripped from every clause.
+    # fold makes constant) is dropped as well.  A network that carries both
+    # bounds of a pair is emitted as its two polarities over shared
+    # variables, each with its unit, and propagation runs over both clause
+    # sets together.  A goal case's flag is assumed true on both sides:
+    # ~flag is stripped from every clause.
     real = encode.emit_network
     aux, exposed, units = set(), set(), []
 
@@ -956,6 +1264,19 @@ def test_fold_matches_root_propagation(method, monkeypatch):
                 units.append(unit)
         return outs
 
+    def bounds_unfolded(formula, net, input_lits, upper, lower):
+        # a variable for every wire past the inputs, in wire order, as
+        # emit_bounds numbers the gate outputs it keeps
+        start = formula.next_var
+        wires = [None] * net.num_inputs + formula.fresh_vars(net.num_wires - net.num_inputs)
+        for polarity, at in (("atmost", upper), ("atleast", lower)):
+            (out,) = real(formula, net, input_lits, polarity, (at,), None, wires)
+            unit = neg(out) if polarity == "atmost" else out
+            formula.add_clause([unit])
+            if not is_const(unit):
+                units.append(unit)
+        aux.update(range(start, formula.next_var))
+
     for case_id, thunk in _group(method):
         folded = thunk()  # first, so that every price is cached from real emission
         priced = _price_caches()
@@ -965,6 +1286,7 @@ def test_fold_matches_root_propagation(method, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(encode, "emit_network", emit_unfolded)
             patch.setattr(pb, "emit_network", emit_unfolded)
+            patch.setattr(encode, "emit_bounds", bounds_unfolded)
             unfolded = thunk()
         assert _price_caches() == priced, case_id
         if case_id.startswith("goal-"):  # _goal_case's flag follows the objective

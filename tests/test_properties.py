@@ -150,7 +150,8 @@ def test_harnesses_pass_on_random_scenarios(method, n, data):
     for _ in range(3):      # one propagator serves every scenario
         scenario = data.draw(st.lists(positions, min_size=k, max_size=k, unique=True))
         assert check_arc_consistency(enc, k, scenario, prop=prop).passed
-        if enc.output_lits:
+        assert len(enc.output_lits) == (k + 1 if k else 0)
+        if k:
             i = data.draw(st.integers(0, min(k + 1, len(enc.output_lits))))
             subset = data.draw(st.lists(positions, min_size=i, max_size=i, unique=True))
             assert check_forward_prop(enc, i, subset, prop=prop).passed
