@@ -289,6 +289,23 @@ def _goal_objectives(method):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_goal_bound_guards_every_clause(method):
+    for coeffs, bound in _goal_objectives(method):
+        for mixing in (True, False):
+            f = CnfFormula()
+            xs = f.fresh_vars(len(coeffs))
+            flag = f.fresh_var()
+            f.add_clause([xs[0], xs[1]])
+            encode_goal_bound(f, list(zip(coeffs, xs)), bound, flag,
+                              EncodeOptions(method=method, direct_mixing=mixing))
+            added = f.clauses[1:]
+            assert added, (coeffs, mixing)
+            missing = [c for c in added if -flag not in c]
+            assert not missing, (coeffs, mixing, len(missing), len(added))
+            assert flag not in f.clauses[0]
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_flagged_goal_bound_is_the_bound_with_the_flag_appended(method):
     # the same clauses as the unflagged bound, each with ~flag last, and the
     # same variables; an unflagged bound that is trivially unsatisfiable
