@@ -8,9 +8,9 @@ polarity and assert ~y_{k+1}.  The mirrored zero-propagating polarity is
 emitted by the same walker with polarity="atleast"; its clauses y_p => (at
 least p inputs true) let a positive assertion state an at-least bound.  The
 walker emits only the gates that the outputs its caller reads depend on, and
-folds an asserted output into them instead of adding its unit: the output
-and every gate output root unit propagation of the unit fixes get no variable
-(emit_network).
+folds an asserted output into them instead of adding its unit: the gate
+outputs that root unit propagation of the unit fixes get no variable
+(_fold_wires, emit_network).
 
 Every relation normalizes to at-most forms.  encode_card encodes each form on
 its cheaper side, reading its asserted output alone: sum(lits) <= k either as
@@ -20,7 +20,8 @@ arc-consistent (Asin, Nieuwenhuis, Oliveras and Rodriguez-Carbonell,
 "Cardinality Networks: a theoretical and empirical study", Constraints 2011),
 and the fold keeps what unit propagation derives.  The two forms of
 j <= sum(lits) <= k may instead share one network that carries the upper
-bound in one polarity and the lower in the other (emit_bounds).  The
+bound in one polarity and the lower in the other, both assertions folded by
+the same propagation (emit_bounds).  The
 pseudo-Boolean pipeline emits its digit networks in the zero-propagating
 polarity too, since it asserts an output positively.
 """
@@ -167,11 +168,11 @@ def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequen
                       ys: Sequence[Lit] | None = None) -> list[Lit]:
     """Fresh variables and clause families for one selector's outputs of the
     given ranks p (output p is true once p inputs are), none of which
-    _constant_wires folds.  A rank in forced is an output the assertion
-    fixes (see _forced_wires): it gets no variable, and its clauses omit it.
-    distinct says the free inputs are known to be over distinct variables.
-    ys, when given, holds the variable of the rank at each index (see
-    emit_network's wires) in place of a fresh one."""
+    _constant_wires folds.  A rank in forced is an output the fold fixes to
+    its side (see _fold_wires): it gets no variable, and its clauses omit
+    it.  distinct says the free inputs are known to be over distinct
+    variables.  ys, when given, holds the variable of the rank at each index
+    (see _walk's wires) in place of a fresh one."""
     atmost = polarity == "atmost"
     trues = in_lits.count(TRUE)
     free = [l for l in in_lits if l is not TRUE and l is not FALSE]
@@ -204,9 +205,9 @@ def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bo
                      vy: Lit | None = None) -> tuple[Lit | None, Lit | None]:
     """Fresh variables and clauses for the wanted outputs of one combine
     pair, none of which _constant_wires folds.  A forced output is fixed by
-    the assertion (see _forced_wires): it gets no variable and its clauses
-    omit it.  vx and vy, when given, are the outputs' variables (see
-    emit_network's wires) in place of fresh ones."""
+    the fold to its side (see _fold_wires): it gets no variable and its
+    clauses omit it.  vx and vy, when given, are the outputs' variables (see
+    _walk's wires) in place of fresh ones."""
     atmost = polarity == "atmost"
     fixed = FALSE if atmost else TRUE
     free = [l for l in (ym2, ym1, yy, xx, xp1, xp2) if l is not TRUE and l is not FALSE]
@@ -278,75 +279,103 @@ def _first_gate(net: Network, wire: int) -> int:
     """Index of the first gate whose outputs come after wire: every gate
     that reads wire is at or after it.  Gates are numbered as they are made,
     so their first outputs increase."""
-    return bisect.bisect_right(net.gates, wire,
-                               key=lambda g: g.outputs[0] if type(g) is Selector else
-                               g.out_x if g.out_x is not None else g.out_y)
+    return bisect.bisect_right(net.first_outputs, wire)
 
 
-def _forced_wires(net: Network, at: int, consts: dict[int, Lit], atmost: bool) -> set[int] | None:
-    """Every wire that root unit propagation of the assertion on output
-    position at fixes: FALSE at most, TRUE at least.  None when the
-    assertion contradicts a constant.
+def _fold_wires(net: Network, consts: dict[int, Lit], assertions: Sequence[tuple[int, bool]],
+                cones: Sequence[bytearray] | None = None) -> tuple[dict[int, Lit], set[int]] | None:
+    """Root unit propagation of one or two assertions, each an (output
+    position, atmost) asserting that output FALSE at most or TRUE at least
+    (its side), over the clauses of each gate output in its polarity's cone
+    (cones, one per assertion; every wire when None) that consts leaves.
+    Returns the gate outputs it fixes, with their values, and the input
+    wires it leaves a unit on (an input is never assigned); None on a
+    conflict.
 
-    The assertion only ever fixes a wire to the asserted value, and every
-    clause reads its inputs in the polarity that value satisfies, so a fixed
-    input satisfies a clause and never shortens one.  A clause that defines
-    a fixed output therefore becomes a unit exactly when its other wires are
-    all constants of the other value, and no order of the gates misses one.
-    At most, a selector output p fixed FALSE fixes every free input when one
-    input is still needed (p minus the TRUE inputs is 1); at least, an
-    output fixed TRUE fixes them all when every free input is needed.  A
-    combine pair fixes the wire left in any of its clauses (_combine_clauses).
-    """
-    value = FALSE if atmost else TRUE
-    wire = net.outputs[at]
-    if wire in consts:
-        return set() if consts[wire] is value else None
-    forced = {wire}
-    known = consts.keys()
+    A clause reads its inputs in the polarity its side satisfies and its
+    output in the other.  Selector output p has one per need-subset of its
+    f free inputs (need is p - t at most, f - p + t + 1 at least, t its TRUE
+    inputs); with h of them at the other side, it takes the other side once
+    h reaches need, and at its side with h one short it fixes every open
+    input to its side.  A combine pair's clauses (_combine_clauses) are
+    checked one by one.  A value re-examines only the clauses it shortens:
+    its side its own gate's, the other side its readers'."""
     inputs = net.num_inputs
-    pending = wire >= inputs  # fixed gate outputs whose gate is still ahead
-    gates = net.gates
-    i = _first_gate(net, wire)
-    while pending and i:
-        i -= 1
-        gate = gates[i]
+    vals = dict(consts)
+    units: set[int] = set()
+    queue: list[int] = []
+
+    def fix(w: int, lit: Lit) -> None:
+        if w < inputs:
+            units.add(w)
+        else:
+            vals[w] = lit
+            queue.append(w)
+
+    def examine(gate, outs: Sequence[int], atmost: bool, cone: bytearray | None) -> bool:
+        side, other = (FALSE, TRUE) if atmost else (TRUE, FALSE)
+        outs = [w for w in outs if w not in consts and (cone is None or cone[w])]
         if type(gate) is Selector:
-            outs = gate.outputs
-            if forced.isdisjoint(outs):
-                continue
-            if known.isdisjoint(gate.inputs):
-                trues, free = 0, gate.inputs
-            else:
-                trues = sum(consts.get(w) is TRUE for w in gate.inputs)
-                free = [w for w in gate.inputs if w not in consts]
-            for p, w in enumerate(outs, 1):
-                if w in forced:
-                    pending -= 1
-                    if p - trues == (1 if atmost else len(free)):
-                        pending += sum(u >= inputs for u in free if u not in forced)
-                        forced.update(free)
-            continue
-        for x, w in ((True, gate.out_x), (False, gate.out_y)):
-            if w not in forced:
-                continue
-            pending -= 1
-            for a, b in _combine_clauses(gate, x, atmost):
-                if consts.get(a) is value or consts.get(b) is value or a in forced or b in forced:
+            free, trues, h = len(gate.inputs), 0, 0
+            for u in vals.keys() & gate.inputs:
+                if u in consts:
+                    free -= 1
+                    trues += consts[u] is TRUE
+                else:
+                    h += vals[u] is other
+            for w in outs:
+                p = w - gate.outputs[0] + 1  # a selector's outputs are consecutive
+                need = p - trues if atmost else free - p + trues + 1
+                if h >= need and vals.get(w, other) is not other:
+                    return False
+                if h >= need and w not in vals:
+                    fix(w, other)
+                elif h == need - 1 and vals.get(w) is side:
+                    for u in gate.inputs:
+                        if u not in vals:
+                            fix(u, side)
+            return True
+        for w in outs:
+            for a, b in _combine_clauses(gate, w == gate.out_x, atmost):
+                if vals.get(w) is other:
+                    break
+                if vals.get(a) is side or vals.get(b) is side:
                     continue
-                left = {u for u in (a, b) if u not in consts}
+                left = {a, b}.difference(vals)
+                if not left and w in vals:
+                    return False
                 if not left:
+                    fix(w, other)
+                elif len(left) == 1 and w in vals:
+                    fix(left.pop(), side)
+        return True
+
+    for at, atmost in assertions:
+        wire, side = net.outputs[at], FALSE if atmost else TRUE
+        if vals.get(wire, side) is not side:
+            return None
+        if wire not in vals:
+            fix(wire, side)
+    polarities = [(atmost, cone) for (_, atmost), cone in zip(assertions, cones or (None, None))]
+    readers: list[list] = []
+    for w in queue:  # grows as it is read
+        for atmost, cone in polarities:
+            if (vals[w] is FALSE) != atmost:  # the other side: its readers' clauses
+                if not readers:
+                    readers = [[] for _ in range(net.num_wires)]
+                    for gate in net.gates:
+                        for u in gate.inputs:
+                            readers[u].append(gate)
+                if not all(examine(gate, gate.outputs, atmost, cone) for gate in readers[w]):
                     return None
-                if len(left) == 1:
-                    u = left.pop()
-                    forced.add(u)
-                    pending += u >= inputs
-    return forced
+            elif not examine(net.gates[_first_gate(net, w) - 1], (w,), atmost, cone):
+                return None
+    return {w: vals[w] for w in queue}, units
 
 
 def _satisfied_wires(net: Network, consts: dict[int, Lit], forced: set[int],
                      atmost: bool) -> dict[int, Lit]:
-    """consts, plus the forced gate outputs (see _forced_wires) and every
+    """consts, plus the forced gate outputs (see _fold_wires) and every
     gate output whose defining clauses those constants all satisfy, each as
     the asserted value: FALSE at most, TRUE at least.  A forced output whose
     clauses are all satisfied leaves forced, which keeps the outputs whose
@@ -389,7 +418,7 @@ def _satisfied_wires(net: Network, consts: dict[int, Lit], forced: set[int],
 def _live_wires(net: Network, reads: Sequence[int], consts: dict[int, Lit],
                 atmost: bool, forced: set[int] = frozenset()) -> bytearray:
     """live[w] is 1 when a clause in the cone of some read output, or of a
-    forced gate output (see _forced_wires), holds wire w.
+    forced gate output (see _fold_wires), holds wire w.
 
     A selector output folded to a constant (see _constant_wires) and not
     forced reads nothing, any other every input of its selector.  Such a
@@ -437,42 +466,47 @@ def _live_wires(net: Network, reads: Sequence[int], consts: dict[int, Lit],
 
 
 class _Plan(NamedTuple):
-    """What emit_network derives from a network before it makes a clause."""
+    """What a walk (_walk) derives from a network before it makes a clause."""
 
     # per gate with an output to emit, in order: a selector's (gate, ranks of
-    # the outputs to emit, ranks among them the assertion fixes), or a
+    # the outputs to emit, ranks among them the fold fixes to its side), or a
     # combine pair's (gate, (want_x, want_y), (x fixed, y fixed))
     steps: list[tuple]
     # each gate output wire's constant, or, unread, the one that satisfies
     # every clause that would read it, so that it folds nothing a read output
     # depends on
     gate_lits: list[Lit]
-    conflict: bool  # the assertion contradicts a constant
+    conflict: bool  # the fold meets a conflict
 
 
-# network -> {(reads, asserts, atmost): plan} for emissions whose input
-# literals hold no constant, which share one plan per network and reads: so
-# every line of one shape, built once (build_selection_network), is planned
-# once
-_PLANS: weakref.WeakKeyDictionary[Network, dict[tuple, _Plan]] = weakref.WeakKeyDictionary()
+# network -> {key: plan} for emissions whose input literals hold no
+# constant, which share one plan per network and key: so every line of one
+# shape, built once (build_selection_network), is planned once
+_PLANS: weakref.WeakKeyDictionary[Network, dict[tuple, object]] = weakref.WeakKeyDictionary()
 
 
-def _emission_plan(net: Network, input_lits: Sequence[Lit], atmost: bool,
-                   reads: Sequence[int] | None, asserts: int | None) -> _Plan:
-    value = FALSE if atmost else TRUE
-    consts = _constant_wires(net, input_lits)
-    forced = set() if asserts is None else _forced_wires(net, asserts, consts, atmost)
-    conflict = forced is None
-    forced = {w for w in forced or () if w >= net.num_inputs}
-    if forced:
-        consts = _satisfied_wires(net, consts, forced, atmost)
-    live = None if reads is None else _live_wires(net, reads, consts, atmost, forced)
+def _cached_plan(net: Network, input_lits: Sequence[Lit], key: tuple,
+                 make: Callable[[dict[int, Lit]], object]) -> object:
+    """make(net's constant wires over input_lits), cached per network and
+    key when no input literal is a constant: the network alone decides it."""
+    if TRUE in input_lits or FALSE in input_lits:
+        return make(_constant_wires(net, input_lits))
+    plans = _PLANS.setdefault(net, {})
+    if key not in plans:
+        plans[key] = make(_constant_wires(net, input_lits))
+    return plans[key]
+
+
+def _plan_steps(net: Network, live: bytearray | None, folded: dict[int, Lit],
+                forced: set[int]) -> list[tuple]:
+    """_Plan.steps: every gate output that is live (every one when live is
+    None) and not folded to a constant, or forced (emitted without it)."""
     steps: list[tuple] = []
     for gate in net.gates:
         if type(gate) is Selector:
             outs = gate.outputs
             ranks = [p for p, w in enumerate(outs, 1)
-                     if (live is None or live[w]) and (w not in consts or w in forced)]
+                     if (live is None or live[w]) and (w not in folded or w in forced)]
             if ranks:
                 fixed = () if forced.isdisjoint(outs) else [p for p in ranks
                                                             if outs[p - 1] in forced]
@@ -480,21 +514,84 @@ def _emission_plan(net: Network, input_lits: Sequence[Lit], atmost: bool,
             continue
         ox, oy = gate.out_x, gate.out_y
         fx, fy = ox in forced, oy in forced
-        want_x = ox is not None and (live is None or live[ox] == 1) and (fx or ox not in consts)
-        want_y = oy is not None and (live is None or live[oy] == 1) and (fy or oy not in consts)
+        want_x = ox is not None and (live is None or live[ox] == 1) and (fx or ox not in folded)
+        want_y = oy is not None and (live is None or live[oy] == 1) and (fy or oy not in folded)
         if want_x or want_y:
             steps.append((gate, (want_x, want_y), (fx, fy)))
-    gate_lits: list[Lit] = [value] * (net.num_wires - net.num_inputs)
-    for w, lit in consts.items():
-        if w >= net.num_inputs:
-            gate_lits[w - net.num_inputs] = lit
-    return _Plan(steps, gate_lits, conflict)
+    return steps
 
 
+def _emission_plan(net: Network, consts: dict[int, Lit], atmost: bool,
+                   reads: Sequence[int] | None, asserts: int | None) -> _Plan:
+    fold = ({}, set()) if asserts is None else _fold_wires(net, consts, ((asserts, atmost),))
+    forced = set(fold[0]) if fold else set()
+    if forced:
+        consts = _satisfied_wires(net, consts, forced, atmost)
+    live = None if reads is None else _live_wires(net, reads, consts, atmost, forced)
+    value = FALSE if atmost else TRUE
+    return _Plan(_plan_steps(net, live, consts, forced),
+                 [consts.get(w, value) for w in range(net.num_inputs, net.num_wires)], fold is None)
+
+
+def _without_gc(emit: Callable) -> Callable:
+    """emit with the cyclic collector off: it keeps a tuple per clause, and
+    its passes over the growing heap would find nothing."""
+    @functools.wraps(emit)
+    def emit_without_gc(*args, **kwargs):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return emit(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return emit_without_gc
+
+
+def _walk(formula: CnfFormula, net: Network, plan: _Plan, input_lits: Sequence[Lit],
+          polarity: str, asserts: int | None, wires: dict[int, int] | None = None) -> list[Lit]:
+    """Emit plan's gates in topological order and return every wire's
+    literal, then the unit of an asserted output that is an input.  wires,
+    gate outputs' variables, lets walks of one network share them (see
+    emit_bounds): a gate output this walk gives a variable takes its entry
+    there instead of a fresh one."""
+    if plan.conflict:
+        formula.add_clause([])  # the fold met a conflict
+    wire_lits: list[Lit] = list(input_lits) + plan.gate_lits
+    # Gate outputs get fresh variables and no gate reads a wire twice, so
+    # when the input literals are over distinct variables, so is every gate.
+    distinct = formula.distinct_vars([l for l in input_lits
+                                      if l is not TRUE and l is not FALSE])
+    for gate, wanted, fixed in plan.steps:
+        if type(gate) is Selector:
+            outs = gate.outputs
+            lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
+                                     wanted, polarity, distinct, fixed,
+                                     None if wires is None else
+                                     [wires.get(outs[p - 1]) for p in wanted])
+            for p, lit in zip(wanted, lits):
+                wire_lits[outs[p - 1]] = lit
+            continue
+        ox, oy = gate.out_x, gate.out_y
+        given = () if wires is None else (wires.get(ox), wires.get(oy))
+        lx, ly = _combine_outputs(
+            formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
+            wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2], *wanted, polarity,
+            distinct, *fixed, *given)
+        if wanted[0]:
+            wire_lits[ox] = lx
+        if wanted[1]:
+            wire_lits[oy] = ly
+    if asserts is not None and net.outputs[asserts] < net.num_inputs:
+        lit = wire_lits[net.outputs[asserts]]  # an asserted input's unit
+        formula.add_clause([neg(lit) if polarity == "atmost" else lit])
+    return wire_lits
+
+
+@_without_gc
 def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
                  polarity: str = "atmost", reads: Sequence[int] | None = None,
-                 asserts: int | None = None,
-                 wires: list[Lit | None] | None = None) -> list[Lit]:
+                 asserts: int | None = None) -> list[Lit]:
     """Walk the gates in topological order and return the literals of the
     outputs the caller reads: the output positions in reads, in that order,
     or every output when reads is None.
@@ -504,180 +601,76 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
 
     asserts, one of the read positions, asserts that output: FALSE at most,
     TRUE at least.  The assertion is folded, as root unit propagation of
-    its unit over the unfolded emission would leave it: the output and every
-    gate output it fixes (see _forced_wires) become that constant, with no
+    its unit over the unfolded emission would leave it (_fold_wires): the
+    output and every gate output it fixes become that constant, with no
     variable and no unit clause.  Their defining clauses are kept without
     them, their readers' clauses fold as for any constant, and the gate
     outputs the constants fold go too (_satisfied_wires).  An input literal
     it fixes keeps its literal; the clause that fixes it is its unit.
-
-    wires, a variable per wire past the inputs, lets emissions of one
-    network share their gate outputs, say one emission per polarity (see
-    emit_bounds): a gate output this emission gives a variable takes its
-    entry there instead of a fresh one.
     """
     if len(input_lits) != net.num_inputs:
         raise ValueError("input literal count does not match the network")
     atmost = polarity == "atmost"
-    # emission allocates a tuple per clause and keeps every one, and a plan
-    # or network may stay cached, so the cyclic collector's passes over the
-    # growing heap find nothing
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        if TRUE in input_lits or FALSE in input_lits:
-            plan = _emission_plan(net, input_lits, atmost, reads, asserts)
-        else:  # the plan depends on the network alone
-            plans = _PLANS.setdefault(net, {})
-            key = (None if reads is None else tuple(reads), asserts, atmost)
-            if key not in plans:
-                plans[key] = _emission_plan(net, input_lits, atmost, reads, asserts)
-            plan = plans[key]
-        if plan.conflict:
-            formula.add_clause([])  # the assertion contradicts a constant
-        wire_lits: list[Lit] = list(input_lits) + plan.gate_lits
-        # Gate outputs get fresh variables and no gate reads a wire twice, so
-        # when the input literals are over distinct variables, so is every
-        # gate.
-        distinct = formula.distinct_vars([l for l in input_lits
-                                          if l is not TRUE and l is not FALSE])
-        for gate, wanted, fixed in plan.steps:
-            if type(gate) is Selector:
-                outs = gate.outputs
-                lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
-                                         wanted, polarity, distinct, fixed,
-                                         None if wires is None else
-                                         [wires[outs[p - 1]] for p in wanted])
-                for p, lit in zip(wanted, lits):
-                    wire_lits[outs[p - 1]] = lit
-                continue
-            ox, oy = gate.out_x, gate.out_y
-            given = () if wires is None else (wires[ox] if wanted[0] else None,
-                                              wires[oy] if wanted[1] else None)
-            lx, ly = _combine_outputs(
-                formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
-                wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2], *wanted, polarity,
-                distinct, *fixed, *given)
-            if wanted[0]:
-                wire_lits[ox] = lx
-            if wanted[1]:
-                wire_lits[oy] = ly
-    finally:
-        if collecting:
-            gc.enable()
-    if asserts is not None and net.outputs[asserts] < net.num_inputs:
-        lit = wire_lits[net.outputs[asserts]]  # an asserted input's unit
-        formula.add_clause([neg(lit) if atmost else lit])
+    key = (None if reads is None else tuple(reads), asserts, atmost)
+    plan = _cached_plan(net, input_lits, key,
+                        lambda consts: _emission_plan(net, consts, atmost, reads, asserts))
+    wire_lits = _walk(formula, net, plan, input_lits, polarity, asserts)
     outputs = net.outputs if reads is None else [net.outputs[i] for i in reads]
     return [wire_lits[w] for w in outputs]
 
 
-class _Bounds(NamedTuple):
-    """What emit_bounds emits for a network over free inputs, as clauses of
-    indices into [None, x_1..x_n, a_1..a_aux, ~x_1..~x_n, ~a_1..~a_aux]:
-    the n input literals and the aux gate outputs it keeps, allocated in
-    that order (the gate outputs in wire order), then their complements."""
-
-    clauses: list[tuple[int, ...]]
-    aux: int
-    conflict: bool
-
-
-# network -> {(upper, lower): the bounds emission over free inputs}
-_BOUNDS: weakref.WeakKeyDictionary[Network, dict[tuple, _Bounds]] = weakref.WeakKeyDictionary()
-
-
-def _bounds_emission(net: Network, upper: int, lower: int) -> _Bounds:
-    """The two polarities emitted unfolded over shared variables, each with
-    the unit of its assertion (a unit over an input stays a clause), then
-    root unit propagation of the units over both clause sets: every clause
-    an assigned gate output satisfies goes, and every literal it falsifies.
-    On 2,100 random pairs oriented as encode_cards orients them (n <= 130,
-    seven network methods, mixed and not), dead-gate elimination after that
-    found nothing to remove, so none is made."""
-    n = net.num_inputs
-    # variable w + 1 for wire w, so that the kept gate outputs are numbered
-    # in wire order, whichever emission reads them first
-    scratch = CnfFormula(net.num_wires + 1)
-    inputs = list(range(1, n + 1))
-    wires: list[Lit | None] = [None] * n + list(range(n + 1, net.num_wires + 1))
-    units: list[int] = []
-    for polarity, at in (("atmost", upper), ("atleast", lower)):
-        (out,) = emit_network(scratch, net, inputs, polarity, (at,), None, wires)
-        unit = neg(out) if polarity == "atmost" else out
-        if unit is FALSE:
-            scratch.trivially_unsat = True
-        elif unit is not TRUE:
-            if abs(unit) > n:
-                units.append(unit)
-            else:
-                scratch.add_clause([unit])
-    if scratch.trivially_unsat:
-        return _Bounds([], 0, True)
-    # propagation in waves: few clauses hold the complement of a new
-    # literal, and one pass over the clauses finds them all
-    clauses = scratch.clauses
-    true: set[int] = set()
-    wave = set(units)
-    while wave:
-        if any(-lit in true or -lit in wave for lit in wave):
-            return _Bounds([], 0, True)
-        true |= wave
-        falsified = {-lit for lit in wave}
-        wave = set()
-        for clause in clauses:
-            if not falsified.isdisjoint(clause) and true.isdisjoint(clause):
-                left = [l for l in clause if -l not in true]
-                if not left:
-                    return _Bounds([], 0, True)
-                if len(left) == 1 and abs(left[0]) > n:
-                    wave.add(left[0])
-        wave -= true
-    false = {-lit for lit in true}
-    kept = [clause if false.isdisjoint(clause) else tuple(l for l in clause if l not in false)
-            for clause in clauses if true.isdisjoint(clause)]
-    used = sorted({abs(l) for l in set().union(*kept) if not -n <= l <= n})
-    size = n + len(used)
-    index = {v: v for v in range(1, n + 1)}
-    index.update(zip(used, range(n + 1, size + 1)))
-    index.update([(-v, size + i) for v, i in index.items()])
-    return _Bounds([tuple(map(index.__getitem__, clause)) for clause in kept], len(used), False)
+def _bounds_plans(net: Network, consts: dict[int, Lit], upper: int,
+                  lower: int) -> tuple[tuple[_Plan, _Plan], list[int]] | None:
+    """emit_bounds' plan for each polarity and the gate outputs that get a
+    variable, in wire order; None when the fold meets a conflict."""
+    assertions = ((upper, True), (lower, False))
+    cones = [_live_wires(net, (at,), consts, atmost) for at, atmost in assertions]
+    fold = _fold_wires(net, consts, assertions, cones)
+    if fold is None:
+        return None
+    folded = {**consts, **fold[0]}
+    gates = range(net.num_inputs, net.num_wires)
+    plans = tuple(_Plan(_plan_steps(net, live, folded,
+                                    {w for w, lit in fold[0].items() if lit is side}),
+                        [folded.get(w, side) for w in gates], False)
+                  for live, side in zip(cones, (FALSE, TRUE)))
+    return plans, [w for w in gates if (cones[0][w] or cones[1][w]) and w not in folded]
 
 
-def _bounds_plan(net: Network, upper: int, lower: int) -> _Bounds:
-    plans = _BOUNDS.setdefault(net, {})
-    if (upper, lower) not in plans:
-        plans[upper, lower] = _bounds_emission(net, upper, lower)
-    return plans[upper, lower]
-
-
+@_without_gc
 def emit_bounds(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
                 upper: int, lower: int) -> None:
     """Assert both output position upper FALSE and output position lower
     TRUE (lower <= upper): the at-most polarity's clauses of upper's cone
     and the at-least polarity's of lower's, over shared gate-output
-    variables (emit_network's wires).  Each clause set is arc-consistent for
-    its own bound, so together they are for both.
+    variables.  Each clause set is arc-consistent for its own bound, so
+    together they are for both.
 
-    Both assertions are folded as root unit propagation of their units over
-    the two clause sets together leaves them (_bounds_emission): a wire
-    either fixes is that constant in both.  The result depends on the
-    network alone, so it is made once per network and positions and
-    instantiated over the input literals."""
+    Both assertions are folded by one root unit propagation over the two
+    clause sets together (_fold_wires), each cone taken before the fold.  In
+    each polarity a gate output fixed to its side is emitted without it, as
+    in emit_network, and one fixed to the other side, its clauses satisfied,
+    not at all.  The gate outputs left in either cone get variables in wire
+    order; the at-most polarity is walked first, then the at-least."""
     if len(input_lits) != net.num_inputs:
         raise ValueError("input literal count does not match the network")
-    plan = _bounds_plan(net, upper, lower)
-    if plan.conflict:
+    bounds = _cached_plan(net, input_lits, (upper, lower),
+                          lambda consts: _bounds_plans(net, consts, upper, lower))
+    if bounds is None:
         formula.add_clause([])
         return
-    lits = [*input_lits, *formula.fresh_vars(plan.aux)]
-    table = [None, *lits, *map(neg, lits)]
-    clauses = [tuple(map(table.__getitem__, clause)) for clause in plan.clauses]
-    if formula.distinct_vars(input_lits):
-        formula.add_clauses(clauses)
-    else:
-        for clause in clauses:
-            formula.add_clause(clause)
+    plans, alloc = bounds
+    wires = dict(zip(alloc, formula.fresh_vars(len(alloc))))
+    for plan, at, polarity in zip(plans, (upper, lower), ("atmost", "atleast")):
+        _walk(formula, net, plan, input_lits, polarity, at, wires)
+
+
+def _bounds_cost(chooser: Chooser, n: int, k: int, j: int) -> tuple[int, int]:
+    """(V, C) of emit_bounds for j <= sum(lits) <= k over n free literals on
+    encode_atmost's network, by a dry run."""
+    formula = CnfFormula()
+    emit_bounds(formula, _atmost_network(chooser, n, k), formula.fresh_vars(n), k, j - 1)
+    return formula.num_vars - n, formula.num_clauses
 
 
 def cnf_cost(net: Network, reads: Sequence[int] | None = None,
@@ -795,8 +788,9 @@ def _level_cost(method: str, n: int, m: int, children: list[tuple[int, int]],
     columns that select two or more: the odd-even mergers, or the four-wise
     row sorters, merger, zero padding and the single selectors of columns
     that select one.  With asserted the level's m-th output is asserted and
-    folded, and tops are the columns whose top output that fold fixes (see
-    _forced_wires): no other output of a column is ever fixed.
+    folded, and tops are the columns whose top output that fold fixes: in
+    the dry run below, an input it leaves a unit on (see _fold_wires).  No
+    other output of a column is ever fixed.
 
     Priced by dry-running the level once per level shape, each column that
     selects k >= 2 handed k fresh input wires for its selected outputs.  The
@@ -834,8 +828,8 @@ def _level_cost(method: str, n: int, m: int, children: list[tuple[int, int]],
         lits: list[Lit] = formula.fresh_vars(net.num_inputs)
         tops: frozenset[int] = frozenset()
         if asserted:
-            forced = _forced_wires(net, m - 1, _constant_wires(net, lits), True)
-            tops = frozenset(i for i, w in enumerate(col_tops) if w in forced)
+            units = _fold_wires(net, _constant_wires(net, lits), ((m - 1, True),))[1]
+            tops = frozenset(i for i, w in enumerate(col_tops) if w in units)
             for i in tops:
                 lits[col_tops[i]] = FALSE
         emit_network(formula, net, lits, "atmost", range(len(net.outputs)),
@@ -1148,8 +1142,7 @@ def _pair_bounds(chooser: Chooser, n: int, ka: int, kb: int) -> tuple[bool, int,
     flip = kb < ka
     k, j = (kb, n - ka) if flip else (ka, n - kb)
     lam = chooser.lam
-    pair = _bounds_plan(_atmost_network(chooser, n, k), k, j - 1)
-    pv, pc = pair.aux, len(pair.clauses)
+    pv, pc = _bounds_cost(chooser, n, k, j)
     (av, ac), (bv, bc) = _form_cost(chooser, n, ka), _form_cost(chooser, n, kb)
     return (flip, k, j) if lam * pv + pc < lam * (av + bv) + ac + bc else None
 

@@ -112,6 +112,7 @@ class Network:
         # gate outputs, numbered in the order they are made
         self.num_wires = num_inputs
         self.gates: list[Gate] = []
+        self.first_outputs: list[int] = []  # each gate's first output wire
         self.outputs: list[int] = []
         self._const_wire: dict[int, int] = {}
 
@@ -148,6 +149,7 @@ class Network:
         self._check_defined(inputs)
         outs = self._new_wires(m)
         self.gates.append(Selector(tuple(inputs), outs))
+        self.first_outputs.append(outs[0])
         return outs
 
     def add_combine(self, ym2: int, ym1: int, yy: int, xx: int, xp1: int, xp2: int,
@@ -157,6 +159,7 @@ class Network:
             raise ValueError("combine pair must produce at least one output")
         out_x = out_y = None
         w = self.num_wires
+        self.first_outputs.append(w)
         if want_x:
             out_x, w = w, w + 1
         if want_y:

@@ -1,9 +1,11 @@
 import random
 import sys
+from collections import Counter, defaultdict
 
 import pytest
 
-from cardnet.cnf import CnfFormula
+from cardnet import encode
+from cardnet.cnf import CnfFormula, is_const, neg
 from cardnet.network import Selector
 
 
@@ -121,6 +123,81 @@ def naive_unit_propagate(clauses, seeds):
                 values[abs(lit)] = lit > 0
                 changed = True
     return "fixpoint", values
+
+
+def _without_dead_gates(formula, aux, exposed, keep_exposed=True):
+    """formula after deleting, repeatedly, every clause that holds a literal
+    of an auxiliary variable, not exposed, whose complement occurs nowhere,
+    with the surviving variables renumbered in order.  keep_exposed False
+    also drops an exposed auxiliary variable that no clause holds."""
+    clauses = formula.clauses
+    while True:
+        occurs = Counter(lit for clause in clauses for lit in clause)
+        pure = {lit for lit in occurs
+                if abs(lit) in aux and abs(lit) not in exposed and -lit not in occurs}
+        if not pure:
+            break
+        clauses = [clause for clause in clauses if pure.isdisjoint(clause)]
+    used = {abs(lit) for clause in clauses for lit in clause}
+    kept = [v for v in range(1, formula.next_var)
+            if v not in aux or v in used or keep_exposed and v in exposed]
+    new = {v: i for i, v in enumerate(kept, 1)}
+    return CnfFormula(len(kept) + 1,
+                      [tuple(new[lit] if lit > 0 else -new[-lit] for lit in clause)
+                       for clause in clauses],
+                      formula.trivially_unsat)
+
+
+def _propagated(formula, aux, units):
+    """formula after root unit propagation of units over the auxiliary
+    variables aux: every clause a propagated literal satisfies dropped, and
+    every literal it falsifies removed.  An input variable is never
+    assigned, so a clause left with one input literal stays, as a unit.
+    Returns the formula and the assigned variables."""
+    occurs = defaultdict(list)
+    for clause in formula.clauses:
+        for lit in clause:
+            occurs[-lit].append(clause)
+    value = {}
+
+    def satisfied(clause):
+        return any(value.get(abs(lit)) == (lit > 0) for lit in clause)
+
+    queue = list(units)
+    while queue:
+        lit = queue.pop()
+        if abs(lit) in value:
+            assert value[abs(lit)] == (lit > 0), "conflict at the root"
+            continue
+        value[abs(lit)] = lit > 0
+        for clause in occurs[lit]:
+            if not satisfied(clause):
+                left = [l for l in clause if abs(l) not in value]
+                assert left, "conflict at the root"
+                if len(left) == 1 and abs(left[0]) in aux:
+                    queue.append(left[0])
+    clauses = [tuple(lit for lit in clause if abs(lit) not in value)
+               for clause in formula.clauses if not satisfied(clause)]
+    return CnfFormula(formula.next_var, clauses, formula.trivially_unsat), set(value)
+
+
+def unfolded_bounds(formula, net, input_lits, upper, lower):
+    """encode.emit_bounds before the fold: each polarity's cone walked by
+    encode's walker with an unasserted plan, over a variable for every wire
+    past the inputs, in wire order, and followed by the unit of its
+    assertion.  Returns the units that are not constants."""
+    gate_wires = range(net.num_inputs, net.num_wires)
+    wires = dict(zip(gate_wires, formula.fresh_vars(len(gate_wires))))
+    consts = encode._constant_wires(net, input_lits)
+    units = []
+    for polarity, at in (("atmost", upper), ("atleast", lower)):
+        plan = encode._emission_plan(net, consts, polarity == "atmost", (at,), None)
+        out = encode._walk(formula, net, plan, input_lits, polarity, None, wires)[net.outputs[at]]
+        unit = neg(out) if polarity == "atmost" else out
+        formula.add_clause([unit])
+        if not is_const(unit):
+            units.append(unit)
+    return units
 
 
 def planted_binary_formula(num_vars, num_clauses, seed):

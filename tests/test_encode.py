@@ -7,16 +7,17 @@ import random
 import pytest
 
 from cardnet import build, encode
-from cardnet.cnf import FALSE, TRUE, CnfFormula
+from cardnet.cnf import FALSE, TRUE, CnfFormula, is_const
 from cardnet.encode import (MIXED_METHODS, NETWORK_METHODS, AtMostForm, CardConstraint,
                             Chooser, EncodeOptions, _chooser, _constant_wires,
-                            build_selection_network, choose_direct, cnf_cost, emit_network,
-                            encode_atmost, encode_baseline, encode_card, encode_cards,
-                            method_network, normalize_card, recursive_cost, select_wires,
-                            strengthen)
+                            build_selection_network, choose_direct, cnf_cost, emit_bounds,
+                            emit_network, encode_atmost, encode_baseline, encode_card,
+                            encode_cards, method_network, normalize_card, recursive_cost,
+                            select_wires, strengthen)
 from cardnet.network import Network
 from cardnet.pb import PbConstraint, encode_pb, find_base, normalize_pb, plan_digits
 from cardnet.sat import Assignment, Propagator, dpll_sat
+from conftest import _propagated, _without_dead_gates, unfolded_bounds
 from test_golden import LARGE, SIZES
 
 
@@ -583,7 +584,7 @@ def test_atleast_side_propagates_at_scale(method):
 def test_paired_bounds_propagate_at_scale(method, mixing):
     # = 8 over 256, <= 40 with >= 24 over 256 (the >= listed in another
     # order) and = 32 over 1024 in one formula on one propagator, each pair
-    # on one network (its size is the paired emission's): with j <= sum <= k,
+    # on one network (its size is _pair_bounds' dry run's): with j <= sum <= k,
     # k true inputs force the rest false, n-j false inputs force the rest
     # true, and one more of either conflicts
     rng = random.Random(20)
@@ -601,8 +602,8 @@ def test_paired_bounds_propagate_at_scale(method, mixing):
         bounds = [n - j, k] if j == k else [k, n - j]  # in the order of the forms
         assert [(enc.k, enc.output_lits) for enc in encs] == [(b, ()) for b in bounds]
         assert encode._pair_bounds(chooser, n, k, n - j) == (False, k, j)
-        pair = encode._bounds_plan(encode._atmost_network(chooser, n, k), k, j - 1)
-        assert (f.num_vars - size[0], f.num_clauses - size[1]) == (pair.aux, len(pair.clauses))
+        assert (f.num_vars - size[0], f.num_clauses - size[1]) == encode._bounds_cost(chooser, n,
+                                                                                      k, j)
         cases.append((lits, j, k))
     prop = Propagator(f)
     for lits, j, k in cases:
@@ -620,6 +621,60 @@ def test_paired_bounds_propagate_at_scale(method, mixing):
                     # every other literal takes the opposite value
                     assert all(values.get(abs(l)) is ((l > 0) != value) for l in lits
                                if l not in chosen), (n, j, k, value)
+
+
+# -- the fold at scale -------------------------------------------------------------
+
+def test_fold_matches_root_propagation_at_scale():
+    # 150 random pairs (emit_bounds) and 150 random single assertions
+    # (emit_network), over every network method mixed and unmixed, n up to
+    # 130, literals of random signs and, on the singles, a few constant
+    # inputs: each folded emission is its unfolded one after root unit
+    # propagation of the assertions' units and dead-gate elimination, or a
+    # conflict on both sides.  No input variable is ever assigned.
+    rng = random.Random(21)
+    for i in range(300):
+        method = NETWORK_METHODS[i % len(NETWORK_METHODS)]
+        chooser = Chooser(method, 5, rng.random() < 0.5)
+        n = rng.randint(2, 130)
+        folded, unfolded = CnfFormula(), CnfFormula()
+        lits = [v if rng.random() < 0.5 else -v for v in folded.fresh_vars(n)]
+        unfolded.fresh_vars(n)
+        if i % 2:
+            k = rng.randint(1, n - 1)
+            j = rng.randint(1, k)
+            net = encode._atmost_network(chooser, n, k)
+            case = (method, chooser.direct, n, j, k)
+            emit_bounds(folded, net, lits, k, j - 1)
+            units = unfolded_bounds(unfolded, net, lits, k, j - 1)
+        else:
+            m = rng.randint(1, n)
+            at = rng.randrange(m)
+            polarity = rng.choice(("atmost", "atleast"))
+            net = build_selection_network(method, n, m, chooser, rng.random() < 0.5)
+            for _ in range(rng.choice((0, 0, 1, 3))):
+                lits[rng.randrange(n)] = rng.choice((TRUE, FALSE))
+            case = (method, chooser.direct, n, m, at, polarity, lits.count(TRUE),
+                    lits.count(FALSE))
+            fixed = encode._fold_wires(net, _constant_wires(net, lits),
+                                       ((at, polarity == "atmost"),))
+            assert fixed is None or min(fixed[0], default=n) >= n, case
+            emit_network(folded, net, lits, polarity, (at,), at)
+            (out,) = emit_network(unfolded, net, lits, polarity, (at,))
+            unit = -out if polarity == "atmost" else out
+            unfolded.add_clause([unit])
+            units = [] if is_const(unit) or abs(unit) <= n else [unit]
+        aux = set(range(n + 1, unfolded.next_var))
+        try:
+            propagated, assigned = _propagated(unfolded, aux, units)
+        except AssertionError:  # a conflict at the root
+            propagated = None
+        if propagated is None or unfolded.trivially_unsat:
+            assert folded.trivially_unsat, case
+            continue
+        assert assigned <= aux, case
+        assert (_without_dead_gates(propagated, aux, set(), False).write_dimacs()
+                == folded.write_dimacs()), case
 
 
 # -- auto: the cheapest construction per level ------------------------------------

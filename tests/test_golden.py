@@ -84,7 +84,6 @@ ties each shared network to its two clause sets emitted unfolded.
 """
 
 import hashlib
-from collections import Counter, defaultdict
 
 import pytest
 
@@ -95,6 +94,7 @@ from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOpti
                             encode_atmost, encode_card)
 from cardnet.pb import encode_goal_bound, parse_opb
 from cardnet.solve import encode_problem
+from conftest import _propagated, _without_dead_gates, unfolded_bounds
 
 SIZES = ((5, 2), (8, 3), (13, 4), (16, 7), (24, 5), (37, 9), (64, 12), (100, 17))
 LAMBDAS = (1, 5, 20)
@@ -1126,29 +1126,6 @@ def test_golden_dimacs(method):
         assert _sha(thunk()) == GOLDEN[case_id], case_id
 
 
-def _without_dead_gates(formula, aux, exposed, keep_exposed=True):
-    """formula after deleting, repeatedly, every clause that holds a literal
-    of an auxiliary variable, not exposed, whose complement occurs nowhere,
-    with the surviving variables renumbered in order.  keep_exposed False
-    also drops an exposed auxiliary variable that no clause holds."""
-    clauses = formula.clauses
-    while True:
-        occurs = Counter(lit for clause in clauses for lit in clause)
-        pure = {lit for lit in occurs
-                if abs(lit) in aux and abs(lit) not in exposed and -lit not in occurs}
-        if not pure:
-            break
-        clauses = [clause for clause in clauses if pure.isdisjoint(clause)]
-    used = {abs(lit) for clause in clauses for lit in clause}
-    kept = [v for v in range(1, formula.next_var)
-            if v not in aux or v in used or keep_exposed and v in exposed]
-    new = {v: i for i, v in enumerate(kept, 1)}
-    return CnfFormula(len(kept) + 1,
-                      [tuple(new[lit] if lit > 0 else -new[-lit] for lit in clause)
-                       for clause in clauses],
-                      formula.trivially_unsat)
-
-
 def _price_caches():
     """Entry counts of the price caches.  The tests below patch emit_network
     module-wide, so a price computed during a patched run would come from
@@ -1170,10 +1147,7 @@ def test_pruning_matches_dead_gate_elimination(method, monkeypatch):
     real = encode.emit_network
     aux, exposed = set(), set()
 
-    def emit_everything(formula, net, input_lits, polarity="atmost", reads=None, asserts=None,
-                        wires=None):
-        if wires is not None:  # emit_bounds' own emission
-            return real(formula, net, input_lits, polarity, reads, asserts, wires)
+    def emit_everything(formula, net, input_lits, polarity="atmost", reads=None, asserts=None):
         start = formula.next_var
         outs = real(formula, net, input_lits, polarity, None, asserts)
         aux.update(range(start, formula.next_var))
@@ -1193,39 +1167,6 @@ def test_pruning_matches_dead_gate_elimination(method, monkeypatch):
         assert _price_caches() == priced, case_id
         assert (_without_dead_gates(full, aux, exposed).write_dimacs()
                 == pruned.write_dimacs()), case_id
-
-
-def _propagated(formula, aux, units):
-    """formula after root unit propagation of units over the auxiliary
-    variables aux: every clause a propagated literal satisfies dropped, and
-    every literal it falsifies removed.  An input variable is never
-    assigned, so a clause left with one input literal stays, as a unit.
-    Returns the formula and the assigned variables."""
-    occurs = defaultdict(list)
-    for clause in formula.clauses:
-        for lit in clause:
-            occurs[-lit].append(clause)
-    value = {}
-
-    def satisfied(clause):
-        return any(value.get(abs(lit)) == (lit > 0) for lit in clause)
-
-    queue = list(units)
-    while queue:
-        lit = queue.pop()
-        if abs(lit) in value:
-            assert value[abs(lit)] == (lit > 0), "conflict at the root"
-            continue
-        value[abs(lit)] = lit > 0
-        for clause in occurs[lit]:
-            if not satisfied(clause):
-                left = [l for l in clause if abs(l) not in value]
-                assert left, "conflict at the root"
-                if len(left) == 1 and abs(left[0]) in aux:
-                    queue.append(left[0])
-    clauses = [tuple(lit for lit in clause if abs(lit) not in value)
-               for clause in formula.clauses if not satisfied(clause)]
-    return CnfFormula(formula.next_var, clauses, formula.trivially_unsat), set(value)
 
 
 def _assumed(formula, lit):
@@ -1268,13 +1209,7 @@ def test_fold_matches_root_propagation(method, monkeypatch):
         # a variable for every wire past the inputs, in wire order, as
         # emit_bounds numbers the gate outputs it keeps
         start = formula.next_var
-        wires = [None] * net.num_inputs + formula.fresh_vars(net.num_wires - net.num_inputs)
-        for polarity, at in (("atmost", upper), ("atleast", lower)):
-            (out,) = real(formula, net, input_lits, polarity, (at,), None, wires)
-            unit = neg(out) if polarity == "atmost" else out
-            formula.add_clause([unit])
-            if not is_const(unit):
-                units.append(unit)
+        units.extend(unfolded_bounds(formula, net, input_lits, upper, lower))
         aux.update(range(start, formula.next_var))
 
     for case_id, thunk in _group(method):
