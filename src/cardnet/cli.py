@@ -21,7 +21,7 @@ import csv
 import io
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .encode import EncodeOptions
@@ -40,13 +40,15 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _write_output(path: str | None, text: str) -> int:
-    """Write text to the file at path, or to stdout when path is None."""
+def _write_output(path: str | None, chunks: Iterable[str]) -> int:
+    """Write the text chunks, in order, to the file at path, or to stdout
+    when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return EXIT_OK
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         return _fail(EXIT_WRITE, f"cannot write {path}: {exc}")
     return EXIT_OK
@@ -90,7 +92,7 @@ def _cmd_encode(args) -> int:
         formula = encode_cnfp(problem, _options(args))
     except ValueError as exc:
         return _fail(EXIT_ENCODE, str(exc))
-    return _write_output(args.output, formula.write_dimacs())
+    return _write_output(args.output, formula.dimacs_chunks())
 
 
 def _cmd_pbencode(args) -> int:
@@ -107,7 +109,7 @@ def _cmd_pbencode(args) -> int:
         enc = encode_problem(problem, _options(args))
     except ValueError as exc:
         return _fail(EXIT_ENCODE, str(exc))
-    return _write_output(args.output, enc.formula.write_dimacs())
+    return _write_output(args.output, enc.formula.dimacs_chunks())
 
 
 def _load_problem(path: str):
@@ -257,7 +259,7 @@ def _cmd_stats(args) -> int:
         grid = _parse_grid(args.grid)
     except ValueError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    return _write_output(args.csv, stats_report(methods, grid))
+    return _write_output(args.csv, [stats_report(methods, grid)])
 
 
 def _cmd_verify(args) -> int:
@@ -274,11 +276,11 @@ def _cmd_demo(args) -> int:
 
     if args.kind != "queens":
         return _fail(EXIT_USAGE, f"unknown demo {args.kind!r}")
-    return _write_output(args.output, write_cnfp(queens_cnfp(args.n)))
+    return _write_output(args.output, [write_cnfp(queens_cnfp(args.n))])
 
 
 def _cmd_dpll(args) -> int:
-    from .cnf import CnfFormula, parse_dimacs
+    from .cnf import parse_dimacs
     from .sat import dpll_sat
 
     try:
@@ -289,7 +291,7 @@ def _cmd_dpll(args) -> int:
         return _fail(EXIT_PARSE, f"{args.input}: {exc}")
     # the solver core takes the parsed clauses as they are: it drops
     # duplicate literals and tautologies, and an empty clause is UNSAT
-    status, model = dpll_sat(CnfFormula(num_vars + 1, clauses))
+    status, model = dpll_sat((num_vars, clauses))
     if status == "UNSAT":
         print("s UNSATISFIABLE")
         return 20
@@ -302,7 +304,7 @@ def _cmd_dpll(args) -> int:
 def _cmd_ledger(args) -> int:
     from .docs import formula_ledger
 
-    return _write_output(args.output, formula_ledger())
+    return _write_output(args.output, [formula_ledger()])
 
 
 def _encode_args(p) -> None:

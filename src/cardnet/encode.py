@@ -39,7 +39,7 @@ from itertools import combinations, count
 from typing import Callable, NamedTuple, Sequence
 
 from . import build
-from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
+from .cnf import FALSE, TRUE, CnfFormula, CountingFormula, Lit, neg
 from .network import CombinePair, Network, Selector
 
 @dataclass(frozen=True)
@@ -668,7 +668,7 @@ def emit_bounds(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
 def _bounds_cost(chooser: Chooser, n: int, k: int, j: int) -> tuple[int, int]:
     """(V, C) of emit_bounds for j <= sum(lits) <= k over n free literals on
     encode_atmost's network, by a dry run."""
-    formula = CnfFormula()
+    formula = CountingFormula()
     emit_bounds(formula, _atmost_network(chooser, n, k), formula.fresh_vars(n), k, j - 1)
     return formula.num_vars - n, formula.num_clauses
 
@@ -682,7 +682,7 @@ def cnf_cost(net: Network, reads: Sequence[int] | None = None,
     Computed by a dry-run emission (including constant simplification) with
     free input literals.
     """
-    formula = CnfFormula()
+    formula = CountingFormula()
     inputs = formula.fresh_vars(net.num_inputs)
     emit_network(formula, net, inputs, "atmost", reads, asserts)
     return formula.num_vars - net.num_inputs, formula.num_clauses
@@ -824,7 +824,7 @@ def _level_cost(method: str, n: int, m: int, children: list[tuple[int, int]],
         res = build._select_columns(net, net.input_wires()[:n], m, entry.split, entry.merge,
                                     select, entry.sorts_rows)
         net.set_outputs(res[:m] + handed)
-        formula = CnfFormula()
+        formula = CountingFormula()
         lits: list[Lit] = formula.fresh_vars(net.num_inputs)
         tops: frozenset[int] = frozenset()
         if asserted:
@@ -985,7 +985,7 @@ def _emit_side(formula: CnfFormula, chooser: Chooser, lits: Sequence[Lit], m: in
 @functools.cache
 def _side_cost(chooser: Chooser, n: int, m: int, atmost: bool) -> tuple[int, int]:
     """(V, C) of _emit_side over n free input literals, by a dry run."""
-    formula = CnfFormula()
+    formula = CountingFormula()
     _emit_side(formula, chooser, formula.fresh_vars(n), m, atmost)
     return formula.num_vars - n, formula.num_clauses
 

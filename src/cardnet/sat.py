@@ -115,24 +115,32 @@ def unit_propagate(formula: CnfFormula, seed: Assignment | Iterable[int] | None 
     return prop.propagate(assignment, seeds)
 
 
-def dpll_sat(formula: CnfFormula, assumptions: Sequence[Lit] = ()) -> tuple[str, dict[int, bool] | None]:
+def dpll_sat(formula: CnfFormula | tuple[int, Sequence[tuple[int, ...]]],
+             assumptions: Sequence[Lit] = ()) -> tuple[str, dict[int, bool] | None]:
     """Complete SAT check; returns ("SAT", model) or ("UNSAT", None).
 
-    The model covers every allocated variable (unconstrained ones default to
-    false) and satisfies all clauses and assumptions.  A TRUE assumption is
-    ignored and a FALSE one makes the answer UNSAT; a Python bool or 0 is a
-    malformed literal (ValueError).  The search is deterministic: the same
-    input always gives the same model.
+    formula is a CnfFormula, or a (num_vars, clauses) pair as parse_dimacs
+    returns it, whose clauses the core takes as they are.  The model covers
+    every allocated variable (unconstrained ones default to false) and
+    satisfies all clauses and assumptions.  A TRUE assumption is ignored and
+    a FALSE one makes the answer UNSAT; a Python bool or 0 is a malformed
+    literal (ValueError).  The search is deterministic: the same input
+    always gives the same model.
     """
-    if formula.trivially_unsat or any(a is FALSE for a in assumptions):
+    if isinstance(formula, CnfFormula):
+        if formula.trivially_unsat:
+            return "UNSAT", None
+        allocated, clauses = formula.num_vars, formula.clauses
+    else:
+        allocated, clauses = formula
+    if any(a is FALSE for a in assumptions):
         return "UNSAT", None
     units = [_check_literal(a) for a in assumptions if a is not TRUE]
-    num_vars = max(formula.next_var - 1, max(map(abs, units), default=0))
-    search = _Search(num_vars, formula.clauses)
+    search = _Search(max(allocated, max(map(abs, units), default=0)), clauses)
     if not search.solve(units):
         return "UNSAT", None
     value = search.value
-    return "SAT", {v: value[v] is True for v in range(1, formula.next_var)}
+    return "SAT", {v: value[v] is True for v in range(1, allocated + 1)}
 
 
 _RESTART_UNIT = 100       # conflicts per step of the Luby restart sequence

@@ -432,7 +432,7 @@ def minimize(problem: PbProblem, opts: EncodeOptions | None = None,
             bound = upper
             if cfg.strategy == "binary" and upper - lower >= cfg.switch_gap:
                 bound = max(next_binary_bound(upper, lower, cfg.q), lower + 1)
-            formula = CnfFormula(base.next_var, list(base.clauses), base.trivially_unsat)
+            formula = base.copy()
             encode_goal_bound(formula, objective, bound, None, opts)
             # reduced-cost fixing: a variable away from its relaxed value
             # would lift the bound past bound - 1

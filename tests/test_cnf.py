@@ -1,8 +1,13 @@
 import random
+import tracemalloc
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cardnet import cnf
 from cardnet.cnf import DIMACS_CHUNK, FALSE, TRUE, CnfFormula, neg
 from cardnet.cnf import parse_dimacs as read_dimacs
 
@@ -177,6 +182,85 @@ def test_add_clauses_appends_as_given():
     f.add_clauses(iter([(2, -3), (-1, 3)]))
     f.add_clauses([])
     assert f.clauses == [(1,), (2, -3), (-1, 3)]
+
+
+# -- the flat clause store ------------------------------------------------------
+
+def test_clauses_view_is_what_was_added():
+    rng = random.Random(7)
+    f = CnfFormula()
+    f.fresh_vars(400)
+    added = []
+    for _ in range(300):
+        batch = [tuple(rng.sample(range(1, 401), rng.randint(1, 6))) for _ in range(rng.randint(0, 4))]
+        batch = [tuple(l * rng.choice((1, -1)) for l in c) for c in batch]
+        if rng.random() < 0.5:
+            f.add_clauses(batch)
+        else:
+            for clause in batch:
+                f.add_clause(list(clause))
+        added += batch
+    view = f.clauses
+    assert list(view) == added and view == added and len(view) == f.num_clauses == len(added)
+    assert view[0] == added[0] and view[-1] == added[-1] and view[5:9] == added[5:9]
+    copy = f.copy()
+    copy.add_clause([1, 2])
+    assert f.clauses == added and copy.clauses == added + [(1, 2)]
+    assert copy.write_dimacs() != f.write_dimacs()
+
+
+def _reference_dimacs(num_vars, clauses, unsat):
+    """DIMACS text formatted one clause at a time."""
+    if unsat:
+        return "p cnf 1 2\n1 0\n-1 0\n"
+    return f"p cnf {num_vars} {len(clauses)}\n" + "".join(
+        ("%d " * len(c) + "0\n") % tuple(c) for c in clauses)
+
+
+def _clause_lists(min_size):
+    return st.lists(st.lists(st.integers(1, 2000).flatmap(lambda v: st.sampled_from((v, -v))),
+                             min_size=min_size, max_size=8, unique_by=abs),
+                    max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_clause_lists(0), simplified=_clause_lists(1), chunk=st.integers(1, 12),
+       unsat=st.booleans())
+def test_chunked_writer_matches_reference(raw, simplified, chunk, unsat):
+    # raw clauses, empty ones too, enter by add_clauses as the solver tests
+    # hand them over; add_clause stores the others as they are
+    f = CnfFormula()
+    f.fresh_vars(2000)
+    f.add_clauses(raw)
+    for clause in simplified:
+        f.add_clause(clause)
+    if unsat:
+        f.add_clause([])
+    with mock.patch.object(cnf, "DIMACS_CHUNK", chunk):
+        chunks = list(f.dimacs_chunks())
+    assert "".join(chunks) == _reference_dimacs(2000, raw + simplified, unsat)
+    assert all(c.endswith("\n") for c in chunks)       # whole lines only
+    # a chunk holds at least DIMACS_CHUNK store entries, or ends the store
+    entries = sum(len(c) + 1 for c in raw + simplified)
+    assert unsat or len(chunks) - 1 >= entries // (chunk + 8)
+
+
+def test_store_takes_at_most_five_bytes_per_literal():
+    rng = random.Random(2)
+    clauses = [rng.sample(range(1, 5001), 20) for _ in range(5000)]     # 100k literals
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = CnfFormula()
+        f.fresh_vars(5000)
+        for clause in clauses[::2]:
+            f.add_clause(clause)
+        f.add_clauses(list(clause) for clause in clauses[1::2])    # fresh clause objects
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert f.num_clauses == len(clauses)
+    assert used <= 5 * 20 * len(clauses)
 
 
 # -- DIMACS reader ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 
@@ -225,6 +226,43 @@ def test_cost_asserted_matches_dry_run(method, lam):
                 if chooser.use_direct(n, m, True):  # the level it was weighed against
                     net = method_network(method, n, m, chooser, asserted=True)
                     assert chooser.best_level(n, m, True)[1] == cnf_cost(net, range(m), m - 1)
+
+
+def _prices(chooser, n, m, k, j):
+    """What each pricing dry run gives for a seeded (n, m) selection and a
+    j <= sum <= k pair: cnf_cost asserted and not, _side_cost in both
+    polarities, _level_cost of each level construction, and _bounds_cost."""
+    method = chooser.method
+    prices = []
+    for asserted in (False, True):
+        net = build_selection_network(method, n, m, chooser, asserted)
+        prices.append(cnf_cost(net, range(m), m - 1 if asserted else None))
+        if method in MIXED_METHODS:
+            for name in encode._TABLE[method].levels or (method,):
+                children = encode._TABLE[name].split(n, m)
+                prices.append(encode._level_cost(name, n, m, children, asserted)[:2])
+    for atmost in (True, False):
+        prices.append(encode._side_cost.__wrapped__(chooser, n, m, atmost))
+    prices.append(encode._bounds_cost(chooser, n, k, j))
+    return prices
+
+
+def test_pricing_counts_what_an_emission_stores():
+    # the price dry runs emit into a formula that only counts; each price
+    # must equal that of the same dry run into a formula that stores
+    rng = random.Random(22)
+    for method in NETWORK_METHODS:
+        chooser = Chooser(method, 5)
+        for _ in range(10):
+            n = rng.randint(2, 24)
+            m = rng.randint(2, n)
+            k = rng.randint(1, n - 1)
+            j = rng.randint(1, k)
+            counted = _prices(chooser, n, m, k, j)
+            with mock.patch.object(encode, "CountingFormula", CnfFormula), \
+                    mock.patch.object(encode, "_LEVEL_COSTS", {}):
+                stored = _prices(chooser, n, m, k, j)
+            assert counted == stored, (method, n, m, k, j)
 
 
 @pytest.mark.parametrize("method", MIXED_METHODS)
