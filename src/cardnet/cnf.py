@@ -6,9 +6,11 @@ The two constants TRUE and FALSE are separate sentinel objects so that constant
 inputs (padding, injected carries) flow through every encoder uniformly and get
 eliminated at clause-add time.
 
-Clauses enter a formula in one of two ways: `add_clause` simplifies each one,
-and `add_clauses` appends whole clause families that an emitter has shown need
-no simplification, by checking once per gate with `distinct_vars`.
+Clauses enter a formula in one of three ways: `add_clause` simplifies each
+one, `add_clauses` appends whole clause families that need no
+simplification, and `add_flat` appends such a family already in the store's
+layout, in one step.  An emitter shows that a gate's clauses need none by
+checking once per gate with `distinct_vars`.
 
 A formula stores its clauses flat, in the DIMACS layout: one `array('i')` of
 every clause's literals, each clause followed by 0, about 4 bytes per literal.
@@ -17,7 +19,8 @@ read-only view that rebuilds the clauses as int tuples on each access, for
 tests, the solver core and model checks.  `dimacs_chunks` formats whole runs
 of the store at C level, so DIMACS text is written in pieces of about
 DIMACS_CHUNK entries and never held whole.  `CountingFormula` keeps only the
-counts, for the dry-run emissions that price a network.
+counts, for the dry-run emissions that price a network: an emitter that
+knows how many clauses a family holds gives it that count alone.
 """
 
 from __future__ import annotations
@@ -108,6 +111,10 @@ class CnfFormula:
     clause itself is not stored.
     """
 
+    # a formula that keeps only counts (CountingFormula) sets this, so that
+    # an emitter that knows a family's size need not make its clauses
+    counts_only = False
+
     def __init__(self, next_var: int = 1, clauses: Iterable[Sequence[int]] | None = None,
                  trivially_unsat: bool = False):
         self.next_var = next_var
@@ -170,10 +177,17 @@ class CnfFormula:
             count += 1
         self.num_clauses = count
 
+    def add_flat(self, lits: list[int], count: int) -> None:
+        """Append count clauses given as one list of int literals in the
+        store's layout, each clause followed by 0, with no simplification
+        (see add_clauses), in one step at C level."""
+        self._lits.fromlist(lits)
+        self.num_clauses += count
+
     def _store(self, clause: list[int]) -> None:
         """Append one simplified clause."""
         clause.append(0)
-        self._lits.extend(clause)
+        self._lits.fromlist(clause)
         self.num_clauses += 1
 
     def add_clause(self, lits: Iterable[Lit]) -> None:
@@ -243,10 +257,16 @@ class CnfFormula:
 class CountingFormula(CnfFormula):
     """A formula that counts clauses and stores none: the dry-run emissions
     that price a network emit into one.  add_clause still simplifies each
-    clause, so num_clauses is what a CnfFormula would hold."""
+    clause, so num_clauses is what a CnfFormula would hold, and add_flat
+    adds its count without reading its literals."""
+
+    counts_only = True
 
     def add_clauses(self, clauses: Iterable[Sequence[int]]) -> None:
         self.num_clauses += sum(1 for _ in clauses)
+
+    def add_flat(self, lits: list[int], count: int) -> None:
+        self.num_clauses += count
 
     def _store(self, clause: list[int]) -> None:
         self.num_clauses += 1

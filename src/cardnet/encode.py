@@ -29,14 +29,15 @@ polarity too, since it asserts an output positively.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import gc
 import math
-import weakref
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, count
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, CountingFormula, Lit, neg
@@ -162,6 +163,9 @@ def normalize_card(c: CardConstraint) -> NormalizedCard:
 # gate-level clause emission
 # ---------------------------------------------------------------------------
 
+_END = (0,)  # ends a clause in the store's layout (CnfFormula.add_flat)
+
+
 def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequence[int],
                       polarity: str, distinct: bool = False,
                       forced: Sequence[int] = (),
@@ -172,30 +176,55 @@ def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequen
     its side (see _fold_wires): it gets no variable, and its clauses omit
     it.  distinct says the free inputs are known to be over distinct
     variables.  ys, when given, holds the variable of the rank at each index
-    (see _walk's wires) in place of a fresh one."""
+    (see _walk's wires) in place of a fresh one.
+
+    Over distinct variables no clause of a family needs simplification, so
+    the families go to the store as one run (CnfFormula.add_flat) with
+    their size, C(f, s) for subsets of size s of the f free inputs; a
+    formula that only counts gets the size alone, and no clause is made."""
     atmost = polarity == "atmost"
     trues = in_lits.count(TRUE)
     free = [l for l in in_lits if l is not TRUE and l is not FALSE]
-    negs = [-l for l in free] if atmost else []
+    pool = [-l for l in free] if atmost else free
+    flat = distinct or formula.distinct_vars(free)
     outs: list[Lit] = []
-    clauses: list[tuple[Lit, ...]] = []
+    run: list[int] = []
+    count = 0
     for i, p in enumerate(ranks):
-        need = p - trues
-        family = combinations(negs, need) if atmost else combinations(free, len(free) - need + 1)
+        need = p - trues if atmost else len(free) - p + trues + 1
+        family = combinations(pool, need)
         if p in forced:
             outs.append(FALSE if atmost else TRUE)
-            clauses += family
+            head, tail = (), ()
+        else:
+            y = formula.fresh_var() if ys is None else ys[i]
+            outs.append(y)
+            head, tail = ((), (y,)) if atmost else ((-y,), ())
+        if not flat:
+            for s in family:
+                formula.add_clause(head + s + tail)
             continue
-        y = formula.fresh_var() if ys is None else ys[i]
-        outs.append(y)
-        clauses += [s + (y,) for s in family] if atmost else [(-y,) + s for s in family]
-    # over distinct variables no clause of the family needs simplification
-    if distinct or formula.distinct_vars(free):
-        formula.add_clauses(clauses)
-    else:
-        for clause in clauses:
-            formula.add_clause(clause)
+        count += math.comb(len(pool), need)
+        if formula.counts_only:
+            continue
+        tail += _END
+        for s in family:
+            run += head
+            run += s
+            run += tail
+    if flat:
+        formula.add_flat(run, count)
     return outs
+
+
+def _clauses(run: Sequence[Lit]) -> Iterator[tuple[Lit, ...]]:
+    """The clauses of a run of literals in the store's layout, each ended
+    by 0."""
+    start = 0
+    for end, lit in enumerate(run):
+        if type(lit) is int and lit == 0:
+            yield tuple(run[start:end])
+            start = end + 1
 
 
 def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bool,
@@ -207,34 +236,39 @@ def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bo
     pair, none of which _constant_wires folds.  A forced output is fixed by
     the fold to its side (see _fold_wires): it gets no variable and its
     clauses omit it.  vx and vy, when given, are the outputs' variables (see
-    _walk's wires) in place of fresh ones."""
+    _walk's wires) in place of fresh ones.  The clauses are made as one run
+    in the store's layout (CnfFormula.add_flat)."""
     atmost = polarity == "atmost"
     fixed = FALSE if atmost else TRUE
     free = [l for l in (ym2, ym1, yy, xx, xp1, xp2) if l is not TRUE and l is not FALSE]
     out_x: Lit | None = None
     out_y: Lit | None = None
-    clauses: list[tuple[Lit, ...]] = []
+    run: list[Lit] = []
+    count = 0
 
     if want_y:
         out_y = y = fixed if forced_y else vy if vy is not None else formula.fresh_var()
-        clauses += ([(-yy, y), (-xp2, y), (-ym1, -xp1, y)] if atmost
-                    else [(-y, ym1, xp2), (-y, yy, xp1)])
+        run += ([-yy, y, 0, -xp2, y, 0, -ym1, -xp1, y, 0] if atmost
+                else [-y, ym1, xp2, 0, -y, yy, xp1, 0])
+        count += 3 if atmost else 2
 
     if want_x:
         out_x = x = fixed if forced_x else vx if vx is not None else formula.fresh_var()
-        clauses += ([(-ym1, -xx, x), (-ym2, -xp1, x)] if atmost
-                    else [(-x, xx), (-x, ym2), (-x, ym1, xp1)])
+        run += ([-ym1, -xx, x, 0, -ym2, -xp1, x, 0] if atmost
+                else [-x, xx, 0, -x, ym2, 0, -x, ym1, xp1, 0])
+        count += 2 if atmost else 3
 
     if distinct or formula.distinct_vars(free):
         # every clause holds an output, so over distinct variables none can
         # repeat a variable or be a tautology: only the constants fold (TRUE
         # satisfies a clause, FALSE drops out)
         if len(free) < 6 or forced_x or forced_y:
-            clauses = [tuple(l for l in c if l is not FALSE) for c in clauses
-                       if TRUE not in c]
-        formula.add_clauses(clauses)
+            kept = [c for c in _clauses(run) if TRUE not in c]
+            run = [l for c in kept for l in c + _END if l is not FALSE]
+            count = len(kept)
+        formula.add_flat(run, count)
     else:
-        for clause in clauses:
+        for clause in _clauses(run):
             formula.add_clause(clause)
     return out_x, out_y
 
@@ -465,60 +499,118 @@ def _live_wires(net: Network, reads: Sequence[int], consts: dict[int, Lit],
     return live
 
 
-class _Plan(NamedTuple):
-    """What a walk (_walk) derives from a network before it makes a clause."""
-
-    # per gate with an output to emit, in order: a selector's (gate, ranks of
-    # the outputs to emit, ranks among them the fold fixes to its side), or a
-    # combine pair's (gate, (want_x, want_y), (x fixed, y fixed))
-    steps: list[tuple]
-    # each gate output wire's constant, or, unread, the one that satisfies
-    # every clause that would read it, so that it folds nothing a read output
-    # depends on
-    gate_lits: list[Lit]
-    conflict: bool  # the fold meets a conflict
+# a wire's code in a plan (_Plan.codes): one that no walk emits reads as
+# FALSE (0) or TRUE (1); _EMIT marks a gate output to emit, and _FIXED one
+# that the fold fixes to its side, emitted without it (see _fold_wires)
+_EMIT, _FIXED = 2, 3
+_CODE_LITS = (FALSE, TRUE, None, None)  # a wire's literal before the walk
 
 
-# network -> {key: plan} for emissions whose input literals hold no
-# constant, which share one plan per network and key: so every line of one
-# shape, built once (build_selection_network), is planned once
-_PLANS: weakref.WeakKeyDictionary[Network, dict[tuple, object]] = weakref.WeakKeyDictionary()
+class _Plan:
+    """What a walk (_walk) derives from a network before it makes a clause,
+    in about one byte per wire: each wire's code (_EMIT, _FIXED, or the
+    constant it reads as: a folded wire's, or, unread, the one that
+    satisfies every clause that would read it, so that it folds nothing a
+    read output depends on), the index of each gate with an output to emit,
+    in order, and whether the fold meets a conflict."""
+
+    __slots__ = ("codes", "steps", "conflict", "__weakref__")
+
+    def __init__(self, net: Network, live: bytearray | None, folded: dict[int, Lit],
+                 forced: set[int], value: Lit, conflict: bool = False):
+        """Emit every gate output that is live (every one when live is None)
+        and not folded to a constant, or forced (emitted without it); any
+        other reads as its constant in folded, else value."""
+        codes = bytearray([value is TRUE]) * net.num_wires
+        for w, lit in folded.items():
+            codes[w] = lit is TRUE
+        steps = array("i")
+        for i, gate in enumerate(net.gates):
+            outs = gate.outputs if type(gate) is Selector else (gate.out_x, gate.out_y)
+            for w in outs:
+                if w is not None and (live is None or live[w]) and (w in forced
+                                                                     or w not in folded):
+                    codes[w] = _FIXED if w in forced else _EMIT
+                    if not steps or steps[-1] != i:
+                        steps.append(i)
+        self.codes, self.steps, self.conflict = bytes(codes), steps, conflict
+
+
+class _Networks:
+    """The selection networks one encode call builds (see _scope), each
+    under its key (chooser, n, m, asserted) with its plans, and how many of
+    the call's emissions still need it.  A network the call no longer
+    needs is released, and with it its plans; prices outlive both."""
+
+    def __init__(self) -> None:
+        self.nets: dict[tuple, Network] = {}
+        self.plans: dict[int, dict[tuple, object]] = {}  # id of a held network -> its plans
+        self.needs: Counter = Counter()                   # key -> emissions that need it
+
+    def network(self, key: tuple) -> Network:
+        """The network of key, built (_selection_network) if it is not held."""
+        if key not in self.nets:
+            net = self.nets[key] = _selection_network(*key)
+            self.plans[id(net)] = {}
+        return self.nets[key]
+
+    def release(self, *keys: tuple) -> None:
+        """Drop the network of each key that no emission still needs."""
+        for key in keys:
+            if key in self.nets and not self.needs[key]:
+                del self.plans[id(self.nets.pop(key))]
+
+    def need(self, key: tuple, count: int) -> None:
+        """Count emissions that need the network of key (negative when they
+        are done); released when none is left."""
+        self.needs[key] += count
+        if self.needs[key] <= 0:
+            del self.needs[key]
+            self.release(key)
+
+
+# the open encode call's networks.  Module state rather than an argument:
+# the public emitters and the process-wide price caches between the call and
+# its networks keep their signatures, and it is set only while a call runs
+_SCOPE: _Networks | None = None
+
+
+@contextlib.contextmanager
+def _scope() -> Iterator[_Networks]:
+    """The networks of the open encode call, or, outside one, of a new call
+    that ends with this block: every network and plan it built is dropped
+    then.  Outside any call, a network is built for each request and a plan
+    for each emission."""
+    global _SCOPE
+    if _SCOPE is not None:
+        yield _SCOPE
+        return
+    _SCOPE = _Networks()
+    try:
+        yield _SCOPE
+    finally:
+        _SCOPE = None
+
+
+def _release(*keys: tuple) -> None:
+    """Drop the networks of keys that the open encode call priced and no
+    emission of it still reads."""
+    if _SCOPE is not None:
+        _SCOPE.release(*keys)
 
 
 def _cached_plan(net: Network, input_lits: Sequence[Lit], key: tuple,
                  make: Callable[[dict[int, Lit]], object]) -> object:
-    """make(net's constant wires over input_lits), cached per network and
-    key when no input literal is a constant: the network alone decides it."""
-    if TRUE in input_lits or FALSE in input_lits:
+    """make(net's constant wires over input_lits), kept per key beside a
+    network that the open encode call holds when no input literal is a
+    constant: the network alone decides it.  So every line of one shape,
+    built once (build_selection_network), is planned once."""
+    plans = None if _SCOPE is None else _SCOPE.plans.get(id(net))
+    if plans is None or TRUE in input_lits or FALSE in input_lits:
         return make(_constant_wires(net, input_lits))
-    plans = _PLANS.setdefault(net, {})
     if key not in plans:
         plans[key] = make(_constant_wires(net, input_lits))
     return plans[key]
-
-
-def _plan_steps(net: Network, live: bytearray | None, folded: dict[int, Lit],
-                forced: set[int]) -> list[tuple]:
-    """_Plan.steps: every gate output that is live (every one when live is
-    None) and not folded to a constant, or forced (emitted without it)."""
-    steps: list[tuple] = []
-    for gate in net.gates:
-        if type(gate) is Selector:
-            outs = gate.outputs
-            ranks = [p for p, w in enumerate(outs, 1)
-                     if (live is None or live[w]) and (w not in folded or w in forced)]
-            if ranks:
-                fixed = () if forced.isdisjoint(outs) else [p for p in ranks
-                                                            if outs[p - 1] in forced]
-                steps.append((gate, ranks, fixed))
-            continue
-        ox, oy = gate.out_x, gate.out_y
-        fx, fy = ox in forced, oy in forced
-        want_x = ox is not None and (live is None or live[ox] == 1) and (fx or ox not in folded)
-        want_y = oy is not None and (live is None or live[oy] == 1) and (fy or oy not in folded)
-        if want_x or want_y:
-            steps.append((gate, (want_x, want_y), (fx, fy)))
-    return steps
 
 
 def _emission_plan(net: Network, consts: dict[int, Lit], atmost: bool,
@@ -528,9 +620,7 @@ def _emission_plan(net: Network, consts: dict[int, Lit], atmost: bool,
     if forced:
         consts = _satisfied_wires(net, consts, forced, atmost)
     live = None if reads is None else _live_wires(net, reads, consts, atmost, forced)
-    value = FALSE if atmost else TRUE
-    return _Plan(_plan_steps(net, live, consts, forced),
-                 [consts.get(w, value) for w in range(net.num_inputs, net.num_wires)], fold is None)
+    return _Plan(net, live, consts, forced, FALSE if atmost else TRUE, fold is None)
 
 
 def _without_gc(emit: Callable) -> Callable:
@@ -548,6 +638,14 @@ def _without_gc(emit: Callable) -> Callable:
     return emit_without_gc
 
 
+@functools.lru_cache(maxsize=256)
+def _ranks(row: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ranks of the selector outputs whose codes are row that a walk
+    emits, and those among them it emits fixed."""
+    return (tuple(p for p, c in enumerate(row, 1) if c >= _EMIT),
+            tuple(p for p, c in enumerate(row, 1) if c == _FIXED))
+
+
 def _walk(formula: CnfFormula, net: Network, plan: _Plan, input_lits: Sequence[Lit],
           polarity: str, asserts: int | None, wires: dict[int, int] | None = None) -> list[Lit]:
     """Emit plan's gates in topological order and return every wire's
@@ -557,14 +655,19 @@ def _walk(formula: CnfFormula, net: Network, plan: _Plan, input_lits: Sequence[L
     there instead of a fresh one."""
     if plan.conflict:
         formula.add_clause([])  # the fold met a conflict
-    wire_lits: list[Lit] = list(input_lits) + plan.gate_lits
+    codes = plan.codes
+    wire_lits: list[Lit] = list(input_lits)
+    wire_lits += map(_CODE_LITS.__getitem__, codes[net.num_inputs:])
     # Gate outputs get fresh variables and no gate reads a wire twice, so
     # when the input literals are over distinct variables, so is every gate.
     distinct = formula.distinct_vars([l for l in input_lits
                                       if l is not TRUE and l is not FALSE])
-    for gate, wanted, fixed in plan.steps:
+    gates = net.gates
+    for i in plan.steps:
+        gate = gates[i]
         if type(gate) is Selector:
             outs = gate.outputs
+            wanted, fixed = _ranks(codes[outs[0]:outs[-1] + 1])  # consecutive outputs
             lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
                                      wanted, polarity, distinct, fixed,
                                      None if wires is None else
@@ -573,14 +676,16 @@ def _walk(formula: CnfFormula, net: Network, plan: _Plan, input_lits: Sequence[L
                 wire_lits[outs[p - 1]] = lit
             continue
         ox, oy = gate.out_x, gate.out_y
+        cx = 0 if ox is None else codes[ox]
+        cy = 0 if oy is None else codes[oy]
         given = () if wires is None else (wires.get(ox), wires.get(oy))
         lx, ly = _combine_outputs(
             formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
-            wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2], *wanted, polarity,
-            distinct, *fixed, *given)
-        if wanted[0]:
+            wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2], cx >= _EMIT,
+            cy >= _EMIT, polarity, distinct, cx == _FIXED, cy == _FIXED, *given)
+        if cx >= _EMIT:
             wire_lits[ox] = lx
-        if wanted[1]:
+        if cy >= _EMIT:
             wire_lits[oy] = ly
     if asserts is not None and net.outputs[asserts] < net.num_inputs:
         lit = wire_lits[net.outputs[asserts]]  # an asserted input's unit
@@ -620,7 +725,7 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
 
 
 def _bounds_plans(net: Network, consts: dict[int, Lit], upper: int,
-                  lower: int) -> tuple[tuple[_Plan, _Plan], list[int]] | None:
+                  lower: int) -> tuple[tuple[_Plan, _Plan], array] | None:
     """emit_bounds' plan for each polarity and the gate outputs that get a
     variable, in wire order; None when the fold meets a conflict."""
     assertions = ((upper, True), (lower, False))
@@ -629,12 +734,11 @@ def _bounds_plans(net: Network, consts: dict[int, Lit], upper: int,
     if fold is None:
         return None
     folded = {**consts, **fold[0]}
-    gates = range(net.num_inputs, net.num_wires)
-    plans = tuple(_Plan(_plan_steps(net, live, folded,
-                                    {w for w, lit in fold[0].items() if lit is side}),
-                        [folded.get(w, side) for w in gates], False)
+    plans = tuple(_Plan(net, live, folded, {w for w, lit in fold[0].items() if lit is side},
+                        side)
                   for live, side in zip(cones, (FALSE, TRUE)))
-    return plans, [w for w in gates if (cones[0][w] or cones[1][w]) and w not in folded]
+    return plans, array("i", [w for w in range(net.num_inputs, net.num_wires)
+                              if (cones[0][w] or cones[1][w]) and w not in folded])
 
 
 @_without_gc
@@ -752,13 +856,14 @@ def method_network(method: str, n: int, m: int, chooser: Chooser | None = None,
 def build_selection_network(method: str, n: int, m: int, chooser: Chooser | None = None,
                             asserted: bool = False) -> Network:
     """Network whose output prefix of length m is the sorted m largest inputs,
-    built by select_wires (by default with no direct selector).  Each is
-    built once per (chooser, n, m, asserted) and shared, so a caller must
-    not modify it."""
-    return _selection_network(chooser or Chooser(method, direct=False), n, m, asserted)
+    built by select_wires (by default with no direct selector).  Within an
+    encode call (see _scope) each is built once per (chooser, n, m,
+    asserted) and shared until the call releases it, so a caller must not
+    modify it."""
+    key = (chooser or Chooser(method, direct=False), n, m, asserted)
+    return _selection_network(*key) if _SCOPE is None else _SCOPE.network(key)
 
 
-@functools.lru_cache(maxsize=256)
 def _selection_network(chooser: Chooser, n: int, m: int, asserted: bool) -> Network:
     net = Network(n)
     net.set_outputs(select_wires(net, net.input_wires(), m, chooser, asserted))
@@ -992,12 +1097,24 @@ def _side_cost(chooser: Chooser, n: int, m: int, atmost: bool) -> tuple[int, int
 
 def _form_side(chooser: Chooser, n: int, k: int) -> bool:
     """Whether _encode_form takes the at-most side of sum(lits) <= k over n
-    literals."""
+    literals.  The network priced for the side not taken is released."""
     if n - k >= k + 1:
         return True
     hi = _side_cost(chooser, n, k + 1, True)
     lo = _side_cost(chooser, n, n - k, False)
-    return chooser.lam * hi[0] + hi[1] <= chooser.lam * lo[0] + lo[1]
+    atmost = chooser.lam * hi[0] + hi[1] <= chooser.lam * lo[0] + lo[1]
+    _release(_form_key(chooser, n, k, not atmost))
+    return atmost
+
+
+def _form_key(chooser: Chooser, n: int, k: int, atmost: bool | None = None) -> tuple:
+    """The key (see _Networks) of the network _emit_side reads for
+    sum(lits) <= k over n literals on the side given, or on the side
+    _encode_form takes: encode_atmost's network, asserted, or an unasserted
+    one over the negations."""
+    if atmost is None:
+        atmost = _form_side(chooser, n, k)
+    return (chooser, n, k + 1, True) if atmost else (chooser, n, n - k, False)
 
 
 def _form_cost(chooser: Chooser, n: int, k: int) -> tuple[int, int]:
@@ -1136,7 +1253,8 @@ def _pair_bounds(chooser: Chooser, n: int, ka: int, kb: int) -> tuple[bool, int,
     negations, on one (k+1)-selection network (emit_bounds) is cheaper under
     lam*V + C than the two forms on their own sides; else None.  The network
     selects the fewer outputs: ka+1 over the literals, or kb+1 over the
-    negations, the literals on a tie."""
+    negations, the literals on a tie.  The networks priced for what is not
+    taken are released."""
     if ka + kb < n:  # no count meets both bounds: leave it to the forms
         return None
     flip = kb < ka
@@ -1144,7 +1262,11 @@ def _pair_bounds(chooser: Chooser, n: int, ka: int, kb: int) -> tuple[bool, int,
     lam = chooser.lam
     pv, pc = _bounds_cost(chooser, n, k, j)
     (av, ac), (bv, bc) = _form_cost(chooser, n, ka), _form_cost(chooser, n, kb)
-    return (flip, k, j) if lam * pv + pc < lam * (av + bv) + ac + bc else None
+    pair = lam * pv + pc < lam * (av + bv) + ac + bc
+    shared = (chooser, n, k + 1, True)  # _atmost_network's key
+    forms = {_form_key(chooser, n, ka), _form_key(chooser, n, kb)}
+    _release(*(forms - {shared} if pair else {shared} - forms))
+    return (flip, k, j) if pair else None
 
 
 def _distinct_free(lits: Sequence[Lit]) -> bool:
@@ -1164,7 +1286,12 @@ def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
     selection network (emit_bounds), emitted where the earlier form is.
     A pair is over distinct variables, with no bound 0, for a network
     method.  Returns the forms' encodings, a pair's together, none with
-    outputs exposed."""
+    outputs exposed.
+
+    Every form's network is chosen before the first is emitted, so each
+    network is built once, the ones only priced are released as soon as
+    they lose, and each other is released after the last form that reads
+    it (see _Networks)."""
     opts = opts or EncodeOptions()
     forms: list[AtMostForm] = []
     for c in cards:
@@ -1173,29 +1300,41 @@ def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
             formula.add_clause([])
         forms += norm.atmosts
     chooser = _chooser(opts) if opts.method in NETWORK_METHODS else None
-    mates: dict[int, tuple[int, tuple[bool, int, int]]] = {}
-    if chooser:
+    with _scope() as networks:
+        mates: dict[int, tuple[int, tuple[bool, int, int]]] = {}
+        needs: dict[int, tuple] = {}  # form -> the key of the network emitted there
         waiting: dict[frozenset, list[int]] = {}
         for i, form in enumerate(forms):
-            if form.k == 0 or not _distinct_free(form.lits):
+            if not chooser or form.k == 0:
                 continue
-            earlier = waiting.get(frozenset([-l for l in form.lits]))
-            pair = earlier and _pair_bounds(chooser, len(form.lits), forms[earlier[0]].k, form.k)
-            if pair:
-                mates[earlier.pop(0)] = i, pair
-            else:
+            n = len(form.lits)
+            if _distinct_free(form.lits):
+                earlier = waiting.get(frozenset([-l for l in form.lits]))
+                pair = earlier and _pair_bounds(chooser, n, forms[earlier[0]].k, form.k)
+                if pair:
+                    mate = earlier.pop(0)
+                    mates[mate] = i, pair
+                    key = (chooser, n, pair[1] + 1, True)  # _atmost_network's
+                    networks.need(key, 1)
+                    networks.need(needs[mate], -1)
+                    needs[mate] = key
+                    continue
                 waiting.setdefault(frozenset(form.lits), []).append(i)
-    paired = {i for i, _ in mates.values()}
-    encs = []
-    for i, form in enumerate(forms):
-        if i in mates:
-            other, (flip, k, j) = mates[i]
-            lits = forms[other].lits if flip else form.lits
-            emit_bounds(formula, _atmost_network(chooser, len(lits), k), lits, k, j - 1)
-            encs += [EncodedConstraint(formula, form.lits, form.k),
-                     EncodedConstraint(formula, forms[other].lits, forms[other].k)]
-        elif i not in paired:
-            encs.append(_encode_form(formula, form.lits, form.k, opts))
+            needs[i] = _form_key(chooser, n, form.k)
+            networks.need(needs[i], 1)
+        paired = {i for i, _ in mates.values()}
+        encs = []
+        for i, form in enumerate(forms):
+            if i in mates:
+                other, (flip, k, j) = mates[i]
+                lits = forms[other].lits if flip else form.lits
+                emit_bounds(formula, _atmost_network(chooser, len(lits), k), lits, k, j - 1)
+                encs += [EncodedConstraint(formula, form.lits, form.k),
+                         EncodedConstraint(formula, forms[other].lits, forms[other].k)]
+            elif i not in paired:
+                encs.append(_encode_form(formula, form.lits, form.k, opts))
+            if i in needs:
+                networks.need(needs[i], -1)
     return encs
 
 

@@ -21,8 +21,8 @@ from typing import Sequence
 
 from . import build
 from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
-from .encode import (EncodeOptions, EncodedConstraint, _chooser, _encode_form, emit_network,
-                     select_wires)
+from .encode import (EncodeOptions, EncodedConstraint, _chooser, _encode_form, _scope,
+                     emit_network, select_wires)
 from .network import Network
 
 MAX_COEFF_MAGNITUDE = 2 ** 62  # 63-bit magnitudes; larger coefficients are rejected
@@ -305,6 +305,7 @@ def plan_digits(c: PbConstraint, base: MixedRadixBase) -> DigitPlan:
     return DigitPlan(base, const_add, k_adj, m_assert, positions)
 
 
+@_scope()  # no network or plan the call builds outlives it
 def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None = None,
               opts: EncodeOptions | None = None) -> EncodedConstraint:
     """Encode a normalized at-least constraint through the digit/carry chain.

@@ -1,14 +1,19 @@
 """Clause-emission contracts, normalization, mixing, and baseline encoders."""
 
 import functools
+import gc
 import hashlib
 import random
+import tracemalloc
+import weakref
+from collections import Counter
 from unittest import mock
 
 import pytest
 
 from cardnet import build, encode
 from cardnet.cnf import FALSE, TRUE, CnfFormula, is_const
+from cardnet.cnfp import encode_cnfp, queens_cnfp
 from cardnet.encode import (MIXED_METHODS, NETWORK_METHODS, AtMostForm, CardConstraint,
                             Chooser, EncodeOptions, _chooser, _constant_wires,
                             build_selection_network, choose_direct, cnf_cost, emit_bounds,
@@ -733,3 +738,130 @@ def test_auto_is_never_larger(lam):
                           EncodeOptions(method=method, lam=weight, direct_mixing=lam is not None))
             sizes[method] = weight * (f.num_vars - n) + f.num_clauses
         assert sizes["auto"] == min(sizes.values()), (n, k, sizes)
+
+
+# -- memory: what an encode call keeps, and its peak ----------------------------
+
+def _recorded(monkeypatch, cls) -> list:
+    """Weak references to every instance of cls made while the patch holds."""
+    refs = []
+    init = cls.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    return refs
+
+
+def test_encoders_keep_no_network_or_plan(monkeypatch):
+    # every network and emission plan that encode_cards and encode_pb build
+    # is freed by the time they return, by reference counting alone (the
+    # collector is off): each priced side not taken, each shape after its
+    # last line, a pair's network, a PB digit chain
+    nets, plans = _recorded(monkeypatch, Network), _recorded(monkeypatch, encode._Plan)
+    rng = random.Random(23)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for method in ("auto", "oe4", "pairwise_bitonic"):
+            opts = EncodeOptions(method=method)
+            formula = CnfFormula()
+            lits = tuple(formula.fresh_vars(40))
+            encode_cards(formula, [CardConstraint(lits, "<=", 25),        # both sides priced
+                                   CardConstraint(lits[:30], "=", 12),    # a pair
+                                   CardConstraint(lits[5:], ">=", 30),
+                                   CardConstraint(lits[::-1], "<=", 25)], opts)  # a shape again
+            coeffs = [rng.randint(1, 50) for _ in lits]
+            for terms, k in ((zip(coeffs, lits), 300), (zip([1] * 40, lits), 9)):
+                for norm in normalize_pb(PbConstraint(tuple(terms), ">=", k)):
+                    encode_pb(formula, norm, opts=opts)
+        assert nets and plans
+        assert not [ref for ref in nets + plans if ref() is not None]
+    finally:
+        if collecting:
+            gc.enable()
+    assert encode._SCOPE is None
+
+
+def test_encode_cards_builds_each_network_once(monkeypatch):
+    # the lines of one shape share its network: on the 12-queens file, every
+    # network is built once, and none is held when the call returns
+    built = Counter()
+    real = encode._selection_network
+    monkeypatch.setattr(encode, "_selection_network",
+                        lambda *key: built.update([key]) or real(*key))
+    encode_cnfp(queens_cnfp(12))
+    assert len(built) > 1 and max(built.values()) == 1
+
+
+def test_encode_cards_holds_a_network_while_a_line_needs_it(monkeypatch):
+    # <= 20 over 30 prices both sides: the side not taken is freed at once,
+    # the other is emitted without a rebuild and freed after its line; the
+    # two <= 5 lines share one network, freed before the <= 3 line's is built
+    held = []  # networks alive at each build
+    nets = []
+    real = encode._selection_network
+
+    def build(*key):
+        held.append(sum(ref() is not None for ref in nets))
+        net = real(*key)
+        nets.append(weakref.ref(net))
+        return net
+
+    monkeypatch.setattr(encode, "_selection_network", build)
+    formula = CnfFormula()
+    lits = tuple(formula.fresh_vars(30))
+    encode_cards(formula, [CardConstraint(lits, "<=", 20), CardConstraint(lits, "<=", 5),
+                           CardConstraint(lits[::-1], "<=", 5), CardConstraint(lits[:20], "<=", 3)])
+    assert held == [0, 1, 0, 0]
+    assert all(ref() is None for ref in nets)
+
+
+def _traced_peak(encode_once) -> tuple[int, int]:
+    """Peak traced bytes of encode_once(), a fresh formula's encoding, and
+    the entries its clause store holds (literals and clause ends).  A first
+    untraced call fills the process-wide price caches, so the traced one
+    costs the same whatever ran before."""
+    encode_once()
+    tracemalloc.start()
+    try:
+        formula = encode_once()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(map(len, formula.clauses)) + formula.num_clauses
+
+
+def test_card_line_peaks_within_six_store_sizes():
+    # <= 512 over 1024 literals, both sides priced: the network, one walk
+    # over it and the clause store (4 bytes an entry) peak at about 20 bytes
+    # an entry; three small objects per emitted gate kept in the plan would
+    # add about 5
+    def encode_once():
+        formula = CnfFormula()
+        encode_cards(formula, [CardConstraint(tuple(formula.fresh_vars(1024)), "<=", 512)])
+        return formula
+
+    peak, entries = _traced_peak(encode_once)
+    assert peak <= 6 * 4 * entries
+
+
+def test_pb_line_peaks_within_six_store_sizes():
+    # a 100-term line with coefficients up to 1e4: the digit chain, one walk
+    # over it and the clause store peak at about 21 bytes an entry, and
+    # about 29 with three small objects per emitted gate in the plan
+    rng = random.Random(100)
+    coeffs = [rng.randint(1, 10 ** 4) for _ in range(100)]
+    base = find_base(coeffs)
+
+    def encode_once():
+        formula = CnfFormula()
+        terms = tuple(zip(coeffs, formula.fresh_vars(100)))
+        for norm in normalize_pb(PbConstraint(terms, ">=", sum(coeffs) // 2)):
+            encode_pb(formula, norm, base, EncodeOptions())
+        return formula
+
+    peak, entries = _traced_peak(encode_once)
+    assert peak <= 6 * 4 * entries
