@@ -25,6 +25,8 @@ knows how many clauses a family holds gives it that count alone.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from array import array
 from collections.abc import Sequence as SequenceABC
 from itertools import chain
@@ -62,6 +64,22 @@ def neg(lit: Lit) -> Lit:
 
 def is_const(lit: Lit) -> bool:
     return lit is TRUE or lit is FALSE
+
+
+@contextlib.contextmanager
+def collector_off() -> Iterator[None]:
+    """The cyclic garbage collector off while the block, or each call of a
+    function decorated with collector_off(), runs; switched back on after
+    if it was on.  For code that allocates containers by the thousand and
+    frees none of them before it ends, where the collector's passes over
+    the growing heap would find nothing to free."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # store entries (literals and clause ends) per chunk of dimacs_chunks: bounds

@@ -31,7 +31,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import gc
 import math
 from array import array
 from collections import Counter
@@ -40,7 +39,7 @@ from itertools import combinations, count
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import build
-from .cnf import FALSE, TRUE, CnfFormula, CountingFormula, Lit, neg
+from .cnf import FALSE, TRUE, CnfFormula, CountingFormula, Lit, collector_off, neg
 from .network import CombinePair, Network, Selector
 
 @dataclass(frozen=True)
@@ -166,39 +165,32 @@ def normalize_card(c: CardConstraint) -> NormalizedCard:
 _END = (0,)  # ends a clause in the store's layout (CnfFormula.add_flat)
 
 
-def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequence[int],
-                      polarity: str, distinct: bool = False,
-                      forced: Sequence[int] = (),
-                      ys: Sequence[Lit] | None = None) -> list[Lit]:
-    """Fresh variables and clause families for one selector's outputs of the
-    given ranks p (output p is true once p inputs are), none of which
-    _constant_wires folds.  A rank in forced is an output the fold fixes to
-    its side (see _fold_wires): it gets no variable, and its clauses omit
-    it.  distinct says the free inputs are known to be over distinct
-    variables.  ys, when given, holds the variable of the rank at each index
-    (see _walk's wires) in place of a fresh one.
+def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit],
+                      outs: Sequence[tuple[int, Lit]], atmost: bool,
+                      distinct: bool = False) -> None:
+    """Clause families for one selector's outputs, each a (rank p, literal)
+    pair with output p true once p inputs are, none of which
+    _constant_wires folds.  An output's literal is a variable, or the
+    constant that the fold fixes it to (its side, see _fold_wires), which
+    drops out of its clauses as a constant input does.  distinct says the
+    free inputs are known to be over distinct variables.
 
     Over distinct variables no clause of a family needs simplification, so
     the families go to the store as one run (CnfFormula.add_flat) with
     their size, C(f, s) for subsets of size s of the f free inputs; a
     formula that only counts gets the size alone, and no clause is made."""
-    atmost = polarity == "atmost"
     trues = in_lits.count(TRUE)
     free = [l for l in in_lits if l is not TRUE and l is not FALSE]
     pool = [-l for l in free] if atmost else free
     flat = distinct or formula.distinct_vars(free)
-    outs: list[Lit] = []
     run: list[int] = []
     count = 0
-    for i, p in enumerate(ranks):
+    for p, y in outs:
         need = p - trues if atmost else len(free) - p + trues + 1
         family = combinations(pool, need)
-        if p in forced:
-            outs.append(FALSE if atmost else TRUE)
+        if y is FALSE or y is TRUE:
             head, tail = (), ()
         else:
-            y = formula.fresh_var() if ys is None else ys[i]
-            outs.append(y)
             head, tail = ((), (y,)) if atmost else ((-y,), ())
         if not flat:
             for s in family:
@@ -214,7 +206,6 @@ def _selector_outputs(formula: CnfFormula, in_lits: Sequence[Lit], ranks: Sequen
             run += tail
     if flat:
         formula.add_flat(run, count)
-    return outs
 
 
 def _clauses(run: Sequence[Lit]) -> Iterator[tuple[Lit, ...]]:
@@ -227,33 +218,25 @@ def _clauses(run: Sequence[Lit]) -> Iterator[tuple[Lit, ...]]:
             start = end + 1
 
 
-def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bool,
-                     want_y: bool, polarity: str, distinct: bool = False,
-                     forced_x: bool = False, forced_y: bool = False,
-                     vx: Lit | None = None,
-                     vy: Lit | None = None) -> tuple[Lit | None, Lit | None]:
-    """Fresh variables and clauses for the wanted outputs of one combine
-    pair, none of which _constant_wires folds.  A forced output is fixed by
-    the fold to its side (see _fold_wires): it gets no variable and its
-    clauses omit it.  vx and vy, when given, are the outputs' variables (see
-    _walk's wires) in place of fresh ones.  The clauses are made as one run
-    in the store's layout (CnfFormula.add_flat)."""
-    atmost = polarity == "atmost"
+def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, x: Lit | None,
+                     y: Lit | None, atmost: bool, distinct: bool = False) -> None:
+    """Clauses for the outputs x'' and y'' of one combine pair, given as
+    literals (None for an output not emitted), none of which
+    _constant_wires folds.  An output's literal is a variable, or the
+    constant that the fold fixes it to (its side, see _fold_wires), which
+    drops out of its clauses as a constant input does.  The clauses are
+    made as one run in the store's layout (CnfFormula.add_flat)."""
     fixed = FALSE if atmost else TRUE
     free = [l for l in (ym2, ym1, yy, xx, xp1, xp2) if l is not TRUE and l is not FALSE]
-    out_x: Lit | None = None
-    out_y: Lit | None = None
     run: list[Lit] = []
     count = 0
 
-    if want_y:
-        out_y = y = fixed if forced_y else vy if vy is not None else formula.fresh_var()
+    if y is not None:
         run += ([-yy, y, 0, -xp2, y, 0, -ym1, -xp1, y, 0] if atmost
                 else [-y, ym1, xp2, 0, -y, yy, xp1, 0])
         count += 3 if atmost else 2
 
-    if want_x:
-        out_x = x = fixed if forced_x else vx if vx is not None else formula.fresh_var()
+    if x is not None:
         run += ([-ym1, -xx, x, 0, -ym2, -xp1, x, 0] if atmost
                 else [-x, xx, 0, -x, ym2, 0, -x, ym1, xp1, 0])
         count += 2 if atmost else 3
@@ -262,7 +245,7 @@ def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bo
         # every clause holds an output, so over distinct variables none can
         # repeat a variable or be a tautology: only the constants fold (TRUE
         # satisfies a clause, FALSE drops out)
-        if len(free) < 6 or forced_x or forced_y:
+        if len(free) < 6 or x is fixed or y is fixed:
             kept = [c for c in _clauses(run) if TRUE not in c]
             run = [l for c in kept for l in c + _END if l is not FALSE]
             count = len(kept)
@@ -270,7 +253,6 @@ def _combine_outputs(formula: CnfFormula, ym2, ym1, yy, xx, xp1, xp2, want_x: bo
     else:
         for clause in _clauses(run):
             formula.add_clause(clause)
-    return out_x, out_y
 
 
 def _constant_wires(net: Network, input_lits: Sequence[Lit]) -> dict[int, Lit]:
@@ -623,39 +605,29 @@ def _emission_plan(net: Network, consts: dict[int, Lit], atmost: bool,
     return _Plan(net, live, consts, forced, FALSE if atmost else TRUE, fold is None)
 
 
-def _without_gc(emit: Callable) -> Callable:
-    """emit with the cyclic collector off: it keeps a tuple per clause, and
-    its passes over the growing heap would find nothing."""
-    @functools.wraps(emit)
-    def emit_without_gc(*args, **kwargs):
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            return emit(*args, **kwargs)
-        finally:
-            if collecting:
-                gc.enable()
-    return emit_without_gc
-
-
 @functools.lru_cache(maxsize=256)
-def _ranks(row: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _ranks(row: bytes) -> tuple[int, ...]:
     """The ranks of the selector outputs whose codes are row that a walk
-    emits, and those among them it emits fixed."""
-    return (tuple(p for p, c in enumerate(row, 1) if c >= _EMIT),
-            tuple(p for p, c in enumerate(row, 1) if c == _FIXED))
+    emits."""
+    return tuple(p for p, c in enumerate(row, 1) if c >= _EMIT)
 
 
 def _walk(formula: CnfFormula, net: Network, plan: _Plan, input_lits: Sequence[Lit],
-          polarity: str, asserts: int | None, wires: dict[int, int] | None = None) -> list[Lit]:
+          atmost: bool, asserts: int | None, wires: dict[int, int] | None = None) -> list[Lit]:
     """Emit plan's gates in topological order and return every wire's
-    literal, then the unit of an asserted output that is an input.  wires,
-    gate outputs' variables, lets walks of one network share them (see
-    emit_bounds): a gate output this walk gives a variable takes its entry
-    there instead of a fresh one."""
+    literal, then the unit of an asserted output that is an input.
+
+    The walk gives each gate output it emits its literal: the constant the
+    fold fixes it to (_FIXED: FALSE at most, TRUE at least), or else a
+    fresh variable, a selector's ranks ascending and a combine pair's y''
+    before its x''.  wires, gate outputs' variables, lets walks of one
+    network share them (see emit_bounds): a gate output takes its entry
+    there instead of a fresh variable."""
     if plan.conflict:
         formula.add_clause([])  # the fold met a conflict
     codes = plan.codes
+    fixed = FALSE if atmost else TRUE
+    new = wires.__getitem__ if wires is not None else lambda w: formula.fresh_var()
     wire_lits: list[Lit] = list(input_lits)
     wire_lits += map(_CODE_LITS.__getitem__, codes[net.num_inputs:])
     # Gate outputs get fresh variables and no gate reads a wire twice, so
@@ -667,33 +639,34 @@ def _walk(formula: CnfFormula, net: Network, plan: _Plan, input_lits: Sequence[L
         gate = gates[i]
         if type(gate) is Selector:
             outs = gate.outputs
-            wanted, fixed = _ranks(codes[outs[0]:outs[-1] + 1])  # consecutive outputs
-            lits = _selector_outputs(formula, [wire_lits[w] for w in gate.inputs],
-                                     wanted, polarity, distinct, fixed,
-                                     None if wires is None else
-                                     [wires.get(outs[p - 1]) for p in wanted])
-            for p, lit in zip(wanted, lits):
-                wire_lits[outs[p - 1]] = lit
+            lits = []
+            for p in _ranks(codes[outs[0]:outs[-1] + 1]):  # consecutive outputs
+                w = outs[p - 1]
+                lit = wire_lits[w] = fixed if codes[w] == _FIXED else new(w)
+                lits.append((p, lit))
+            _selector_outputs(formula, [wire_lits[w] for w in gate.inputs], lits, atmost,
+                              distinct)
             continue
         ox, oy = gate.out_x, gate.out_y
-        cx = 0 if ox is None else codes[ox]
-        cy = 0 if oy is None else codes[oy]
-        given = () if wires is None else (wires.get(ox), wires.get(oy))
-        lx, ly = _combine_outputs(
-            formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
-            wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2], cx >= _EMIT,
-            cy >= _EMIT, polarity, distinct, cx == _FIXED, cy == _FIXED, *given)
-        if cx >= _EMIT:
-            wire_lits[ox] = lx
-        if cy >= _EMIT:
-            wire_lits[oy] = ly
+        y = x = None
+        if oy is not None and codes[oy] >= _EMIT:
+            y = wire_lits[oy] = fixed if codes[oy] == _FIXED else new(oy)
+        if ox is not None and codes[ox] >= _EMIT:
+            x = wire_lits[ox] = fixed if codes[ox] == _FIXED else new(ox)
+        _combine_outputs(formula, wire_lits[gate.ym2], wire_lits[gate.ym1], wire_lits[gate.yy],
+                         wire_lits[gate.xx], wire_lits[gate.xp1], wire_lits[gate.xp2], x, y,
+                         atmost, distinct)
     if asserts is not None and net.outputs[asserts] < net.num_inputs:
         lit = wire_lits[net.outputs[asserts]]  # an asserted input's unit
-        formula.add_clause([neg(lit) if polarity == "atmost" else lit])
+        formula.add_clause([neg(lit) if atmost else lit])
     return wire_lits
 
 
-@_without_gc
+# The emitters run with the cyclic collector off: what an emission allocates
+# either lives until it returns (a plan, the fold's reader list per wire) or
+# is freed at once (a gate's clause run), so a pass over the caller's heap,
+# which holds its networks, would find nothing to free.
+@collector_off()
 def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
                  polarity: str = "atmost", reads: Sequence[int] | None = None,
                  asserts: int | None = None) -> list[Lit]:
@@ -719,7 +692,7 @@ def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
     key = (None if reads is None else tuple(reads), asserts, atmost)
     plan = _cached_plan(net, input_lits, key,
                         lambda consts: _emission_plan(net, consts, atmost, reads, asserts))
-    wire_lits = _walk(formula, net, plan, input_lits, polarity, asserts)
+    wire_lits = _walk(formula, net, plan, input_lits, atmost, asserts)
     outputs = net.outputs if reads is None else [net.outputs[i] for i in reads]
     return [wire_lits[w] for w in outputs]
 
@@ -741,7 +714,7 @@ def _bounds_plans(net: Network, consts: dict[int, Lit], upper: int,
                               if (cones[0][w] or cones[1][w]) and w not in folded])
 
 
-@_without_gc
+@collector_off()
 def emit_bounds(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
                 upper: int, lower: int) -> None:
     """Assert both output position upper FALSE and output position lower
@@ -765,16 +738,24 @@ def emit_bounds(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
         return
     plans, alloc = bounds
     wires = dict(zip(alloc, formula.fresh_vars(len(alloc))))
-    for plan, at, polarity in zip(plans, (upper, lower), ("atmost", "atleast")):
-        _walk(formula, net, plan, input_lits, polarity, at, wires)
+    for plan, at, atmost in zip(plans, (upper, lower), (True, False)):
+        _walk(formula, net, plan, input_lits, atmost, at, wires)
+
+
+def _dry_run(n: int, emit: Callable[[CnfFormula, list[Lit]], object]) -> tuple[int, int]:
+    """(V, C) that emit(formula, inputs) adds besides its n inputs: a dry
+    run into a formula that only counts (CountingFormula) over n fresh
+    input variables."""
+    formula = CountingFormula()
+    emit(formula, formula.fresh_vars(n))
+    return formula.num_vars - n, formula.num_clauses
 
 
 def _bounds_cost(chooser: Chooser, n: int, k: int, j: int) -> tuple[int, int]:
     """(V, C) of emit_bounds for j <= sum(lits) <= k over n free literals on
     encode_atmost's network, by a dry run."""
-    formula = CountingFormula()
-    emit_bounds(formula, _atmost_network(chooser, n, k), formula.fresh_vars(n), k, j - 1)
-    return formula.num_vars - n, formula.num_clauses
+    net = _side_network(_atmost_side(chooser, n, k))
+    return _dry_run(n, lambda formula, lits: emit_bounds(formula, net, lits, k, j - 1))
 
 
 def cnf_cost(net: Network, reads: Sequence[int] | None = None,
@@ -786,10 +767,8 @@ def cnf_cost(net: Network, reads: Sequence[int] | None = None,
     Computed by a dry-run emission (including constant simplification) with
     free input literals.
     """
-    formula = CountingFormula()
-    inputs = formula.fresh_vars(net.num_inputs)
-    emit_network(formula, net, inputs, "atmost", reads, asserts)
-    return formula.num_vars - net.num_inputs, formula.num_clauses
+    return _dry_run(net.num_inputs, lambda formula, lits: emit_network(
+        formula, net, lits, "atmost", reads, asserts))
 
 
 # ---------------------------------------------------------------------------
@@ -929,17 +908,18 @@ def _level_cost(method: str, n: int, m: int, children: list[tuple[int, int]],
         res = build._select_columns(net, net.input_wires()[:n], m, entry.split, entry.merge,
                                     select, entry.sorts_rows)
         net.set_outputs(res[:m] + handed)
-        formula = CountingFormula()
-        lits: list[Lit] = formula.fresh_vars(net.num_inputs)
         tops: frozenset[int] = frozenset()
-        if asserted:
-            units = _fold_wires(net, _constant_wires(net, lits), ((m - 1, True),))[1]
+        if asserted:  # the dry run's inputs are free: none is a constant
+            units = _fold_wires(net, _constant_wires(net, ()), ((m - 1, True),))[1]
             tops = frozenset(i for i, w in enumerate(col_tops) if w in units)
+
+        def emit(formula: CnfFormula, lits: list[Lit]) -> None:
             for i in tops:
                 lits[col_tops[i]] = FALSE
-        emit_network(formula, net, lits, "atmost", range(len(net.outputs)),
-                     m - 1 if asserted else None)
-        _LEVEL_COSTS[key] = formula.num_vars - net.num_inputs, formula.num_clauses, tops
+            emit_network(formula, net, lits, "atmost", range(len(net.outputs)),
+                         m - 1 if asserted else None)
+
+        _LEVEL_COSTS[key] = *_dry_run(net.num_inputs, emit), tops
     return _LEVEL_COSTS[key]
 
 
@@ -1048,10 +1028,20 @@ def choose_direct(n: int, m: int, opts: EncodeOptions) -> bool:
 # at-most-k encoders
 # ---------------------------------------------------------------------------
 
-def _atmost_network(chooser: Chooser, n: int, k: int) -> Network:
-    """The (k+1)-selection network of sum(lits) <= k over n literals, built
-    as the chooser prices it asserted (Chooser.cost(n, k + 1, True))."""
-    return build_selection_network(chooser.method, n, k + 1, chooser, True)
+def _atmost_side(chooser: Chooser, n: int, k: int) -> tuple[Chooser, int, int, bool]:
+    """The at-most side of sum(lits) <= k over n literals, as the key (see
+    _Networks) of its network: a (k+1)-selection over the literals, built
+    as the chooser prices it asserted (Chooser.cost(n, k + 1, True)).  The
+    at-least side, over the negations, is (chooser, n, n - k, False): an
+    (n-k)-selection built unasserted.  A side (chooser, n, m, atmost)
+    asserts its m-th output in its own polarity."""
+    return chooser, n, k + 1, True
+
+
+def _side_network(side: tuple[Chooser, int, int, bool]) -> Network:
+    """The selection network of a side (see _atmost_side)."""
+    chooser, n, m, atmost = side
+    return build_selection_network(chooser.method, n, m, chooser, atmost)
 
 
 def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
@@ -1071,57 +1061,40 @@ def encode_atmost(formula: CnfFormula, lits: Sequence[Lit], k: int,
         return encode_baseline(formula, lits, k, opts.method)
     if k == 0:
         return _forbid_all(formula, lits)
-    net = _atmost_network(_chooser(opts), n, k)
+    net = _side_network(_atmost_side(_chooser(opts), n, k))
     outs = emit_network(formula, net, list(lits), "atmost", range(k + 1), k)
     return EncodedConstraint(formula, tuple(lits), k, tuple(outs))
 
 
-def _emit_side(formula: CnfFormula, chooser: Chooser, lits: Sequence[Lit], m: int,
-               atmost: bool) -> None:
-    """An (n, m) selection over lits asserting its m-th output and reading
-    it alone: FALSE in at-most polarity, over encode_atmost's network, or
-    TRUE in at-least polarity."""
-    n = len(lits)
-    net = (_atmost_network(chooser, n, m - 1) if atmost
-           else build_selection_network(chooser.method, n, m, chooser))
-    emit_network(formula, net, list(lits), "atmost" if atmost else "atleast", (m - 1,), m - 1)
+def _emit_side(formula: CnfFormula, side: tuple[Chooser, int, int, bool],
+               lits: Sequence[Lit]) -> None:
+    """The selection of side (see _atmost_side) over lits, asserting its
+    m-th output and reading it alone: FALSE in at-most polarity, TRUE in
+    at-least polarity."""
+    m, atmost = side[2:]
+    emit_network(formula, _side_network(side), list(lits), "atmost" if atmost else "atleast",
+                 (m - 1,), m - 1)
 
 
 @functools.cache
 def _side_cost(chooser: Chooser, n: int, m: int, atmost: bool) -> tuple[int, int]:
     """(V, C) of _emit_side over n free input literals, by a dry run."""
-    formula = CountingFormula()
-    _emit_side(formula, chooser, formula.fresh_vars(n), m, atmost)
-    return formula.num_vars - n, formula.num_clauses
+    side = chooser, n, m, atmost
+    return _dry_run(n, lambda formula, lits: _emit_side(formula, side, lits))
 
 
-def _form_side(chooser: Chooser, n: int, k: int) -> bool:
-    """Whether _encode_form takes the at-most side of sum(lits) <= k over n
-    literals.  The network priced for the side not taken is released."""
+def _form_side(chooser: Chooser, n: int, k: int) -> tuple[Chooser, int, int, bool]:
+    """The side (see _atmost_side) that _encode_form takes for
+    sum(lits) <= k over n literals.  The network priced for the side not
+    taken is released."""
+    hi = _atmost_side(chooser, n, k)
     if n - k >= k + 1:
-        return True
-    hi = _side_cost(chooser, n, k + 1, True)
-    lo = _side_cost(chooser, n, n - k, False)
-    atmost = chooser.lam * hi[0] + hi[1] <= chooser.lam * lo[0] + lo[1]
-    _release(_form_key(chooser, n, k, not atmost))
-    return atmost
-
-
-def _form_key(chooser: Chooser, n: int, k: int, atmost: bool | None = None) -> tuple:
-    """The key (see _Networks) of the network _emit_side reads for
-    sum(lits) <= k over n literals on the side given, or on the side
-    _encode_form takes: encode_atmost's network, asserted, or an unasserted
-    one over the negations."""
-    if atmost is None:
-        atmost = _form_side(chooser, n, k)
-    return (chooser, n, k + 1, True) if atmost else (chooser, n, n - k, False)
-
-
-def _form_cost(chooser: Chooser, n: int, k: int) -> tuple[int, int]:
-    """(V, C) of what _encode_form emits for sum(lits) <= k over n literals."""
-    if _form_side(chooser, n, k):
-        return _side_cost(chooser, n, k + 1, True)
-    return _side_cost(chooser, n, n - k, False)
+        return hi
+    lo = (chooser, n, n - k, False)
+    (hv, hc), (lv, lc) = _side_cost(*hi), _side_cost(*lo)
+    side, other = (hi, lo) if chooser.lam * hv + hc <= chooser.lam * lv + lc else (lo, hi)
+    _release(other)
+    return side
 
 
 def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
@@ -1137,11 +1110,8 @@ def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
     n = len(lits)
     if opts.method not in NETWORK_METHODS or k == 0:
         return encode_atmost(formula, lits, k, opts)
-    chooser = _chooser(opts)
-    if _form_side(chooser, n, k):
-        _emit_side(formula, chooser, lits, k + 1, True)
-    else:
-        _emit_side(formula, chooser, [neg(l) for l in lits], n - k, False)
+    side = _form_side(_chooser(opts), n, k)
+    _emit_side(formula, side, lits if side[3] else [neg(l) for l in lits])
     return EncodedConstraint(formula, tuple(lits), k)
 
 
@@ -1261,11 +1231,16 @@ def _pair_bounds(chooser: Chooser, n: int, ka: int, kb: int) -> tuple[bool, int,
     k, j = (kb, n - ka) if flip else (ka, n - kb)
     lam = chooser.lam
     pv, pc = _bounds_cost(chooser, n, k, j)
-    (av, ac), (bv, bc) = _form_cost(chooser, n, ka), _form_cost(chooser, n, kb)
-    pair = lam * pv + pc < lam * (av + bv) + ac + bc
-    shared = (chooser, n, k + 1, True)  # _atmost_network's key
-    forms = {_form_key(chooser, n, ka), _form_key(chooser, n, kb)}
-    _release(*(forms - {shared} if pair else {shared} - forms))
+    forms = 0
+    sides = set()
+    for bound in (ka, kb):
+        side = _form_side(chooser, n, bound)
+        sides.add(side)
+        v, c = _side_cost(*side)
+        forms += lam * v + c
+    pair = lam * pv + pc < forms
+    shared = _atmost_side(chooser, n, k)
+    _release(*(sides - {shared} if pair else {shared} - sides))
     return (flip, k, j) if pair else None
 
 
@@ -1302,7 +1277,7 @@ def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
     chooser = _chooser(opts) if opts.method in NETWORK_METHODS else None
     with _scope() as networks:
         mates: dict[int, tuple[int, tuple[bool, int, int]]] = {}
-        needs: dict[int, tuple] = {}  # form -> the key of the network emitted there
+        needs: dict[int, tuple] = {}  # form -> the side (its network's key) emitted there
         waiting: dict[frozenset, list[int]] = {}
         for i, form in enumerate(forms):
             if not chooser or form.k == 0:
@@ -1314,13 +1289,13 @@ def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
                 if pair:
                     mate = earlier.pop(0)
                     mates[mate] = i, pair
-                    key = (chooser, n, pair[1] + 1, True)  # _atmost_network's
+                    key = _atmost_side(chooser, n, pair[1])
                     networks.need(key, 1)
                     networks.need(needs[mate], -1)
                     needs[mate] = key
                     continue
                 waiting.setdefault(frozenset(form.lits), []).append(i)
-            needs[i] = _form_key(chooser, n, form.k)
+            needs[i] = _form_side(chooser, n, form.k)
             networks.need(needs[i], 1)
         paired = {i for i, _ in mates.values()}
         encs = []
@@ -1328,7 +1303,7 @@ def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
             if i in mates:
                 other, (flip, k, j) = mates[i]
                 lits = forms[other].lits if flip else form.lits
-                emit_bounds(formula, _atmost_network(chooser, len(lits), k), lits, k, j - 1)
+                emit_bounds(formula, _side_network(needs[i]), lits, k, j - 1)
                 encs += [EncodedConstraint(formula, form.lits, form.k),
                          EncodedConstraint(formula, forms[other].lits, forms[other].k)]
             elif i not in paired:

@@ -333,13 +333,9 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
         lits = [l for _, l in c.terms]
         return _encode_form(formula, [neg(l) for l in lits], len(lits) - c.k, opts)
     plan = plan_digits(c, base)
-    if plan.positions[-1].max_inputs < plan.assert_index:
-        formula.add_clause([])
-        return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
+    # total >= k, so the top position can reach its asserted output, and the
+    # chain has exactly that many outputs (test_feasible_bound_reaches_the_top_position)
     net, in_lits = _digit_chain(plan, opts)
-    if plan.assert_index > len(net.outputs):
-        formula.add_clause([])
-        return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)
     at = plan.assert_index - 1
     emit_network(formula, net, in_lits, "atleast", (at,), at)
     return EncodedConstraint(formula, tuple(l for _, l in c.terms), c.k)

@@ -12,12 +12,11 @@ assume literals one at a time.
 
 from __future__ import annotations
 
-import gc
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .cnf import FALSE, TRUE, CnfFormula, Lit
+from .cnf import FALSE, TRUE, CnfFormula, Lit, collector_off
 
 
 class Assignment:
@@ -192,9 +191,7 @@ class _Search:
         self.empty = False                 # an input clause is empty
         # indexing allocates a list or two per clause and frees none, so the
         # cyclic collector's passes over the growing heap find nothing
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_off():
             for clause in clauses:
                 size = len(clause)
                 if (clause[0] == clause[1] or clause[0] == -clause[1] if size == 2
@@ -212,9 +209,6 @@ class _Search:
                     clause = self._attach(list(clause))
                     if len(clause) > 2:
                         self.long.append(clause)
-        finally:
-            if collecting:
-                gc.enable()
         # decision state, set up by solve after the first propagation
         self.branch_vars: list[int] = []
         self.activity: list[float] = []

@@ -190,10 +190,10 @@ def unfolded_bounds(formula, net, input_lits, upper, lower):
     wires = dict(zip(gate_wires, formula.fresh_vars(len(gate_wires))))
     consts = encode._constant_wires(net, input_lits)
     units = []
-    for polarity, at in (("atmost", upper), ("atleast", lower)):
-        plan = encode._emission_plan(net, consts, polarity == "atmost", (at,), None)
-        out = encode._walk(formula, net, plan, input_lits, polarity, None, wires)[net.outputs[at]]
-        unit = neg(out) if polarity == "atmost" else out
+    for atmost, at in ((True, upper), (False, lower)):
+        plan = encode._emission_plan(net, consts, atmost, (at,), None)
+        out = encode._walk(formula, net, plan, input_lits, atmost, None, wires)[net.outputs[at]]
+        unit = neg(out) if atmost else out
         formula.add_clause([unit])
         if not is_const(unit):
             units.append(unit)

@@ -339,12 +339,13 @@ def test_c07_fused_combine():
                         continue
                     probe = CnfFormula()
                     lits = probe.fresh_vars(6)
-                    before_v = probe.next_var
+                    x, y = probe.fresh_vars(2)
                     from cardnet.encode import _combine_outputs
 
-                    _combine_outputs(probe, *lits, True, True, "atmost")
+                    _combine_outputs(probe, *lits, x, y, True)
                     assert probe.num_clauses == 5
-                    assert probe.next_var - before_v == 2
+                    outs = {abs(l) for c in probe.clauses for l in c} - set(lits)
+                    assert outs == {x, y}
                 for ox in range(lx + 1):
                     for oy in range(ly + 1):
                         if not oy <= ox <= oy + 4:

@@ -686,7 +686,7 @@ def test_fold_matches_root_propagation_at_scale():
         if i % 2:
             k = rng.randint(1, n - 1)
             j = rng.randint(1, k)
-            net = encode._atmost_network(chooser, n, k)
+            net = encode._side_network(encode._atmost_side(chooser, n, k))
             case = (method, chooser.direct, n, j, k)
             emit_bounds(folded, net, lits, k, j - 1)
             units = unfolded_bounds(unfolded, net, lits, k, j - 1)
