@@ -559,14 +559,11 @@ _SCOPE: _Networks | None = None
 
 @contextlib.contextmanager
 def _scope() -> Iterator[_Networks]:
-    """The networks of the open encode call, or, outside one, of a new call
-    that ends with this block: every network and plan it built is dropped
-    then.  Outside any call, a network is built for each request and a plan
-    for each emission."""
+    """The networks of a new encode call (encode_cards), which ends with
+    this block: every network and plan it built is dropped then.  Outside
+    a call, a network is built for each request and a plan for each
+    emission."""
     global _SCOPE
-    if _SCOPE is not None:
-        yield _SCOPE
-        return
     _SCOPE = _Networks()
     try:
         yield _SCOPE
@@ -662,11 +659,6 @@ def _walk(formula: CnfFormula, net: Network, plan: _Plan, input_lits: Sequence[L
     return wire_lits
 
 
-# The emitters run with the cyclic collector off: what an emission allocates
-# either lives until it returns (a plan, the fold's reader list per wire) or
-# is freed at once (a gate's clause run), so a pass over the caller's heap,
-# which holds its networks, would find nothing to free.
-@collector_off()
 def emit_network(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
                  polarity: str = "atmost", reads: Sequence[int] | None = None,
                  asserts: int | None = None) -> list[Lit]:
@@ -714,7 +706,6 @@ def _bounds_plans(net: Network, consts: dict[int, Lit], upper: int,
                               if (cones[0][w] or cones[1][w]) and w not in folded])
 
 
-@collector_off()
 def emit_bounds(formula: CnfFormula, net: Network, input_lits: Sequence[Lit],
                 upper: int, lower: int) -> None:
     """Assert both output position upper FALSE and output position lower
@@ -1084,9 +1075,15 @@ def _side_cost(chooser: Chooser, n: int, m: int, atmost: bool) -> tuple[int, int
 
 
 def _form_side(chooser: Chooser, n: int, k: int) -> tuple[Chooser, int, int, bool]:
-    """The side (see _atmost_side) that _encode_form takes for
-    sum(lits) <= k over n literals.  The network priced for the side not
-    taken is released."""
+    """The cheaper side (see _atmost_side) of sum(lits) <= k over n
+    literals, which encode_cards emits with no outputs exposed.  The at-most
+    side is encode_atmost's network read at y_{k+1} alone.  The at-least
+    side, sum(~lits) >= n-k, is an (n-k)-selection network over the negated
+    literals in zero-propagating polarity whose output y_{n-k} is asserted
+    TRUE and read alone, folded as in encode_atmost.  It can only be smaller
+    when n-k < k+1, and is taken when it is strictly cheaper under
+    lam*V + C, each side priced by a dry run of exactly what it emits.  The
+    network priced for the side not taken is released."""
     hi = _atmost_side(chooser, n, k)
     if n - k >= k + 1:
         return hi
@@ -1095,24 +1092,6 @@ def _form_side(chooser: Chooser, n: int, k: int) -> tuple[Chooser, int, int, boo
     side, other = (hi, lo) if chooser.lam * hv + hc <= chooser.lam * lv + lc else (lo, hi)
     _release(other)
     return side
-
-
-def _encode_form(formula: CnfFormula, lits: Sequence[Lit], k: int,
-                 opts: EncodeOptions) -> EncodedConstraint:
-    """sum(lits) <= k on its cheaper side, with no outputs exposed.  The
-    at-most side is encode_atmost's network read at y_{k+1} alone.  The
-    at-least side, sum(~lits) >= n-k, is an (n-k)-selection network over
-    the negated literals in zero-propagating polarity whose output y_{n-k}
-    is asserted TRUE and read alone, folded as in encode_atmost.  It can
-    only be smaller when n-k < k+1, and is taken when it is strictly cheaper
-    under lam*V + C, each side priced by a dry run of exactly what it
-    emits."""
-    n = len(lits)
-    if opts.method not in NETWORK_METHODS or k == 0:
-        return encode_atmost(formula, lits, k, opts)
-    side = _form_side(_chooser(opts), n, k)
-    _emit_side(formula, side, lits if side[3] else [neg(l) for l in lits])
-    return EncodedConstraint(formula, tuple(lits), k)
 
 
 def strengthen(enc: EncodedConstraint, new_k: int) -> None:
@@ -1251,22 +1230,27 @@ def _distinct_free(lits: Sequence[Lit]) -> bool:
     return all(type(l) is int for l in lits) and len(set(map(abs, lits))) == len(lits)
 
 
+@collector_off()
 def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
                  opts: EncodeOptions | None = None) -> list[EncodedConstraint]:
     """Normalize and encode the constraints in order, each at-most form on
-    its cheaper side (see _encode_form), except that an at-most form over
+    its cheaper side (see _form_side), except that an at-most form over
     the negations of an earlier form's literals, as an = constraint gives,
     or a <= and a >= constraint over one literal multiset, shares that
     form's network where this is cheaper (_pair_bounds): both bounds on one
     selection network (emit_bounds), emitted where the earlier form is.
     A pair is over distinct variables, with no bound 0, for a network
-    method.  Returns the forms' encodings, a pair's together, none with
-    outputs exposed.
+    method.  A form with no network side (bound 0, or a baseline method)
+    goes to encode_atmost.  Returns the forms' encodings, a pair's
+    together, none with outputs exposed.
 
-    Every form's network is chosen before the first is emitted, so each
-    network is built once, the ones only priced are released as soon as
-    they lose, and each other is released after the last form that reads
-    it (see _Networks)."""
+    Every form's side or pair is chosen before the first is emitted, so
+    each network is built once, the ones only priced are released as soon
+    as they lose, and each other is released after the last form that
+    reads it (see _Networks).  The call is the one scope of its networks
+    (_scope), and runs with the cyclic collector off: nothing it builds is
+    cyclic, so reference counting frees all of it, and a pass over the
+    growing heap of networks would find nothing to free."""
     opts = opts or EncodeOptions()
     forms: list[AtMostForm] = []
     for c in cards:
@@ -1306,8 +1290,12 @@ def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
                 emit_bounds(formula, _side_network(needs[i]), lits, k, j - 1)
                 encs += [EncodedConstraint(formula, form.lits, form.k),
                          EncodedConstraint(formula, forms[other].lits, forms[other].k)]
+            elif i in needs:
+                side = needs[i]
+                _emit_side(formula, side, form.lits if side[3] else [neg(l) for l in form.lits])
+                encs.append(EncodedConstraint(formula, form.lits, form.k))
             elif i not in paired:
-                encs.append(_encode_form(formula, form.lits, form.k, opts))
+                encs.append(encode_atmost(formula, form.lits, form.k, opts))
             if i in needs:
                 networks.need(needs[i], -1)
     return encs
@@ -1316,7 +1304,7 @@ def encode_cards(formula: CnfFormula, cards: Sequence[CardConstraint],
 def encode_card(formula: CnfFormula, c: CardConstraint,
                 opts: EncodeOptions | None = None) -> list[EncodedConstraint]:
     """Normalize and encode a constraint with any relation, each at-most form
-    on its cheaper side (see _encode_form), an = constraint's two forms on
+    on its cheaper side (see _form_side), an = constraint's two forms on
     one network where that is cheaper (see encode_cards)."""
     return encode_cards(formula, [c], opts)
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import build
-from .cnf import FALSE, TRUE, CnfFormula, Lit, neg
-from .encode import (EncodeOptions, EncodedConstraint, _chooser, _encode_form, _scope,
-                     emit_network, select_wires)
+from .cnf import FALSE, TRUE, CnfFormula, Lit, collector_off, neg
+from .encode import (CardConstraint, EncodeOptions, EncodedConstraint, _chooser, emit_network,
+                     encode_cards, select_wires)
 from .network import Network
 
 MAX_COEFF_MAGNITUDE = 2 ** 62  # 63-bit magnitudes; larger coefficients are rejected
@@ -305,19 +305,22 @@ def plan_digits(c: PbConstraint, base: MixedRadixBase) -> DigitPlan:
     return DigitPlan(base, const_add, k_adj, m_assert, positions)
 
 
-@_scope()  # no network or plan the call builds outlives it
+@collector_off()
 def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None = None,
               opts: EncodeOptions | None = None) -> EncodedConstraint:
     """Encode a normalized at-least constraint through the digit/carry chain.
 
-    All-unit-coefficient constraints degenerate to the cardinality encoder:
-    at-most n-k over the negated literals, on its cheaper side.  Otherwise
-    the chain is one network (build.carry_chain): each position selects its
-    top outputs, and every r-th of them, the carries, is merged (not
-    appended) into the next position.  It is emitted in zero-propagating
-    polarity reading the top position's m-th output alone, so a position
-    emits only what that output needs, and asserting it, which the emission
-    folds (see encode.emit_network).  No output is exposed.
+    An all-unit-coefficient constraint goes to the cardinality encoder as
+    one >= line (encode.encode_cards): at-most n-k over the negated
+    literals, on its cheaper side.  Otherwise the chain is one network
+    (build.carry_chain): each position selects its top outputs, and every
+    r-th of them, the carries, is merged (not appended) into the next
+    position.  It is emitted in zero-propagating polarity reading the top
+    position's m-th output alone, so a position emits only what that output
+    needs, and asserting it, which the emission folds (see
+    encode.emit_network).  No output is exposed.  The chain is built for
+    this one emission and freed when the call returns; like encode_cards,
+    the call runs with the cyclic collector off.
     """
     opts = opts or EncodeOptions()
     if c.rel != ">=" or any(a <= 0 for a, _ in c.terms) or c.k < 1:
@@ -329,9 +332,8 @@ def encode_pb(formula: CnfFormula, c: PbConstraint, base: MixedRadixBase | None 
     if base is None:
         base = find_base([a for a, _ in c.terms])
     if all(a == 1 for a, _ in c.terms):
-        # plain cardinality: at-least k over lits == at-most n-k over negations
-        lits = [l for _, l in c.terms]
-        return _encode_form(formula, [neg(l) for l in lits], len(lits) - c.k, opts)
+        lits = tuple(l for _, l in c.terms)
+        return encode_cards(formula, [CardConstraint(lits, ">=", c.k)], opts)[0]
     plan = plan_digits(c, base)
     # total >= k, so the top position can reach its asserted output, and the
     # chain has exactly that many outputs (test_feasible_bound_reaches_the_top_position)

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cnf import TRUE, CnfFormula, Lit, is_const
-from .encode import EncodeOptions
+from .encode import CardConstraint, EncodeOptions, encode_cards
 from .pb import (PbConstraint, PbProblem, _terms_value, encode_goal_bound, encode_pb,
                  normalize_pb)
 
@@ -186,12 +186,20 @@ class _EncodedProblem:
 
 def encode_problem(problem: PbProblem, opts: EncodeOptions | None = None) -> _EncodedProblem:
     """Encode all constraints of a problem into one formula whose variables
-    1..num_vars are the problem variables."""
+    1..num_vars are the problem variables.  The forms of a line whose
+    coefficients are all 1 go to one encode_cards call as >= lines, so the
+    two bounds of an = line can share one network (see
+    encode.encode_cards); the forms of any other line go to encode_pb."""
     opts = opts or EncodeOptions()
     formula = CnfFormula()
     formula.fresh_vars(problem.num_vars)
     for c in problem.constraints:
-        for norm in normalize_pb(c):
+        forms = normalize_pb(c)
+        if all(f.terms and all(a == 1 for a, _ in f.terms) for f in forms):
+            encode_cards(formula, [CardConstraint(tuple(l for _, l in f.terms), ">=", f.k)
+                                   for f in forms], opts)
+            continue
+        for norm in forms:
             encode_pb(formula, norm, opts=opts)
     return _EncodedProblem(formula, list(problem.constraints), problem.objective)
 

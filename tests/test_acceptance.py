@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
-from cardnet import build
+from cardnet import build, encode
 from cardnet.cnf import CnfFormula, neg
 from cardnet.encode import (EncodeOptions, NETWORK_METHODS, cnf_cost, emit_network,
                             encode_atmost, method_network)
@@ -315,37 +315,63 @@ def _two_layer_reference(lx, ly):
     return net
 
 
-def test_c07_fused_combine():
-    checked = 0
+def _recorded_emission(monkeypatch):
+    """The wire literals of each walk made while the patch holds, and each
+    combine pair emission, under its two output literals: its six input
+    literals, the clause count of its formula before and after it, and the
+    formula's next variable then."""
+    walks, pairs = [], {}
+    walk, combine = encode._walk, encode._combine_outputs
+
+    def recording_walk(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    def recording_combine(formula, *args):
+        before = formula.num_clauses
+        combine(formula, *args)
+        pairs[args[6:8]] = args[:6], before, formula.num_clauses, formula.next_var
+
+    monkeypatch.setattr(encode, "_walk", recording_walk)
+    monkeypatch.setattr(encode, "_combine_outputs", recording_combine)
+    return walks, pairs
+
+
+def test_c07_fused_combine(monkeypatch):
+    checked = interior = 0
     for lx in range(1, 9):
         for ly in range(0, min(lx, 10 - lx) + 1):
             for k in range(max(1, 2 * ly, 2 * lx - 4), lx + ly + 1):
                 if ly > k // 2 or lx > k // 2 + 2:
                     continue
                 fused_net = build.oe4_combine(lx, ly, k)
-                consts = {w for w, _ in fused_net.const_sources()}
                 ref_net = _two_layer_reference(lx, ly)
                 fused_f, ref_f = CnfFormula(), CnfFormula()
                 in_f = fused_f.fresh_vars(lx + ly)
                 in_r = ref_f.fresh_vars(lx + ly)
-                outs_f = emit_network(fused_f, fused_net, in_f)
+                with monkeypatch.context() as patch:
+                    walks, emitted = _recorded_emission(patch)
+                    outs_f = emit_network(fused_f, fused_net, in_f)
                 outs_r = emit_network(ref_f, ref_net, in_r)
-                _, combines = fused_net.gate_histogram()
-                # interior pairs cost exactly 5 clauses and 2 variables
+                # an interior pair, both outputs emitted over six wires that
+                # are not constant, is emitted over its own wires and adds
+                # exactly 5 clauses and 2 variables: the last two allocated,
+                # which with its own wires are every variable of its clauses
+                wire_lits, = walks
+                clauses = list(fused_f.clauses)
+                consts = encode._constant_wires(fused_net, in_f)
                 for gate in fused_net.gates:
-                    if gate.out_x is None or gate.out_y is None:
+                    if (gate.out_x is None or gate.out_y is None
+                            or not consts.keys().isdisjoint(gate.inputs)):
                         continue
-                    if consts.intersection(gate.inputs):
-                        continue
-                    probe = CnfFormula()
-                    lits = probe.fresh_vars(6)
-                    x, y = probe.fresh_vars(2)
-                    from cardnet.encode import _combine_outputs
-
-                    _combine_outputs(probe, *lits, x, y, True)
-                    assert probe.num_clauses == 5
-                    outs = {abs(l) for c in probe.clauses for l in c} - set(lits)
-                    assert outs == {x, y}
+                    own = tuple(wire_lits[w] for w in gate.inputs)
+                    x, y = wire_lits[gate.out_x], wire_lits[gate.out_y]
+                    ins, before, after, next_var = emitted[x, y]
+                    assert ins == own and after - before == 5
+                    assert {x, y} == {next_var - 2, next_var - 1}
+                    added = {abs(l) for c in clauses[before:after] for l in c}
+                    assert added == set(map(abs, own)) | {x, y}
+                    interior += 1
                 for ox in range(lx + 1):
                     for oy in range(ly + 1):
                         if not oy <= ox <= oy + 4:
@@ -358,8 +384,9 @@ def test_c07_fused_combine():
                             b = dpll_sat(ref_f, fix_r + [neg(outs_r[j])])[0]
                             assert a == b, (lx, ly, k, bits, j)
                         checked += 1
-    assert checked > 100
-    report(f"C7 fused combine vs two-layer reference ({checked} fixings): PASS")
+    assert checked > 100 and interior == 15
+    report(f"C7 fused combine vs two-layer reference ({checked} fixings, "
+           f"{interior} interior pairs): PASS")
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import functools
 import gc
 import hashlib
+import inspect
 import random
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -817,6 +819,61 @@ def test_encode_cards_holds_a_network_while_a_line_needs_it(monkeypatch):
                            CardConstraint(lits[::-1], "<=", 5), CardConstraint(lits[:20], "<=", 3)])
     assert held == [0, 1, 0, 0]
     assert all(ref() is None for ref in nets)
+
+
+def test_each_side_is_decided_once(monkeypatch):
+    # the emission pass emits the side the decision pass stored: _form_side
+    # runs once for each of these three unpaired forms, each priced on both
+    # sides
+    calls = []
+    real = encode._form_side
+    monkeypatch.setattr(encode, "_form_side", lambda *args: calls.append(args) or real(*args))
+    formula = CnfFormula()
+    lits = tuple(formula.fresh_vars(30))
+    encode_cards(formula, [CardConstraint(lits, "<=", 20), CardConstraint(lits[:20], ">=", 3),
+                           CardConstraint(lits[5:], "<", 20)])
+    assert len(calls) == 3
+
+
+def test_encode_calls_start_no_collection():
+    # encode_cards and encode_pb run with the cyclic collector off from
+    # their first line to their return: no collection starts while either
+    # body runs, on <= 512 over 1024 literals or on a 100-term PB line (over
+    # a hundred did when only the emitters switched it off).  A collection
+    # that the first allocation after the collector is back on starts is the
+    # caller's.  Nothing the calls build is cyclic, so none is left for one
+    bodies = {inspect.unwrap(fn).__code__ for fn in (encode_cards, encode_pb)}
+    inside = []
+
+    def started(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code in bodies:
+                inside.append(info["generation"])
+                break
+            frame = frame.f_back
+
+    rng = random.Random(100)
+    coeffs = [rng.randint(1, 10 ** 4) for _ in range(100)]
+    base = find_base(coeffs)
+    formula = CnfFormula()
+    card = CardConstraint(tuple(formula.fresh_vars(1024)), "<=", 512)
+    terms = tuple(zip(coeffs, formula.fresh_vars(100)))
+    line = normalize_pb(PbConstraint(terms, ">=", sum(coeffs) // 2))
+    collecting = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(started)
+    try:
+        encode_cards(formula, [card])
+        for norm in line:
+            encode_pb(formula, norm, base, EncodeOptions())
+    finally:
+        gc.callbacks.remove(started)
+        if not collecting:
+            gc.disable()
+    assert inside == []
+    assert gc.collect() == 0
 
 
 def _traced_peak(encode_once) -> tuple[int, int]:

@@ -81,6 +81,13 @@ constraint, and a `<=` line and a `>=` line over one literal multiset in a
 CNFP file, began to share one network where that is cheaper
 (encode.emit_bounds); 92 of them take it.  test_fold_matches_root_propagation
 ties each shared network to its two clause sets emitted unfolded.
+
+The five `opb-c-*` cases were added when the forms of a PB line whose
+coefficients are all 1 began to go to one encode_cards call
+(solve.encode_problem), so that the two bounds of its two unit `=` lines
+can share one network; its `>= 4` and `<= 8` lines over the same terms stay
+two lines, each encoded alone, and its weighted `=` line takes two digit
+chains.  No other hash changed.
 """
 
 import hashlib
@@ -113,6 +120,12 @@ OPB_FILES = {
              + "".join(f"+{c} y{i} " for i, c in enumerate(
                  (2, 9, 4, 4, 1, 6, 8, 3, 5, 7, 2, 6), start=1))
              + "<= 25 ;\n",
+    "opb-c": "* unit = lines: each line's two bounds may share one network\n"
+             + "".join(f"+1 z{i} " for i in range(1, 25)) + "= 9 ;\n"
+             + "".join(f"-1 z{i} " for i in range(3, 15)) + "+1 z15 +1 z16 = -7 ;\n"
+             + "".join(f"+1 z{i} " for i in range(1, 13)) + ">= 4 ;\n"
+             + "".join(f"+1 z{i} " for i in range(1, 13)) + "<= 8 ;\n"
+             + "+3 z1 +2 z5 +4 z9 -2 z12 = 3 ;\n",
 }
 
 # objective coefficients and bound of the flagged goal-bound cases; goal-w and
@@ -694,6 +707,14 @@ GOLDEN = {
         "155cc2e10f9600d83f0dc598c4b3b367149508f9c60ea79ac9f1527317401222",
     "opb-b-pairwise_half_bitonic":
         "155cc2e10f9600d83f0dc598c4b3b367149508f9c60ea79ac9f1527317401222",
+    "opb-c-oe4":
+        "57116628cd62cfb86e928284aa2cc7745e7a4c985b999854eb43916ae1622ce7",
+    "opb-c-oe2":
+        "1f573fefdaa581b012c775edbc0b6aea0956d78da8ba50dbc120d1ee9f17f853",
+    "opb-c-fourwise":
+        "7739d2b6970471a7e37709801f1e635c8a9a807a06ea91b984a4c267002018f4",
+    "opb-c-pairwise_half_bitonic":
+        "f3d9b2dcc65b9224b0cd434f0869764ec04273c351d9bc6fab765ccc3b8f2353",
     # flagged goal bounds
     "goal-w-oe4":
         "0357171926b503d23fd5af390ac777dd361642c447ad92b67eea28f93f15b917",
@@ -837,6 +858,8 @@ GOLDEN = {
         "fc12e77dafe00862b251081706d5aa97b9a0f169eb036a52e831d10dcd8a1eac",
     "opb-b-auto":
         "185253dd470d9473f653b6de92e2ffdc95a2514a969da3afd09b632b923385b1",
+    "opb-c-auto":
+        "57116628cd62cfb86e928284aa2cc7745e7a4c985b999854eb43916ae1622ce7",
     "goal-w-auto":
         "0357171926b503d23fd5af390ac777dd361642c447ad92b67eea28f93f15b917",
     "goal-u-auto":

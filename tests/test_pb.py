@@ -7,12 +7,14 @@ import pytest
 
 from cardnet import pb
 from cardnet.cnf import FALSE, TRUE, CnfFormula
-from cardnet.encode import METHODS, NETWORK_METHODS, EncodeOptions, emit_network
-from cardnet.pb import (MixedRadixBase, PbConstraint, PbSyntaxError, base_cost,
+from cardnet.encode import (METHODS, NETWORK_METHODS, CardConstraint, EncodeOptions,
+                            emit_network, encode_cards)
+from cardnet.pb import (MixedRadixBase, PbConstraint, PbProblem, PbSyntaxError, base_cost,
                         encode_goal_bound, encode_pb, find_base,
                         normalize_pb, parse_opb, plan_digits, simplify_rhs,
                         to_digits, value_of)
 from cardnet.sat import Assignment, Propagator, dpll_sat
+from cardnet.solve import encode_problem
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -425,3 +427,66 @@ def test_scaled_pb_boundary_fixings(method):
             assert dpll_sat(g, on + _assumptions(g_lits, signs))[0] == "SAT"
             if flagged:
                 assert dpll_sat(g, [-flag] + _assumptions(g_lits, over))[0] == "SAT"
+
+
+# -- unit-coefficient = lines: both bounds on one network ------------------------
+
+def _unit_eq_formula(lits, k, method):
+    """encode_problem of sum(lits) = k as one PB line with coefficients 1
+    over the variables 1..n."""
+    n = len(lits)
+    problem = PbProblem([PbConstraint(tuple((1, lit) for lit in lits), "=", k)],
+                        var_names={f"x{v}": v for v in range(1, n + 1)})
+    return encode_problem(problem, EncodeOptions(method=method)).formula
+
+
+def _signed_vars(rng, n):
+    return [v if rng.random() < 0.5 else -v for v in range(1, n + 1)]
+
+
+def test_unit_eq_line_every_fixing():
+    # both forms of the line go to one encode_cards call: under every full
+    # fixing of n <= 10 terms a count other than k propagates to a conflict
+    # and k is SAT, for auto and a random method (a baseline one included)
+    rng = random.Random(26)
+    for n in range(1, 11):
+        for method in ("auto", rng.choice(METHODS)):
+            lits = _signed_vars(rng, n)
+            k = rng.randint(0, n)
+            f = _unit_eq_formula(lits, k, method)
+            prop = Propagator(f)
+            for bits in range(1 << n):
+                signs = [bool(bits >> i & 1) for i in range(n)]
+                fixing = _assumptions(lits, signs)
+                if sum(signs) == k:
+                    assert dpll_sat(f, fixing)[0] == "SAT", (n, k, method, bits)
+                else:
+                    status = prop.propagate(Assignment(), fixing).status
+                    assert status == "conflict", (n, k, method, bits)
+
+
+@pytest.mark.parametrize("method", ("auto", "oe4"))
+def test_unit_eq_line_boundary_fixings(method):
+    # at 100-130 terms the line costs what a CNFP <= k / >= k pair over its
+    # literals costs, one network for both bounds where that is cheaper; k-1
+    # or k+1 true terms propagate to a conflict, and k is SAT
+    rng = random.Random(260)
+    for trial in range(3):
+        n = rng.randint(100, 130)
+        k = rng.randint(1, n - 1)
+        lits = _signed_vars(rng, n)
+        f = _unit_eq_formula(lits, k, method)
+        pair = CnfFormula()
+        pair.fresh_vars(n)
+        encode_cards(pair, [CardConstraint(tuple(lits), "<=", k),
+                            CardConstraint(tuple(lits), ">=", k)], EncodeOptions(method=method))
+        assert (f.num_vars, f.num_clauses) == (pair.num_vars, pair.num_clauses), (n, k)
+        prop = Propagator(f)
+        for count in (k - 1, k, k + 1):
+            for _ in range(3):
+                true = set(rng.sample(range(n), count))
+                fixing = _assumptions(lits, [i in true for i in range(n)])
+                if count == k:
+                    assert dpll_sat(f, fixing)[0] == "SAT", (n, k)
+                else:
+                    assert prop.propagate(Assignment(), fixing).status == "conflict", (n, k)
